@@ -291,33 +291,3 @@ func BenchmarkTuningStrategies(b *testing.B) {
 		}
 	}
 }
-
-// Memoization ablation (related-work extension): per-sweep CP-ALS cost
-// with and without the shared mode-3 contraction.
-func BenchmarkCPALSSweepPlain(b *testing.B) {
-	benchCPALSSweeps(b, false)
-}
-
-func BenchmarkCPALSSweepMemoized(b *testing.B) {
-	benchCPALSSweeps(b, true)
-}
-
-func benchCPALSSweeps(b *testing.B, memoize bool) {
-	rng := rand.New(rand.NewSource(31))
-	dims := spblock.Dims{64, 64, 512}
-	x := spblock.NewTensor(dims, 100_000)
-	for p := 0; p < 100_000; p++ {
-		// Long mode-3 fibers: many nonzeros per (i,j) pair, the regime
-		// memoization targets.
-		x.Append(int32(rng.Intn(dims[0])), int32(rng.Intn(dims[1])), int32(rng.Intn(dims[2])), 1)
-	}
-	x.Dedup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := spblock.CPALS(x, spblock.CPOptions{
-			Rank: 32, MaxIters: 3, Tol: 1e-15, Seed: 1, Memoize: memoize,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

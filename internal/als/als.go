@@ -22,7 +22,6 @@ import (
 
 	"spblock/internal/la"
 	"spblock/internal/metrics"
-	"spblock/internal/sched"
 )
 
 // Kernel supplies the mode products for one decomposition. MTTKRP
@@ -149,7 +148,6 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 
 	starter, _ := k.(SweepStarter)
 	recoverer, _ := k.(SweepRecoverer)
-	replanner, _ := k.(sched.Replanner)
 	// runSweep executes one full ALS sweep against the current factors,
 	// reporting the failing mode (-1 for StartSweep) and whether the
 	// error is a retryable kernel failure (solve errors are not).
@@ -239,17 +237,6 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 			break
 		}
 		prevFit = fit
-		// Between-sweep replan hook (sched.Replanner): the decomposition
-		// will run at least one more sweep, so an adaptive kernel may
-		// re-cost its plan against the observed imbalance and swap layouts
-		// here — the only point where rebuilding executors cannot perturb
-		// an in-flight sweep. Never called after the final or converged
-		// sweep; a replan error aborts like a kernel failure.
-		if replanner != nil && iter+1 < cfg.MaxIters {
-			if err := replanner.ReplanSweep(iter); err != nil {
-				return res, fmt.Errorf("%s: replan after sweep %d: %w", pfx, iter+1, err)
-			}
-		}
 	}
 	return res, nil
 }

@@ -305,79 +305,6 @@ func TestSolveErrorsNeverRetried(t *testing.T) {
 	}
 }
 
-// replanningKernel adds the sched.Replanner extension.
-type replanningKernel struct {
-	denseKernel
-	calls []int
-	fail  bool
-}
-
-func (k *replanningKernel) ReplanSweep(sweep int) error {
-	k.calls = append(k.calls, sweep)
-	if k.fail {
-		return errors.New("injected replan failure")
-	}
-	return nil
-}
-
-// TestReplanHookBetweenSweeps pins the hook's contract: called exactly
-// once after every successful sweep that is not the last one — never
-// after the final (budget-exhausted) sweep, where no further sweep
-// could use the replanned layout.
-func TestReplanHookBetweenSweeps(t *testing.T) {
-	base, normX := rankOne([]int{5, 4, 3})
-	k := &replanningKernel{denseKernel: *base}
-	res, err := Run(k, Config{Rank: 2, MaxIters: 4, Tol: 1e-300, Seed: 1, NormX: normX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Skip("converged exactly; the non-final-sweep count is not deterministic")
-	}
-	if len(k.calls) != res.Iters-1 {
-		t.Fatalf("replan called %d times over %d sweeps, want %d", len(k.calls), res.Iters, res.Iters-1)
-	}
-	for i, sweep := range k.calls {
-		if sweep != i {
-			t.Fatalf("replan call %d carried sweep %d", i, sweep)
-		}
-	}
-}
-
-// TestReplanHookNotCalledAfterConvergence: a converged sweep breaks the
-// loop before the hook — the decomposition is done, there is nothing to
-// replan for.
-func TestReplanHookNotCalledAfterConvergence(t *testing.T) {
-	base, normX := rankOne([]int{5, 4, 3})
-	k := &replanningKernel{denseKernel: *base}
-	res, err := Run(k, Config{Rank: 1, MaxIters: 50, Tol: 10, Seed: 1, NormX: normX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tol 10 converges at the first eligible check (iter 1), so the only
-	// hook call is the one after sweep 0.
-	if !res.Converged || res.Iters != 2 {
-		t.Fatalf("expected convergence at iter 2, got %+v", res)
-	}
-	if len(k.calls) != 1 || k.calls[0] != 0 {
-		t.Fatalf("replan calls = %v, want [0]", k.calls)
-	}
-}
-
-// TestReplanErrorAborts: a replan failure aborts the decomposition like
-// a kernel failure, returning the partial result.
-func TestReplanErrorAborts(t *testing.T) {
-	base, normX := rankOne([]int{5, 4, 3})
-	k := &replanningKernel{denseKernel: *base, fail: true}
-	res, err := Run(k, Config{Rank: 2, MaxIters: 4, Tol: 1e-300, Seed: 1, NormX: normX})
-	if err == nil || !strings.Contains(err.Error(), "replan after sweep 1") {
-		t.Fatalf("err = %v, want a replan-after-sweep-1 failure", err)
-	}
-	if res == nil || res.Iters != 1 {
-		t.Fatalf("partial result = %+v, want the one completed sweep", res)
-	}
-}
-
 // cancellingKernel cancels its context after a fixed number of MTTKRP
 // dispatches and records whether the loop ever consulted the recoverer
 // afterwards — cancellation must be non-retryable.

@@ -21,7 +21,6 @@ package autotune
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 
@@ -29,7 +28,6 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/kernel"
 	"spblock/internal/roofline"
-	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
 
@@ -250,14 +248,14 @@ func tuneWithModel(t *tensor.COO, rank int, method core.Method, opts Options) (R
 		return c
 	}
 	seed := core.Plan{Method: method, Grid: [3]int{1, 1, 1}, Workers: opts.Workers}
-	best, _ := greedyModelSearch(t.Dims, rank, seed, opts.MaxGridSteps, eval)
+	best := greedyModelSearch(t.Dims, rank, seed, opts.MaxGridSteps, eval)
 	return Result{Plan: best, Trials: trials, Strategy: StrategyModel, Evaluated: len(trials)}, nil
 }
 
-// greedyModelSearch is the patient greedy walk shared by the model
-// strategy and Replan: starting from seed (whose Method, Workers and
-// Sched pass through unchanged), along each mode (in the paper's
-// traversal order) it evaluates every power-of-two block count up to
+// greedyModelSearch is the model strategy's patient greedy walk:
+// starting from seed (whose Method, Workers and Sched pass through
+// unchanged), along each mode (in the paper's traversal order) it
+// evaluates every power-of-two block count up to
 // 2^maxGridSteps and keeps the best, then walks the kernel registry's
 // strip ladder capped at and including the rank, exactly like the
 // exhaustive sweep. The ladder is every width the registered
@@ -265,7 +263,7 @@ func tuneWithModel(t *tensor.COO, rank int, method core.Method, opts Options) (R
 // (multiples of kernel.MinWidth), plus the rank itself — so a
 // rank <= MinWidth search still evaluates the whole-rank strip and the
 // strategies agree on small ranks.
-func greedyModelSearch(dims tensor.Dims, rank int, seed core.Plan, maxGridSteps int, eval func(core.Plan) float64) (core.Plan, float64) {
+func greedyModelSearch(dims tensor.Dims, rank int, seed core.Plan, maxGridSteps int, eval func(core.Plan) float64) core.Plan {
 	best := seed
 	bestCost := eval(best)
 	method := seed.Method
@@ -289,96 +287,7 @@ func greedyModelSearch(dims tensor.Dims, rank int, seed core.Plan, maxGridSteps 
 			}
 		}
 	}
-	return best, bestCost
-}
-
-// stealOverheadFactor prices the stealing scheduler's per-chunk atomic
-// claims and the locality it gives up at chunk boundaries: a balanced
-// workload should keep the static layout rather than paying it for
-// nothing.
-const stealOverheadFactor = 1.02
-
-// SchedCostFactor scales a model-predicted perfectly-parallel runtime
-// by the scheduling policy's expected load behaviour under the observed
-// per-worker imbalance (max/mean busy time, 1 = perfectly balanced;
-// see metrics.Snapshot.Imbalance). Static's critical path is the most
-// loaded worker, so it pays the full imbalance; stealing re-balances
-// whatever the weight estimates got wrong at a small constant
-// overhead; adaptive settles into whichever of the two layouts is
-// cheaper (the ratchet's patience lag is noise at sweep counts).
-func SchedCostFactor(p sched.Policy, imbalance float64) float64 {
-	if imbalance < 1 || math.IsNaN(imbalance) {
-		imbalance = 1
-	}
-	switch p {
-	case sched.PolicySteal:
-		return stealOverheadFactor
-	case sched.PolicyAdaptive:
-		return math.Min(imbalance, stealOverheadFactor)
-	default:
-		return imbalance
-	}
-}
-
-// Replan re-costs the plan space in the light of a running executor's
-// observed worker imbalance, for the between-sweep replan hook
-// (sched.Replanner): every blocked method is searched with the model
-// strategy's greedy walk under both the static and stealing policies,
-// each candidate's predicted time scaled by SchedCostFactor. cur
-// contributes the worker count (preserved — the executors are already
-// sized for it) and the policy constraint: an adaptive plan stays
-// adaptive, since the executor's own ratchet subsumes the static/steal
-// choice and demoting it would discard its promotion state. cur is
-// also always in the trial set itself, so the returned plan is never
-// one the model costs above the plan already running.
-func Replan(t *tensor.COO, rank int, cur core.Plan, imbalance float64, opts Options) (Result, error) {
-	if err := t.Validate(); err != nil {
-		return Result{}, err
-	}
-	if rank <= 0 {
-		return Result{}, fmt.Errorf("autotune: rank must be positive, got %d", rank)
-	}
-	opts = opts.withDefaults()
-	if cur.Workers > 0 {
-		opts.Workers = cur.Workers
-	}
-	cost, err := ModelCost(t, rank, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	var trials []core.Trial
-	eval := func(p core.Plan) float64 {
-		c := cost(p) * SchedCostFactor(p.Sched, imbalance)
-		trials = append(trials, core.Trial{Plan: p, Cost: c})
-		return c
-	}
-	methods := []core.Method{core.MethodSPLATT, core.MethodRankB, core.MethodMB, core.MethodMBRankB}
-	policies := []sched.Policy{sched.PolicyStatic, sched.PolicySteal}
-	if cur.Sched == sched.PolicyAdaptive {
-		policies = []sched.Policy{sched.PolicyAdaptive}
-	}
-	// The running plan is always a candidate. The greedy walks reseed
-	// from {1,1,1} and only visit power-of-two grid steps, so nothing
-	// guarantees they revisit cur's exact configuration — without this
-	// trial a between-sweep replan could hand back a plan the model
-	// itself costs above what is already running, and the driver would
-	// pay an engine rebuild for a predicted slowdown.
-	best := cur
-	if best.Grid == ([3]int{}) {
-		best.Grid = [3]int{1, 1, 1}
-	}
-	best.Workers = opts.Workers
-	bestCost := eval(best)
-	for _, method := range methods {
-		for _, pol := range policies {
-			seed := core.Plan{Method: method, Grid: [3]int{1, 1, 1}, Workers: opts.Workers, Sched: pol}
-			p, c := greedyModelSearch(t.Dims, rank, seed, opts.MaxGridSteps, eval)
-			if c < bestCost {
-				best, bestCost = p, c
-			}
-		}
-	}
-	return Result{Plan: best, Trials: trials, Strategy: StrategyModel, Evaluated: len(trials)}, nil
+	return best
 }
 
 func tuneExhaustive(t *tensor.COO, rank int, method core.Method, opts Options) (Result, error) {

@@ -2,7 +2,6 @@ package autotune
 
 import (
 	"maps"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
-	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
 
@@ -361,137 +359,5 @@ func TestHeuristicAndModelWalkSameStripLadder(t *testing.T) {
 	if plan.RankBlockCols != rank {
 		t.Fatalf("heuristic best bs = %d under strictly improving cost, want the full-rank rung %d",
 			plan.RankBlockCols, rank)
-	}
-}
-
-func TestSchedCostFactor(t *testing.T) {
-	// Static pays the observed imbalance in full: its critical path is
-	// the most loaded worker.
-	if f := SchedCostFactor(sched.PolicyStatic, 1.8); f != 1.8 {
-		t.Errorf("static factor at 1.8 = %v", f)
-	}
-	// Stealing pays only its constant claim overhead, however skewed the
-	// static shares were.
-	if f := SchedCostFactor(sched.PolicySteal, 3.0); f != stealOverheadFactor {
-		t.Errorf("steal factor at 3.0 = %v, want %v", f, stealOverheadFactor)
-	}
-	// Adaptive settles into the cheaper layout.
-	if f := SchedCostFactor(sched.PolicyAdaptive, 3.0); f != stealOverheadFactor {
-		t.Errorf("adaptive factor at 3.0 = %v, want %v", f, stealOverheadFactor)
-	}
-	if f := SchedCostFactor(sched.PolicyAdaptive, 1.0); f != 1.0 {
-		t.Errorf("adaptive factor at 1.0 = %v, want 1", f)
-	}
-	// Degenerate observations clamp to balanced.
-	if f := SchedCostFactor(sched.PolicyStatic, 0); f != 1.0 {
-		t.Errorf("static factor at 0 = %v, want 1", f)
-	}
-	if f := SchedCostFactor(sched.PolicyStatic, math.NaN()); f != 1.0 {
-		t.Errorf("static factor at NaN = %v, want 1", f)
-	}
-}
-
-// TestReplanPolicyFollowsImbalance pins the Replan trade-off: heavy
-// observed imbalance makes every static candidate pay its skew, so the
-// winner schedules by stealing; a balanced observation keeps static
-// (stealing would pay its claim overhead for nothing). The worker count
-// of the running plan is preserved either way.
-func TestReplanPolicyFollowsImbalance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := randCOO(rng, tensor.Dims{48, 40, 32}, 4000)
-	cur := core.Plan{Method: core.MethodSPLATT, Grid: [3]int{1, 1, 1}, Workers: 4}
-	skewed, err := Replan(x, 16, cur, 2.5, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skewed.Plan.Sched != sched.PolicySteal {
-		t.Errorf("imbalance 2.5: plan %v, want a stealing plan", skewed.Plan)
-	}
-	if skewed.Plan.Workers != 4 {
-		t.Errorf("imbalance 2.5: workers %d, want the running plan's 4", skewed.Plan.Workers)
-	}
-	balanced, err := Replan(x, 16, cur, 1.0, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if balanced.Plan.Sched != sched.PolicyStatic {
-		t.Errorf("imbalance 1.0: plan %v, want a static plan", balanced.Plan)
-	}
-	if len(skewed.Trials) == 0 || skewed.Evaluated != len(skewed.Trials) {
-		t.Errorf("trial accounting: evaluated %d, %d trials", skewed.Evaluated, len(skewed.Trials))
-	}
-}
-
-// TestReplanKeepsAdaptive: an adaptive plan stays adaptive — the
-// executor's own ratchet subsumes the static/steal choice, and demoting
-// it would discard its promotion state.
-func TestReplanKeepsAdaptive(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := randCOO(rng, tensor.Dims{32, 32, 32}, 2000)
-	cur := core.Plan{Method: core.MethodSPLATT, Grid: [3]int{1, 1, 1}, Workers: 2, Sched: sched.PolicyAdaptive}
-	res, err := Replan(x, 16, cur, 2.0, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan.Sched != sched.PolicyAdaptive {
-		t.Errorf("adaptive plan replanned to %v", res.Plan)
-	}
-	for _, tr := range res.Trials {
-		if tr.Plan.Sched != sched.PolicyAdaptive {
-			t.Fatalf("adaptive replan evaluated a %v candidate", tr.Plan.Sched)
-		}
-	}
-}
-
-// TestReplanNeverRegressesRunningPlan is the regression test for the
-// missing-cur bug: the greedy walks reseed from {1,1,1} and only step
-// through power-of-two block counts, so a running plan with a grid the
-// walk cannot reach (here 3x1x1) was never in the trial set, and Replan
-// could return a plan its own model costed *above* the plan already
-// running. The fix always evaluates cur first; pin both halves — cur is
-// a trial, and the winner's modeled cost never exceeds cur's.
-func TestReplanNeverRegressesRunningPlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := randCOO(rng, tensor.Dims{48, 36, 30}, 3000)
-	cur := core.Plan{Method: core.MethodMB, Grid: [3]int{3, 1, 1}, Workers: 2}
-	res, err := Replan(x, 16, cur, 1.4, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCur := cur // the trial carries opts-normalised Workers
-	curCost := math.Inf(1)
-	for _, tr := range res.Trials {
-		if tr.Plan.String() == wantCur.String() && tr.Plan.Workers == cur.Workers {
-			curCost = tr.Cost
-			break
-		}
-	}
-	if math.IsInf(curCost, 1) {
-		t.Fatalf("running plan %v missing from the trial set (%d trials)", cur, len(res.Trials))
-	}
-	var bestCost float64 = math.Inf(1)
-	for _, tr := range res.Trials {
-		if tr.Plan.String() == res.Plan.String() && tr.Cost < bestCost {
-			bestCost = tr.Cost
-		}
-	}
-	if math.IsInf(bestCost, 1) {
-		t.Fatalf("returned plan %v has no trial", res.Plan)
-	}
-	if bestCost > curCost {
-		t.Errorf("replan returned %v at cost %v, above the running plan's %v", res.Plan, bestCost, curCost)
-	}
-}
-
-func TestReplanValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := randCOO(rng, tensor.Dims{8, 8, 8}, 50)
-	if _, err := Replan(x, 0, core.Plan{Method: core.MethodSPLATT}, 1.5, Options{}); err == nil {
-		t.Error("rank 0 accepted")
-	}
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	bad.Append(9, 0, 0, 1)
-	if _, err := Replan(bad, 8, core.Plan{Method: core.MethodSPLATT}, 1.5, Options{}); err == nil {
-		t.Error("invalid tensor accepted")
 	}
 }

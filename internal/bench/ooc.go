@@ -95,7 +95,7 @@ func OOC(cfg Config) (*Table, error) {
 
 	opts := cpd.NOptions{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed,
 		Kernel: nmode.Options{Grid: grid, Workers: cfg.Workers}}
-	var want *cpd.NResult
+	var want *cpd.Result
 	memSec := TimeBest(1, func() {
 		want, err = cpd.CPALSN(x, opts)
 	})
@@ -116,7 +116,7 @@ func OOC(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var got *cpd.NResult
+		var got *cpd.Result
 		sec := TimeBest(1, func() {
 			got, err = cpd.CPALSOOC(e, cpd.OOCOptions{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed})
 		})
@@ -164,7 +164,7 @@ func OOC(cfg Config) (*Table, error) {
 
 // oocParity demands the streamed decomposition reproduced the
 // in-memory trajectory exactly — iteration count and every fit bit.
-func oocParity(want, got *cpd.NResult) error {
+func oocParity(want, got *cpd.Result) error {
 	if want.Iters != got.Iters || want.Converged != got.Converged {
 		return fmt.Errorf("trajectory diverged: iters %d/%d converged %v/%v",
 			want.Iters, got.Iters, want.Converged, got.Converged)

@@ -4,9 +4,10 @@
 // expensive part of tensor decompositions" and runs 10–1000s of times
 // per decomposition).
 //
-// Each of the three mode products is served by a mode-permuted executor
-// from internal/core, so every blocking optimisation applies to all
-// three modes.
+// Every entry point — CPALS, CPALSEngine, CPALSN and CPALSOOC — checks
+// its input, picks an als.Kernel (order-3 engine, memoized, order-N
+// engine or out-of-core stream) and hands it to one driver around the
+// shared sweep loop in internal/als, so all four return the same Result.
 package cpd
 
 import (
@@ -15,17 +16,15 @@ import (
 	"math"
 
 	"spblock/internal/als"
-	"spblock/internal/autotune"
 	"spblock/internal/core"
 	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/memo"
 	"spblock/internal/metrics"
-	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
 
-// Options configures a decomposition.
+// Options configures an order-3 decomposition.
 type Options struct {
 	// Rank is the decomposition rank R. Required.
 	Rank int
@@ -46,53 +45,23 @@ type Options struct {
 	Memoize bool
 	// Seed drives the random factor initialisation.
 	Seed int64
-	// Replan enables the between-sweep replan hook (sched.Replanner): a
-	// controller watches the engine's per-mode worker imbalance across
-	// sweeps and, when the ratchet fires, re-costs the plan space with
-	// autotune.Replan and rebuilds the engine on the winner — the
-	// "optional layout switch between sweeps" this library's autotuning
-	// layer exists for. Incompatible with Memoize (the memoized kernel
-	// folds two of the three modes outside the engine, so a rebuilt plan
-	// would only govern a third of the sweep).
-	Replan bool
-	// MaxReplans bounds how many times the replan controller may invoke
-	// the autotuner per decomposition. Default 1 when Replan is set.
-	MaxReplans int
-	// ReplanController overrides the replan controller's thresholds;
-	// zero fields take the internal/sched defaults.
-	ReplanController sched.ControllerConfig
 	// Ctx cancels the decomposition between mode products (see
 	// als.Config.Ctx): a canceled run returns the partial result with
 	// ctx's error within one mode product. nil means never canceled.
 	Ctx context.Context
 }
 
-func (o Options) withDefaults() (Options, error) {
-	if o.Rank <= 0 {
-		return o, fmt.Errorf("cpd: rank must be positive, got %d", o.Rank)
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 50
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-5
-	}
-	if o.Plan.Grid == ([3]int{}) {
-		o.Plan.Grid = [3]int{1, 1, 1}
-	}
-	if o.Replan && o.Memoize {
-		return o, fmt.Errorf("cpd: Replan is incompatible with Memoize")
-	}
-	if o.Replan && o.MaxReplans <= 0 {
-		o.MaxReplans = 1
-	}
-	return o, nil
+// sweeps returns the sweep parameters of a decomposition of t.
+func (o Options) sweeps(t *tensor.COO) als.Config {
+	return als.Config{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed,
+		NormX: math.Sqrt(t.NormSquared()), Ctx: o.Ctx}
 }
 
-// Result holds a fitted Kruskal tensor: X ≈ Σ_r λ_r · A[:,r] ∘ B[:,r] ∘ C[:,r].
+// Result holds a fitted Kruskal tensor with one factor per mode:
+// X ≈ Σ_r λ_r · Factors[0][:,r] ∘ Factors[1][:,r] ∘ … ∘ Factors[N-1][:,r].
 type Result struct {
 	Lambda  []float64
-	Factors [3]*la.Matrix
+	Factors []*la.Matrix
 	// Fits records the model fit 1 − ‖X − M‖/‖X‖ after each sweep.
 	Fits      []float64
 	Iters     int
@@ -100,13 +69,10 @@ type Result struct {
 	// Phases buckets the decomposition's wall time by phase (MTTKRP vs
 	// solve vs fit) — see metrics.PhaseTimes.
 	Phases metrics.PhaseTimes
-	// Plan is the plan the final sweeps ran on — Options.Plan with
-	// defaults applied, updated if between-sweep replanning switched
-	// layouts.
+	// Plan is the order-3 plan the sweeps ran on: Options.Plan with
+	// defaults applied for CPALS, the engine's plan for CPALSEngine. It
+	// is the zero Plan for CPALSN and CPALSOOC.
 	Plan core.Plan
-	// Replans counts the replan controller's autotuner invocations
-	// (0 when Options.Replan is off or the controller never fired).
-	Replans int
 }
 
 // Fit returns the final fit, or 0 before any sweep ran.
@@ -115,6 +81,28 @@ func (r *Result) Fit() float64 {
 		return 0
 	}
 	return r.Fits[len(r.Fits)-1]
+}
+
+// decompose is the one CP-ALS driver behind every entry point: it runs
+// the shared sweep loop over k with cfg's sweep parameters and ‖X‖,
+// and reports plan on the Result. als.Run owns the rank, MaxIters and
+// Tol checks and defaults. On a mid-sweep error the partial result is
+// returned alongside the error.
+func decompose(k als.Kernel, cfg als.Config, plan core.Plan) (*Result, error) {
+	cfg.ErrPrefix = "cpd"
+	ares, err := als.Run(k, cfg)
+	if ares == nil {
+		return nil, err
+	}
+	return &Result{
+		Lambda:    ares.Lambda,
+		Factors:   ares.Factors,
+		Fits:      ares.Fits,
+		Iters:     ares.Iters,
+		Converged: ares.Converged,
+		Phases:    ares.Phases,
+		Plan:      plan,
+	}, err
 }
 
 // engineKernel adapts the order-3 multi-mode engine to the shared ALS
@@ -152,171 +140,42 @@ func (k *memoKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) erro
 	return k.engineKernel.MTTKRP(mode, factors, out)
 }
 
-// replanKernel wraps engineKernel with the between-sweep replan loop:
-// als.Run calls ReplanSweep after every successful non-final sweep, a
-// controller ratchets on the engine's observed worker imbalance, and a
-// fired ratchet asks autotune.Replan for a cheaper (method, grid,
-// strip, sched) combination under that imbalance. A changed plan
-// rebuilds the multi-mode engine — legal exactly here, between sweeps,
-// where no executor is mid-Run.
-type replanKernel struct {
-	engineKernel
-	t       *tensor.COO
-	rank    int
-	plan    core.Plan
-	cfg     sched.ControllerConfig
-	ctrl    *sched.Controller
-	prev    [3][]int64
-	max     int
-	seed    int64
-	replans int
-}
-
-func newReplanKernel(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) *replanKernel {
-	k := &replanKernel{
-		engineKernel: engineKernel{dims: t.Dims[:], eng: eng},
-		t:            t,
-		rank:         opts.Rank,
-		plan:         opts.Plan,
-		cfg:          opts.ReplanController,
-		ctrl:         sched.NewController(opts.ReplanController),
-		max:          opts.MaxReplans,
-		seed:         opts.Seed,
-	}
-	k.sizeWindows()
-	return k
-}
-
-// sizeWindows re-bases the per-mode imbalance windows against the
-// current engine's collectors (fresh collectors start at zero, so fresh
-// zero baselines are exact).
-func (k *replanKernel) sizeWindows() {
-	for mode := 0; mode < 3; mode++ {
-		met, err := k.eng.Metrics(mode)
-		if err != nil {
-			k.prev[mode] = nil
-			continue
-		}
-		k.prev[mode] = make([]int64, met.Workers())
-	}
-}
-
-// ReplanSweep implements sched.Replanner.
-func (k *replanKernel) ReplanSweep(sweep int) error {
-	if k.replans >= k.max {
-		return nil
-	}
-	// The observation is the worst per-mode imbalance this sweep: each
-	// mode has its own executor and the sweep is only as balanced as its
-	// most skewed mode product.
-	imb := 1.0
-	for mode := 0; mode < 3; mode++ {
-		met, err := k.eng.Metrics(mode)
-		if err != nil {
-			return err
-		}
-		if v := met.WindowImbalance(k.prev[mode]); v > imb {
-			imb = v
-		}
-	}
-	if !k.ctrl.Observe(imb) {
-		return nil
-	}
-	k.replans++
-	// Re-arm the one-way ratchet so a later window of sustained
-	// imbalance can spend the remaining replan budget.
-	k.ctrl = sched.NewController(k.cfg)
-	res, err := autotune.Replan(k.t, k.rank, k.plan, imb, autotune.Options{Seed: k.seed, Workers: k.plan.Workers})
-	if err != nil {
-		return err
-	}
-	if res.Plan.String() == k.plan.String() {
-		return nil
-	}
-	eng, err := engine.NewMultiModeExecutor(k.t, res.Plan)
-	if err != nil {
-		return err
-	}
-	k.eng, k.plan = eng, res.Plan
-	k.sizeWindows()
-	return nil
-}
-
-// CPALS decomposes t with alternating least squares. The sweep loop
-// itself lives in internal/als; this driver only assembles the kernel.
+// CPALS decomposes t with alternating least squares over an engine it
+// builds for Options.Plan (the builders validate t).
 func CPALS(t *tensor.COO, opts Options) (*Result, error) {
-	opts, err := opts.withDefaults()
+	if opts.Plan.Grid == ([3]int{}) {
+		opts.Plan.Grid = [3]int{1, 1, 1}
+	}
+	k, err := newKernel(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
+	return decompose(k, opts.sweeps(t), opts.Plan)
+}
 
-	var memoEng *memo.Engine
-	if opts.Memoize {
-		var err error
-		memoEng, err = memo.NewEngine(t)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Build the engine once per decomposition: each mode's permuted
-	// executor is constructed a single time and its pooled workspace is
-	// reused by every sweep. The memoized path folds modes 1-2 from the
-	// memo buffer, so it only needs the mode-3 executor.
+// newKernel builds the order-3 kernel CPALS runs: the multi-mode engine
+// for opts.Plan, built once per decomposition so each mode's permuted
+// executor and pooled workspace serve every sweep, plus the memo engine
+// when opts.Memoize is set. The memoized path folds modes 1-2 from the
+// memo buffer, so it only needs the mode-3 executor.
+func newKernel(t *tensor.COO, opts Options) (als.Kernel, error) {
 	modes := []int{0, 1, 2}
-	if memoEng != nil {
+	if opts.Memoize {
 		modes = []int{2}
 	}
 	eng, err := engine.NewMultiModeExecutor(t, opts.Plan, modes...)
 	if err != nil {
 		return nil, err
 	}
-
 	ek := engineKernel{dims: t.Dims[:], eng: eng}
-	var k als.Kernel = &ek
-	var rk *replanKernel
-	switch {
-	case memoEng != nil:
-		k = &memoKernel{engineKernel: ek, memo: memoEng}
-	case opts.Replan:
-		rk = newReplanKernel(t, eng, opts)
-		k = rk
+	if !opts.Memoize {
+		return &ek, nil
 	}
-	ares, aerr := als.Run(k, als.Config{
-		Rank:      opts.Rank,
-		MaxIters:  opts.MaxIters,
-		Tol:       opts.Tol,
-		Seed:      opts.Seed,
-		NormX:     math.Sqrt(t.NormSquared()),
-		ErrPrefix: "cpd",
-		Ctx:       opts.Ctx,
-	})
-	if ares == nil {
-		return nil, aerr
+	m, err := memo.NewEngine(t)
+	if err != nil {
+		return nil, err
 	}
-	res := fromALS(ares, opts.Plan)
-	if rk != nil {
-		res.Plan = rk.plan
-		res.Replans = rk.replans
-	}
-	return res, aerr
-}
-
-// fromALS assembles the order-3 Result from the shared loop's result.
-func fromALS(ares *als.Result, plan core.Plan) *Result {
-	res := &Result{
-		Lambda:    ares.Lambda,
-		Fits:      ares.Fits,
-		Iters:     ares.Iters,
-		Converged: ares.Converged,
-		Phases:    ares.Phases,
-		Plan:      plan,
-	}
-	copy(res.Factors[:], ares.Factors)
-	return res
+	return &memoKernel{engineKernel: ek, memo: m}, nil
 }
 
 // CPALSEngine decomposes t through a caller-supplied multi-mode engine
@@ -328,18 +187,12 @@ func fromALS(ares *als.Result, plan core.Plan) *Result {
 // mode-0 executor (whose permutation is the identity, so the plan is in
 // the caller's orientation).
 //
-// Memoize and Replan are rejected: the memoized kernel folds two modes
-// outside the engine, and replanning rebuilds engines mid-run — either
-// would bypass or dangle the cached stack the caller is leasing. The
-// caller owns the engine's single-Run-per-mode exclusivity for the
-// whole call.
+// Memoize is rejected: the memoized kernel folds two modes outside the
+// engine, bypassing the cached stack the caller is leasing. The caller
+// owns the engine's single-Run-per-mode exclusivity for the whole call.
 func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Memoize || opts.Replan {
-		return nil, fmt.Errorf("cpd: CPALSEngine does not support Memoize or Replan")
+	if opts.Memoize {
+		return nil, fmt.Errorf("cpd: CPALSEngine does not support Memoize")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -359,19 +212,7 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 			return nil, fmt.Errorf("cpd: %w", err)
 		}
 	}
-	ares, aerr := als.Run(&engineKernel{dims: t.Dims[:], eng: eng}, als.Config{
-		Rank:      opts.Rank,
-		MaxIters:  opts.MaxIters,
-		Tol:       opts.Tol,
-		Seed:      opts.Seed,
-		NormX:     math.Sqrt(t.NormSquared()),
-		ErrPrefix: "cpd",
-		Ctx:       opts.Ctx,
-	})
-	if ares == nil {
-		return nil, aerr
-	}
-	return fromALS(ares, e0.Plan()), aerr
+	return decompose(&engineKernel{dims: t.Dims[:], eng: eng}, opts.sweeps(t), e0.Plan())
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a
@@ -380,6 +221,9 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 func ReconstructDense(res *Result, dims tensor.Dims) ([]float64, error) {
 	if dims.Volume() > 16e6 {
 		return nil, fmt.Errorf("cpd: ReconstructDense refuses %v (too large)", dims)
+	}
+	if len(res.Factors) != 3 {
+		return nil, fmt.Errorf("cpd: ReconstructDense needs 3 factors, got %d", len(res.Factors))
 	}
 	a, b, c := res.Factors[0], res.Factors[1], res.Factors[2]
 	if a.Rows != dims[0] || b.Rows != dims[1] || c.Rows != dims[2] {

@@ -10,7 +10,8 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/engine"
 	"spblock/internal/la"
-	"spblock/internal/sched"
+	"spblock/internal/nmode"
+	"spblock/internal/ooc"
 	"spblock/internal/tensor"
 )
 
@@ -40,15 +41,87 @@ func plantedTensor(seed int64, dims tensor.Dims, r int) *tensor.COO {
 	return t
 }
 
-func TestOptionsValidation(t *testing.T) {
-	x := plantedTensor(1, tensor.Dims{3, 3, 3}, 1)
-	if _, err := CPALS(x, Options{Rank: 0}); err == nil {
-		t.Fatal("rank 0 accepted")
+// TestEntryPointValidation runs the same input checks through all four
+// entry points: rank <= 0 and an invalid tensor are rejected, and zero
+// MaxIters and Tol take the defaults of 50 sweeps and 1e-5.
+func TestEntryPointValidation(t *testing.T) {
+	xn := randSparseN(17, []int{6, 5, 4}, 60)
+	x := tensorFromN(xn)
+	eng, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
+	e, err := ooc.Open(stageForTest(t, xn, []int{2, 2, 2}), ooc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	bad := tensor.NewCOO(x.Dims, 0)
 	bad.Append(9, 0, 0, 1)
-	if _, err := CPALS(bad, Options{Rank: 2}); err == nil {
-		t.Fatal("invalid tensor accepted")
+	badN := nmode.NewTensor(xn.Dims, 0)
+	badN.Append([]nmode.Index{9, 0, 0}, 1)
+
+	nopts := func(o Options) NOptions {
+		return NOptions{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed}
+	}
+	oopts := func(o Options) OOCOptions {
+		return OOCOptions{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed}
+	}
+	entries := []struct {
+		name    string
+		run     func(Options) (*Result, error)
+		invalid func() (*Result, error)
+	}{
+		{"CPALS",
+			func(o Options) (*Result, error) { return CPALS(x, o) },
+			func() (*Result, error) { return CPALS(bad, Options{Rank: 2}) }},
+		{"CPALSEngine",
+			func(o Options) (*Result, error) { return CPALSEngine(x, eng, o) },
+			func() (*Result, error) { return CPALSEngine(bad, eng, Options{Rank: 2}) }},
+		{"CPALSN",
+			func(o Options) (*Result, error) { return CPALSN(xn, nopts(o)) },
+			func() (*Result, error) { return CPALSN(badN, NOptions{Rank: 2}) }},
+		{"CPALSOOC",
+			func(o Options) (*Result, error) { return CPALSOOC(e, oopts(o)) },
+			nil}, // ooc.Stage and ooc.Open reject invalid tensors before an Engine exists
+	}
+	for _, ep := range entries {
+		t.Run(ep.name, func(t *testing.T) {
+			for _, rank := range []int{0, -1} {
+				if _, err := ep.run(Options{Rank: rank}); err == nil {
+					t.Errorf("rank %d accepted", rank)
+				}
+			}
+			if ep.invalid != nil {
+				if _, err := ep.invalid(); err == nil {
+					t.Error("invalid tensor accepted")
+				}
+			}
+			// MaxIters 0: a tolerance no sweep meets runs the default 50.
+			res, err := ep.run(Options{Rank: 2, Tol: 1e-300, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iters != 50 || res.Converged {
+				t.Errorf("default sweep budget: iters=%d converged=%v, want 50 unconverged", res.Iters, res.Converged)
+			}
+			// Tol 0: the run stops at the first fit change below 1e-5.
+			res, err = ep.run(Options{Rank: 2, MaxIters: 1000, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(res.Fits)
+			if !res.Converged || n < 3 {
+				t.Fatalf("default tolerance: converged=%v after %d sweeps, want convergence after >= 3", res.Converged, n)
+			}
+			if d := math.Abs(res.Fits[n-1] - res.Fits[n-2]); d >= 1e-5 {
+				t.Errorf("stopped on a fit change of %v, want < 1e-5", d)
+			}
+			if d := math.Abs(res.Fits[n-2] - res.Fits[n-3]); d < 1e-5 {
+				t.Errorf("ran past a fit change of %v, want stop below 1e-5", d)
+			}
+		})
 	}
 }
 
@@ -209,6 +282,10 @@ func TestReconstructDenseGuards(t *testing.T) {
 	if _, err := ReconstructDense(res, tensor.Dims{5, 4, 4}); err == nil {
 		t.Fatal("mismatched dims accepted")
 	}
+	twoWay := &Result{Lambda: res.Lambda, Factors: res.Factors[:2]}
+	if _, err := ReconstructDense(twoWay, tensor.Dims{4, 4, 4}); err == nil {
+		t.Fatal("two-factor result accepted")
+	}
 }
 
 func TestLambdaPositiveAndSorted(t *testing.T) {
@@ -278,64 +355,6 @@ func TestMemoizedCPALSOnSparseTensor(t *testing.T) {
 	}
 }
 
-// TestReplanFiresAndDecomposes forces the replan controller to its most
-// trigger-happy setting (any observation >= 1.0 fires after one sweep)
-// so the autotuner runs and the engine may be rebuilt mid-decomposition
-// — and the decomposition still converges to the planted structure.
-func TestReplanFiresAndDecomposes(t *testing.T) {
-	dims := tensor.Dims{8, 9, 10}
-	x := plantedTensor(5, dims, 2)
-	res, err := CPALS(x, Options{
-		Rank:             2,
-		MaxIters:         60,
-		Tol:              1e-10,
-		Seed:             4,
-		Plan:             core.Plan{Method: core.MethodSPLATT, Workers: 2},
-		Replan:           true,
-		MaxReplans:       1,
-		ReplanController: sched.ControllerConfig{PromoteAbove: 1.0, Patience: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replans != 1 {
-		t.Fatalf("Replans = %d, want exactly the MaxReplans budget of 1", res.Replans)
-	}
-	if res.Plan.Workers != 2 {
-		t.Fatalf("replanned plan lost the worker count: %v", res.Plan)
-	}
-	if res.Fit() < 0.99 {
-		t.Fatalf("replanned decomposition fit %v, want >= 0.99", res.Fit())
-	}
-}
-
-// TestReplanQuietControllerNeverFires: with the default thresholds, a
-// tiny balanced problem should never trip a replan — the plan the
-// caller asked for is the plan the decomposition ends on.
-func TestReplanQuietControllerNeverFires(t *testing.T) {
-	x := plantedTensor(6, tensor.Dims{6, 6, 6}, 2)
-	want := core.Plan{Method: core.MethodSPLATT, Grid: [3]int{1, 1, 1}, Workers: 1}
-	res, err := CPALS(x, Options{Rank: 2, MaxIters: 10, Seed: 1, Plan: want, Replan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A sequential executor always observes imbalance 1 < the default
-	// PromoteAbove, so the controller cannot fire.
-	if res.Replans != 0 {
-		t.Fatalf("Replans = %d on a sequential run, want 0", res.Replans)
-	}
-	if res.Plan.String() != want.String() {
-		t.Fatalf("plan changed without a replan: %v", res.Plan)
-	}
-}
-
-func TestReplanRejectsMemoize(t *testing.T) {
-	x := plantedTensor(7, tensor.Dims{4, 4, 4}, 1)
-	if _, err := CPALS(x, Options{Rank: 2, Replan: true, Memoize: true}); err == nil {
-		t.Fatal("Replan+Memoize accepted")
-	}
-}
-
 // TestCPALSEngineMatchesCPALS pins the caller-supplied-engine path: the
 // same tensor, seed and plan through a prebuilt engine must produce the
 // bit-identical trajectory CPALS produces when it builds its own —
@@ -394,11 +413,6 @@ func TestCPALSEngineValidation(t *testing.T) {
 	bad.Memoize = true
 	if _, err := CPALSEngine(x, eng, bad); err == nil {
 		t.Error("Memoize accepted")
-	}
-	bad = opts
-	bad.Replan = true
-	if _, err := CPALSEngine(x, eng, bad); err == nil {
-		t.Error("Replan accepted")
 	}
 	other := plantedTensor(6, tensor.Dims{5, 5, 5}, 2)
 	if _, err := CPALSEngine(other, eng, opts); err == nil {

@@ -1,13 +1,12 @@
 package cpd
 
 import (
-	"fmt"
 	"math"
 
 	"spblock/internal/als"
+	"spblock/internal/core"
 	"spblock/internal/engine"
 	"spblock/internal/la"
-	"spblock/internal/metrics"
 	"spblock/internal/nmode"
 )
 
@@ -27,26 +26,6 @@ type NOptions struct {
 	Seed int64
 }
 
-// NResult is a fitted order-N Kruskal tensor.
-type NResult struct {
-	Lambda    []float64
-	Factors   []*la.Matrix
-	Fits      []float64
-	Iters     int
-	Converged bool
-	// Phases buckets the decomposition's wall time by phase (MTTKRP vs
-	// solve vs fit) — see metrics.PhaseTimes.
-	Phases metrics.PhaseTimes
-}
-
-// Fit returns the final fit, or 0 before any sweep ran.
-func (r *NResult) Fit() float64 {
-	if len(r.Fits) == 0 {
-		return 0
-	}
-	return r.Fits[len(r.Fits)-1]
-}
-
 // nKernel adapts the order-N engine to the shared ALS core.
 type nKernel struct {
 	dims []int
@@ -61,51 +40,17 @@ func (k *nKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
 
 // CPALSN decomposes an order-N sparse tensor with alternating least
 // squares on the unified engine: one pooled mode-rooted executor per
-// mode, built once per decomposition, with the sweep loop shared with
-// CPALS via internal/als.
-func CPALSN(t *nmode.Tensor, opts NOptions) (*NResult, error) {
-	if opts.Rank <= 0 {
-		return nil, fmt.Errorf("cpd: rank must be positive, got %d", opts.Rank)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if t.Order() < 2 {
-		return nil, fmt.Errorf("cpd: CPALSN needs order >= 2")
-	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 50
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-5
-	}
-
+// mode, built once per decomposition (NewNEngine validates t and its
+// order).
+func CPALSN(t *nmode.Tensor, opts NOptions) (*Result, error) {
 	eng, err := engine.NewNEngine(t, opts.Kernel)
 	if err != nil {
 		return nil, err
 	}
-
 	var normX float64
 	for _, v := range t.Val {
 		normX += v * v
 	}
-	ares, aerr := als.Run(&nKernel{dims: t.Dims, eng: eng}, als.Config{
-		Rank:      opts.Rank,
-		MaxIters:  opts.MaxIters,
-		Tol:       opts.Tol,
-		Seed:      opts.Seed,
-		NormX:     math.Sqrt(normX),
-		ErrPrefix: "cpd",
-	})
-	if ares == nil {
-		return nil, aerr
-	}
-	return &NResult{
-		Lambda:    ares.Lambda,
-		Factors:   ares.Factors,
-		Fits:      ares.Fits,
-		Iters:     ares.Iters,
-		Converged: ares.Converged,
-		Phases:    ares.Phases,
-	}, aerr
+	return decompose(&nKernel{dims: t.Dims, eng: eng}, als.Config{Rank: opts.Rank, MaxIters: opts.MaxIters,
+		Tol: opts.Tol, Seed: opts.Seed, NormX: math.Sqrt(normX)}, core.Plan{})
 }

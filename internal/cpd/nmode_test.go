@@ -45,18 +45,6 @@ func plantedTensorN(seed int64, dims []int, r int) *nmode.Tensor {
 	return t
 }
 
-func TestCPALSNValidation(t *testing.T) {
-	x := plantedTensorN(1, []int{3, 3, 3}, 1)
-	if _, err := CPALSN(x, NOptions{Rank: 0}); err == nil {
-		t.Fatal("rank 0 accepted")
-	}
-	bad := nmode.NewTensor([]int{2, 2}, 0)
-	bad.Append([]nmode.Index{5, 0}, 1)
-	if _, err := CPALSN(bad, NOptions{Rank: 2}); err == nil {
-		t.Fatal("invalid tensor accepted")
-	}
-}
-
 func TestCPALSNRecoversOrder4Structure(t *testing.T) {
 	dims := []int{5, 6, 4, 5}
 	x := plantedTensorN(2, dims, 2)

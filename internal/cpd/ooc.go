@@ -1,10 +1,10 @@
 package cpd
 
 import (
-	"fmt"
 	"math"
 
 	"spblock/internal/als"
+	"spblock/internal/core"
 	"spblock/internal/ooc"
 )
 
@@ -32,36 +32,7 @@ type OOCOptions struct {
 // matrices are resident; the tensor itself never is. ‖X‖ comes from
 // the staging pass (same summation order as the in-memory drivers),
 // so the fit sequence matches the in-memory run exactly.
-func CPALSOOC(e *ooc.Engine, opts OOCOptions) (*NResult, error) {
-	if opts.Rank <= 0 {
-		return nil, fmt.Errorf("cpd: rank must be positive, got %d", opts.Rank)
-	}
-	if len(e.Dims()) < 2 {
-		return nil, fmt.Errorf("cpd: CPALSOOC needs order >= 2")
-	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 50
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-5
-	}
-	ares, aerr := als.Run(e, als.Config{
-		Rank:      opts.Rank,
-		MaxIters:  opts.MaxIters,
-		Tol:       opts.Tol,
-		Seed:      opts.Seed,
-		NormX:     math.Sqrt(e.NormSq()),
-		ErrPrefix: "cpd",
-	})
-	if ares == nil {
-		return nil, aerr
-	}
-	return &NResult{
-		Lambda:    ares.Lambda,
-		Factors:   ares.Factors,
-		Fits:      ares.Fits,
-		Iters:     ares.Iters,
-		Converged: ares.Converged,
-		Phases:    ares.Phases,
-	}, aerr
+func CPALSOOC(e *ooc.Engine, opts OOCOptions) (*Result, error) {
+	return decompose(e, als.Config{Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol,
+		Seed: opts.Seed, NormX: math.Sqrt(e.NormSq())}, core.Plan{})
 }

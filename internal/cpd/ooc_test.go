@@ -39,7 +39,7 @@ func randSparseN(seed int64, dims []int, nnz int) *nmode.Tensor {
 	return x
 }
 
-func requireSameResult(t *testing.T, tag string, a, b *NResult) {
+func requireSameResult(t *testing.T, tag string, a, b *Result) {
 	t.Helper()
 	if a.Iters != b.Iters || a.Converged != b.Converged {
 		t.Fatalf("%s: trajectory diverged: iters %d/%d converged %v/%v",
@@ -128,7 +128,7 @@ func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &NResult{Lambda: ares.Lambda, Factors: ares.Factors, Fits: ares.Fits,
+	want := &Result{Lambda: ares.Lambda, Factors: ares.Factors, Fits: ares.Fits,
 		Iters: ares.Iters, Converged: ares.Converged}
 
 	e, err := ooc.Open(stage, ooc.Options{})
@@ -141,24 +141,4 @@ func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "order3", want, got)
-}
-
-func TestCPALSOOCValidation(t *testing.T) {
-	x := randSparseN(17, []int{6, 6, 6}, 60)
-	stage := stageForTest(t, x, []int{2, 2, 2})
-	e, err := ooc.Open(stage, ooc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := CPALSOOC(e, OOCOptions{Rank: 0}); err == nil {
-		t.Fatal("rank 0 accepted")
-	}
-	res, err := CPALSOOC(e, OOCOptions{Rank: 3, MaxIters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters != 2 || len(res.Fits) != 2 {
-		t.Fatalf("iters=%d fits=%d", res.Iters, len(res.Fits))
-	}
 }

@@ -68,9 +68,9 @@ func slotFootprint(order, nnz, maxLocalDim int) int64 {
 // Engine runs MTTKRP products over a staged tensor with a bounded
 // working set, implementing als.Kernel so the shared CP-ALS sweep loop
 // drives it unchanged. Blocks flow through a depth-bounded pipeline:
-// decoder goroutines claim block indices from an atomic counter, read
-// and decode them into free slots, and hand them to the consuming Run
-// goroutine, which reorders them into flat block-id order (the order
+// decoder goroutines take a free slot, claim the next block index from
+// an atomic counter, read and decode the block into the slot, and hand
+// it to the consuming Run goroutine, which reorders them into flat block-id order (the order
 // that makes the output bit-identical to the in-memory blocked
 // executor), walks each with the pooled kernel walker, and recycles
 // the slot through the free list. Steady-state products perform no
@@ -346,6 +346,9 @@ func (e *Engine) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
 			continue
 		}
 		e.ring[want%e.depth] = nil
+		if b.seq != want {
+			e.outOfOrder(b.seq, want)
+		}
 		if !b.failed && !e.abort.Load() {
 			e.wk.Walk(&b.csf, factors, out)
 		}
@@ -370,20 +373,36 @@ func (e *Engine) fail(err error) {
 	e.abort.Store(true)
 }
 
-// decodeLoop builds decoder w's prebuilt goroutine body: claim the
-// next block index, take a free slot, read + decode + build the CSF,
+// outOfOrder fails the run when the ring hands the consumer a block
+// other than the one it waits for: walking it would reorder the
+// per-row accumulation and silently change output bits.
+//
+//spblock:coldpath
+func (e *Engine) outOfOrder(seq, want int) {
+	e.fail(fmt.Errorf("ooc: pipeline delivered block %d in place of block %d", seq, want))
+}
+
+// decodeLoop builds decoder w's prebuilt goroutine body: take a free
+// slot, claim the next block index, read + decode + build the CSF,
 // hand the slot to the consumer. Busy time (read+decode only, not
 // backpressure waits) goes to the decoder's prefetch bucket.
+//
+// The slot comes before the claim. Every claimed index then holds one
+// of the depth slots until the consumer walks it, so all blocks in
+// flight lie in [want, want+depth) and map to distinct ring positions.
+// Claiming first would let a decoder sit on index want without a slot
+// while later indices fill the ring and one lands in want's position.
 func (e *Engine) decodeLoop(w int) func() {
 	return func() {
 		defer e.wg.Done()
 		nb := int64(len(e.man.Blocks))
 		for {
+			b := <-e.freec
 			i := e.next.Add(1) - 1
 			if i >= nb {
+				e.freec <- b
 				return
 			}
-			b := <-e.freec
 			b.seq = int(i)
 			if e.abort.Load() {
 				b.failed = true

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"spblock/internal/la"
 	"spblock/internal/nmode"
@@ -387,5 +389,80 @@ func TestDecodeFailureDrainsPipeline(t *testing.T) {
 	}
 	if err := healthy.MTTKRP(0, factors, out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// delayedSource stalls the read of one block, so the decoders finish
+// later blocks first and the consumer must hold them until the slow
+// block arrives.
+type delayedSource struct {
+	ooc.BlockSource
+	slowID int
+	delay  time.Duration
+}
+
+func (s *delayedSource) ReadBlock(b ooc.BlockInfo, dst []byte) error {
+	if b.ID == s.slowID {
+		time.Sleep(s.delay)
+	}
+	return s.BlockSource.ReadBlock(b, dst)
+}
+
+// TestDelayedBlockKeepsBlockOrder is the regression test for the
+// pipeline walking blocks out of order: when a decoder claimed a block
+// index before it held a slot, a later block could take the ring
+// position of an earlier one and be walked in its place. Hundreds of
+// tiny blocks through a three-slot ring, one early block delayed,
+// repeated many times, reproduce that race on any multi-core run; every
+// product must stay bit-identical to the in-memory blocked executor.
+func TestDelayedBlockKeepsBlockOrder(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// The race needs two decoders running at once.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	dims := []int{32, 32, 32}
+	grid := []int{8, 8, 8}
+	x := randTensor(21, dims, 1500)
+	stage, man := stageTensor(t, x, grid)
+	const rank = 4
+	factors := make([]*la.Matrix, len(dims))
+	for m, d := range dims {
+		factors[m] = la.NewMatrix(d, rank)
+		rng := rand.New(rand.NewSource(int64(m)))
+		for i := range factors[m].Data {
+			factors[m].Data[i] = rng.NormFloat64()
+		}
+	}
+	ex, err := nmode.NewExecutor(x, 0, nmode.Options{Grid: grid, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := la.NewMatrix(dims[0], rank)
+	if err := ex.Run(factors, want); err != nil {
+		t.Fatal(err)
+	}
+	src, err := ooc.OpenSource(stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := &delayedSource{BlockSource: src, slowID: man.Blocks[1].ID, delay: 50 * time.Microsecond}
+	e, err := ooc.NewEngine(slow, ooc.Options{BudgetBytes: 3 * man.SlotBytes(), Decoders: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if e.Depth() != 3 || e.Decoders() != 3 {
+		t.Fatalf("pipeline depth %d with %d decoders, want 3 and 3", e.Depth(), e.Decoders())
+	}
+	got := la.NewMatrix(dims[0], rank)
+	for run := 0; run < 500; run++ {
+		if err := e.MTTKRP(0, factors, got); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(v) != math.Float64bits(got.Data[i]) {
+				t.Fatalf("run %d: element %d differs: %v vs %v", run, i, got.Data[i], v)
+			}
+		}
 	}
 }

@@ -50,7 +50,6 @@ type Entry struct {
 	// on the orphan would charge bytes the cache can never reclaim.
 	pending int
 	snaps   [3]metrics.Snapshot
-	comm    metrics.CommStats
 }
 
 // Fingerprint returns the entry's cache key.
@@ -112,11 +111,10 @@ func (e *Entry) tryAcquire() bool {
 func (e *Entry) Release() { <-e.lease }
 
 // publish records a finished job's observable state: per-mode metric
-// snapshots from the (possibly just built) executor and any
-// communication/fault counters the job reported. Must be called by the
-// lease holder, after the job's last Run — the snapshot is taken here,
-// under exclusivity, precisely so the scrape path never has to.
-func (e *Entry) publish(comm metrics.CommStats) {
+// snapshots from the (possibly just built) executor. Must be called by
+// the lease holder, after the job's last Run — the snapshot is taken
+// here, under exclusivity, precisely so the scrape path never has to.
+func (e *Entry) publish() {
 	var snaps [3]metrics.Snapshot
 	if e.eng != nil {
 		for mode := 0; mode < 3; mode++ {
@@ -130,7 +128,6 @@ func (e *Entry) publish(comm metrics.CommStats) {
 	if e.eng != nil {
 		e.snaps = snaps
 	}
-	e.comm.Merge(comm)
 	e.mu.Unlock()
 }
 
@@ -144,7 +141,6 @@ type EntryStats struct {
 	Leases      int64
 	Built       bool
 	Snaps       [3]metrics.Snapshot
-	Comm        metrics.CommStats
 }
 
 // Stats copies the published statistics out under mu.
@@ -160,7 +156,6 @@ func (e *Entry) Stats() EntryStats {
 		Leases:      e.leases,
 		Built:       e.built,
 		Snaps:       e.snaps,
-		Comm:        e.comm,
 	}
 }
 

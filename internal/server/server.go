@@ -281,7 +281,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	resp, err := s.runJob(ctx, entry, req)
-	entry.publish(metrics.CommStats{})
+	entry.publish()
 	s.countOutcome(err)
 	if err != nil {
 		httpError(w, statusFor(err), "%s job on %.12s: %v", req.Kind, req.Fingerprint, err)
@@ -406,7 +406,7 @@ func (s *Server) runMTTKRP(ctx context.Context, entry *Entry, req jobRequest) (*
 
 // handleMetrics serves the Prometheus-style text scrape: server-level
 // job and cache counters plus every cached entry's published per-mode
-// executor snapshots and communication stats. Entries are reported
+// executor snapshots. Entries are reported
 // from their published copies — the scrape never touches an executor,
 // so it cannot race a running job.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -466,8 +466,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				p("spblockd_mode_sched{fp=%q,mode=\"%d\",sched=%q} 1\n", fp, mode, snap.Sched)
 			}
 		}
-		p("spblockd_comm_retries_total{fp=%q} %d\n", fp, e.Comm.Retries)
-		p("spblockd_comm_timeouts_total{fp=%q} %d\n", fp, e.Comm.Timeouts)
-		p("spblockd_comm_sweep_retries_total{fp=%q} %d\n", fp, e.Comm.SweepRetries)
 	}
 }

@@ -93,7 +93,7 @@ type (
 
 	// CPOptions configures a CP-ALS decomposition.
 	CPOptions = cpd.Options
-	// CPResult is a fitted Kruskal tensor.
+	// CPResult is a fitted Kruskal tensor with one factor per mode.
 	CPResult = cpd.Result
 	// APROptions configures a Poisson (KL) nonnegative decomposition.
 	APROptions = cpapr.Options
@@ -138,8 +138,9 @@ type (
 	MultiExecutorN = engine.NEngine
 	// CPNOptions configures an order-N CP-ALS decomposition.
 	CPNOptions = cpd.NOptions
-	// CPNResult is a fitted order-N Kruskal tensor.
-	CPNResult = cpd.NResult
+	// CPNResult is CPResult: every CP-ALS entry point returns the same
+	// fitted Kruskal tensor.
+	CPNResult = cpd.Result
 )
 
 // Kernel methods.
