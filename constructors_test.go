@@ -23,15 +23,30 @@ func demoTensorN(rng *rand.Rand, dims []int, nnz int) *spblock.TensorN {
 }
 
 // TestFacadeConstructorValidation pins the validation parity across all
-// four executor constructors: negative Workers and negative
-// RankBlockCols are rejected everywhere — including the order-3 fast
-// path of NewMultiExecutorN, which used to map a negative strip width
-// silently onto the unstripped SPLATT method.
+// four executor constructors and the one-shot MTTKRPN: negative
+// Workers and negative RankBlockCols are rejected everywhere —
+// including the order-3 fast path of NewMultiExecutorN, which used to
+// map a negative strip width silently onto the unstripped SPLATT
+// method, and MTTKRPN, which used to ignore its options' validity.
 func TestFacadeConstructorValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x3 := demoTensor(rng, spblock.Dims{8, 8, 8}, 60)
 	n3 := demoTensorN(rng, []int{8, 8, 8}, 60)
 	n4 := demoTensorN(rng, []int{6, 5, 4, 3}, 60)
+	csf4, err := spblock.BuildCSFN(n4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rank = 4
+	factors4 := make([]*spblock.Matrix, len(n4.Dims))
+	for m := 1; m < len(n4.Dims); m++ {
+		factors4[m] = spblock.NewMatrix(n4.Dims[m], rank)
+	}
+	oneShot := func(opts spblock.OptionsN) func() error {
+		return func() error {
+			return spblock.MTTKRPN(csf4, factors4, spblock.NewMatrix(n4.Dims[0], rank), opts)
+		}
+	}
 
 	cases := []struct {
 		name    string
@@ -102,6 +117,10 @@ func TestFacadeConstructorValidation(t *testing.T) {
 			_, err := spblock.NewMultiExecutorN(n4, spblock.OptionsN{RankBlockCols: 16, Workers: 1})
 			return err
 		}, false},
+		{"one-shot negative workers", oneShot(spblock.OptionsN{Workers: -1}), true},
+		{"one-shot negative rank block", oneShot(spblock.OptionsN{RankBlockCols: -4}), true},
+		{"one-shot unknown sched", oneShot(spblock.OptionsN{Sched: 9}), true},
+		{"one-shot valid", oneShot(spblock.OptionsN{RankBlockCols: 2, Workers: 2, Sched: spblock.SchedSteal}), false},
 	}
 	for _, tc := range cases {
 		err := tc.build()

@@ -129,9 +129,11 @@ func TestPromotedAdaptiveAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Promote exactly the way observe() does.
-	e.ws.q.SetStealing(true)
-	e.met.SetSched(sched.AdaptiveStealName)
+	promote(t, e, func() {
+		if err := e.Run(b, c, out); err != nil {
+			t.Fatal(err)
+		}
+	})
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := e.Run(b, c, out); err != nil {
 			t.Fatal(err)
@@ -140,7 +142,7 @@ func TestPromotedAdaptiveAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("promoted adaptive: %.2f allocs per steady-state Run, want 0", allocs)
 	}
-	if !e.ws.q.Stealing() {
+	if !e.ws.pool.Stealing() {
 		t.Fatal("promotion did not stick")
 	}
 }
@@ -171,6 +173,38 @@ func TestRankChangeResizesWorkspace(t *testing.T) {
 		}
 		if d := got.MaxAbsDiff(want); d > 1e-9 {
 			t.Fatalf("rank %d after resize: differs from oracle by %v", rank, d)
+		}
+	}
+}
+
+// TestRunReleasesOperands: a cached executor outlives the jobs that
+// run it, so after Run its workspace must not keep the caller's factor
+// and output matrices reachable — sequential or parallel, stripped or
+// not.
+func TestRunReleasesOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	dims := tensor.Dims{16, 20, 12}
+	x := randCOO(rng, dims, 800)
+	const rank = 24
+	b := randMatrix(rng, dims[1], rank)
+	c := randMatrix(rng, dims[2], rank)
+	out := la.NewMatrix(dims[0], rank)
+	for _, plan := range []Plan{
+		{Method: MethodCOO, Workers: 2},
+		{Method: MethodSPLATT, Workers: 1},
+		{Method: MethodMB, Grid: [3]int{2, 2, 2}, Workers: 2},
+		{Method: MethodRankB, RankBlockCols: 16, Workers: 2},
+		{Method: MethodMBRankB, Grid: [3]int{2, 1, 2}, RankBlockCols: 8, Workers: 1},
+	} {
+		e, err := NewExecutor(x, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(b, c, out); err != nil {
+			t.Fatal(err)
+		}
+		if e.ws.b != nil || e.ws.c != nil || e.ws.out != nil {
+			t.Errorf("%v: workspace still holds the operands after Run", plan)
 		}
 	}
 }

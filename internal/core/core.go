@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"spblock/internal/analysis/check"
@@ -115,13 +114,6 @@ func (p Plan) String() string {
 	return s
 }
 
-func (p Plan) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // validateOperands checks the factor shapes against the tensor dims.
 //
 //spblock:coldpath
@@ -163,13 +155,6 @@ type Executor struct {
 
 	ws  workspace
 	met metrics.Collector
-
-	// ctrl is the adaptive policy's promotion loop, nil for static and
-	// steal plans (and for executors that resolved to sequential runs).
-	// prevNS is its per-worker busy-time window baseline, pre-sized on
-	// the cold path so the per-Run observation is allocation-free.
-	ctrl   *sched.Controller
-	prevNS []int64
 }
 
 // NewExecutor preprocesses t according to plan. The input tensor is
@@ -216,66 +201,22 @@ func NewExecutor(t *tensor.COO, plan Plan) (*Executor, error) {
 			check.Must("core.NewExecutor", validateBlocked(e.blocked))
 		}
 	}
-	e.initRunners()
-	e.met.SizeWorkers(len(e.ws.runners))
-	e.initSched()
+	e.initPool()
 	return e, nil
 }
 
-// initSched applies the plan's scheduling policy to the queue the
-// runners were built around and, for the adaptive policy, constructs
-// the controller (its window baseline is sized by the ensure path,
-// which re-sizes it whenever the worker buckets change). Re-entrant:
-// SetWorkers calls it again after rebuilding the runners, and an
-// adaptive executor keeps its controller — including any promotion
-// already ratcheted — across the resize.
-//
-//spblock:coldpath
-func (e *Executor) initSched() {
-	if len(e.ws.runners) == 0 {
-		// Sequential resolution schedules nothing.
-		e.ctrl = nil
-		e.prevNS = nil
-		e.met.SetSched("")
-		return
-	}
-	switch {
-	case e.plan.Sched == sched.PolicySteal && e.ws.q.CanSteal():
-		e.ws.q.SetStealing(true)
-		e.met.SetSched(sched.StealName)
-	case e.plan.Sched == sched.PolicyAdaptive && e.ws.q.CanSteal():
-		if e.ctrl == nil {
-			e.ctrl = sched.NewController(sched.ControllerConfig{})
-		}
-		if e.ctrl.Promoted() {
-			e.ws.q.SetStealing(true)
-			e.met.SetSched(sched.AdaptiveStealName)
-		} else {
-			e.met.SetSched(sched.AdaptiveStaticName)
-		}
-	default:
-		// Static plans, and non-static plans on a method that never
-		// builds a stealing layout (COO's ordered reduction).
-		e.ctrl = nil
-		e.prevNS = nil
-		e.met.SetSched(sched.StaticName)
-	}
-}
-
 // SetWorkers re-sizes the executor's parallelism mid-life to n workers
-// (0 = GOMAXPROCS): the worker closures, sched.Queue layouts and
-// per-worker metrics buckets are rebuilt, and the rank-dependent
-// buffers (accumulators, privatised outputs, the adaptive window
-// baseline) re-size on the next Run's ensure pass. The preprocessed
+// (0 = GOMAXPROCS): the worker pool rebuilds its runners, queue
+// layouts and per-worker metrics buckets (see sched.Pool.Resize), and
+// the rank-dependent buffers (accumulators, privatised outputs)
+// re-size on the next Run's ensure pass. The preprocessed
 // tensor structures are untouched — this is what makes the call cheap
 // enough for a serving cache to adapt one long-lived pooled stack to
 // each job's requested parallelism instead of rebuilding the stack.
 //
 // SetWorkers must not be called concurrently with Run (the same
 // single-Run ownership rule Run itself carries). An adaptive executor
-// keeps its controller: promotion state survives, and the resized
-// baseline means the ratchet keeps observing — it does not silently
-// die the way a stale-length baseline would make it.
+// keeps its promotion state.
 //
 //spblock:coldpath
 func (e *Executor) SetWorkers(n int) error {
@@ -283,14 +224,9 @@ func (e *Executor) SetWorkers(n int) error {
 		return fmt.Errorf("core: negative Workers %d", n)
 	}
 	e.plan.Workers = n
-	e.ws.runners = nil
-	e.ws.q = sched.Queue{}
-	e.initRunners()
-	e.met.SizeWorkers(len(e.ws.runners))
-	e.initSched()
+	e.ws.pool.Resize(n)
 	// Zeroing the sized rank forces the next Run through ensure, which
-	// rebuilds the per-worker rank buffers and the window baseline at
-	// the new width.
+	// rebuilds the per-worker rank buffers at the new width.
 	e.ws.rank = 0
 	return nil
 }
@@ -354,8 +290,6 @@ func (e *Executor) Run(b, c, out *la.Matrix) error {
 	switch e.plan.Method {
 	case MethodCOO:
 		e.runCOO(b, c, out)
-	case MethodSPLATT:
-		e.runSPLATT(b, c, out)
 	case MethodRankB, MethodMBRankB:
 		// Strips are driven from outside the kernel so each strip's
 		// factor columns can be packed contiguously (Sec. V-B); the
@@ -363,29 +297,12 @@ func (e *Executor) Run(b, c, out *la.Matrix) error {
 		// MB+RankB the rank dimension is the outermost loop (Figure 3b)
 		// and the spatial blocks run with register blocking inside it.
 		e.runStripped(b, c, out)
-	case MethodMB:
-		e.runMB(b, c, out, 0)
+	default:
+		// SPLATT (Algorithm 1) and MB run every unit once, unstripped.
+		e.launch(b, c, out, 0)
 	}
-	e.met.EndRun(start)
-	e.observe()
+	e.ws.pool.EndRun(start)
 	return nil
-}
-
-// observe feeds the adaptive controller this run's worker-imbalance
-// window and flips the queue to the stealing layout when the
-// controller's ratchet fires. The workers are quiescent here (launch
-// joined them), both layouts were prebuilt, and the scheduler names
-// are constants, so promotion stays on the allocation-free hot path.
-//
-//spblock:hotpath
-func (e *Executor) observe() {
-	if e.ctrl == nil {
-		return
-	}
-	if e.ctrl.Observe(e.met.WindowImbalance(e.prevNS)) {
-		e.ws.q.SetStealing(true)
-		e.met.SetSched(sched.AdaptiveStealName)
-	}
 }
 
 // runCOO executes the coordinate kernel, privatising the output per
@@ -394,46 +311,29 @@ func (e *Executor) observe() {
 //spblock:hotpath
 func (e *Executor) runCOO(b, c, out *la.Matrix) {
 	ws := &e.ws
-	if len(ws.runners) == 0 {
+	if ws.pool.Workers() == 0 {
 		cooKernel(e.coo, b, c, out)
 		return
 	}
-	ws.publish(b, c, out, 0)
-	ws.launch()
+	e.launch(b, c, out, 0)
 	// Deterministic sequential reduction in worker order.
 	for _, priv := range ws.privates {
 		addInto(out, priv)
 	}
 }
 
-// runSPLATT executes Algorithm 1 with slice-range work sharing.
+// launch publishes the operands the unit bodies read and runs every
+// work unit once through the pool. bs is the rank-block width handed
+// to the strip kernels (0 selects the plain SPLATT per-block kernel).
+// The operands are unpublished afterwards, so a long-lived cached
+// executor does not keep a finished job's matrices alive.
 //
 //spblock:hotpath
-func (e *Executor) runSPLATT(b, c, out *la.Matrix) {
+func (e *Executor) launch(b, c, out *la.Matrix, bs int) {
 	ws := &e.ws
-	if len(ws.runners) == 0 {
-		splattRange(e.csf, b, c, out, ws.accums[0][:out.Cols], 0, e.csf.NumSlices())
-		return
-	}
-	ws.publish(b, c, out, 0)
-	ws.launch()
-}
-
-// runMB executes the blocked kernel over mode-1 layers; bs > 0 applies
-// rank blocking inside each block (MB+RankB).
-//
-//spblock:hotpath
-func (e *Executor) runMB(b, c, out *la.Matrix, bs int) {
-	ws := &e.ws
-	if len(ws.runners) == 0 {
-		accum := ws.accums[0][:out.Cols]
-		for bi := 0; bi < e.blocked.Grid[0]; bi++ {
-			mbLayer(e.blocked, b, c, out, &ws.kern, bs, bi, accum)
-		}
-		return
-	}
-	ws.publish(b, c, out, bs)
-	ws.launch()
+	ws.b, ws.c, ws.out, ws.bs = b, c, out, bs
+	ws.pool.Run()
+	ws.b, ws.c, ws.out = nil, nil, nil
 }
 
 // runStripped drives the Sec. V-B strip loop: the rank is processed in
@@ -455,7 +355,7 @@ func (e *Executor) runStripped(b, c, out *la.Matrix) {
 	r := out.Cols
 	bs := e.rankBlock(r)
 	if bs >= r {
-		e.stripKernel(b, c, out)
+		e.launch(b, c, out, r)
 		return
 	}
 	for rr := 0; rr < r; rr += bs {
@@ -464,39 +364,21 @@ func (e *Executor) runStripped(b, c, out *la.Matrix) {
 			w = r - rr
 		}
 		if e.plan.NoStripPacking {
-			setStrip(&ws.bView, b, rr, w)
-			setStrip(&ws.cView, c, rr, w)
-			setStrip(&ws.oView, out, rr, w)
-			e.stripKernel(&ws.bView, &ws.cView, &ws.oView)
+			la.SetStrip(&ws.bView, b, rr, w)
+			la.SetStrip(&ws.cView, c, rr, w)
+			la.SetStrip(&ws.oView, out, rr, w)
+			e.launch(&ws.bView, &ws.cView, &ws.oView, w)
 			continue
 		}
-		setStrip(&ws.bView, ws.bPack, 0, w)
-		setStrip(&ws.cView, ws.cPack, 0, w)
-		setStrip(&ws.oView, ws.oPack, 0, w)
-		packStrip(&ws.bView, b, rr)
-		packStrip(&ws.cView, c, rr)
+		la.SetStrip(&ws.bView, ws.bPack, 0, w)
+		la.SetStrip(&ws.cView, ws.cPack, 0, w)
+		la.SetStrip(&ws.oView, ws.oPack, 0, w)
+		la.PackStrip(&ws.bView, b, rr)
+		la.PackStrip(&ws.cView, c, rr)
 		ws.oView.Zero()
-		e.stripKernel(&ws.bView, &ws.cView, &ws.oView)
-		unpackStrip(out, &ws.oView, rr)
+		e.launch(&ws.bView, &ws.cView, &ws.oView, w)
+		la.UnpackStrip(out, &ws.oView, rr)
 	}
-}
-
-// stripKernel runs one strip's product; the strip operands must fully
-// accumulate into po (whose Cols is the strip width).
-//
-//spblock:hotpath
-func (e *Executor) stripKernel(pb, pc, po *la.Matrix) {
-	ws := &e.ws
-	if e.plan.Method == MethodMBRankB {
-		e.runMB(pb, pc, po, po.Cols)
-		return
-	}
-	if len(ws.runners) == 0 {
-		rankBRange(e.csf, pb, pc, po, &ws.kern, po.Cols, 0, e.csf.NumSlices())
-		return
-	}
-	ws.publish(pb, pc, po, po.Cols)
-	ws.launch()
 }
 
 // rankBlock resolves the effective strip width for rank R.

@@ -92,11 +92,29 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 }
 
+// promote drives an adaptive executor through its real ratchet: a
+// synthetic busy-time delta on worker 0 before each run makes every
+// window observe an imbalance near the worker count, so the controller
+// fires after its patience. run is one checked product.
+func promote(t *testing.T, e *Executor, run func()) {
+	t.Helper()
+	for i := 0; i <= sched.DefaultPatience && e.Sched() != sched.AdaptiveStealName; i++ {
+		e.met.AddWorkerTime(0, 500*time.Millisecond)
+		run()
+	}
+	if e.Sched() != sched.AdaptiveStealName {
+		t.Fatalf("ratchet never fired: sched = %q", e.Sched())
+	}
+	if !e.ws.pool.Stealing() {
+		t.Fatal("promoted executor's pool is not stealing")
+	}
+}
+
 // TestAdaptivePromotionBitIdentical drives the adaptive executor
-// through its actual promotion transition (forcing the queue flip the
-// controller would perform) and checks the run after promotion is
-// still bit-identical — the equivalence matrix above may never promote
-// on a fast test tensor, so the transition itself is pinned here.
+// through its actual promotion transition and checks every run after
+// promotion is still bit-identical — the equivalence matrix above may
+// never promote on a fast test tensor, so the transition itself is
+// pinned here.
 func TestAdaptivePromotionBitIdentical(t *testing.T) {
 	x := schedTestTensors(t)["clustered"]
 	const rank = 16
@@ -112,9 +130,6 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ctrl == nil {
-		t.Fatal("adaptive plan built no controller")
-	}
 	if e.Sched() != sched.AdaptiveStaticName {
 		t.Fatalf("pre-promotion sched = %q", e.Sched())
 	}
@@ -126,9 +141,14 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 		t.Fatal("pre-promotion output differs")
 	}
 
-	// Promote the way observe() would: flip the prebuilt layout.
-	e.ws.q.SetStealing(true)
-	e.met.SetSched(sched.AdaptiveStealName)
+	promote(t, e, func() {
+		if err := e.Run(b, c, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bitIdentical(got, ref) {
+			t.Fatal("output differs on the way to promotion")
+		}
+	})
 	for run := 0; run < 3; run++ {
 		if err := e.Run(b, c, got); err != nil {
 			t.Fatal(err)
@@ -147,9 +167,9 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 // metrics buckets, and before the fix the adaptive controller's window
 // baseline kept its old length — WindowImbalance then reported 1
 // ("balanced") on every subsequent run and the static→stealing ratchet
-// could never fire again. The ensure path now re-sizes the baseline
-// alongside the buckets, so a sustained skew observed *after* the
-// worker-count change must still promote.
+// could never fire again. The pool now re-sizes the baseline alongside
+// the buckets, so a sustained skew observed *after* the worker-count
+// change must still promote.
 func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 	x := schedTestTensors(t)["clustered"]
 	const rank = 16
@@ -172,9 +192,6 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 	if err := e.SetWorkers(3); err != nil {
 		t.Fatal(err)
 	}
-	if e.ctrl == nil {
-		t.Fatal("SetWorkers dropped the adaptive controller")
-	}
 	if e.Sched() != sched.AdaptiveStaticName {
 		t.Fatalf("post-resize sched = %q, want %q", e.Sched(), sched.AdaptiveStaticName)
 	}
@@ -196,8 +213,8 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 	if e.Sched() != sched.AdaptiveStealName {
 		t.Fatalf("ratchet never fired after SetWorkers: sched = %q", e.Sched())
 	}
-	if !e.ws.q.Stealing() {
-		t.Fatal("promoted executor's queue is not stealing")
+	if !e.ws.pool.Stealing() {
+		t.Fatal("promoted executor's pool is not stealing")
 	}
 	// And the promoted, resized executor still computes the same bits.
 	if err := e.Run(b, c, got); err != nil {
@@ -240,8 +257,8 @@ func TestSetWorkersKeepsPromotion(t *testing.T) {
 	if e.Sched() != sched.AdaptiveStealName {
 		t.Fatalf("promotion lost across SetWorkers: sched = %q", e.Sched())
 	}
-	if !e.ws.q.Stealing() {
-		t.Fatal("resized queue not stealing after prior promotion")
+	if !e.ws.pool.Stealing() {
+		t.Fatal("resized pool not stealing after prior promotion")
 	}
 	if err := e.Run(b, c, out); err != nil {
 		t.Fatal(err)
@@ -302,7 +319,7 @@ func TestCOONeverSteals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.ws.q.Stealing() || e.ws.q.CanSteal() || e.ctrl != nil {
+		if e.ws.pool.Stealing() || e.ws.pool.CanSteal() {
 			t.Fatalf("%v: COO executor built a stealing path", pol)
 		}
 		if e.Sched() != sched.StaticName {

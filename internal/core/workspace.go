@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"time"
-
 	"spblock/internal/analysis/check"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
@@ -19,13 +16,13 @@ import (
 // thrashes the allocator and adds GC noise to every measurement the
 // autotuner takes.
 //
-// The worker-count-dependent state (the sched.Queue layouts and the
-// worker closures themselves) is built once in NewExecutor; the
-// rank-dependent buffers are sized lazily on the first Run and rebuilt
-// only when the rank changes. Because the workspace is mutated by Run,
-// one Executor must not Run concurrently with itself — use one Executor
-// per goroutine (they can share the same tensor structures via separate
-// NewExecutor calls, or separate modes of a MultiModeExecutor).
+// The worker-count-dependent state (the sched.Pool's runners and queue
+// layouts) is built once in NewExecutor; the rank-dependent buffers
+// are sized lazily on the first Run and rebuilt only when the rank
+// changes. Because the workspace is mutated by Run, one Executor must
+// not Run concurrently with itself — use one Executor per goroutine
+// (they can share the same tensor structures via separate NewExecutor
+// calls, or separate modes of a MultiModeExecutor).
 //
 //spblock:workspace
 type workspace struct {
@@ -33,27 +30,18 @@ type workspace struct {
 	// never sized).
 	rank int
 
-	// runners are the pre-built worker bodies, one per parallel worker.
-	// Empty when the plan resolves to sequential execution (a `go`
-	// statement on a fresh closure allocates; pre-building the closures
-	// keeps the parallel launch allocation-free too).
-	runners []func()
-	wg      sync.WaitGroup
+	// pool runs the executor's work units — nonzero ranges (COO), CSF
+	// slice ranges (SPLATT / RankB), mode-1 block layers (MB /
+	// MB+RankB) — on its prebuilt workers under the plan's scheduling
+	// policy (see internal/sched). Built once in initPool.
+	pool sched.Pool
 
 	// Operand state of the in-flight Run (or strip of a Run), published
-	// before the workers launch and joined before it changes.
+	// before the pool runs and read by the unit bodies.
 	b, c, out *la.Matrix
 	// bs is the rank-block width handed to the blocked kernels for the
 	// current strip (0 selects the plain SPLATT per-block kernel).
 	bs int
-
-	// q distributes the executor's work units — CSF slice ranges
-	// (SPLATT / RankB), mode-1 block layers (MB / MB+RankB), nonzero
-	// ranges (COO) — to the prebuilt runners under the plan's
-	// scheduling policy. Its layouts depend only on the preprocessed
-	// structure and the worker count, so they are built once in
-	// initRunners (see internal/sched for the claim protocol).
-	q sched.Queue
 
 	// accums holds one fiber-accumulator array per worker (SPLATT and
 	// the per-block kernel of MB), each sized to the current rank.
@@ -83,15 +71,7 @@ func (e *Executor) ensure(r int) {
 		return
 	}
 	ws.rank = r
-	// The adaptive window baseline must track the worker buckets: after
-	// a mid-life SetWorkers the buckets were re-sized, and a baseline
-	// whose length no longer matches makes WindowImbalance report 1
-	// ("balanced") forever — the promotion ratchet would silently die.
-	// SizeWorkers zeroed the fresh buckets, so a zero baseline is exact.
-	if e.ctrl != nil && len(e.prevNS) != e.met.Workers() {
-		e.prevNS = make([]int64, e.met.Workers())
-	}
-	nw := len(ws.runners)
+	nw := ws.pool.Workers()
 	switch e.plan.Method {
 	case MethodCOO:
 		ws.privates = ws.privates[:0]
@@ -157,166 +137,73 @@ func (e *Executor) perRunMetrics(r int) metrics.PerRun {
 	}
 }
 
-// publish records the operands the pre-built worker closures read.
-//
-//spblock:hotpath
-func (ws *workspace) publish(b, c, out *la.Matrix, bs int) {
-	ws.b, ws.c, ws.out, ws.bs = b, c, out, bs
-}
-
-// launch runs every worker body and waits for them. The closures were
-// built in NewExecutor and goroutine descriptors are recycled by the
-// runtime, so a steady-state launch does not allocate.
-//
-//spblock:hotpath
-func (ws *workspace) launch() {
-	ws.q.Reset()
-	ws.wg.Add(len(ws.runners))
-	for _, fn := range ws.runners {
-		go fn()
-	}
-	ws.wg.Wait()
-}
-
-// initRunners builds the worker closures for the executor's method and
-// the sched.Queue layouts they claim work from. Called once from
-// NewExecutor, after the tensor structures exist. Runners are only
-// built when the plan resolves to >1 effective workers; otherwise Run
-// takes the inline sequential paths. All share/chunk computation lives
-// in internal/sched — this function only defines what a work unit *is*
-// per method and what its weight function looks like.
+// initPool defines the executor's work units for its method and hands
+// them to the pool with their cumulative weight and the unit body that
+// runs a range of them. Called once from NewExecutor, after the tensor
+// structures exist.
 //
 //spblock:coldpath
-func (e *Executor) initRunners() {
-	ws := &e.ws
-	workers := e.plan.workers()
+func (e *Executor) initPool() {
+	p := &e.ws.pool
 	switch e.plan.Method {
 	case MethodCOO:
-		// COO stays static under every policy: the privatised outputs
-		// are reduced in worker order (runCOO), so the chunk→worker
-		// assignment is part of the floating-point result. No stealing
-		// layout is built, which makes promotion a guaranteed no-op.
-		chunks := sched.UniformChunks(e.coo.NNZ(), workers)
-		if chunks == nil {
-			return
+		p.Build(&e.met, e.plan.Workers, e.plan.Sched, sched.SplitOrdered, e.coo.NNZ(), nil, e.cooUnit)
+	case MethodSPLATT, MethodRankB:
+		// CSF slice ranges weighted by nonzero count.
+		csf := e.csf
+		cum := func(i int) int64 { return int64(csf.FiberPtr[csf.SlicePtr[i+1]]) }
+		unit := e.splattUnit
+		if e.plan.Method == MethodRankB {
+			unit = e.rankBUnit
 		}
-		ws.q.InitStatic(chunks)
-		for w := range chunks {
-			w := w
-			ws.runners = append(ws.runners, func() {
-				defer ws.wg.Done()
-				t0 := time.Now()
-				priv := ws.privates[w]
-				priv.Zero()
-				for {
-					lo, hi, _, ok := ws.q.Next(w)
-					if !ok {
-						break
-					}
-					cooRange(e.coo, ws.b, ws.c, priv, lo, hi)
-				}
-				e.met.AddWorkerTime(w, time.Since(t0))
-			})
-		}
-	case MethodSPLATT:
-		nw := e.initSliceQueue(workers)
-		for w := 0; w < nw; w++ {
-			w := w
-			ws.runners = append(ws.runners, func() {
-				defer ws.wg.Done()
-				t0 := time.Now()
-				for {
-					lo, hi, stolen, ok := ws.q.Next(w)
-					if !ok {
-						break
-					}
-					if stolen {
-						e.met.AddWorkerSteal(w)
-					}
-					splattRange(e.csf, ws.b, ws.c, ws.out, ws.accums[w][:ws.out.Cols], lo, hi)
-				}
-				e.met.AddWorkerTime(w, time.Since(t0))
-			})
-		}
-	case MethodRankB:
-		nw := e.initSliceQueue(workers)
-		for w := 0; w < nw; w++ {
-			w := w
-			ws.runners = append(ws.runners, func() {
-				defer ws.wg.Done()
-				t0 := time.Now()
-				for {
-					lo, hi, stolen, ok := ws.q.Next(w)
-					if !ok {
-						break
-					}
-					if stolen {
-						e.met.AddWorkerSteal(w)
-					}
-					rankBRange(e.csf, ws.b, ws.c, ws.out, &ws.kern, ws.bs, lo, hi)
-				}
-				e.met.AddWorkerTime(w, time.Since(t0))
-			})
-		}
+		p.Build(&e.met, e.plan.Workers, e.plan.Sched, sched.SplitShares, csf.NumSlices(), cum, unit)
 	case MethodMB, MethodMBRankB:
-		layers := e.blocked.Grid[0]
-		if workers > layers {
-			workers = layers
-		}
-		if workers <= 1 {
-			return
-		}
-		// The static layout is the historical shared layer counter:
-		// every worker drains one queue of single-layer units in claim
-		// order. The stealing layout regroups layers into nnz-balanced
-		// chunks with per-worker segments, so a worker stuck on a dense
-		// layer no longer serialises the tail of the queue behind it.
-		ws.q.InitStaticShared(sched.UnitRanges(layers))
-		if e.plan.Sched != sched.PolicyStatic {
-			cum := layerCum(e.blocked)
-			ws.q.InitStealing(sched.StealChunks(layers, workers, cum), workers)
-		}
-		for w := 0; w < workers; w++ {
-			w := w
-			ws.runners = append(ws.runners, func() {
-				defer ws.wg.Done()
-				t0 := time.Now()
-				for {
-					lo, hi, stolen, ok := ws.q.Next(w)
-					if !ok {
-						break
-					}
-					if stolen {
-						e.met.AddWorkerSteal(w)
-					}
-					for bi := lo; bi < hi; bi++ {
-						mbLayer(e.blocked, ws.b, ws.c, ws.out, &ws.kern, ws.bs, bi, ws.accums[w][:ws.out.Cols])
-					}
-				}
-				e.met.AddWorkerTime(w, time.Since(t0))
-			})
-		}
+		// Mode-1 block layers: the static layout is one shared layer
+		// counter; the stealing layout regroups layers into
+		// nnz-balanced chunks, so a worker stuck on a dense layer does
+		// not serialise the tail of the queue behind it.
+		p.Build(&e.met, e.plan.Workers, e.plan.Sched, sched.SplitLayers, e.blocked.Grid[0], layerCum(e.blocked), e.mbUnit)
 	}
 }
 
-// initSliceQueue builds the CSF slice-range queue shared by the SPLATT
-// and RankB runners: nnz-weighted static shares, plus the finer
-// stealing chunk list when the plan's policy can promote. Returns the
-// worker count the partition supports (0 means run sequentially).
+// cooUnit runs one worker's nonzero range into its privatised output.
+// The ordered split hands each worker exactly one range per run, so
+// the output is zeroed here once per run.
 //
-//spblock:coldpath
-func (e *Executor) initSliceQueue(workers int) int {
-	n := e.csf.NumSlices()
-	cum := func(i int) int64 { return int64(e.csf.FiberPtr[e.csf.SlicePtr[i+1]]) }
-	shares := sched.Shares(n, workers, cum)
-	if len(shares) <= 1 {
-		return 0
+//spblock:hotpath
+func (e *Executor) cooUnit(w, lo, hi int) {
+	ws := &e.ws
+	priv := ws.privates[w]
+	priv.Zero()
+	cooRange(e.coo, ws.b, ws.c, priv, lo, hi)
+}
+
+// splattUnit runs Algorithm 1 over the CSF slices [lo, hi).
+//
+//spblock:hotpath
+func (e *Executor) splattUnit(w, lo, hi int) {
+	ws := &e.ws
+	splattRange(e.csf, ws.b, ws.c, ws.out, ws.accums[w][:ws.out.Cols], lo, hi)
+}
+
+// rankBUnit runs Algorithm 2 over the CSF slices [lo, hi) of the
+// current strip.
+//
+//spblock:hotpath
+func (e *Executor) rankBUnit(w, lo, hi int) {
+	ws := &e.ws
+	rankBRange(e.csf, ws.b, ws.c, ws.out, &ws.kern, ws.bs, lo, hi)
+}
+
+// mbUnit runs the blocked kernel over the mode-1 layers [lo, hi); a
+// nonzero ws.bs applies rank blocking inside each block (MB+RankB).
+//
+//spblock:hotpath
+func (e *Executor) mbUnit(w, lo, hi int) {
+	ws := &e.ws
+	for bi := lo; bi < hi; bi++ {
+		mbLayer(e.blocked, ws.b, ws.c, ws.out, &ws.kern, ws.bs, bi, ws.accums[w][:ws.out.Cols])
 	}
-	e.ws.q.InitStatic(shares)
-	if e.plan.Sched != sched.PolicyStatic {
-		e.ws.q.InitStealing(sched.StealChunks(n, len(shares), cum), len(shares))
-	}
-	return len(shares)
 }
 
 // layerCum returns the cumulative-nonzero weight function over the

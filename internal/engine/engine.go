@@ -208,9 +208,9 @@ func (m *MultiModeExecutor) Kernel(n int) (kernel.Variant, error) {
 }
 
 // SetWorkers re-sizes every built mode executor's parallelism mid-life
-// (see core.Executor.SetWorkers): worker closures, queue layouts and
-// metrics buckets are rebuilt for n workers (0 = GOMAXPROCS) while the
-// preprocessed per-mode structures are kept. Must not be called while
+// (see sched.Pool.Resize): each executor's worker pool rebuilds its
+// runners, queue layouts and metrics buckets for n workers
+// (0 = GOMAXPROCS) while the preprocessed per-mode structures are kept. Must not be called while
 // any mode is mid-Run — the caller owns the same exclusivity rule Run
 // does (a serving cache holds the executor's lease across the call).
 func (m *MultiModeExecutor) SetWorkers(n int) error {

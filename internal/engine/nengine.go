@@ -15,8 +15,10 @@ import (
 // mode-rooted executor per requested mode of an arbitrary-order tensor,
 // exactly once per tensor. Third-order tensors are served by the
 // order-3 core kernels behind a MultiModeExecutor (the fast path, with
-// zero-copy permuted views of the input); higher orders run on the
-// pooled nmode CSF executors. Either way every mode's workspace is
+// zero-copy permuted views of the input; BenchmarkOrder3FastPath
+// measures it against NewNEngineGeneric); higher orders run on the
+// pooled nmode CSF executors. Both families share one worker pool
+// (sched.Pool) and differ only in their structures and kernels. Either way every mode's workspace is
 // reused across the 10-1000s of Run calls of a decomposition, so
 // steady-state products are allocation-free.
 //
@@ -214,9 +216,9 @@ func (e *NEngine) Sched(mode int) (string, error) {
 }
 
 // SetWorkers re-sizes every built mode executor's parallelism mid-life,
-// whichever executor family serves it (see core.Executor.SetWorkers and
-// nmode.Executor.SetWorkers). Must not be called while any mode is
-// mid-Run.
+// whichever executor family serves it: both run on sched.Pool, whose
+// Resize keeps an adaptive executor's promotion. Must not be called
+// while any mode is mid-Run.
 func (e *NEngine) SetWorkers(n int) error {
 	if e.fast != nil {
 		return e.fast.SetWorkers(n)

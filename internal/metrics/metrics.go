@@ -171,6 +171,8 @@ func (c *Collector) EndRun(start time.Time) {
 // its own element.
 //
 // Hot-path safe: one integer add.
+//
+//spblock:hotpath
 func (c *Collector) AddWorkerTime(w int, dt time.Duration) {
 	c.workerNS[w] += dt.Nanoseconds()
 }
@@ -179,6 +181,8 @@ func (c *Collector) AddWorkerTime(w int, dt time.Duration) {
 // index-disjointness contract as AddWorkerTime.
 //
 // Hot-path safe: one integer add.
+//
+//spblock:hotpath
 func (c *Collector) AddWorkerSteal(w int) {
 	c.steals[w]++
 }

@@ -308,8 +308,40 @@ func TestRootShares(t *testing.T) {
 	}
 }
 
-// TestExecutorAgainstOneShot: the pooled executor and the one-shot
-// MTTKRP entry point agree bit for bit on the same tree shape.
+// TestExecutorRunReleasesOperands: after Run the workspace must not
+// keep the caller's factors and output reachable, so a long-lived
+// executor does not pin a finished job's matrices.
+func TestExecutorRunReleasesOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	dims := []int{12, 9, 8, 7}
+	x := randTensorN(rng, dims, 400)
+	const rank = 20
+	factors := make([]*la.Matrix, len(dims))
+	for m := 1; m < len(dims); m++ {
+		factors[m] = randMatrix(rng, dims[m], rank)
+	}
+	for _, opts := range []Options{
+		{Workers: 1},
+		{Workers: 3, RankBlockCols: 8},
+		{Workers: 2, Grid: []int{2, 2, 1, 2}},
+	} {
+		e, err := NewExecutor(x, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(factors, la.NewMatrix(dims[0], rank)); err != nil {
+			t.Fatal(err)
+		}
+		if e.ws.factors != nil || e.ws.out != nil {
+			t.Errorf("%+v: workspace still holds the operands after Run", opts)
+		}
+	}
+}
+
+// TestExecutorAgainstOneShot: the pooled executor matches the
+// independent dense oracle, and the one-shot MTTKRP entry point —
+// itself a one-run executor over a caller-built tree — agrees with it
+// bit for bit on the same tree shape.
 func TestExecutorAgainstOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dims := []int{10, 9, 8, 7}
@@ -321,14 +353,7 @@ func TestExecutorAgainstOneShot(t *testing.T) {
 	}
 	for mode := range dims {
 		opts := Options{RankBlockCols: 16, Workers: 1}
-		c, err := Build(x, DefaultModeOrder(dims, mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := la.NewMatrix(dims[mode], rank)
-		if err := MTTKRP(c, factors, want, opts); err != nil {
-			t.Fatal(err)
-		}
+		want := denseMTTKRP(x, factors, mode, rank)
 		e, err := NewExecutor(x, mode, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -337,8 +362,19 @@ func TestExecutorAgainstOneShot(t *testing.T) {
 		if err := e.Run(factors, got); err != nil {
 			t.Fatal(err)
 		}
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("mode %d: executor differs from one-shot by %v", mode, d)
+		if d := got.MaxAbsDiff(want); d > 1e-9 {
+			t.Errorf("mode %d: executor differs from the dense oracle by %v", mode, d)
+		}
+		c, err := Build(x, DefaultModeOrder(dims, mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		once := la.NewMatrix(dims[mode], rank)
+		if err := MTTKRP(c, factors, once, opts); err != nil {
+			t.Fatal(err)
+		}
+		if d := once.MaxAbsDiff(got); d != 0 {
+			t.Errorf("mode %d: one-shot differs from executor by %v", mode, d)
 		}
 	}
 }

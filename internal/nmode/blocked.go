@@ -3,7 +3,6 @@ package nmode
 import (
 	"fmt"
 
-	"spblock/internal/kernel"
 	"spblock/internal/la"
 )
 
@@ -98,75 +97,12 @@ func (bt *BlockedTensor) NumBlocks() int {
 	return c
 }
 
-// MTTKRP runs the blocked N-mode product: every block's tree is walked
-// in sequence (rank strips outermost when RankBlockCols is set),
-// accumulating into the shared output. Blocks write disjoint leaf
-// contributions but may share output rows, so this sequential-per-call
-// form is the safe default; parallel callers should shard by the root
-// mode's block coordinate.
+// MTTKRP runs the blocked N-mode product for the root mode
+// ModeOrder[0]: it builds an Executor over the blocks and runs it
+// once. Blocks sharing a root-mode block coordinate share output rows,
+// so workers claim whole root-mode layers and walk a layer's blocks in
+// block order — the same per-row accumulation order as a sequential
+// walk over all blocks.
 func (bt *BlockedTensor) MTTKRP(factors []*la.Matrix, out *la.Matrix, opts Options) error {
-	n := len(bt.Dims)
-	if len(factors) != n {
-		return fmt.Errorf("nmode: %d factors for order-%d tensor", len(factors), n)
-	}
-	r := out.Cols
-	if r <= 0 {
-		return fmt.Errorf("nmode: rank must be positive")
-	}
-	rootMode := bt.ModeOrder[0]
-	if out.Rows != bt.Dims[rootMode] {
-		return fmt.Errorf("nmode: out has %d rows, want %d", out.Rows, bt.Dims[rootMode])
-	}
-	for d := 1; d < n; d++ {
-		m := bt.ModeOrder[d]
-		if factors[m] == nil || factors[m].Cols != r || factors[m].Rows != bt.Dims[m] {
-			return fmt.Errorf("nmode: bad factor for mode %d", m)
-		}
-	}
-	out.Zero()
-
-	eff := r
-	if bs := opts.RankBlockCols; bs > 0 && bs < r {
-		eff = bs
-	}
-	wk := newWalkerBufs(n, r, kernel.Resolve(eff))
-	run := func(fs []*la.Matrix, o *la.Matrix) {
-		for _, blk := range bt.Blocks {
-			if blk == nil {
-				continue
-			}
-			wk.bind(blk, fs, o)
-			wk.roots(0, blk.NumNodes(0))
-		}
-	}
-
-	bs := opts.RankBlockCols
-	if bs <= 0 || bs >= r {
-		run(factors, out)
-		return nil
-	}
-	packed := make([]*la.Matrix, n)
-	for d := 1; d < n; d++ {
-		m := bt.ModeOrder[d]
-		packed[m] = la.NewMatrix(factors[m].Rows, bs)
-	}
-	oPack := la.NewMatrix(out.Rows, bs)
-	pf := make([]*la.Matrix, n)
-	for rr := 0; rr < r; rr += bs {
-		w := bs
-		if rr+w > r {
-			w = r - rr
-		}
-		for d := 1; d < n; d++ {
-			m := bt.ModeOrder[d]
-			pv := stripView(packed[m], w)
-			packStrip(pv, factors[m], rr)
-			pf[m] = pv
-		}
-		po := stripView(oPack, w)
-		po.Zero()
-		run(pf, po)
-		unpackStrip(out, po, rr)
-	}
-	return nil
+	return runOnce(bt.Dims, bt.ModeOrder[0], opts, nil, bt, factors, out)
 }

@@ -8,7 +8,6 @@ import (
 	"spblock/internal/kernel"
 	"spblock/internal/la"
 	"spblock/internal/metrics"
-	"spblock/internal/sched"
 )
 
 // Executor owns the preprocessed structures and pooled workspace for
@@ -16,8 +15,8 @@ import (
 // N-mode counterpart of core.Executor. NewExecutor builds the
 // mode-rooted CSF tree (or the blocked layout when opts.Grid asks for
 // one) and validates it exactly once; Run then reuses pooled walkers,
-// packed rank-strip buffers and prebuilt worker closures, so
-// steady-state calls perform no heap allocations.
+// packed rank-strip buffers and the prebuilt workers of its
+// sched.Pool, so steady-state calls perform no heap allocations.
 //
 // Like core.Executor, one Executor must not Run concurrently with
 // itself; distinct Executors (e.g. distinct modes of an engine.NEngine)
@@ -38,13 +37,6 @@ type Executor struct {
 
 	ws  nworkspace
 	met metrics.Collector
-
-	// ctrl is the adaptive policy's promotion loop (nil unless
-	// Options.Sched is PolicyAdaptive and the executor runs parallel);
-	// prevNS is its per-worker busy-time window baseline, pre-sized on
-	// the cold path.
-	ctrl   *sched.Controller
-	prevNS []int64
 }
 
 // NewExecutor preprocesses t for mode-`mode` MTTKRP products under
@@ -61,20 +53,8 @@ func NewExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
 	if mode < 0 || mode >= n {
 		return nil, fmt.Errorf("nmode: mode %d out of range [0,%d)", mode, n)
 	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("nmode: negative worker count %d", opts.Workers)
-	}
-	if opts.RankBlockCols < 0 {
-		return nil, fmt.Errorf("nmode: negative RankBlockCols %d", opts.RankBlockCols)
-	}
-	if !opts.Sched.Valid() {
-		return nil, fmt.Errorf("nmode: unknown sched policy %d", opts.Sched)
-	}
-	e := &Executor{
-		dims:  append([]int(nil), t.Dims...),
-		mode:  mode,
-		order: n,
-		opts:  opts,
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	modeOrder := DefaultModeOrder(t.Dims, mode)
 	grid, blocked, err := normalizeGrid(opts.Grid, t.Dims)
@@ -86,70 +66,65 @@ func NewExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.blocked = bt
-		e.layers = rootLayers(bt, mode)
-	} else {
-		c, err := Build(t, modeOrder)
-		if err != nil {
-			return nil, err
-		}
-		e.csf = c
+		return newExecutor(t.Dims, mode, opts, nil, bt), nil
 	}
-	if check.Enabled {
-		if e.blocked != nil {
-			check.Must("nmode.NewExecutor", validateBlocked(e.blocked))
-		} else {
-			check.Must("nmode.NewExecutor", validateTree(e.csf))
-		}
+	c, err := Build(t, modeOrder)
+	if err != nil {
+		return nil, err
 	}
-	e.initRunners()
-	e.met.SizeWorkers(len(e.ws.runners))
-	e.initSched()
-	return e, nil
+	return newExecutor(t.Dims, mode, opts, c, nil), nil
 }
 
-// initSched applies the requested scheduling policy to the queue the
-// runners claim from, mirroring core.Executor.initSched. Re-entrant:
-// SetWorkers calls it again after rebuilding the runners, and an
-// adaptive executor keeps its controller (and any promotion already
-// ratcheted) across the resize; the window baseline is sized by the
-// ensure path, which re-sizes it whenever the worker buckets change.
+// validate rejects option values no executor can honour.
 //
 //spblock:coldpath
-func (e *Executor) initSched() {
-	if len(e.ws.runners) == 0 {
-		e.ctrl = nil
-		e.prevNS = nil
-		e.met.SetSched("")
-		return
+func (o Options) validate() error {
+	if o.Workers < 0 {
+		return fmt.Errorf("nmode: negative worker count %d", o.Workers)
 	}
-	switch {
-	case e.opts.Sched == sched.PolicySteal && e.ws.q.CanSteal():
-		e.ws.q.SetStealing(true)
-		e.met.SetSched(sched.StealName)
-	case e.opts.Sched == sched.PolicyAdaptive && e.ws.q.CanSteal():
-		if e.ctrl == nil {
-			e.ctrl = sched.NewController(sched.ControllerConfig{})
-		}
-		if e.ctrl.Promoted() {
-			e.ws.q.SetStealing(true)
-			e.met.SetSched(sched.AdaptiveStealName)
+	if o.RankBlockCols < 0 {
+		return fmt.Errorf("nmode: negative RankBlockCols %d", o.RankBlockCols)
+	}
+	if !o.Sched.Valid() {
+		return fmt.Errorf("nmode: unknown sched policy %d", o.Sched)
+	}
+	return nil
+}
+
+// newExecutor wraps a built structure whose root is mode: exactly one
+// of csf and bt is non-nil, and opts has been validated. It is shared
+// by NewExecutor and the one-shot products over a caller's tree or
+// blocked layout.
+//
+//spblock:coldpath
+func newExecutor(dims []int, mode int, opts Options, csf *CSF, bt *BlockedTensor) *Executor {
+	e := &Executor{
+		dims:    append([]int(nil), dims...),
+		mode:    mode,
+		order:   len(dims),
+		opts:    opts,
+		csf:     csf,
+		blocked: bt,
+	}
+	if bt != nil {
+		e.layers = rootLayers(bt, mode)
+	}
+	if check.Enabled {
+		if bt != nil {
+			check.Must("nmode.NewExecutor", validateBlocked(bt))
 		} else {
-			e.met.SetSched(sched.AdaptiveStaticName)
+			check.Must("nmode.NewExecutor", validateTree(csf))
 		}
-	default:
-		e.ctrl = nil
-		e.prevNS = nil
-		e.met.SetSched(sched.StaticName)
 	}
+	e.initPool()
+	return e
 }
 
 // SetWorkers re-sizes the executor's parallelism mid-life to n workers
-// (0 = GOMAXPROCS), rebuilding the worker closures, queue layouts and
-// metrics buckets while keeping the preprocessed tree structures — the
-// N-mode counterpart of core.Executor.SetWorkers, with the same
-// contract: never call it concurrently with Run, and an adaptive
-// executor's controller (and promotion state) survives the resize.
+// (0 = GOMAXPROCS): the worker pool rebuilds its runners, queue
+// layouts and metrics buckets (see sched.Pool.Resize) while the
+// preprocessed tree structures are kept. Never call it concurrently
+// with Run; an adaptive executor keeps its promotion state.
 //
 //spblock:coldpath
 func (e *Executor) SetWorkers(n int) error {
@@ -157,13 +132,9 @@ func (e *Executor) SetWorkers(n int) error {
 		return fmt.Errorf("nmode: negative worker count %d", n)
 	}
 	e.opts.Workers = n
-	e.ws.runners = nil
-	e.ws.q = sched.Queue{}
-	e.initRunners()
-	e.met.SizeWorkers(len(e.ws.runners))
-	e.initSched()
-	// Force the next Run through ensure so the per-worker walkers and
-	// the adaptive window baseline re-size at the new width.
+	e.ws.pool.Resize(n)
+	// Force the next Run through ensure so the per-worker walkers
+	// re-size at the new width.
 	e.ws.rank = 0
 	return nil
 }
@@ -218,14 +189,13 @@ func (e *Executor) Run(factors []*la.Matrix, out *la.Matrix) error {
 	start := time.Now()
 	out.Zero()
 	if e.NNZ() == 0 {
-		e.met.EndRun(start)
+		e.ws.pool.EndRun(start)
 		return nil
 	}
 	bs := e.opts.RankBlockCols
 	if bs <= 0 || bs >= r {
 		e.runAll(factors, out)
-		e.met.EndRun(start)
-		e.observe()
+		e.ws.pool.EndRun(start)
 		return nil
 	}
 	// Rank strips (Sec. V-B): pack each operand strip into the pooled
@@ -239,35 +209,18 @@ func (e *Executor) Run(factors []*la.Matrix, out *la.Matrix) error {
 				continue
 			}
 			pv := &ws.views[m]
-			*pv = la.Matrix{Rows: ws.packed[m].Rows, Cols: w, Stride: ws.packed[m].Stride, Data: ws.packed[m].Data}
-			packStrip(pv, factors[m], rr)
+			la.SetStrip(pv, ws.packed[m], 0, w)
+			la.PackStrip(pv, factors[m], rr)
 			ws.pf[m] = pv
 		}
 		po := &ws.oView
-		*po = la.Matrix{Rows: ws.oPack.Rows, Cols: w, Stride: ws.oPack.Stride, Data: ws.oPack.Data}
+		la.SetStrip(po, ws.oPack, 0, w)
 		po.Zero()
 		e.runAll(ws.pf, po)
-		unpackStrip(out, po, rr)
+		la.UnpackStrip(out, po, rr)
 	}
-	e.met.EndRun(start)
-	e.observe()
+	e.ws.pool.EndRun(start)
 	return nil
-}
-
-// observe feeds the adaptive controller this run's worker-imbalance
-// window and flips the queue to the stealing layout when the ratchet
-// fires — the same allocation-free transition core.Executor.observe
-// performs.
-//
-//spblock:hotpath
-func (e *Executor) observe() {
-	if e.ctrl == nil {
-		return
-	}
-	if e.ctrl.Observe(e.met.WindowImbalance(e.prevNS)) {
-		e.ws.q.SetStealing(true)
-		e.met.SetSched(sched.AdaptiveStealName)
-	}
 }
 
 //spblock:coldpath
@@ -298,29 +251,16 @@ func (e *Executor) checkOperands(factors []*la.Matrix, out *la.Matrix) error {
 	return nil
 }
 
-// runAll walks every tree once with the given operands, sequentially or
-// via the prebuilt workers.
+// runAll walks every tree once with the given operands through the
+// pool. The operands are unpublished afterwards, so a long-lived
+// executor does not keep a finished job's matrices alive.
 //
 //spblock:hotpath
 func (e *Executor) runAll(factors []*la.Matrix, out *la.Matrix) {
 	ws := &e.ws
-	if len(ws.runners) == 0 {
-		wk := ws.walkers[0]
-		if e.blocked != nil {
-			for _, layer := range e.layers {
-				for _, blk := range layer {
-					wk.bind(blk, factors, out)
-					wk.roots(0, blk.NumNodes(0))
-				}
-			}
-			return
-		}
-		wk.bind(e.csf, factors, out)
-		wk.roots(0, e.csf.NumNodes(0))
-		return
-	}
 	ws.factors, ws.out = factors, out
-	ws.launch()
+	ws.pool.Run()
+	ws.factors, ws.out = nil, nil
 }
 
 // normalizeGrid clamps a requested grid to the tensor shape. Returns

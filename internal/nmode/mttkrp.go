@@ -2,8 +2,6 @@ package nmode
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"spblock/internal/kernel"
 	"spblock/internal/la"
@@ -16,18 +14,21 @@ type Options struct {
 	// Strips are packed into contiguous buffers exactly as the
 	// third-order kernels do (Sec. V-B).
 	RankBlockCols int
-	// Workers is the parallelism degree over root slices (0 = GOMAXPROCS).
+	// Workers is the parallelism degree over root slices or block
+	// layers (0 = GOMAXPROCS).
 	Workers int
 	// Grid requests multi-dimensional blocking (Sec. V-A) with one entry
 	// per mode; nil or all-ones means unblocked. Entries are clamped to
 	// [1, dim]. Only Executor and the engine layer honour it — the
-	// one-shot MTTKRP below operates on an already-built tree.
+	// one-shot products below run over an already-built tree or
+	// blocked layout.
 	Grid []int
 	// Sched selects the work-distribution policy (internal/sched),
 	// mirroring core.Plan.Sched: zero value static, PolicySteal chunked
 	// work-stealing over root ranges or block layers, PolicyAdaptive
-	// static with metrics-driven promotion. Only Executor and the
-	// engine layer honour it.
+	// static with metrics-driven promotion. Every product honours it,
+	// one-shot included, although a one-shot run ends before an
+	// adaptive executor could promote.
 	Sched sched.Policy
 }
 
@@ -37,125 +38,26 @@ type Options struct {
 //	out[i] += Σ_{leaves under i} val · ⊙_{d>0} factors[ModeOrder[d]][id_d]
 //
 // factors is indexed by mode; the entry for the output mode may be nil.
-// out must be Dims[ModeOrder[0]] x R and is zeroed first.
+// out must be Dims[ModeOrder[0]] x R and is zeroed first. It builds an
+// Executor over c and runs it once; repeated products should build an
+// Executor instead.
 func MTTKRP(c *CSF, factors []*la.Matrix, out *la.Matrix, opts Options) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	n := c.Order()
-	if n < 2 {
-		return fmt.Errorf("nmode: MTTKRP needs order >= 2, got %d", n)
-	}
-	if len(factors) != n {
-		return fmt.Errorf("nmode: %d factors for order-%d tensor", len(factors), n)
-	}
-	r := out.Cols
-	if r <= 0 {
-		return fmt.Errorf("nmode: rank must be positive")
-	}
-	if out.Rows != c.Dims[c.ModeOrder[0]] {
-		return fmt.Errorf("nmode: out has %d rows, want %d", out.Rows, c.Dims[c.ModeOrder[0]])
-	}
-	for d := 1; d < n; d++ {
-		m := c.ModeOrder[d]
-		f := factors[m]
-		if f == nil {
-			return fmt.Errorf("nmode: missing factor for mode %d", m)
-		}
-		if f.Cols != r || f.Rows != c.Dims[m] {
-			return fmt.Errorf("nmode: factor for mode %d is %dx%d, want %dx%d",
-				m, f.Rows, f.Cols, c.Dims[m], r)
-		}
-	}
-	out.Zero()
-	if c.NNZ() == 0 {
-		return nil
-	}
-
-	bs := opts.RankBlockCols
-	if bs <= 0 || bs >= r {
-		runOverRoots(c, factors, out, 0, opts.Workers)
-		return nil
-	}
-
-	// Rank strips with packed factor buffers.
-	packed := make([]*la.Matrix, n)
-	for d := 1; d < n; d++ {
-		m := c.ModeOrder[d]
-		packed[m] = la.NewMatrix(factors[m].Rows, bs)
-	}
-	oPack := la.NewMatrix(out.Rows, bs)
-	pf := make([]*la.Matrix, n)
-	for rr := 0; rr < r; rr += bs {
-		w := bs
-		if rr+w > r {
-			w = r - rr
-		}
-		for d := 1; d < n; d++ {
-			m := c.ModeOrder[d]
-			pv := stripView(packed[m], w)
-			packStrip(pv, factors[m], rr)
-			pf[m] = pv
-		}
-		po := stripView(oPack, w)
-		po.Zero()
-		runOverRoots(c, pf, po, 0, opts.Workers)
-		unpackStrip(out, po, rr)
-	}
-	return nil
+	return runOnce(c.Dims, c.ModeOrder[0], opts, c, nil, factors, out)
 }
 
-func stripView(m *la.Matrix, w int) *la.Matrix {
-	return &la.Matrix{Rows: m.Rows, Cols: w, Stride: m.Stride, Data: m.Data}
-}
-
-//spblock:hotpath
-func packStrip(dst, src *la.Matrix, rr int) {
-	w := dst.Cols
-	for i := 0; i < dst.Rows; i++ {
-		copy(dst.Row(i), src.Data[i*src.Stride+rr:i*src.Stride+rr+w])
+// runOnce builds an executor over a caller's tree or blocked layout
+// (exactly one non-nil) and runs it once — the one-shot entry points.
+func runOnce(dims []int, mode int, opts Options, c *CSF, bt *BlockedTensor, factors []*la.Matrix, out *la.Matrix) error {
+	if len(dims) < 2 {
+		return fmt.Errorf("nmode: MTTKRP needs order >= 2, got %d", len(dims))
 	}
-}
-
-//spblock:hotpath
-func unpackStrip(dst, src *la.Matrix, rr int) {
-	w := src.Cols
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Data[i*dst.Stride+rr:i*dst.Stride+rr+w], src.Row(i))
+	if err := opts.validate(); err != nil {
+		return err
 	}
-}
-
-// runOverRoots executes the tree walk for all roots, optionally in
-// parallel: distinct roots own distinct output rows, so root ranges are
-// race-free (the same argument as SPLATT's slice parallelism).
-func runOverRoots(c *CSF, factors []*la.Matrix, out *la.Matrix, _ int, workers int) {
-	roots := c.NumNodes(0)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > roots {
-		workers = roots
-	}
-	if workers <= 1 {
-		w := newWalker(c, factors, out)
-		w.roots(0, roots)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (roots + workers - 1) / workers
-	for lo := 0; lo < roots; lo += chunk {
-		hi := lo + chunk
-		if hi > roots {
-			hi = roots
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			w := newWalker(c, factors, out)
-			w.roots(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return newExecutor(dims, mode, opts, c, bt).Run(factors, out)
 }
 
 // Walker is a reusable, exported handle on the pooled DFS state for
@@ -232,12 +134,6 @@ func newWalkerBufs(order, rank int, kern kernel.Strip) *walker {
 func (w *walker) bind(c *CSF, factors []*la.Matrix, out *la.Matrix) {
 	w.c, w.factors, w.out = c, factors, out
 	w.width = out.Cols
-}
-
-func newWalker(c *CSF, factors []*la.Matrix, out *la.Matrix) *walker {
-	w := newWalkerBufs(c.Order(), out.Cols, kernel.Resolve(out.Cols))
-	w.bind(c, factors, out)
-	return w //spblock:allow constructor hands a fresh walker to its one-shot caller
 }
 
 //spblock:hotpath

@@ -12,8 +12,8 @@ import (
 // TestAdaptiveRatchetSurvivesSetWorkersN is the N-mode half of the
 // stale-baseline regression test (see core's
 // TestAdaptiveRatchetSurvivesSetWorkers): after a mid-life SetWorkers
-// re-sizes the worker buckets, the ensure path must re-size the
-// adaptive window baseline too, or WindowImbalance observes 1 forever
+// re-sizes the worker buckets, the pool must re-size the adaptive
+// window baseline too, or WindowImbalance observes 1 forever
 // and the static→stealing ratchet silently dies.
 func TestAdaptiveRatchetSurvivesSetWorkersN(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -44,8 +44,8 @@ func TestAdaptiveRatchetSurvivesSetWorkersN(t *testing.T) {
 	if err := e.SetWorkers(3); err != nil {
 		t.Fatal(err)
 	}
-	if e.ctrl == nil {
-		t.Fatal("SetWorkers dropped the adaptive controller")
+	if e.Sched() != sched.AdaptiveStaticName {
+		t.Fatalf("post-resize sched = %q, want %q", e.Sched(), sched.AdaptiveStaticName)
 	}
 	for run := 0; run < 8 && e.Sched() != sched.AdaptiveStealName; run++ {
 		if err := e.Run(factors, got); err != nil {
@@ -73,9 +73,10 @@ func TestAdaptiveRatchetSurvivesSetWorkersN(t *testing.T) {
 
 // TestAdaptivePromotionBitIdenticalN pins the promotion transition
 // itself on the N-mode executor: an adaptive executor starts on the
-// static layout, and after the queue is flipped to stealing (exactly
-// the way observe() does it) subsequent runs remain bit-identical —
-// for both the unblocked root-range and blocked layer work units.
+// static layout, and after its controller promotes it to stealing
+// (driven by synthetic worker skew) subsequent runs remain
+// bit-identical — for both the unblocked root-range and blocked layer
+// work units.
 func TestAdaptivePromotionBitIdenticalN(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dims := []int{16, 12, 10, 8}
@@ -103,9 +104,6 @@ func TestAdaptivePromotionBitIdenticalN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.ctrl == nil {
-			t.Fatalf("%+v: adaptive executor built no controller", opts)
-		}
 		if got := e.Sched(); got != sched.AdaptiveStaticName {
 			t.Fatalf("%+v: pre-promotion sched = %q, want %q", opts, got, sched.AdaptiveStaticName)
 		}
@@ -113,9 +111,15 @@ func TestAdaptivePromotionBitIdenticalN(t *testing.T) {
 		if err := e.Run(factors, got); err != nil {
 			t.Fatal(err)
 		}
-		// Promote exactly the way observe() does on a fired ratchet.
-		e.ws.q.SetStealing(true)
-		e.met.SetSched(sched.AdaptiveStealName)
+		for i := 0; i <= sched.DefaultPatience && e.Sched() != sched.AdaptiveStealName; i++ {
+			e.met.AddWorkerTime(0, 500*time.Millisecond)
+			if err := e.Run(factors, got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !e.ws.pool.Stealing() {
+			t.Fatalf("%+v: ratchet never fired: sched = %q", opts, e.Sched())
+		}
 		for run := 0; run < 3; run++ {
 			if err := e.Run(factors, got); err != nil {
 				t.Fatal(err)

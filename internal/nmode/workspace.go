@@ -1,10 +1,6 @@
 package nmode
 
 import (
-	"runtime"
-	"sync"
-	"time"
-
 	"spblock/internal/analysis/check"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
@@ -13,38 +9,34 @@ import (
 )
 
 // nworkspace owns every buffer the N-mode kernels touch beyond the
-// caller's operands, mirroring internal/core's workspace discipline: a
-// CP-ALS decomposition calls MTTKRP 10-1000s of times, and the one-shot
-// MTTKRP's per-call makes (packed factor strips, per-worker DFS
-// accumulators, goroutine closures) turn into allocator pressure and GC
-// noise on every sweep and every autotuner measurement.
+// caller's operands, with internal/core's workspace discipline: a
+// CP-ALS decomposition calls MTTKRP 10-1000s of times, and per-call
+// makes (packed factor strips, per-worker DFS accumulators, goroutine
+// closures) would turn into allocator pressure and GC noise on every
+// sweep and every autotuner measurement.
 //
-// Worker-count-dependent state (the sched.Queue layouts, the worker
-// closures) is built once in NewExecutor; rank-dependent buffers (walkers, packed
-// strips) are sized lazily on the first Run and rebuilt only when the
-// rank changes. Ownership rule: everything here belongs to exactly one
-// Executor, which must not Run concurrently with itself.
+// Worker-count-dependent state (the sched.Pool's runners and queue
+// layouts) is built once in NewExecutor; rank-dependent buffers
+// (walkers, packed strips) are sized lazily on the first Run and
+// rebuilt only when the rank changes. Ownership rule: everything here
+// belongs to exactly one Executor, which must not Run concurrently
+// with itself.
 //
 //spblock:workspace
 type nworkspace struct {
 	// rank the rank-dependent buffers are sized for (0 = never sized).
 	rank int
 
-	// runners are the prebuilt worker bodies; empty when the plan
-	// resolves to sequential execution.
-	runners []func()
-	wg      sync.WaitGroup
+	// pool runs the executor's work units — root-slice ranges on the
+	// unblocked path, root-mode block layers on the blocked path — on
+	// its prebuilt workers under the requested scheduling policy (see
+	// internal/sched). Built once in initPool.
+	pool sched.Pool
 
 	// Operand state of the in-flight Run (or strip), published before
-	// the workers launch and joined before it changes.
+	// the pool runs and read by the unit bodies.
 	factors []*la.Matrix
 	out     *la.Matrix
-
-	// q distributes the run's work units — root-slice ranges on the
-	// unblocked path, root-mode block layers on the blocked path — to
-	// the prebuilt runners under the requested scheduling policy (see
-	// internal/sched). Built once in initRunners.
-	q sched.Queue
 
 	// walkers holds one DFS accumulator set per worker (index 0 serves
 	// the sequential path).
@@ -75,14 +67,6 @@ func (e *Executor) ensure(r int) {
 		return
 	}
 	ws.rank = r
-	// The adaptive window baseline must track the worker buckets: after
-	// a mid-life SetWorkers the buckets were re-sized, and a stale-length
-	// baseline makes WindowImbalance report 1 ("balanced") forever — the
-	// promotion ratchet would silently die. SizeWorkers zeroed the fresh
-	// buckets, so a zero baseline is exact.
-	if e.ctrl != nil && len(e.prevNS) != e.met.Workers() {
-		e.prevNS = make([]int64, e.met.Workers())
-	}
 	// The effective strip width drives the kernel variant: packed
 	// strips are RankBlockCols wide, otherwise the whole rank is one
 	// strip (narrower final strips fall to the variant's scalar tail).
@@ -92,7 +76,7 @@ func (e *Executor) ensure(r int) {
 	}
 	ws.kern = kernel.Resolve(eff)
 	e.met.SetKernel(ws.kern.Name)
-	nw := max(len(ws.runners), 1)
+	nw := max(ws.pool.Workers(), 1)
 	ws.walkers = ws.walkers[:0]
 	for w := 0; w < nw; w++ {
 		ws.walkers = append(ws.walkers, newWalkerBufs(e.order, r, ws.kern))
@@ -152,109 +136,44 @@ func (e *Executor) perRunMetrics(r int) metrics.PerRun {
 	}
 }
 
-// launch runs every worker body and waits. The closures were built in
-// NewExecutor and goroutine descriptors are recycled by the runtime, so
-// a steady-state launch does not allocate.
-//
-//spblock:hotpath
-func (ws *nworkspace) launch() {
-	ws.q.Reset()
-	ws.wg.Add(len(ws.runners))
-	for _, fn := range ws.runners {
-		go fn()
-	}
-	ws.wg.Wait()
-}
-
-// initRunners builds the worker closures and the sched.Queue layouts
-// they claim from, once, after the tree structures exist. Runners are
-// only built when the plan resolves to more than one effective worker;
-// otherwise Run takes the inline sequential paths. All share/chunk
-// computation lives in internal/sched — this function only defines the
-// work units (root ranges, block layers) and their weight functions.
+// initPool defines the executor's work units — leaf-weighted root
+// ranges of the tree, or nnz-weighted root-mode block layers — and
+// hands them to the pool with the unit body that runs a range of them.
+// Distinct roots and distinct layers own distinct output rows, so any
+// partition is race-free and bit-identical.
 //
 //spblock:coldpath
-func (e *Executor) initRunners() {
-	ws := &e.ws
-	workers := e.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func (e *Executor) initPool() {
+	p := &e.ws.pool
 	if e.blocked != nil {
-		if workers > len(e.layers) {
-			workers = len(e.layers)
-		}
-		if workers <= 1 {
-			return
-		}
-		// Static: the historical shared layer counter. Stealing:
-		// nnz-balanced groups of adjacent layers with per-worker
-		// segments.
-		ws.q.InitStaticShared(sched.UnitRanges(len(e.layers)))
-		if e.opts.Sched != sched.PolicyStatic {
-			cum := layerCum(e.layers)
-			ws.q.InitStealing(sched.StealChunks(len(e.layers), workers, cum), workers)
-		}
-		for w := 0; w < workers; w++ {
-			w := w
-			ws.runners = append(ws.runners, func() {
-				defer ws.wg.Done()
-				t0 := time.Now()
-				wk := ws.walkers[w]
-				for {
-					lo, hi, stolen, ok := ws.q.Next(w)
-					if !ok {
-						break
-					}
-					if stolen {
-						e.met.AddWorkerSteal(w)
-					}
-					for li := lo; li < hi; li++ {
-						for _, blk := range e.layers[li] {
-							wk.bind(blk, ws.factors, ws.out)
-							wk.roots(0, blk.NumNodes(0))
-						}
-					}
-				}
-				e.met.AddWorkerTime(w, time.Since(t0))
-			})
-		}
+		p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitLayers, len(e.layers), layerCum(e.layers), e.layerUnit)
 		return
 	}
-	// Unblocked path: root-slice ranges weighted by leaf count —
-	// distinct roots own distinct output rows, so any partition is
-	// race-free and bit-identical.
-	roots := e.csf.NumNodes(0)
 	end := rootLeafEnds(e.csf)
 	cum := func(i int) int64 { return end[i] }
-	shares := sched.Shares(roots, workers, cum)
-	if len(shares) <= 1 {
-		return
-	}
-	nw := len(shares)
-	ws.q.InitStatic(shares)
-	if e.opts.Sched != sched.PolicyStatic {
-		ws.q.InitStealing(sched.StealChunks(roots, nw, cum), nw)
-	}
-	for w := 0; w < nw; w++ {
-		w := w
-		ws.runners = append(ws.runners, func() {
-			defer ws.wg.Done()
-			t0 := time.Now()
-			wk := ws.walkers[w]
-			wk.bind(e.csf, ws.factors, ws.out)
-			for {
-				lo, hi, stolen, ok := ws.q.Next(w)
-				if !ok {
-					break
-				}
-				if stolen {
-					e.met.AddWorkerSteal(w)
-				}
-				wk.roots(lo, hi)
-			}
-			e.met.AddWorkerTime(w, time.Since(t0))
-		})
+	p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitShares, e.csf.NumNodes(0), cum, e.rootUnit)
+}
+
+// rootUnit walks the tree's roots [lo, hi) as worker w.
+//
+//spblock:hotpath
+func (e *Executor) rootUnit(w, lo, hi int) {
+	wk := e.ws.walkers[w]
+	wk.bind(e.csf, e.ws.factors, e.ws.out)
+	wk.roots(lo, hi)
+}
+
+// layerUnit walks every block of the root-mode layers [lo, hi) as
+// worker w, blocks in layer order.
+//
+//spblock:hotpath
+func (e *Executor) layerUnit(w, lo, hi int) {
+	wk := e.ws.walkers[w]
+	for li := lo; li < hi; li++ {
+		for _, blk := range e.layers[li] {
+			wk.bind(blk, e.ws.factors, e.ws.out)
+			wk.roots(0, blk.NumNodes(0))
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package sched
 
-// Controller is the adaptive policy's decision loop. The executor
-// feeds it one imbalance observation per run (max worker busy-time
-// over mean, from metrics.Collector.WindowImbalance — 1.0 is perfectly
-// balanced); when the imbalance holds at or above PromoteAbove for
-// Patience consecutive runs, Observe returns true exactly once and the
-// executor flips its Queue to the stealing layout.
+// Controller is the adaptive policy's decision loop. The Pool feeds
+// it one imbalance observation per run (max worker busy-time over
+// mean, from metrics.Collector.WindowImbalance — 1.0 is perfectly
+// balanced); when the imbalance holds at or above DefaultPromoteAbove
+// for DefaultPatience consecutive runs, Observe returns true exactly
+// once and the Pool flips its Queue to the stealing layout.
 //
 // Hysteresis is a one-way ratchet: once promoted, the controller never
 // demotes. The symmetric design thrashes by construction — stealing
@@ -15,47 +15,28 @@ package sched
 // run, far cheaper than re-oscillating the layout. The same ratchet is
 // what lets promotion stay on the allocation-free hot path: there is
 // exactly one transition, and both layouts were prebuilt for it.
+//
+// The zero value is ready to use.
 type Controller struct {
-	cfg      ControllerConfig
 	streak   int
 	promoted bool
 }
 
-// ControllerConfig tunes the promotion threshold. The zero value picks
-// the defaults below.
-type ControllerConfig struct {
-	// PromoteAbove is the imbalance ratio at or above which a run
-	// counts toward promotion. Default 1.25: the slowest worker runs
-	// 25% past the mean, i.e. a quarter of the parallel time is spent
-	// waiting on stragglers.
-	PromoteAbove float64
-	// Patience is how many consecutive runs must breach PromoteAbove
-	// before promoting. Default 3: one skewed run can be scheduling
-	// noise or a cold cache; three in a row is a workload property.
-	Patience int
-}
-
 const (
-	// DefaultPromoteAbove and DefaultPatience are the zero-value
-	// ControllerConfig thresholds.
+	// DefaultPromoteAbove is the imbalance ratio at or above which a run
+	// counts toward promotion: the slowest worker runs 25% past the
+	// mean, i.e. a quarter of the parallel time is spent waiting on
+	// stragglers.
 	DefaultPromoteAbove = 1.25
-	DefaultPatience     = 3
+	// DefaultPatience is how many consecutive runs must breach
+	// DefaultPromoteAbove before promoting: one skewed run can be
+	// scheduling noise or a cold cache; three in a row is a workload
+	// property.
+	DefaultPatience = 3
 )
 
-// NewController returns a controller with cfg's zero fields filled
-// with the defaults.
-func NewController(cfg ControllerConfig) *Controller {
-	if cfg.PromoteAbove <= 0 {
-		cfg.PromoteAbove = DefaultPromoteAbove
-	}
-	if cfg.Patience <= 0 {
-		cfg.Patience = DefaultPatience
-	}
-	return &Controller{cfg: cfg}
-}
-
 // Observe records one run's measured imbalance and reports whether the
-// executor should promote to stealing now. Returns true at most once
+// pool should promote to stealing now. Returns true at most once
 // over the controller's lifetime. Runs on the executor hot path: no
 // allocation, a handful of compares.
 //
@@ -64,12 +45,12 @@ func (c *Controller) Observe(imbalance float64) bool {
 	if c.promoted {
 		return false
 	}
-	if imbalance >= c.cfg.PromoteAbove {
+	if imbalance >= DefaultPromoteAbove {
 		c.streak++
 	} else {
 		c.streak = 0
 	}
-	if c.streak >= c.cfg.Patience {
+	if c.streak >= DefaultPatience {
 		c.promoted = true
 		return true
 	}

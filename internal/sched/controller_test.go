@@ -6,16 +6,21 @@ import "testing"
 // imbalance spikes shorter than its patience window and fires exactly
 // once when the threshold holds.
 func TestControllerPromotesAfterPatience(t *testing.T) {
-	c := NewController(ControllerConfig{PromoteAbove: 1.25, Patience: 3})
-	// Two breaches, then a calm run: streak must reset.
-	for _, imb := range []float64{1.5, 1.5, 1.0} {
-		if c.Observe(imb) {
-			t.Fatalf("promoted on interrupted streak at imbalance %v", imb)
+	var c Controller
+	// Patience-1 breaches, then a calm run: streak must reset.
+	for i := 0; i < DefaultPatience-1; i++ {
+		if c.Observe(1.5) {
+			t.Fatalf("promoted after %d breaches, patience is %d", i+1, DefaultPatience)
 		}
 	}
-	// Three consecutive breaches: fires on the third.
-	if c.Observe(1.3) || c.Observe(1.3) {
-		t.Fatal("promoted before patience expired")
+	if c.Observe(1.0) {
+		t.Fatal("promoted on a balanced run")
+	}
+	// Patience consecutive breaches: fires on the last one, not before.
+	for i := 0; i < DefaultPatience-1; i++ {
+		if c.Observe(1.3) {
+			t.Fatal("promoted before patience expired: the calm run did not reset the streak")
+		}
 	}
 	if !c.Observe(1.3) {
 		t.Fatal("did not promote after patience consecutive breaches")
@@ -31,9 +36,12 @@ func TestControllerPromotesAfterPatience(t *testing.T) {
 // so a symmetric controller would demote and re-promote forever; the
 // ratchet makes the post-promotion signal inert.
 func TestControllerNeverThrashes(t *testing.T) {
-	c := NewController(ControllerConfig{PromoteAbove: 1.2, Patience: 1})
+	var c Controller
+	for i := 1; i < DefaultPatience; i++ {
+		c.Observe(2.0)
+	}
 	if !c.Observe(2.0) {
-		t.Fatal("patience=1 controller did not promote on first breach")
+		t.Fatal("controller did not promote after patience breaches")
 	}
 	for _, imb := range []float64{0.9, 1.0, 5.0, 1.0, 3.0} {
 		if c.Observe(imb) {
@@ -45,10 +53,10 @@ func TestControllerNeverThrashes(t *testing.T) {
 	}
 }
 
-// TestControllerDefaults: the zero config picks the documented
-// defaults and behaves sanely at the threshold boundary.
+// TestControllerDefaults: the zero controller uses the documented
+// thresholds and behaves sanely at the threshold boundary.
 func TestControllerDefaults(t *testing.T) {
-	c := NewController(ControllerConfig{})
+	var c Controller
 	for i := 0; i < DefaultPatience-1; i++ {
 		if c.Observe(DefaultPromoteAbove) {
 			t.Fatalf("promoted after %d runs, patience is %d", i+1, DefaultPatience)
@@ -58,7 +66,7 @@ func TestControllerDefaults(t *testing.T) {
 		t.Fatal("threshold breach at exactly PromoteAbove did not count")
 	}
 	// Balanced work never promotes.
-	c = NewController(ControllerConfig{})
+	c = Controller{}
 	for i := 0; i < 100; i++ {
 		if c.Observe(1.0) {
 			t.Fatal("balanced runs promoted")

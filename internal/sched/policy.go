@@ -4,7 +4,7 @@
 // layers, COO nonzero ranges, fiber-tree root ranges — are carved into
 // shares and handed to the prebuilt worker goroutines.
 //
-// Three pieces compose:
+// Four pieces compose:
 //
 //   - Shares / UniformChunks: the single weighted-partition routine
 //     both internal/core and internal/nmode previously duplicated
@@ -13,13 +13,16 @@
 //     static layout (one contiguous share per worker, bit-identical
 //     to the historical behaviour) and, when the plan asks for it, a
 //     chunked work-stealing layout (many weight-balanced chunks,
-//     per-worker segments, forward-only atomic cursors). Both live in
-//     the cold ensure half of the workspace; the hot Next path is
-//     zero-allocation.
+//     per-worker segments, forward-only atomic cursors). Both are
+//     built on the cold path; the hot Next path is zero-allocation.
 //   - Controller: the adaptive half. Fed the measured per-window
 //     imbalance from internal/metrics, it promotes an executor from
 //     the static layout to the stealing layout when the imbalance
-//     stays above a threshold for a configurable number of runs.
+//     stays above a threshold for a fixed number of runs.
+//   - Pool: the one worker pool both executor families run on. It
+//     owns the prebuilt worker goroutine bodies, the Queue, the
+//     Policy, the Controller and the per-worker metrics buckets; an
+//     executor only supplies its work units and a body per unit range.
 //
 // The package sits below core/nmode/engine and imports nothing from
 // them, so every executor layer can share it without cycles.

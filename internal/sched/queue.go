@@ -20,8 +20,8 @@ type layout struct {
 	shared bool
 }
 
-// Queue is an executor's work-distribution state. Both layouts are
-// built in the cold ensure half of the workspace (allocations allowed
+// Queue is a Pool's work-distribution state. Both layouts are built on
+// the cold path by Pool.Build and Pool.Resize (allocations allowed
 // there and only there); the hot half — Reset before each launch, Next
 // inside each worker loop — touches only preallocated state. Promotion
 // from the static to the stealing layout is a flag flip, so the
@@ -98,9 +98,9 @@ func (q *Queue) ensureCursors(n int) {
 }
 
 // SetStealing flips the active layout. A request to steal is ignored
-// unless InitStealing was called — executors that must stay static
-// (COO's ordered privatised reduction) simply never build the stealing
-// layout. Must only be called between runs, from the goroutine that
+// unless InitStealing was called — work that must stay static
+// (SplitOrdered, COO's ordered privatised reduction) simply never
+// builds the stealing layout. Must only be called between runs, from the goroutine that
 // launches the workers.
 //
 //spblock:hotpath
