@@ -7,6 +7,8 @@ import (
 	"spblock"
 	"spblock/internal/bench"
 	"spblock/internal/cachesim"
+	"spblock/internal/gen"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -232,6 +234,25 @@ func BenchmarkBuildBlocked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := spblock.BuildBlocked(x, [3]int{2, 8, 2}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildBlockedN builds the order-4 blocked layouts of the
+// ooc-stream shape (Poisson 96x72x60x48, 400k events, grid 3x2x2x2) for
+// all four root modes, as a CP-ALS setup does.
+func BenchmarkBuildBlockedN(b *testing.B) {
+	x, err := gen.PoissonN(gen.PoissonNParams{Dims: []int{96, 72, 60, 48}, Events: 400_000, Components: 48, Spread: 1}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := []int{3, 2, 2, 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for mode := range x.Dims {
+			if _, err := nmode.BuildBlocked(x, grid, nmode.DefaultModeOrder(x.Dims, mode)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

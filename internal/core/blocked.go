@@ -5,6 +5,7 @@ import (
 
 	"spblock/internal/kernel"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -27,8 +28,11 @@ type BlockedTensor struct {
 
 // BuildBlocked reorganises t into grid blocks. The input is unchanged.
 // This is the "very little data rearrangement" preprocessing the paper
-// contrasts with hypergraph reordering: two linear passes plus one
-// fiber sort, amortised over the 10–1000s of MTTKRP calls of a CPD run.
+// contrasts with hypergraph reordering: nmode.BuildBlocked groups the
+// nonzeros by block with one stable counting sort and builds each
+// block's tree with SPLATTModeOrder; each block here is that tree
+// relabelled by tensor.FromNModeCSF. The flat block ids agree between
+// the two packages, and grids of more than 2^22 blocks are rejected.
 func BuildBlocked(t *tensor.COO, grid [3]int) (*BlockedTensor, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -42,85 +46,23 @@ func BuildBlocked(t *tensor.COO, grid [3]int) (*BlockedTensor, error) {
 				m, grid[m], t.Dims[m])
 		}
 	}
+	nb, err := nmode.BuildBlocked(tensor.ToNMode(t), grid[:], tensor.SPLATTModeOrder())
+	if err != nil {
+		return nil, err
+	}
 	bt := &BlockedTensor{
-		Dims: t.Dims,
-		Grid: grid,
-		BlockDims: [3]int{
-			ceilDiv(t.Dims[0], grid[0]),
-			ceilDiv(t.Dims[1], grid[1]),
-			ceilDiv(t.Dims[2], grid[2]),
-		},
-		nnz: t.NNZ(),
+		Dims:      t.Dims,
+		Grid:      grid,
+		BlockDims: [3]int{nb.BlockDims[0], nb.BlockDims[1], nb.BlockDims[2]},
+		Blocks:    make([]*tensor.CSF, len(nb.Blocks)),
+		nnz:       t.NNZ(),
 	}
-	nBlocks := grid[0] * grid[1] * grid[2]
-	bt.Blocks = make([]*tensor.CSF, nBlocks)
-	if t.NNZ() == 0 {
-		return bt, nil
-	}
-
-	// Fiber-sort a copy, then stably bucket nonzeros by block id; the
-	// stable pass keeps every block's segment in (i,k,j) order so each
-	// block's CSF builds without re-sorting.
-	sorted := t.Clone()
-	sorted.SortFiberOrder()
-
-	n := sorted.NNZ()
-	blockOf := make([]int32, n)
-	counts := make([]int32, nBlocks+1)
-	for p := 0; p < n; p++ {
-		b := bt.blockID(sorted.I[p], sorted.J[p], sorted.K[p])
-		blockOf[p] = int32(b)
-		counts[b+1]++
-	}
-	for b := 0; b < nBlocks; b++ {
-		counts[b+1] += counts[b]
-	}
-	bucketed := tensor.NewCOO(t.Dims, 0)
-	bucketed.I = make([]tensor.Index, n)
-	bucketed.J = make([]tensor.Index, n)
-	bucketed.K = make([]tensor.Index, n)
-	bucketed.Val = make([]float64, n)
-	next := make([]int32, nBlocks)
-	copy(next, counts[:nBlocks])
-	for p := 0; p < n; p++ {
-		b := blockOf[p]
-		pos := next[b]
-		next[b]++
-		bucketed.I[pos] = sorted.I[p]
-		bucketed.J[pos] = sorted.J[p]
-		bucketed.K[pos] = sorted.K[p]
-		bucketed.Val[pos] = sorted.Val[p]
-	}
-
-	for b := 0; b < nBlocks; b++ {
-		lo, hi := counts[b], counts[b+1]
-		if lo == hi {
-			continue
+	for id, blk := range nb.Blocks {
+		if blk != nil {
+			bt.Blocks[id] = tensor.FromNModeCSF(blk)
 		}
-		view := &tensor.COO{
-			Dims: t.Dims,
-			I:    bucketed.I[lo:hi],
-			J:    bucketed.J[lo:hi],
-			K:    bucketed.K[lo:hi],
-			Val:  bucketed.Val[lo:hi],
-		}
-		csf, err := tensor.BuildCSF(view)
-		if err != nil {
-			return nil, err
-		}
-		bt.Blocks[b] = csf
 	}
 	return bt, nil
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// blockID maps a coordinate to its flat block index.
-func (bt *BlockedTensor) blockID(i, j, k tensor.Index) int {
-	bi := int(i) / bt.BlockDims[0]
-	bj := int(j) / bt.BlockDims[1]
-	bk := int(k) / bt.BlockDims[2]
-	return (bi*bt.Grid[1]+bj)*bt.Grid[2] + bk
 }
 
 // BlockAt returns the CSF of block (bi, bj, bk), or nil when empty.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,6 +182,13 @@ func TestNewExecutorErrors(t *testing.T) {
 	if _, err := NewExecutor(x, Plan{Method: MethodMB, Grid: [3]int{9, 1, 1}}); err == nil {
 		t.Fatal("grid larger than mode accepted")
 	}
+	// A grid within every mode length can still ask for millions of
+	// blocks; the builder caps the count instead of allocating them.
+	wide := tensor.NewCOO(tensor.Dims{4096, 2048, 1}, 1)
+	wide.Append(0, 0, 0, 1)
+	if _, err := NewExecutor(wide, Plan{Method: MethodMB, Grid: [3]int{4096, 2048, 1}}); err == nil {
+		t.Fatal("8M-block grid accepted")
+	}
 	if _, err := NewExecutor(x, Plan{Method: MethodRankB, RankBlockCols: -1}); err == nil {
 		t.Fatal("negative rank block accepted")
 	}
@@ -322,6 +330,51 @@ func TestBuildBlockedStructure(t *testing.T) {
 	}
 	if bt.FactorAccessCounts() != [3]int{15, 15, 9} {
 		t.Fatalf("factor access counts = %v", bt.FactorAccessCounts())
+	}
+}
+
+// Each block is the SPLATT tree of exactly its own nonzeros — the same
+// structure tensor.BuildCSF gives the block's sub-tensor — with every
+// array exactly sized.
+func TestBuildBlockedBlocksAreExactCSFs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := randCOO(rng, tensor.Dims{13, 10, 11}, 900)
+	bt, err := BuildBlocked(x, [3]int{3, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, blk := range bt.Blocks {
+		sub := tensor.NewCOO(x.Dims, 0)
+		for p := 0; p < x.NNZ(); p++ {
+			bi, bj, bk := int(x.I[p])/bt.BlockDims[0], int(x.J[p])/bt.BlockDims[1], int(x.K[p])/bt.BlockDims[2]
+			if (bi*bt.Grid[1]+bj)*bt.Grid[2]+bk == id {
+				sub.Append(x.I[p], x.J[p], x.K[p], x.Val[p])
+			}
+		}
+		if blk == nil {
+			if sub.NNZ() != 0 {
+				t.Fatalf("block %d nil but holds %d nonzeros", id, sub.NNZ())
+			}
+			continue
+		}
+		want, err := tensor.BuildCSF(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(blk, want) {
+			t.Fatalf("block %d differs from BuildCSF of its nonzeros", id)
+		}
+		for name, a := range map[string][]int32{
+			"SliceID": blk.SliceID, "SlicePtr": blk.SlicePtr, "FiberK": blk.FiberK,
+			"FiberPtr": blk.FiberPtr, "NzJ": blk.NzJ,
+		} {
+			if len(a) != cap(a) {
+				t.Fatalf("block %d %s: len %d cap %d", id, name, len(a), cap(a))
+			}
+		}
+		if len(blk.Val) != cap(blk.Val) {
+			t.Fatalf("block %d Val: len %d cap %d", id, len(blk.Val), cap(blk.Val))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package nmode
 
 import (
 	"fmt"
+	"slices"
 
 	"spblock/internal/la"
 )
@@ -23,7 +24,9 @@ type BlockedTensor struct {
 }
 
 // BuildBlocked reorganises t into grid blocks using the given CSF mode
-// order (nil = DefaultModeOrder for mode 0).
+// order (nil = DefaultModeOrder for mode 0). A stable counting sort by
+// block id groups the nonzeros; the one Builder then builds each
+// block's tree from its group with block-local sort keys.
 func BuildBlocked(t *Tensor, grid []int, modeOrder []int) (*BlockedTensor, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -34,6 +37,9 @@ func BuildBlocked(t *Tensor, grid []int, modeOrder []int) (*BlockedTensor, error
 	}
 	if modeOrder == nil {
 		modeOrder = DefaultModeOrder(t.Dims, 0)
+	}
+	if err := checkModeOrder(modeOrder, n); err != nil {
+		return nil, err
 	}
 	bt := &BlockedTensor{
 		Dims:      append([]int(nil), t.Dims...),
@@ -55,28 +61,47 @@ func BuildBlocked(t *Tensor, grid []int, modeOrder []int) (*BlockedTensor, error
 	}
 	bt.Blocks = make([]*CSF, total)
 
-	// Bucket nonzeros by block id.
-	buckets := make([]*Tensor, total)
-	coords := make([]Index, n)
-	for p := 0; p < t.NNZ(); p++ {
+	// Group positions by block id, stably: starts[id] .. starts[id+1]
+	// is block id's range of byBlock.
+	nnz := t.NNZ()
+	blockOf := make([]int32, nnz)
+	starts := make([]int32, total+1)
+	for p := 0; p < nnz; p++ {
 		id := 0
 		for m := 0; m < n; m++ {
 			id = id*grid[m] + int(t.Idx[m][p])/bt.BlockDims[m]
 		}
-		if buckets[id] == nil {
-			buckets[id] = NewTensor(t.Dims, 16)
-		}
-		buckets[id].Append(t.Coord(p, coords), t.Val[p])
+		blockOf[p] = int32(id)
+		starts[id+1]++
 	}
-	for id, b := range buckets {
-		if b == nil {
+	largest := int32(0)
+	for id := 0; id < total; id++ {
+		largest = max(largest, starts[id+1])
+		starts[id+1] += starts[id]
+	}
+	byBlock := make([]int32, nnz)
+	next := append([]int32(nil), starts[:total]...)
+	for p, id := range blockOf {
+		byBlock[next[id]] = int32(p)
+		next[id]++
+	}
+
+	b := NewBuilder(n, int(largest), slices.Max(bt.BlockDims))
+	span := Span{Idx: t.Idx, Val: t.Val, Base: make([]Index, n), Ext: bt.BlockDims}
+	for id := 0; id < total; id++ {
+		lo, hi := starts[id], starts[id+1]
+		if lo == hi {
 			continue
 		}
-		csf, err := Build(b, modeOrder)
-		if err != nil {
-			return nil, err
+		rem := id
+		for m := n - 1; m >= 0; m-- {
+			span.Base[m] = Index(rem % grid[m] * bt.BlockDims[m])
+			rem /= grid[m]
 		}
-		bt.Blocks[id] = csf
+		span.Sel = byBlock[lo:hi]
+		c := newTree(bt.Dims)
+		b.Tree(c, &span, bt.ModeOrder)
+		bt.Blocks[id] = c
 	}
 	return bt, nil
 }

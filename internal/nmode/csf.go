@@ -2,6 +2,7 @@ package nmode
 
 import (
 	"fmt"
+	"slices"
 )
 
 // CSF is the order-N compressed sparse fiber structure: an N-level
@@ -53,7 +54,8 @@ func (c *CSF) MemoryBytes() int64 {
 }
 
 // Build converts t into CSF form with the given mode order (defaulting
-// to DefaultModeOrder for mode 0 when nil). The input is not modified.
+// to DefaultModeOrder for mode 0 when nil), through the one Builder.
+// The input is not modified, and every level array is exactly sized.
 func Build(t *Tensor, modeOrder []int) (*CSF, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -61,71 +63,12 @@ func Build(t *Tensor, modeOrder []int) (*CSF, error) {
 	if modeOrder == nil {
 		modeOrder = DefaultModeOrder(t.Dims, 0)
 	}
-	n := t.Order()
-	if len(modeOrder) != n {
-		return nil, fmt.Errorf("%w: mode order %v for order-%d tensor", ErrBadTensor, modeOrder, n)
-	}
-	sorted := t.Clone()
-	if err := sorted.SortByModes(modeOrder); err != nil {
+	if err := checkModeOrder(modeOrder, t.Order()); err != nil {
 		return nil, err
 	}
-	c := &CSF{
-		Dims:      append([]int(nil), t.Dims...),
-		ModeOrder: append([]int(nil), modeOrder...),
-		ID:        make([][]Index, n),
-		Ptr:       make([][]int32, n-1),
-	}
-	nnz := sorted.NNZ()
-	if nnz == 0 {
-		for d := 0; d < n-1; d++ {
-			c.Ptr[d] = []int32{0}
-		}
-		return c, nil
-	}
-
-	// keys[d][p] is nonzero p's coordinate at tree level d.
-	keys := make([][]Index, n)
-	for d, m := range modeOrder {
-		keys[d] = sorted.Idx[m]
-	}
-	// boundary[p] is the shallowest level at which nonzero p differs
-	// from p-1; a node starts at p on every level >= boundary[p].
-	boundary := make([]int, nnz)
-	boundary[0] = 0
-	for p := 1; p < nnz; p++ {
-		b := n - 1 // duplicates of the predecessor still form their own leaf
-		for d := 0; d < n; d++ {
-			if keys[d][p] != keys[d][p-1] {
-				b = d
-				break
-			}
-		}
-		boundary[p] = b
-	}
-
-	// Per level: emit ids at node starts, and count level-(d+1) starts
-	// within each node to form the child pointers.
-	for d := 0; d < n; d++ {
-		var ids []Index
-		var ptr []int32
-		children := int32(0)
-		for p := 0; p < nnz; p++ {
-			if boundary[p] <= d {
-				ids = append(ids, keys[d][p])
-				if d < n-1 {
-					ptr = append(ptr, children)
-				}
-			}
-			if d < n-1 && boundary[p] <= d+1 {
-				children++
-			}
-		}
-		c.ID[d] = ids
-		if d < n-1 {
-			c.Ptr[d] = append(ptr, children)
-		}
-	}
-	c.Val = append([]float64(nil), sorted.Val...)
+	c := newTree(append([]int(nil), t.Dims...))
+	b := NewBuilder(t.Order(), t.NNZ(), slices.Max(t.Dims))
+	b.Tree(c, &Span{Idx: t.Idx, Val: t.Val, Ext: t.Dims}, append([]int(nil), modeOrder...))
 	return c, nil
 }
 

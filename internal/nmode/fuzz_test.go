@@ -51,17 +51,18 @@ func FuzzReadTNS(f *testing.F) {
 }
 
 // FuzzCSFBuild decodes an arbitrary byte string into a small sparse
-// tensor, builds the CSF tree (and a blocked layout) from it, and runs
-// the spblockcheck structure oracle over the result. Build must either
-// reject the input or produce a tree satisfying every kernel
-// invariant; the oracle panicking or reporting a violation means a
-// builder bug that the kernels would silently mis-read.
+// tensor and a blocking grid, builds the CSF tree and the blocked
+// layout from them, and checks the results: the spblockcheck structure
+// oracle, the tree against the sort.SliceStable oracle, and every block
+// against Build over that block's nonzeros. Every build path in the
+// module (Build, BuildBlocked, out-of-core slots, tensor.BuildCSF,
+// core.BuildBlocked) goes through the one Builder this exercises.
 func FuzzCSFBuild(f *testing.F) {
-	f.Add([]byte{3, 4, 5, 6, 0, 1, 2, 7, 3, 3, 3, 1, 1, 1})
-	f.Add([]byte{2, 1, 1, 0, 0})
-	f.Add([]byte{4, 2, 2, 2, 2, 1, 2, 3, 0, 1, 2, 3, 0, 0, 1, 1})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{3, 4, 5, 6, 0, 1, 2, 7, 3, 3, 3, 1, 1, 1}, []byte{1, 2, 3})
+	f.Add([]byte{2, 1, 1, 0, 0}, []byte{})
+	f.Add([]byte{4, 2, 2, 2, 2, 1, 2, 3, 0, 1, 2, 3, 0, 0, 1, 1}, []byte{1, 1, 1, 1})
+	f.Add([]byte{}, []byte{0})
+	f.Fuzz(func(t *testing.T, data, gridBytes []byte) {
 		tsr := decodeTensor(data)
 		if tsr == nil {
 			return
@@ -69,24 +70,36 @@ func FuzzCSFBuild(f *testing.F) {
 		if err := tsr.Validate(); err != nil {
 			return // decodeTensor aims for valid tensors, but don't insist
 		}
+		// Each mode's grid is 1..dims[m] from gridBytes (cycled), or
+		// min(2, dims[m]) when gridBytes is empty.
+		grid := make([]int, tsr.Order())
+		for m := range grid {
+			grid[m] = min(2, tsr.Dims[m])
+			if len(gridBytes) > 0 {
+				grid[m] = 1 + int(gridBytes[m%len(gridBytes)])%tsr.Dims[m]
+			}
+		}
 		for mode := 0; mode < tsr.Order(); mode++ {
-			c, err := Build(tsr, DefaultModeOrder(tsr.Dims, mode))
+			mo := DefaultModeOrder(tsr.Dims, mode)
+			c, err := Build(tsr, mo)
 			if err != nil {
 				t.Fatalf("Build rejected a valid tensor: %v", err)
 			}
 			if err := validateTree(c); err != nil {
 				t.Fatalf("mode %d: CSF violates structure invariants: %v", mode, err)
 			}
-			grid := make([]int, tsr.Order())
-			for m := range grid {
-				grid[m] = min(2, tsr.Dims[m])
+			if err := sameTree(c, oracleTree(tsr, mo)); err != nil {
+				t.Fatalf("mode %d: tree differs from the stable-sort oracle: %v", mode, err)
 			}
-			bt, err := BuildBlocked(tsr, grid, DefaultModeOrder(tsr.Dims, mode))
+			bt, err := BuildBlocked(tsr, grid, mo)
 			if err != nil {
 				t.Fatalf("BuildBlocked rejected a valid tensor: %v", err)
 			}
 			if err := validateBlocked(bt); err != nil {
 				t.Fatalf("mode %d: blocked layout violates structure invariants: %v", mode, err)
+			}
+			if err := checkBlocksMatchBuild(tsr, bt); err != nil {
+				t.Fatalf("mode %d grid %v: %v", mode, grid, err)
 			}
 		}
 	})

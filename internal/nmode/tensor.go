@@ -9,6 +9,7 @@ package nmode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -100,46 +101,21 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // SortByModes sorts entries lexicographically by the given mode order
-// (order[0] most significant) using a stable LSD counting sort, one
-// linear pass per mode.
+// (order[0] most significant) with the Builder's stable LSD counting
+// sort, one linear pass per mode.
 func (t *Tensor) SortByModes(order []int) error {
-	if len(order) != t.Order() {
-		return fmt.Errorf("%w: mode order %v for order-%d tensor", ErrBadTensor, order, t.Order())
-	}
-	seen := make([]bool, t.Order())
-	for _, m := range order {
-		if m < 0 || m >= t.Order() || seen[m] {
-			return fmt.Errorf("%w: bad mode order %v", ErrBadTensor, order)
-		}
-		seen[m] = true
+	if err := checkModeOrder(order, t.Order()); err != nil {
+		return err
 	}
 	if err := t.Validate(); err != nil {
 		return err
 	}
 	n := t.NNZ()
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
+	b := NewBuilder(t.Order(), n, slices.Max(t.Dims))
+	perm := b.arrange(&Span{Idx: t.Idx, Val: t.Val, Ext: t.Dims}, order)
+	if perm == nil {
+		return nil // already in order
 	}
-	next := make([]int32, n)
-	// Least significant mode first.
-	for lvl := len(order) - 1; lvl >= 0; lvl-- {
-		m := order[lvl]
-		key := t.Idx[m]
-		counts := make([]int32, t.Dims[m]+1)
-		for _, p := range perm {
-			counts[key[p]+1]++
-		}
-		for d := 0; d < t.Dims[m]; d++ {
-			counts[d+1] += counts[d]
-		}
-		for _, p := range perm {
-			next[counts[key[p]]] = p
-			counts[key[p]]++
-		}
-		perm, next = next, perm
-	}
-	// Apply the permutation.
 	for m := range t.Idx {
 		applied := make([]Index, n)
 		for i, p := range perm {

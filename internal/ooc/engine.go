@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,25 +28,17 @@ type Options struct {
 }
 
 // block is one prefetch slot: the raw read buffer, the decoded
-// coordinates, and the per-slot CSF built over preallocated backing
-// arrays. Every slot is sized for the largest staged block at Open, so
-// the steady-state pipeline never grows a buffer.
+// coordinates, and the slot's CSF with the Builder that rebuilds it.
+// Every slot is sized for the largest staged block at Open, so the
+// steady-state pipeline never grows a buffer.
 type block struct {
 	seq    int
 	failed bool
 
 	raw  []byte
-	idx  [][]nmode.Index
-	val  []float64
-	perm []int32
-	tmp  []int32
-
+	span nmode.Span
+	bld  *nmode.Builder
 	csf  nmode.CSF
-	ids  [][]nmode.Index
-	ptrs [][]int32
-	cval []float64
-
-	counts []int32
 }
 
 // slotFootprint is the decoded per-slot memory estimate Open sizes
@@ -79,12 +72,11 @@ func slotFootprint(order, nnz, maxLocalDim int) int64 {
 // Like the in-memory executors, an Engine must not run two products
 // concurrently with itself.
 type Engine struct {
-	src    BlockSource
-	man    *Manifest
-	order  int
-	dims   []int
-	bases  [][]nmode.Index // bases[i][m]: block i's base coordinate in mode m
-	maxDim []int           // per mode: block-local coordinate bound
+	src   BlockSource
+	man   *Manifest
+	order int
+	dims  []int
+	bases [][]nmode.Index // bases[i][m]: block i's base coordinate in mode m
 
 	modeOrders [][]int
 	depth      int
@@ -139,7 +131,6 @@ func NewEngine(src BlockSource, opts Options) (*Engine, error) {
 		dims:  append([]int(nil), man.Dims...),
 	}
 	blockDims := man.BlockDims()
-	e.maxDim = blockDims
 	e.bases = make([][]nmode.Index, len(man.Blocks))
 	for i, b := range man.Blocks {
 		base := make([]nmode.Index, order)
@@ -157,8 +148,7 @@ func NewEngine(src BlockSource, opts Options) (*Engine, error) {
 
 	nb := len(man.Blocks)
 	maxNNZ := man.maxBlockNNZ()
-	maxLocal := man.maxBlockDim()
-	e.slotBytes = slotFootprint(order, maxNNZ, maxLocal)
+	e.slotBytes = slotFootprint(order, maxNNZ, slices.Max(blockDims))
 	depth := 2
 	if opts.BudgetBytes > 0 {
 		depth = int(opts.BudgetBytes / e.slotBytes)
@@ -183,7 +173,7 @@ func NewEngine(src BlockSource, opts Options) (*Engine, error) {
 	e.outc = make(chan *block, depth)
 	e.ring = make([]*block, depth)
 	for i := 0; i < depth; i++ {
-		e.freec <- newSlot(order, maxNNZ, maxLocal, e.dims)
+		e.freec <- newSlot(order, maxNNZ, blockDims, e.dims)
 	}
 	e.decFns = make([]func(), ndec)
 	for w := 0; w < ndec; w++ {
@@ -197,28 +187,26 @@ func NewEngine(src BlockSource, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-func newSlot(order, maxNNZ, maxLocal int, dims []int) *block {
+func newSlot(order, maxNNZ int, blockDims, dims []int) *block {
 	b := &block{
-		raw:    make([]byte, maxNNZ*recordBytes(order)),
-		idx:    make([][]nmode.Index, order),
-		val:    make([]float64, maxNNZ),
-		perm:   make([]int32, maxNNZ),
-		tmp:    make([]int32, maxNNZ),
-		ids:    make([][]nmode.Index, order),
-		ptrs:   make([][]int32, order-1),
-		cval:   make([]float64, 0, maxNNZ),
-		counts: make([]int32, maxLocal+1),
+		raw:  make([]byte, maxNNZ*recordBytes(order)),
+		span: nmode.Span{Idx: make([][]nmode.Index, order), Ext: blockDims},
+		bld:  nmode.NewBuilder(order, maxNNZ, slices.Max(blockDims)),
+		csf: nmode.CSF{
+			Dims: dims,
+			ID:   make([][]nmode.Index, order),
+			Ptr:  make([][]int32, order-1),
+			Val:  make([]float64, 0, maxNNZ),
+		},
 	}
 	for m := 0; m < order; m++ {
-		b.idx[m] = make([]nmode.Index, maxNNZ)
-		b.ids[m] = make([]nmode.Index, 0, maxNNZ)
+		b.span.Idx[m] = make([]nmode.Index, maxNNZ)
+		b.csf.ID[m] = make([]nmode.Index, 0, maxNNZ)
 	}
 	for d := 0; d < order-1; d++ {
-		b.ptrs[d] = make([]int32, 0, maxNNZ+1)
+		b.csf.Ptr[d] = make([]int32, 0, maxNNZ+1)
 	}
-	b.csf.Dims = dims
-	b.csf.ID = make([][]nmode.Index, order)
-	b.csf.Ptr = make([][]int32, order-1)
+	b.span.Val = make([]float64, maxNNZ)
 	return b
 }
 
@@ -421,10 +409,10 @@ func (e *Engine) decodeLoop(w int) func() {
 }
 
 // decode reads block i and rebuilds its CSF into b's pooled arrays:
-// positioned read, record parse, stable block-local counting sort in
-// the mode order, then the same boundary-based level emission
-// nmode.Build uses — so the tree (and the walk over it) is identical
-// to the in-memory BuildBlocked block.
+// positioned read, record parse, then the one nmode.Builder with keys
+// local to the block, which is the same call nmode.BuildBlocked makes
+// for the in-memory block, so the tree (and the walk over it) is
+// identical.
 //
 //spblock:hotpath
 func (e *Engine) decode(b *block, i int) error {
@@ -434,109 +422,11 @@ func (e *Engine) decode(b *block, i int) error {
 	if err := e.src.ReadBlock(info, raw); err != nil {
 		return err
 	}
-	parseRecords(raw, b.idx, b.val, nnz)
-	mo := e.modeOrders[e.mode]
-	perm := e.sortLocal(b, i, mo)
-	e.buildCSF(b, mo, perm, nnz)
+	b.span.Val = b.span.Val[:nnz]
+	parseRecords(raw, b.span.Idx, b.span.Val, nnz)
+	b.span.Base = e.bases[i]
+	b.bld.Tree(&b.csf, &b.span, e.modeOrders[e.mode])
 	return nil
-}
-
-// sortLocal stable-sorts block i's nonzeros lexicographically by mo
-// (mo[0] most significant) via the same LSD counting sort as
-// Tensor.SortByModes, but with block-local keys: coordinates shifted
-// by the block base index into buckets bounded by the block edge
-// length. The shift preserves order, and both sorts are stable, so
-// the resulting permutation equals the in-memory sort's restriction
-// to this block. Returns the permutation slice (perm or tmp,
-// depending on pass parity).
-//
-//spblock:hotpath
-func (e *Engine) sortLocal(b *block, i int, mo []int) []int32 {
-	nnz := e.man.Blocks[i].NNZ
-	base := e.bases[i]
-	p := b.perm[:nnz]
-	q := b.tmp[:nnz]
-	for j := range p {
-		p[j] = int32(j)
-	}
-	for lvl := e.order - 1; lvl >= 0; lvl-- {
-		m := mo[lvl]
-		key := b.idx[m]
-		lo := base[m]
-		nbk := e.maxDim[m]
-		counts := b.counts[:nbk+1]
-		clear(counts)
-		for _, x := range p {
-			counts[key[x]-lo+1]++
-		}
-		for d := 0; d < nbk; d++ {
-			counts[d+1] += counts[d]
-		}
-		for _, x := range p {
-			k := key[x] - lo
-			q[counts[k]] = x
-			counts[k]++
-		}
-		p, q = q, p
-	}
-	return p
-}
-
-// buildCSF emits the level ids and child pointers from the sorted
-// order into the slot's preallocated backing arrays, replicating
-// nmode.Build's boundary construction (duplicates of the predecessor
-// still form their own leaf).
-//
-//spblock:hotpath
-func (e *Engine) buildCSF(b *block, mo []int, perm []int32, nnz int) {
-	n := e.order
-	// The non-final sort buffer is free scratch now: reuse it for the
-	// per-leaf boundary levels.
-	bnd := b.tmp
-	if &bnd[0] == &perm[0] {
-		bnd = b.perm
-	}
-	bnd = bnd[:nnz]
-	bnd[0] = 0
-	for p := 1; p < nnz; p++ {
-		bb := int32(n - 1)
-		for d := 0; d < n; d++ {
-			if b.idx[mo[d]][perm[p]] != b.idx[mo[d]][perm[p-1]] {
-				bb = int32(d)
-				break
-			}
-		}
-		bnd[p] = bb
-	}
-	for d := 0; d < n; d++ {
-		ids := b.ids[d][:0]
-		key := b.idx[mo[d]]
-		if d < n-1 {
-			ptr := b.ptrs[d][:0]
-			children := int32(0)
-			for p := 0; p < nnz; p++ {
-				if int(bnd[p]) <= d {
-					ids = append(ids, key[perm[p]]) //spblock:allow slot arrays are pre-capped to the manifest's largest block at Open; AllocsPerRun pins 0
-					ptr = append(ptr, children)     //spblock:allow same pre-capped slot backing as ids
-				}
-				if int(bnd[p]) <= d+1 {
-					children++
-				}
-			}
-			b.csf.Ptr[d] = append(ptr, children) //spblock:allow ptr capacity is nnz+1, reserved at slot construction
-		} else {
-			for p := 0; p < nnz; p++ {
-				ids = append(ids, key[perm[p]]) //spblock:allow leaf ids share the same pre-capped slot backing
-			}
-		}
-		b.csf.ID[d] = ids
-	}
-	cval := b.cval[:0]
-	for p := 0; p < nnz; p++ {
-		cval = append(cval, b.val[perm[p]]) //spblock:allow cval is pre-capped to the largest block's nnz at Open
-	}
-	b.csf.Val = cval
-	b.csf.ModeOrder = mo
 }
 
 // parseRecords decodes nnz staged records into the coordinate and

@@ -12,9 +12,10 @@
 // executor's at any worker count: both visit each output row's blocks
 // in ascending block id (the in-memory path walks root layers with
 // blocks id-ordered inside each layer; a row belongs to exactly one
-// layer), both build each block's CSF with the same stable sort and
-// mode order, and both dispatch the same width-specialized leaf
-// kernel. See DESIGN.md §14.
+// layer), both build each block's CSF with the same call — the one
+// nmode.Builder, over the block's nonzeros in input order with
+// block-local keys and the same mode order — and both dispatch the same
+// width-specialized leaf kernel. See DESIGN.md §14.
 package ooc
 
 import (
@@ -25,6 +26,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"spblock/internal/nmode"
 )
@@ -107,24 +109,12 @@ func (m *Manifest) maxBlockNNZ() int {
 	return mx
 }
 
-// maxBlockDim returns the largest block edge length across modes — the
-// counting-sort bucket bound.
-func (m *Manifest) maxBlockDim() int {
-	mx := 0
-	for _, d := range m.BlockDims() {
-		if d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
 // SlotBytes estimates the decoded in-memory footprint of one prefetch
 // slot: every slot is pre-sized to the largest block so the
 // steady-state pipeline never reallocates. This is the unit
 // Options.BudgetBytes is divided by.
 func (m *Manifest) SlotBytes() int64 {
-	return slotFootprint(m.Order(), m.maxBlockNNZ(), m.maxBlockDim())
+	return slotFootprint(m.Order(), m.maxBlockNNZ(), slices.Max(m.BlockDims()))
 }
 
 // TotalBlockBytes is the decoded footprint of keeping every block

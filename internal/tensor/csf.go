@@ -2,6 +2,9 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
+
+	"spblock/internal/nmode"
 )
 
 // CSF is the SPLATT storage of Figure 1b: nonzeros grouped into mode-2
@@ -58,65 +61,23 @@ func (c *CSF) PaperMemoryBytes() int64 {
 	return 16 + 8*int64(c.Dims[0]) + 16*int64(c.NumFibers()) + 16*int64(c.NNZ())
 }
 
-// BuildCSF converts a COO tensor into the SPLATT structure. The input
-// is not modified; a fiber-sorted copy is made unless the input is
-// already sorted. Duplicate coordinates are kept as distinct nonzeros
-// (run Dedup first if that matters).
+// BuildCSF converts a COO tensor into the SPLATT structure: the
+// order-3 nmode tree with mode order (0, 2, 1), built by the one
+// nmode.Builder and relabelled by FromNModeCSF without copying. The
+// input is not modified and is not re-sorted when already in fiber
+// order. Duplicate coordinates are kept as distinct nonzeros, in input
+// order (run Dedup first if that matters).
 func BuildCSF(t *COO) (*CSF, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	src := t
-	if !t.IsFiberSorted() {
-		src = t.Clone()
-		src.SortFiberOrder()
-	}
-	return buildCSFSorted(src), nil
-}
-
-// buildCSFSorted builds the structure from entries already in (i, k, j)
-// order.
-func buildCSFSorted(t *COO) *CSF {
-	nnz := t.NNZ()
-	c := &CSF{Dims: t.Dims}
-	if nnz == 0 {
-		c.SlicePtr = []int32{0}
-		c.FiberPtr = []int32{0}
-		return c
-	}
-	// First pass: count slices and fibers.
-	slices, fibers := 1, 1
-	for p := 1; p < nnz; p++ {
-		if t.I[p] != t.I[p-1] {
-			slices++
-			fibers++
-		} else if t.K[p] != t.K[p-1] {
-			fibers++
-		}
-	}
-	c.SliceID = make([]Index, 0, slices)
-	c.SlicePtr = make([]int32, 0, slices+1)
-	c.FiberK = make([]Index, 0, fibers)
-	c.FiberPtr = make([]int32, 0, fibers+1)
-	c.NzJ = make([]Index, nnz)
-	c.Val = make([]float64, nnz)
-	copy(c.NzJ, t.J)
-	copy(c.Val, t.Val)
-
-	for p := 0; p < nnz; p++ {
-		newSlice := p == 0 || t.I[p] != t.I[p-1]
-		if newSlice {
-			c.SliceID = append(c.SliceID, t.I[p])
-			c.SlicePtr = append(c.SlicePtr, int32(len(c.FiberK)))
-		}
-		if newSlice || t.K[p] != t.K[p-1] {
-			c.FiberK = append(c.FiberK, t.K[p])
-			c.FiberPtr = append(c.FiberPtr, int32(p))
-		}
-	}
-	c.SlicePtr = append(c.SlicePtr, int32(len(c.FiberK)))
-	c.FiberPtr = append(c.FiberPtr, int32(nnz))
-	return c
+	// The Builder directly, not nmode.Build, so the tensor is validated
+	// once.
+	x := ToNMode(t)
+	c := &nmode.CSF{Dims: x.Dims, ID: make([][]nmode.Index, 3), Ptr: make([][]int32, 2)}
+	b := nmode.NewBuilder(3, t.NNZ(), slices.Max(x.Dims))
+	b.Tree(c, &nmode.Span{Idx: x.Idx, Val: x.Val, Ext: x.Dims}, SPLATTModeOrder())
+	return FromNModeCSF(c), nil
 }
 
 // ToCOO expands the structure back to coordinate format in fiber-sorted

@@ -205,3 +205,47 @@ func TestQuickCSFRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BuildCSF is the relabelled nmode tree: on a shuffled deduplicated
+// tensor it must list the entries in exactly the fiber order
+// SortFiberOrder produces, with every array exactly sized, whether or
+// not the input arrives already sorted.
+func TestBuildCSFFiberOrderExactlySized(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, nnz := range []int{0, 1, 40, 6000} {
+		sorted := randomCOO(rng, Dims{20, 30, 25}, nnz)
+		sorted.Dedup()
+		shuffled := sorted.Clone()
+		rng.Shuffle(shuffled.NNZ(), func(a, b int) {
+			shuffled.I[a], shuffled.I[b] = shuffled.I[b], shuffled.I[a]
+			shuffled.J[a], shuffled.J[b] = shuffled.J[b], shuffled.J[a]
+			shuffled.K[a], shuffled.K[b] = shuffled.K[b], shuffled.K[a]
+			shuffled.Val[a], shuffled.Val[b] = shuffled.Val[b], shuffled.Val[a]
+		})
+		for _, in := range []*COO{sorted, shuffled} {
+			csf, err := BuildCSF(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := csf.ToCOO()
+			for p := 0; p < sorted.NNZ(); p++ {
+				if back.I[p] != sorted.I[p] || back.J[p] != sorted.J[p] ||
+					back.K[p] != sorted.K[p] || back.Val[p] != sorted.Val[p] {
+					t.Fatalf("nnz %d: entry %d out of fiber order", nnz, p)
+				}
+			}
+			for name, n := range map[string][2]int{
+				"SliceID":  {len(csf.SliceID), cap(csf.SliceID)},
+				"SlicePtr": {len(csf.SlicePtr), cap(csf.SlicePtr)},
+				"FiberK":   {len(csf.FiberK), cap(csf.FiberK)},
+				"FiberPtr": {len(csf.FiberPtr), cap(csf.FiberPtr)},
+				"NzJ":      {len(csf.NzJ), cap(csf.NzJ)},
+				"Val":      {len(csf.Val), cap(csf.Val)},
+			} {
+				if n[0] != n[1] {
+					t.Fatalf("nnz %d: %s len %d cap %d", nnz, name, n[0], n[1])
+				}
+			}
+		}
+	}
+}
