@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"spblock"
@@ -44,15 +43,14 @@ func main() {
 	}
 	fmt.Printf("loaded %s\n", spblock.ComputeStats(x))
 
-	m, err := parseMethod(*method)
+	m, err := spblock.ParseMethod(*method)
 	if err != nil {
 		fatal(err)
 	}
 	plan := spblock.Plan{Method: m, Grid: [3]int{1, 1, 1}, RankBlockCols: *bs, Workers: *workers}
 	if *grid != "" {
-		if _, err := fmt.Sscanf(strings.ToLower(*grid), "%dx%dx%d",
-			&plan.Grid[0], &plan.Grid[1], &plan.Grid[2]); err != nil {
-			fatal(fmt.Errorf("bad -grid %q: %w", *grid, err))
+		if plan.Grid, err = spblock.ParseGrid(*grid); err != nil {
+			fatal(fmt.Errorf("bad -grid: %w", err))
 		}
 	}
 	if *autotune {
@@ -92,23 +90,6 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
-	}
-}
-
-func parseMethod(s string) (spblock.Method, error) {
-	switch strings.ToLower(s) {
-	case "coo":
-		return spblock.MethodCOO, nil
-	case "splatt":
-		return spblock.MethodSPLATT, nil
-	case "mb":
-		return spblock.MethodMB, nil
-	case "rankb":
-		return spblock.MethodRankB, nil
-	case "mbrankb", "mb+rankb":
-		return spblock.MethodMBRankB, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"spblock/internal/core"
@@ -40,15 +39,14 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := parseMethod(*method)
+	m, err := core.ParseMethod(*method)
 	if err != nil {
 		fatal(err)
 	}
 	plan := core.Plan{Method: m, Grid: [3]int{1, 1, 1}, RankBlockCols: *bs, Workers: *workers}
 	if *grid != "" {
-		if _, err := fmt.Sscanf(strings.ToLower(*grid), "%dx%dx%d",
-			&plan.Grid[0], &plan.Grid[1], &plan.Grid[2]); err != nil {
-			fatal(fmt.Errorf("bad -grid %q: %w", *grid, err))
+		if plan.Grid, err = core.ParseGrid(*grid); err != nil {
+			fatal(fmt.Errorf("bad -grid: %w", err))
 		}
 	}
 
@@ -65,23 +63,6 @@ func main() {
 	fmt.Printf("spblockd listening on %s (plan %s)\n", *addr, plan)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
-	}
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch strings.ToLower(s) {
-	case "coo":
-		return core.MethodCOO, nil
-	case "splatt":
-		return core.MethodSPLATT, nil
-	case "mb":
-		return core.MethodMB, nil
-	case "rankb":
-		return core.MethodRankB, nil
-	case "mbrankb", "mb+rankb":
-		return core.MethodMBRankB, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
 	}
 }
 

@@ -25,9 +25,8 @@ func demoTensorN(rng *rand.Rand, dims []int, nnz int) *spblock.TensorN {
 // TestFacadeConstructorValidation pins the validation parity across all
 // four executor constructors and the one-shot MTTKRPN: negative
 // Workers and negative RankBlockCols are rejected everywhere —
-// including the order-3 fast path of NewMultiExecutorN, which used to
-// map a negative strip width silently onto the unstripped SPLATT
-// method, and MTTKRPN, which used to ignore its options' validity.
+// including NewMultiExecutorN at order 3, and MTTKRPN, which used to
+// ignore its options' validity.
 func TestFacadeConstructorValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x3 := demoTensor(rng, spblock.Dims{8, 8, 8}, 60)
@@ -93,15 +92,15 @@ func TestFacadeConstructorValidation(t *testing.T) {
 			_, err := spblock.NewExecutorN(n4, 0, spblock.OptionsN{RankBlockCols: 16, Workers: 1})
 			return err
 		}, false},
-		{"nengine fast path negative workers", func() error {
+		{"nengine order-3 negative workers", func() error {
 			_, err := spblock.NewMultiExecutorN(n3, spblock.OptionsN{Workers: -1})
 			return err
 		}, true},
-		{"nengine fast path negative rank block", func() error {
+		{"nengine order-3 negative rank block", func() error {
 			_, err := spblock.NewMultiExecutorN(n3, spblock.OptionsN{RankBlockCols: -16})
 			return err
 		}, true},
-		{"nengine fast path valid", func() error {
+		{"nengine order-3 valid", func() error {
 			_, err := spblock.NewMultiExecutorN(n3, spblock.OptionsN{RankBlockCols: 16, Workers: 1})
 			return err
 		}, false},
@@ -209,7 +208,7 @@ func TestFacadeKernelMetrics(t *testing.T) {
 		t.Fatal("out-of-range mode accepted")
 	}
 
-	// Order-3 fast path exposes the same accessor.
+	// Order 3 exposes the same accessor.
 	n3 := demoTensorN(rng, []int{8, 8, 8}, 100)
 	me3, err := spblock.NewMultiExecutorN(n3, spblock.OptionsN{Workers: 1})
 	if err != nil {
@@ -228,6 +227,6 @@ func TestFacadeKernelMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := mc3.Snapshot(); s.Runs != 1 {
-		t.Fatalf("fast-path snapshot runs = %d", s.Runs)
+		t.Fatalf("order-3 snapshot runs = %d", s.Runs)
 	}
 }

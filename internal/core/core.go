@@ -16,6 +16,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"spblock/internal/analysis/check"
@@ -58,6 +60,45 @@ func (m Method) String() string {
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
+}
+
+// ParseMethod maps a CLI spelling of a method to its Method,
+// case-insensitively: "coo", "splatt", "mb", "rankb" and "mbrankb" or
+// "mb+rankb". It accepts every Method's String.
+func ParseMethod(s string) (Method, error) {
+	switch strings.ToLower(s) {
+	case "coo":
+		return MethodCOO, nil
+	case "splatt":
+		return MethodSPLATT, nil
+	case "mb":
+		return MethodMB, nil
+	case "rankb":
+		return MethodRankB, nil
+	case "mbrankb", "mb+rankb":
+		return MethodMBRankB, nil
+	default:
+		return 0, fmt.Errorf("core: unknown method %q", s)
+	}
+}
+
+// ParseGrid parses an MB grid spelled QxRxS (the x in either case).
+// It rejects any other number of entries, trailing input and entries
+// below 1.
+func ParseGrid(s string) ([3]int, error) {
+	var grid [3]int
+	parts := strings.Split(strings.ToLower(s), "x")
+	if len(parts) != len(grid) {
+		return grid, fmt.Errorf("core: grid %q: want QxRxS", s)
+	}
+	for m, part := range parts {
+		g, err := strconv.Atoi(part)
+		if err != nil || g < 1 {
+			return grid, fmt.Errorf("core: grid %q: entry %q is not a positive integer", s, part)
+		}
+		grid[m] = g
+	}
+	return grid, nil
 }
 
 // RegisterBlockWidth is NRegB of Algorithm 2: the default number of

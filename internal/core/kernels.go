@@ -97,18 +97,18 @@ func rankBRange(t *tensor.CSF, b, c, out *la.Matrix, kern *kernel.Strip, bs, lo,
 			stripEnd = r
 		}
 		for s := lo; s < hi; s++ {
-			i := int(t.SliceID[s])
+			orow := out.Row(int(t.SliceID[s]))
 			for f := t.SlicePtr[s]; f < t.SlicePtr[s+1]; f++ {
 				pLo, pHi := int(t.FiberPtr[f]), int(t.FiberPtr[f+1])
-				k := int(t.FiberK[f])
+				crow := c.Row(int(t.FiberK[f]))
 				r0 := rr
 				if kw := kern.Width; kw > 0 {
 					for ; r0+kw <= stripEnd; r0 += kw {
-						kern.Fiber(t.Val, t.NzJ, b, c, out, pLo, pHi, i, k, r0)
+						kern.Fiber(t.Val, t.NzJ, b, orow, crow, pLo, pHi, r0)
 					}
 				}
 				if r0 < stripEnd {
-					kern.FiberTail(t.Val, t.NzJ, b, c, out, pLo, pHi, i, k, r0, stripEnd)
+					kern.FiberTail(t.Val, t.NzJ, b, orow, crow, pLo, pHi, r0, stripEnd)
 				}
 			}
 		}

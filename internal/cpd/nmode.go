@@ -20,7 +20,7 @@ type NOptions struct {
 	// Default 1e-5.
 	Tol float64
 	// Kernel configures the N-mode MTTKRP (rank strips, workers, MB
-	// grid). Third-order inputs take the engine's order-3 fast path.
+	// grid) at every order, third-order inputs included.
 	Kernel nmode.Options
 	// Seed drives the random factor initialisation.
 	Seed int64

@@ -83,7 +83,8 @@ func TestCPALSNMatchesThreeModeCPALS(t *testing.T) {
 
 // TestCPALSNTrajectoryMatchesCPALS is the strong form of the agreement
 // test: with the shared internal/als sweep loop, the same seed, and the
-// default kernels (both SPLATT on the order-3 fast path), the two entry
+// default kernels (SPLATT in core, the unblocked nmode walk in CPALSN,
+// which end every fiber with the same fused epilogue), the two entry
 // points must produce the same fit trajectory — not just comparable
 // endpoints.
 func TestCPALSNTrajectoryMatchesCPALS(t *testing.T) {

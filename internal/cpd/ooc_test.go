@@ -104,17 +104,16 @@ func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
 	}
 }
 
-// TestCPALSOOCMatchesGenericOrder3 pins the order-3 equivalence
-// against the generic N-mode engine (the ooc path's in-memory
-// comparator — the order-3 fast path is a different kernel family and
-// is not expected to be bit-identical).
+// TestCPALSOOCMatchesGenericOrder3 pins the order-3 streamed run bit
+// for bit against the in-memory N-mode engine: both walk the same
+// blocks with the same nmode walker.
 func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
 	dims := []int{15, 11, 13}
 	grid := []int{3, 2, 2}
 	x := randSparseN(13, dims, 900)
 	stage := stageForTest(t, x, grid)
 
-	eng, err := engine.NewNEngineGeneric(x, nmode.Options{Grid: grid, Workers: 2})
+	eng, err := engine.NewNEngine(x, nmode.Options{Grid: grid, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,52 +3,29 @@ package engine
 import (
 	"fmt"
 
-	"spblock/internal/core"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
 	"spblock/internal/metrics"
 	"spblock/internal/nmode"
-	"spblock/internal/tensor"
 )
 
 // NEngine is the order-N MultiModeExecutor: it builds and caches one
-// mode-rooted executor per requested mode of an arbitrary-order tensor,
-// exactly once per tensor. Third-order tensors are served by the
-// order-3 core kernels behind a MultiModeExecutor (the fast path, with
-// zero-copy permuted views of the input; BenchmarkOrder3FastPath
-// measures it against NewNEngineGeneric); higher orders run on the
-// pooled nmode CSF executors. Both families share one worker pool
-// (sched.Pool) and differ only in their structures and kernels. Either way every mode's workspace is
-// reused across the 10-1000s of Run calls of a decomposition, so
-// steady-state products are allocation-free.
+// mode-rooted nmode.Executor per requested mode of an arbitrary-order
+// tensor, exactly once per tensor, at every order. Each mode's
+// workspace is reused across the 10-1000s of Run calls of a
+// decomposition, so steady-state products are allocation-free.
 //
 // The same concurrency rule as MultiModeExecutor applies: one NEngine
 // must not Run the same mode concurrently with itself.
 type NEngine struct {
 	dims  []int
-	fast  *MultiModeExecutor
 	execs []*nmode.Executor
 }
 
 // NewNEngine builds executors for the requested modes (default: all)
 // of t under opts. opts.Grid (one entry per mode, clamped) selects
-// multi-dimensional blocking, opts.RankBlockCols rank strips — on the
-// order-3 fast path they map onto the corresponding core methods
-// (MB / RankB / MBRankB / SPLATT).
+// multi-dimensional blocking, opts.RankBlockCols rank strips.
 func NewNEngine(t *nmode.Tensor, opts nmode.Options, modes ...int) (*NEngine, error) {
-	return newNEngine(t, opts, false, modes)
-}
-
-// NewNEngineGeneric is NewNEngine without the order-3 fast path: every
-// mode runs on the generic N-mode CSF executors regardless of order.
-// Cross-order equivalence tests use it to pin the generic kernels
-// against the third-order references; production callers should prefer
-// NewNEngine.
-func NewNEngineGeneric(t *nmode.Tensor, opts nmode.Options, modes ...int) (*NEngine, error) {
-	return newNEngine(t, opts, true, modes)
-}
-
-func newNEngine(t *nmode.Tensor, opts nmode.Options, generic bool, modes []int) (*NEngine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -67,24 +44,7 @@ func newNEngine(t *nmode.Tensor, opts nmode.Options, generic bool, modes []int) 
 			return nil, fmt.Errorf("engine: mode %d out of range [0,%d)", m, n)
 		}
 	}
-	e := &NEngine{dims: append([]int(nil), t.Dims...)}
-	if n == 3 && !generic {
-		coo, err := tensor.FromNMode(t)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := planFromNOptions(opts, t.Dims)
-		if err != nil {
-			return nil, err
-		}
-		fast, err := NewMultiModeExecutor(coo, plan, modes...)
-		if err != nil {
-			return nil, err
-		}
-		e.fast = fast
-		return e, nil
-	}
-	e.execs = make([]*nmode.Executor, n)
+	e := &NEngine{dims: append([]int(nil), t.Dims...), execs: make([]*nmode.Executor, n)}
 	for _, m := range modes {
 		if e.execs[m] != nil {
 			continue
@@ -96,52 +56,6 @@ func newNEngine(t *nmode.Tensor, opts nmode.Options, generic bool, modes []int) 
 		e.execs[m] = ex
 	}
 	return e, nil
-}
-
-// planFromNOptions maps the N-mode kernel options onto the order-3
-// method lattice: blocking and strips compose into MBRankB, either
-// alone selects MB or RankB, neither the SPLATT baseline.
-func planFromNOptions(opts nmode.Options, dims []int) (core.Plan, error) {
-	plan := core.Plan{
-		Workers:       opts.Workers,
-		RankBlockCols: opts.RankBlockCols,
-		Grid:          [3]int{1, 1, 1},
-		Sched:         opts.Sched,
-	}
-	// Match the generic nmode.NewExecutor validation: a negative strip
-	// width must not silently select SPLATT on the order-3 fast path.
-	if opts.RankBlockCols < 0 {
-		return plan, fmt.Errorf("engine: negative RankBlockCols %d", opts.RankBlockCols)
-	}
-	blocked := false
-	if len(opts.Grid) != 0 {
-		if len(opts.Grid) != 3 {
-			return plan, fmt.Errorf("engine: grid %v for order-3 tensor", opts.Grid)
-		}
-		for m, g := range opts.Grid {
-			if g < 1 {
-				g = 1
-			}
-			if g > dims[m] {
-				g = dims[m]
-			}
-			plan.Grid[m] = g
-			if g > 1 {
-				blocked = true
-			}
-		}
-	}
-	switch {
-	case blocked && opts.RankBlockCols > 0:
-		plan.Method = core.MethodMBRankB
-	case blocked:
-		plan.Method = core.MethodMB
-	case opts.RankBlockCols > 0:
-		plan.Method = core.MethodRankB
-	default:
-		plan.Method = core.MethodSPLATT
-	}
-	return plan, nil
 }
 
 // Run computes out = MTTKRP over mode `mode`. factors is indexed by
@@ -157,23 +71,16 @@ func (e *NEngine) Run(mode int, factors []*la.Matrix, out *la.Matrix) error {
 	if len(factors) != n {
 		return fmt.Errorf("engine: %d factors for order-%d tensor", len(factors), n) //spblock:allow misuse error path, never taken by a decomposition sweep
 	}
-	if e.fast != nil {
-		return e.fast.Run(mode, [3]*la.Matrix{factors[0], factors[1], factors[2]}, out)
-	}
 	if e.execs[mode] == nil {
 		return fmt.Errorf("engine: mode %d was not requested at construction", mode) //spblock:allow misuse error path, never taken by a decomposition sweep
 	}
 	return e.execs[mode].Run(factors, out)
 }
 
-// Metrics returns mode `mode`'s instrumentation collector, whichever
-// executor family (order-3 fast path or generic N-mode) serves it.
+// Metrics returns mode `mode`'s instrumentation collector.
 func (e *NEngine) Metrics(mode int) (*metrics.Collector, error) {
 	if mode < 0 || mode >= len(e.dims) {
 		return nil, fmt.Errorf("engine: mode %d out of range [0,%d)", mode, len(e.dims))
-	}
-	if e.fast != nil {
-		return e.fast.Metrics(mode)
 	}
 	if e.execs[mode] == nil {
 		return nil, fmt.Errorf("engine: mode %d was not requested at construction", mode)
@@ -182,14 +89,11 @@ func (e *NEngine) Metrics(mode int) (*metrics.Collector, error) {
 }
 
 // Kernel reports the register-block kernel variant mode `mode`'s
-// executor dispatches through, whichever executor family serves it
-// (the zero Variant before that mode's first Run).
+// executor dispatches through (the zero Variant before that mode's
+// first Run).
 func (e *NEngine) Kernel(mode int) (kernel.Variant, error) {
 	if mode < 0 || mode >= len(e.dims) {
 		return kernel.Variant{}, fmt.Errorf("engine: mode %d out of range [0,%d)", mode, len(e.dims))
-	}
-	if e.fast != nil {
-		return e.fast.Kernel(mode)
 	}
 	if e.execs[mode] == nil {
 		return kernel.Variant{}, fmt.Errorf("engine: mode %d was not requested at construction", mode)
@@ -199,15 +103,11 @@ func (e *NEngine) Kernel(mode int) (kernel.Variant, error) {
 
 // Sched reports the resolved scheduler identity of mode `mode`'s
 // executor (the internal/sched name constants; empty for sequential
-// executors), whichever executor family serves it. Adaptive executors
-// report their current layout, so a decomposition driver can watch a
-// mode get promoted between sweeps.
+// executors). Adaptive executors report their current layout, so a
+// decomposition driver can watch a mode get promoted between sweeps.
 func (e *NEngine) Sched(mode int) (string, error) {
 	if mode < 0 || mode >= len(e.dims) {
 		return "", fmt.Errorf("engine: mode %d out of range [0,%d)", mode, len(e.dims))
-	}
-	if e.fast != nil {
-		return e.fast.Sched(mode)
 	}
 	if e.execs[mode] == nil {
 		return "", fmt.Errorf("engine: mode %d was not requested at construction", mode)
@@ -215,14 +115,10 @@ func (e *NEngine) Sched(mode int) (string, error) {
 	return e.execs[mode].Sched(), nil
 }
 
-// SetWorkers re-sizes every built mode executor's parallelism mid-life,
-// whichever executor family serves it: both run on sched.Pool, whose
-// Resize keeps an adaptive executor's promotion. Must not be called
-// while any mode is mid-Run.
+// SetWorkers re-sizes every built mode executor's parallelism mid-life:
+// sched.Pool's Resize keeps an adaptive executor's promotion. Must not
+// be called while any mode is mid-Run.
 func (e *NEngine) SetWorkers(n int) error {
-	if e.fast != nil {
-		return e.fast.SetWorkers(n)
-	}
 	for _, ex := range e.execs {
 		if ex == nil {
 			continue

@@ -30,9 +30,9 @@ func nOptionRows(order int) []nmode.Options {
 }
 
 // TestCrossOrderEquivalence is the generic-vs-reference matrix: an
-// order-3 tensor pushed through the generic N-mode executors (no
-// order-3 fast path) must agree with the order-3 dense reference for
-// every configuration row and every mode. This pins the generalised
+// order-3 tensor pushed through the N-mode executors must agree with
+// the order-3 dense reference for every configuration row and every
+// mode. This pins the generalised
 // CSF kernels to the same numbers the paper's third-order kernels
 // produce.
 func TestCrossOrderEquivalence(t *testing.T) {
@@ -57,7 +57,7 @@ func TestCrossOrderEquivalence(t *testing.T) {
 		}
 	}
 	for _, opts := range nOptionRows(3) {
-		eng, err := NewNEngineGeneric(nt, opts)
+		eng, err := NewNEngine(nt, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -76,37 +76,63 @@ func TestCrossOrderEquivalence(t *testing.T) {
 	}
 }
 
-// TestNEngineFastPathAgreesWithGeneric: the order-3 fast path and the
-// generic CSF path are the same mathematical operator.
-func TestNEngineFastPathAgreesWithGeneric(t *testing.T) {
+// TestNEngineOrder3BitIdenticalToCore pins the order-3 nmode walk to
+// the core kernels bit for bit: both end every fiber with the same
+// fused out[i] += acc ⊙ C[k] through the same kernel variant, in the
+// same fiber and block order. The dims strictly decrease, so
+// DefaultModeOrder puts the shorter remaining mode in the middle for
+// every output mode, which is the tree core builds for its permuted
+// view (tensor.SPLATTModeOrder); on other shapes the two trees may
+// pick different fiber modes and agree only to rounding.
+func TestNEngineOrder3BitIdenticalToCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	dims := tensor.Dims{12, 10, 8}
-	nt := tensor.ToNMode(randCOO(rng, dims, 250))
-	const rank = 17
-	factors := make([]*la.Matrix, 3)
-	for m := 0; m < 3; m++ {
-		factors[m] = randMatrix(rng, dims[m], rank)
+	dims := tensor.Dims{13, 11, 9}
+	x := randCOO(rng, dims, 300)
+	nt := tensor.ToNMode(x)
+	methods := []struct {
+		method core.Method
+		grid   []int
+		bs     int
+	}{
+		{core.MethodSPLATT, nil, 0},
+		{core.MethodRankB, nil, 16},
+		{core.MethodMB, []int{2, 3, 2}, 0},
+		{core.MethodMBRankB, []int{2, 3, 2}, 16},
 	}
-	for _, opts := range nOptionRows(3) {
-		fast, err := NewNEngine(nt, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+	for _, rank := range []int{5, 33, 64} {
+		factors := make([]*la.Matrix, 3)
+		for m := range factors {
+			factors[m] = randMatrix(rng, dims[m], rank)
 		}
-		generic, err := NewNEngineGeneric(nt, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		for n := 0; n < 3; n++ {
-			a := la.NewMatrix(dims[n], rank)
-			b := la.NewMatrix(dims[n], rank)
-			if err := fast.Run(n, factors, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := generic.Run(n, factors, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := a.MaxAbsDiff(b); d > 1e-9 {
-				t.Fatalf("%+v mode %d: fast path differs from generic by %v", opts, n, d)
+		for _, mt := range methods {
+			for _, workers := range []int{1, 2} {
+				for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicySteal} {
+					plan := core.Plan{Method: mt.method, Grid: [3]int{1, 1, 1}, RankBlockCols: mt.bs, Workers: workers, Sched: pol}
+					if mt.grid != nil {
+						plan.Grid = [3]int{mt.grid[0], mt.grid[1], mt.grid[2]}
+					}
+					ref, err := NewMultiModeExecutor(x, plan)
+					if err != nil {
+						t.Fatalf("%v: %v", plan, err)
+					}
+					eng, err := NewNEngine(nt, nmode.Options{Grid: mt.grid, RankBlockCols: mt.bs, Workers: workers, Sched: pol})
+					if err != nil {
+						t.Fatalf("%v: %v", plan, err)
+					}
+					for n := 0; n < 3; n++ {
+						want := la.NewMatrix(dims[n], rank)
+						got := la.NewMatrix(dims[n], rank)
+						if err := ref.Run(n, [3]*la.Matrix{factors[0], factors[1], factors[2]}, want); err != nil {
+							t.Fatal(err)
+						}
+						if err := eng.Run(n, factors, got); err != nil {
+							t.Fatal(err)
+						}
+						if d := got.MaxAbsDiff(want); d != 0 {
+							t.Errorf("%v rank %d mode %d: nmode differs from core by %v", plan, rank, n, d)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -177,12 +203,9 @@ func TestNEngineValidation(t *testing.T) {
 		t.Error("mode 3 accepted")
 	}
 	if _, err := NewNEngine(nt, nmode.Options{Grid: []int{2, 2}}); err == nil {
-		t.Error("short grid accepted on the fast path")
+		t.Error("short grid accepted")
 	}
-	if _, err := NewNEngineGeneric(nt, nmode.Options{Grid: []int{2, 2}}); err == nil {
-		t.Error("short grid accepted on the generic path")
-	}
-	eng, err := NewNEngineGeneric(nt, nmode.Options{}, 1)
+	eng, err := NewNEngine(nt, nmode.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +228,9 @@ func TestNEngineValidation(t *testing.T) {
 	}
 }
 
-// TestNEngineSchedPropagation pins Options.Sched through both executor
-// families: the order-3 fast path maps it onto core.Plan.Sched and the
-// generic N-mode executors take it directly; either way the engine
-// reports the resolved scheduler identity per mode.
+// TestNEngineSchedPropagation pins Options.Sched through the engine at
+// orders 3 and 4: the engine reports the resolved scheduler identity
+// per mode.
 func TestNEngineSchedPropagation(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	nt3 := tensor.ToNMode(randCOO(rng, tensor.Dims{24, 20, 16}, 1500))
@@ -250,11 +272,10 @@ func TestNEngineSchedPropagation(t *testing.T) {
 	if got, _ := eng.Sched(0); got != sched.AdaptiveStaticName {
 		t.Errorf("adaptive engine reports %q, want %q", got, sched.AdaptiveStaticName)
 	}
-	// An invalid policy is rejected at construction on both paths.
-	if _, err := NewNEngine(nt3, nmode.Options{Sched: sched.Policy(9)}); err == nil {
-		t.Error("fast path accepted an invalid sched policy")
-	}
-	if _, err := NewNEngine(nt4, nmode.Options{Sched: sched.Policy(9)}); err == nil {
-		t.Error("generic path accepted an invalid sched policy")
+	// An invalid policy is rejected at construction at every order.
+	for _, nt := range []*nmode.Tensor{nt3, nt4} {
+		if _, err := NewNEngine(nt, nmode.Options{Sched: sched.Policy(9)}); err == nil {
+			t.Errorf("order-%d engine accepted an invalid sched policy", nt.Order())
+		}
 	}
 }

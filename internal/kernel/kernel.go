@@ -1,18 +1,20 @@
-// Package kernel owns the register-blocked rank-strip accumulate
-// contract shared by the order-3 (internal/core) and order-N
-// (internal/nmode) MTTKRP inner loops: the innermost body of the
-// paper's Algorithm 2 (Sec. V-B), where a fiber's nonzeros are swept
-// with all column accumulators held in scalar locals (registers).
+// Package kernel owns the register-blocked fiber kernel shared by the
+// order-3 (internal/core) and order-N (internal/nmode) MTTKRP inner
+// loops: the innermost body of the paper's Algorithm 2 (Sec. V-B),
+// where a fiber's nonzeros are swept with all column accumulators held
+// in scalar locals (registers) and the fiber ends with one fused
+// dst += acc ⊙ scale.
 //
 // The package exposes width-specialized unrolled bodies (8-, 16-, 24-
 // and 32-wide, emitted by the gen/ generator into widths_gen.go) plus
-// scalar tails, bundled per width into a Strip. Callers resolve a
+// a scalar tail, bundled per width into a Strip. Callers resolve a
 // Strip exactly once on their cold ensure path (Resolve) and dispatch
 // through the cached function pointers on the hot path — no interface
 // boxing, no map lookup, no per-call branching beyond the strip loop
-// itself. The contract deliberately takes raw slices (vals, ids)
-// rather than a tensor type so one kernel body serves both the CSF
-// fiber layout (core) and the N-mode leaf level (nmode):
+// itself. The contract deliberately takes raw slices (vals, ids, and
+// the dst and scale rows) rather than a tensor type, so one kernel body
+// serves both core's CSF fibers, where dst is an output row, and the
+// nmode walk, where dst is an output row or a mid-level accumulator:
 // tensor.Index and nmode.Index are both aliases of int32.
 package kernel
 
@@ -33,31 +35,25 @@ const (
 	// width step at DefaultWidth.
 	DefaultWidth = 16
 	// MaxWidth bounds both the widest unrolled body and the scalar
-	// tails' stack accumulators (a tail is always narrower than the
+	// tail's stack accumulator (a tail is always narrower than the
 	// unrolled width it trails).
 	MaxWidth = 32
 )
 
 // FiberKernel processes one CSF fiber for Width consecutive columns
-// starting at r0, fusing Algorithm 2's fiber epilogue: the register
-// accumulators are scaled by C's row k and added into output row i.
-// vals/ids are the fiber's nonzero values and mode-2 coordinates,
-// indexed by [pLo, pHi).
-type FiberKernel func(vals []float64, ids []int32, b, c, out *la.Matrix, pLo, pHi, i, k, r0 int)
+// starting at r0, fusing Algorithm 2's fiber epilogue:
+//
+//	dst[r0:r0+Width] += (Σ_p vals[p]·b[ids[p]][r0:r0+Width]) ⊙ scale[r0:r0+Width]
+//
+// over p in [pLo, pHi). vals/ids are the fiber's nonzero values and
+// leaf-mode coordinates; dst is the row the fiber's parent accumulates
+// into (an output row, or a walker's accumulator) and scale is the
+// fiber's own factor row.
+type FiberKernel func(vals []float64, ids []int32, b *la.Matrix, dst, scale []float64, pLo, pHi, r0 int)
 
 // FiberTailKernel is FiberKernel for a partial block spanning columns
 // [r0, r1) with r1-r0 < MaxWidth.
-type FiberTailKernel func(vals []float64, ids []int32, b, c, out *la.Matrix, pLo, pHi, i, k, r0, r1 int)
-
-// LeafKernel accumulates Width consecutive columns (starting at q0) of
-// the N-mode leaf level into buf: buf[q] += vals[p] * leaf[ids[p]][q]
-// over p in [pLo, pHi). No epilogue — the tree walk scales buf against
-// the parent levels.
-type LeafKernel func(vals []float64, ids []int32, leaf *la.Matrix, buf []float64, pLo, pHi, q0 int)
-
-// LeafTailKernel is LeafKernel for a partial block spanning columns
-// [q0, q1) with q1-q0 < MaxWidth.
-type LeafTailKernel func(vals []float64, ids []int32, leaf *la.Matrix, buf []float64, pLo, pHi, q0, q1 int)
+type FiberTailKernel func(vals []float64, ids []int32, b *la.Matrix, dst, scale []float64, pLo, pHi, r0, r1 int)
 
 // Variant identifies a registered kernel implementation.
 type Variant struct {
@@ -70,22 +66,19 @@ type Variant struct {
 }
 
 // Strip bundles the function pointers a resolved strip width dispatches
-// through: the unrolled fiber/leaf bodies plus the tails that finish
-// columns the unrolled width does not cover. Width 0 (scalar) leaves
-// Fiber/Leaf nil; callers must gate the unrolled step on Width > 0.
+// through: the unrolled fiber body plus the tail that finishes columns
+// the unrolled width does not cover. Width 0 (scalar) leaves Fiber nil;
+// callers must gate the unrolled step on Width > 0.
 type Strip struct {
 	Variant
 	Fiber     FiberKernel
-	Leaf      LeafKernel
 	FiberTail FiberTailKernel
-	LeafTail  LeafTailKernel
 }
 
-// scalarStrip serves widths below MinWidth entirely from the tails.
+// scalarStrip serves widths below MinWidth entirely from the tail.
 var scalarStrip = Strip{
 	Variant:   Variant{Width: 0, Name: "scalar"},
 	FiberTail: ScalarFiberTail,
-	LeafTail:  ScalarLeafTail,
 }
 
 // Widths returns the registered unrolled widths in ascending order.
@@ -152,7 +145,7 @@ func StripCandidates(rank int) []int {
 // every fiber variant and the whole body of the scalar variant.
 //
 //spblock:hotpath
-func ScalarFiberTail(vals []float64, ids []int32, b, c, out *la.Matrix, pLo, pHi, i, k, r0, r1 int) {
+func ScalarFiberTail(vals []float64, ids []int32, b *la.Matrix, dst, scale []float64, pLo, pHi, r0, r1 int) {
 	var acc [MaxWidth]float64
 	w := r1 - r0
 	for p := pLo; p < pHi; p++ {
@@ -162,30 +155,10 @@ func ScalarFiberTail(vals []float64, ids []int32, b, c, out *la.Matrix, pLo, pHi
 			acc[q] += v * brow[q]
 		}
 	}
-	crow := c.Data[k*c.Stride+r0:]
-	orow := out.Data[i*out.Stride+r0:]
+	srow := scale[r0:r1]
+	drow := dst[r0:r1]
 	for q := 0; q < w; q++ {
-		orow[q] += acc[q] * crow[q]
-	}
-}
-
-// ScalarLeafTail finishes one leaf accumulation for columns [q0, q1)
-// with q1-q0 < MaxWidth.
-//
-//spblock:hotpath
-func ScalarLeafTail(vals []float64, ids []int32, leaf *la.Matrix, buf []float64, pLo, pHi, q0, q1 int) {
-	var acc [MaxWidth]float64
-	w := q1 - q0
-	for p := pLo; p < pHi; p++ {
-		v := vals[p]
-		row := leaf.Data[int(ids[p])*leaf.Stride+q0:]
-		for q := 0; q < w; q++ {
-			acc[q] += v * row[q]
-		}
-	}
-	b := buf[q0:]
-	for q := 0; q < w; q++ {
-		b[q] += acc[q]
+		drow[q] += acc[q] * srow[q]
 	}
 }
 
@@ -223,7 +196,7 @@ func KRPAxpy(out []float64, v float64, brow, crow []float64) {
 }
 
 // Add accumulates dst[q] += src[q] over len(dst) columns — the
-// privatisation reduction and the N-mode root epilogue.
+// privatisation reduction.
 //
 //spblock:hotpath
 func Add(dst, src []float64) {

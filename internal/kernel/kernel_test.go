@@ -40,11 +40,11 @@ func TestResolvePolicy(t *testing.T) {
 		if s.Name != tc.name {
 			t.Errorf("Resolve(%d) = %q, want %q", tc.width, s.Name, tc.name)
 		}
-		if s.FiberTail == nil || s.LeafTail == nil {
-			t.Errorf("Resolve(%d) missing tail kernels", tc.width)
+		if s.FiberTail == nil {
+			t.Errorf("Resolve(%d) missing tail kernel", tc.width)
 		}
-		if s.Width > 0 && (s.Fiber == nil || s.Leaf == nil) {
-			t.Errorf("Resolve(%d) width %d missing unrolled kernels", tc.width, s.Width)
+		if s.Width > 0 && s.Fiber == nil {
+			t.Errorf("Resolve(%d) width %d missing unrolled kernel", tc.width, s.Width)
 		}
 		if s.Width == 0 && s.Name != "scalar" {
 			t.Errorf("Resolve(%d) has Width 0 but name %q", tc.width, s.Name)
@@ -88,13 +88,20 @@ func TestStripCandidates(t *testing.T) {
 }
 
 // scenario is one randomized kernel invocation: operands with
-// independent strides, a fiber of nonzeros, and a column window.
+// independent strides, a fiber of nonzeros, a scale row and a
+// destination row. The destination is either a row of a strided matrix
+// (core's output rows) or a standalone slice (the nmode walker's
+// accumulators); either way its backing array extends past the row, so
+// a kernel that writes outside [r0, r1) corrupts a checked slot.
 type scenario struct {
 	vals     []float64
 	ids      []int32
-	b, c, o  *la.Matrix
+	b        *la.Matrix
+	scale    []float64
+	dst      []float64 // backing array of the destination
+	lo       int       // destination row = dst[lo : lo+rank]
+	rank     int
 	pLo, pHi int
-	i, k     int
 }
 
 // randMatrix builds a rows x cols matrix with extra stride padding so
@@ -107,14 +114,24 @@ func randMatrix(rng *rand.Rand, rows, cols, pad int) *la.Matrix {
 	return m
 }
 
-func randScenario(rng *rand.Rand, rank, fibLen int) scenario {
+func randScenario(rng *rand.Rand, rank, fibLen int, matrixRow bool) scenario {
 	rowsB := 1 + rng.Intn(9)
 	sc := scenario{
 		vals: make([]float64, fibLen+rng.Intn(4)),
 		b:    randMatrix(rng, rowsB, rank, rng.Intn(3)),
-		c:    randMatrix(rng, 1+rng.Intn(5), rank, rng.Intn(3)),
+		rank: rank,
 	}
-	sc.o = randMatrix(rng, 1+rng.Intn(5), rank, rng.Intn(3))
+	c := randMatrix(rng, 1+rng.Intn(5), rank, rng.Intn(3))
+	sc.scale = c.Row(rng.Intn(c.Rows))
+	if matrixRow {
+		o := randMatrix(rng, 1+rng.Intn(5), rank, rng.Intn(3))
+		sc.dst, sc.lo = o.Data, rng.Intn(o.Rows)*o.Stride
+	} else {
+		sc.dst = make([]float64, rank+rng.Intn(3))
+		for q := range sc.dst {
+			sc.dst[q] = float64(q) * 0.25
+		}
+	}
 	sc.ids = make([]int32, len(sc.vals))
 	for p := range sc.vals {
 		sc.vals[p] = rng.NormFloat64()
@@ -122,29 +139,18 @@ func randScenario(rng *rand.Rand, rank, fibLen int) scenario {
 	}
 	sc.pLo = rng.Intn(len(sc.vals) - fibLen + 1)
 	sc.pHi = sc.pLo + fibLen
-	sc.i = rng.Intn(sc.o.Rows)
-	sc.k = rng.Intn(sc.c.Rows)
 	return sc
 }
 
 // refFiber is the naive reference for the fiber contract: per column,
-// accumulate the fiber then scale by C and add into the output row.
-func refFiber(sc scenario, out *la.Matrix, r0, r1 int) {
+// accumulate the fiber, then scale it and add it into the destination.
+func refFiber(sc scenario, dst []float64, r0, r1 int) {
 	for q := r0; q < r1; q++ {
 		var acc float64
 		for p := sc.pLo; p < sc.pHi; p++ {
 			acc += sc.vals[p] * sc.b.Data[int(sc.ids[p])*sc.b.Stride+q]
 		}
-		out.Data[sc.i*out.Stride+q] += acc * sc.c.Data[sc.k*sc.c.Stride+q]
-	}
-}
-
-// refLeaf is the naive reference for the leaf contract.
-func refLeaf(sc scenario, buf []float64, q0, q1 int) {
-	for q := q0; q < q1; q++ {
-		for p := sc.pLo; p < sc.pHi; p++ {
-			buf[q] += sc.vals[p] * sc.b.Data[int(sc.ids[p])*sc.b.Stride+q]
-		}
+		dst[q] += acc * sc.scale[q]
 	}
 }
 
@@ -158,79 +164,63 @@ func close64(a, b float64) bool {
 
 func checkFiber(t *testing.T, sc scenario, s Strip, r0, r1 int) {
 	t.Helper()
-	got := &la.Matrix{Rows: sc.o.Rows, Cols: sc.o.Cols, Stride: sc.o.Stride, Data: slices.Clone(sc.o.Data)}
-	want := &la.Matrix{Rows: sc.o.Rows, Cols: sc.o.Cols, Stride: sc.o.Stride, Data: slices.Clone(sc.o.Data)}
+	got := slices.Clone(sc.dst)
+	want := slices.Clone(sc.dst)
+	row := got[sc.lo : sc.lo+sc.rank]
 	if s.Width > 0 && r1-r0 == s.Width {
-		s.Fiber(sc.vals, sc.ids, sc.b, sc.c, got, sc.pLo, sc.pHi, sc.i, sc.k, r0)
+		s.Fiber(sc.vals, sc.ids, sc.b, row, sc.scale, sc.pLo, sc.pHi, r0)
 	} else {
-		s.FiberTail(sc.vals, sc.ids, sc.b, sc.c, got, sc.pLo, sc.pHi, sc.i, sc.k, r0, r1)
+		s.FiberTail(sc.vals, sc.ids, sc.b, row, sc.scale, sc.pLo, sc.pHi, r0, r1)
 	}
-	refFiber(sc, want, r0, r1)
-	for x := range want.Data {
-		if !close64(got.Data[x], want.Data[x]) {
-			t.Fatalf("%s fiber [%d,%d): Data[%d] = %v, want %v (fiber len %d)",
-				s.Name, r0, r1, x, got.Data[x], want.Data[x], sc.pHi-sc.pLo)
-		}
-	}
-}
-
-func checkLeaf(t *testing.T, sc scenario, s Strip, q0, q1 int) {
-	t.Helper()
-	buf := make([]float64, sc.b.Cols)
-	for q := range buf {
-		buf[q] = float64(q) * 0.25
-	}
-	got := slices.Clone(buf)
-	want := slices.Clone(buf)
-	if s.Width > 0 && q1-q0 == s.Width {
-		s.Leaf(sc.vals, sc.ids, sc.b, got, sc.pLo, sc.pHi, q0)
-	} else {
-		s.LeafTail(sc.vals, sc.ids, sc.b, got, sc.pLo, sc.pHi, q0, q1)
-	}
-	refLeaf(sc, want, q0, q1)
-	for q := range want {
-		if !close64(got[q], want[q]) {
-			t.Fatalf("%s leaf [%d,%d): buf[%d] = %v, want %v", s.Name, q0, q1, q, got[q], want[q])
+	refFiber(sc, want[sc.lo:sc.lo+sc.rank], r0, r1)
+	for x := range want {
+		if !close64(got[x], want[x]) {
+			t.Fatalf("%s fiber [%d,%d): dst[%d] = %v, want %v (fiber len %d)",
+				s.Name, r0, r1, x, got[x], want[x], sc.pHi-sc.pLo)
 		}
 	}
 }
 
 // TestKernelsMatchReference differentially tests every registered
-// width (and the scalar tails) against the naive per-column reference
+// width (and the scalar tail) against the naive per-column reference
 // over a deterministic sweep of ranks, strides, offsets and fiber
-// lengths — including empty fibers.
+// lengths — including empty fibers — for both destination shapes.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 300; iter++ {
 		rank := 1 + rng.Intn(2*MaxWidth)
 		fibLen := rng.Intn(12)
-		sc := randScenario(rng, rank, fibLen)
+		sc := randScenario(rng, rank, fibLen, iter%2 == 0)
 		for _, s := range specialized {
 			if s.Width > rank {
 				continue
 			}
 			r0 := rng.Intn(rank - s.Width + 1)
 			checkFiber(t, sc, s, r0, r0+s.Width)
-			checkLeaf(t, sc, s, r0, r0+s.Width)
 		}
-		// Scalar tails at a random sub-MaxWidth window.
+		// Scalar tail at a random sub-MaxWidth window.
 		w := 1 + rng.Intn(min(rank, MaxWidth-1))
 		r0 := rng.Intn(rank - w + 1)
 		checkFiber(t, sc, scalarStrip, r0, r0+w)
-		checkLeaf(t, sc, scalarStrip, r0, r0+w)
+		// A sub-MinWidth tail, as a strip narrower than MinWidth runs.
+		w = 1 + rng.Intn(min(rank, MinWidth-1))
+		r0 = rng.Intn(rank - w + 1)
+		checkFiber(t, sc, scalarStrip, r0, r0+w)
 	}
 }
 
-// FuzzFiberKernel drives every fiber variant against the reference
-// with fuzzer-chosen shapes.
+// FuzzFiberKernel drives every fiber variant and the scalar tail
+// against the reference with fuzzer-chosen shapes, writing into a
+// matrix row or a standalone accumulator.
 func FuzzFiberKernel(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(5), uint8(0))
-	f.Add(int64(42), uint8(33), uint8(0), uint8(3))
-	f.Add(int64(-9), uint8(64), uint8(11), uint8(60))
-	f.Fuzz(func(t *testing.T, seed int64, rankRaw, fibRaw, offRaw uint8) {
+	f.Add(int64(1), uint8(16), uint8(5), uint8(0), false)
+	f.Add(int64(42), uint8(33), uint8(0), uint8(3), true)
+	f.Add(int64(-9), uint8(64), uint8(11), uint8(60), false)
+	f.Add(int64(5), uint8(7), uint8(3), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, rankRaw, fibRaw, offRaw uint8, matrixRow bool) {
 		rng := rand.New(rand.NewSource(seed))
 		rank := 1 + int(rankRaw)%(2*MaxWidth)
-		sc := randScenario(rng, rank, int(fibRaw)%16)
+		sc := randScenario(rng, rank, int(fibRaw)%16, matrixRow)
 		for _, s := range specialized {
 			if s.Width > rank {
 				continue
@@ -241,29 +231,6 @@ func FuzzFiberKernel(f *testing.F) {
 		w := 1 + int(fibRaw)%min(rank, MaxWidth-1)
 		r0 := int(offRaw) % (rank - w + 1)
 		checkFiber(t, sc, scalarStrip, r0, r0+w)
-	})
-}
-
-// FuzzLeafKernel drives every leaf variant against the reference with
-// fuzzer-chosen shapes.
-func FuzzLeafKernel(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(5), uint8(0))
-	f.Add(int64(42), uint8(33), uint8(0), uint8(3))
-	f.Add(int64(-9), uint8(64), uint8(11), uint8(60))
-	f.Fuzz(func(t *testing.T, seed int64, rankRaw, fibRaw, offRaw uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		rank := 1 + int(rankRaw)%(2*MaxWidth)
-		sc := randScenario(rng, rank, int(fibRaw)%16)
-		for _, s := range specialized {
-			if s.Width > rank {
-				continue
-			}
-			q0 := int(offRaw) % (rank - s.Width + 1)
-			checkLeaf(t, sc, s, q0, q0+s.Width)
-		}
-		w := 1 + int(fibRaw)%min(rank, MaxWidth-1)
-		q0 := int(offRaw) % (rank - w + 1)
-		checkLeaf(t, sc, scalarStrip, q0, q0+w)
 	})
 }
 

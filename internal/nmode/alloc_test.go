@@ -43,53 +43,59 @@ func allocCases() []Options {
 // TestExecutorSteadyStateAllocations mirrors the order-3 regression
 // guard in internal/core: after a warm-up run sizes the pooled
 // workspace, repeated Executor.Run calls must not touch the heap at
-// all — CPALSN calls this kernel once per mode per sweep.
+// all — CPALSN calls this kernel once per mode per sweep. Orders 2, 3
+// and 4 cover each shape of the walk: a root that is itself a fiber,
+// roots that are fiber parents, and one accumulator level between.
 func TestExecutorSteadyStateAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	rng := rand.New(rand.NewSource(1))
-	dims := []int{24, 20, 16, 12}
-	x := randTensorN(rng, dims, 3000)
 	const rank = 48
-	factors := make([]*la.Matrix, len(dims))
-	for m := 1; m < len(dims); m++ {
-		factors[m] = randMatrix(rng, dims[m], rank)
-	}
-	out := la.NewMatrix(dims[0], rank)
-	for _, opts := range allocCases() {
-		e, err := NewExecutor(x, 0, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, dims := range [][]int{{24, 20}, {24, 20, 16}, {24, 20, 16, 12}} {
+		x := randTensorN(rng, dims, 3000)
+		factors := make([]*la.Matrix, len(dims))
+		for m := 1; m < len(dims); m++ {
+			factors[m] = randMatrix(rng, dims[m], rank)
 		}
-		// Warm-up: the first Run at a rank sizes the pooled buffers and
-		// the parallel launches spawn their first goroutines.
-		for i := 0; i < 2; i++ {
-			if err := e.Run(factors, out); err != nil {
+		out := la.NewMatrix(dims[0], rank)
+		for _, opts := range allocCases() {
+			if opts.Grid != nil {
+				opts.Grid = opts.Grid[:len(dims)]
+			}
+			e, err := NewExecutor(x, 0, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		e.Metrics().Reset()
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := e.Run(factors, out); err != nil {
-				t.Fatal(err)
+			// Warm-up: the first Run at a rank sizes the pooled buffers
+			// and the parallel launches spawn their first goroutines.
+			for i := 0; i < 2; i++ {
+				if err := e.Run(factors, out); err != nil {
+					t.Fatal(err)
+				}
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%+v: %.2f allocs per steady-state Run, want 0", opts, allocs)
-		}
-		// The collector must have been live during the zero-alloc window
-		// (see the order-3 twin of this assertion).
-		snap := e.Metrics().Snapshot()
-		if snap.Runs < 20 || snap.NNZ <= 0 || snap.BytesEst <= 0 || snap.WallNS <= 0 {
-			t.Errorf("%+v: collector dead or degenerate during alloc window: %+v", opts, snap)
-		}
-		var workerNS int64
-		for _, ns := range snap.WorkerNS {
-			workerNS += ns
-		}
-		if workerNS <= 0 {
-			t.Errorf("%+v: no worker time recorded: %v", opts, snap.WorkerNS)
+			e.Metrics().Reset()
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := e.Run(factors, out); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("order %d %+v: %.2f allocs per steady-state Run, want 0", len(dims), opts, allocs)
+			}
+			// The collector must have been live during the zero-alloc
+			// window (see the order-3 twin of this assertion).
+			snap := e.Metrics().Snapshot()
+			if snap.Runs < 20 || snap.NNZ <= 0 || snap.BytesEst <= 0 || snap.WallNS <= 0 {
+				t.Errorf("order %d %+v: collector dead or degenerate during alloc window: %+v", len(dims), opts, snap)
+			}
+			var workerNS int64
+			for _, ns := range snap.WorkerNS {
+				workerNS += ns
+			}
+			if workerNS <= 0 {
+				t.Errorf("order %d %+v: no worker time recorded: %v", len(dims), opts, snap.WorkerNS)
+			}
 		}
 	}
 }

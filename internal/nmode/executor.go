@@ -142,9 +142,11 @@ func (e *Executor) SetWorkers(n int) error {
 // Mode returns the output mode this executor serves.
 func (e *Executor) Mode() int { return e.mode }
 
-// Kernel reports the register-block kernel variant the executor's leaf
-// level dispatches through, resolved from the effective strip width on
-// the first Run at a given rank (the zero Variant before any Run).
+// Kernel reports the register-block fiber kernel variant the executor
+// dispatches through, resolved from the effective strip width on the
+// first Run at a given rank (the zero Variant before any Run). It is
+// resolved with or without rank strips: an unstripped executor runs the
+// whole rank as one strip.
 func (e *Executor) Kernel() kernel.Variant { return e.ws.kern.Variant }
 
 // Metrics returns the executor's instrumentation collector: per-Run

@@ -72,13 +72,13 @@ type Walker struct {
 }
 
 // NewWalker sizes a Walker for order-`order` trees at rank `rank`,
-// resolving the same width-specialized leaf kernel the in-memory
+// resolving the same width-specialized fiber kernel the in-memory
 // executors use at that rank.
 func NewWalker(order, rank int) *Walker {
 	return &Walker{w: newWalkerBufs(order, rank, kernel.Resolve(rank))}
 }
 
-// Kernel reports the resolved leaf kernel's name (for metrics).
+// Kernel reports the resolved fiber kernel's name (for metrics).
 func (wk *Walker) Kernel() string { return wk.w.kern.Name }
 
 // Walk accumulates c's MTTKRP contribution into out (not zeroed here:
@@ -91,9 +91,13 @@ func (wk *Walker) Walk(c *CSF, factors []*la.Matrix, out *la.Matrix) {
 	w.roots(0, c.NumNodes(0))
 }
 
-// walker carries the per-goroutine DFS state: one accumulator buffer
-// per internal tree level (bufs[d] holds the running value of the
-// current level-d node, the N-mode generalisation of Algorithm 1's s).
+// walker carries the per-goroutine DFS state. A root adds straight into
+// its output row, and a fiber (a level order-2 node) keeps its sum in
+// registers and adds it, scaled by its factor row, into its parent's
+// destination (Algorithm 2's fused epilogue). So only the levels
+// strictly between the root and the fibers need an accumulator:
+// bufs[d], 1 <= d <= order-3, holds the running value of the current
+// level-d node — none at order 3, one at order 4 (bufs[0] is unused).
 //
 // A walker owns only its accumulators; the tree and operands are bound
 // per use, so a pooled walker can serve many trees (blocked layouts)
@@ -105,11 +109,14 @@ type walker struct {
 	factors []*la.Matrix
 	out     *la.Matrix
 	bufs    [][]float64
-	width   int
+	// ones is the scale row of an order-2 root, which is itself a
+	// fiber with no factor row above it (x·1 == x exactly).
+	ones  []float64
+	width int
 	// kern is the register-block kernel variant for the walker's
 	// effective strip width, resolved once on the owner's cold path
-	// (Executor.ensure or newWalker); node dispatches its leaf level
-	// through these cached function pointers.
+	// (Executor.ensure or NewWalker); fibers dispatches through these
+	// cached function pointers.
 	kern kernel.Strip
 }
 
@@ -117,11 +124,17 @@ type walker struct {
 // up to `rank` columns; bind narrows the active width per use. kern is
 // the variant resolved from the caller's effective strip width — taking
 // it here guarantees no construction path leaves the walker without
-// dispatchable leaf kernels.
+// dispatchable fiber kernels.
 func newWalkerBufs(order, rank int, kern kernel.Strip) *walker {
 	w := &walker{kern: kern}
-	w.bufs = make([][]float64, order-1)
-	for d := range w.bufs {
+	if order == 2 {
+		w.ones = make([]float64, rank)
+		for q := range w.ones {
+			w.ones[q] = 1
+		}
+	}
+	w.bufs = make([][]float64, max(order-2, 0))
+	for d := 1; d < len(w.bufs); d++ {
 		w.bufs[d] = make([]float64, rank)
 	}
 	return w //spblock:allow constructor hands a fresh walker to its owning workspace
@@ -136,46 +149,71 @@ func (w *walker) bind(c *CSF, factors []*la.Matrix, out *la.Matrix) {
 	w.width = out.Cols
 }
 
+// roots adds the subtree values of roots [lo, hi) straight into their
+// output rows. An order-2 root is itself a fiber with no factor row
+// above it.
+//
 //spblock:hotpath
 func (w *walker) roots(lo, hi int) {
+	c := w.c
 	for root := lo; root < hi; root++ {
-		w.node(0, int32(root))
-		kernel.Add(w.out.Row(int(w.c.ID[0][root])), w.bufs[0])
+		dst := w.out.Row(int(c.ID[0][root]))
+		if c.Order() == 2 {
+			w.fibers(int32(root), int32(root+1), dst, nil)
+			continue
+		}
+		w.node(0, int32(root), dst)
 	}
 }
 
-// node fills bufs[d] with the subtree value of the given level-d node:
-// Σ over leaves below of val · ⊙_{levels e>d} U_{m_e}[id_e].
+// node adds the subtree value of the level-d node nd into dst:
+// Σ over leaves below of val · ⊙_{levels e>d} U_{m_e}[id_e]. d is at
+// most order-3, so nd's children are fibers or internal nodes.
 //
 //spblock:hotpath
-func (w *walker) node(d int, nd int32) {
-	buf := w.bufs[d][:w.width]
-	clear(buf)
+func (w *walker) node(d int, nd int32, dst []float64) {
 	c := w.c
-	n := c.Order()
-	if d == n-2 {
-		// Children are leaves: the fiber accumulation of Algorithm 1,
-		// register-blocked through the resolved width-specialized kernel
-		// (the tail is always narrower than kernel.MaxWidth — see the
-		// rankBRange contract in internal/core).
-		leaf := w.factors[c.ModeOrder[n-1]]
-		ids := c.ID[n-1]
-		pLo, pHi := int(c.Ptr[d][nd]), int(c.Ptr[d][nd+1])
-		q0 := 0
-		if kw := w.kern.Width; kw > 0 {
-			for ; q0+kw <= w.width; q0 += kw {
-				w.kern.Leaf(c.Val, ids, leaf, buf, pLo, pHi, q0)
-			}
-		}
-		if q0 < w.width {
-			w.kern.LeafTail(c.Val, ids, leaf, buf, pLo, pHi, q0, w.width)
-		}
+	mid := w.factors[c.ModeOrder[d+1]]
+	lo, hi := c.Ptr[d][nd], c.Ptr[d][nd+1]
+	if d == c.Order()-3 {
+		w.fibers(lo, hi, dst, mid)
 		return
 	}
-	mid := w.factors[c.ModeOrder[d+1]]
-	child := w.bufs[d+1]
-	for ch := c.Ptr[d][nd]; ch < c.Ptr[d][nd+1]; ch++ {
-		w.node(d+1, ch)
-		kernel.ScaleAdd(buf, child, mid.Row(int(c.ID[d+1][ch])))
+	acc := w.bufs[d+1][:w.width]
+	for ch := lo; ch < hi; ch++ {
+		clear(acc)
+		w.node(d+1, ch, acc)
+		kernel.ScaleAdd(dst, acc, mid.Row(int(c.ID[d+1][ch])))
+	}
+}
+
+// fibers adds the leaf sums of fibers [lo, hi) (level order-2 nodes)
+// into dst, each scaled by its row of mid (by ones when mid is nil),
+// through the resolved width-specialized kernel. The tail is always
+// narrower than kernel.MaxWidth — see the rankBRange contract in
+// internal/core.
+//
+//spblock:hotpath
+func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
+	c := w.c
+	n := c.Order()
+	leaf := w.factors[c.ModeOrder[n-1]]
+	vals, ids, ptr, fid := c.Val, c.ID[n-1], c.Ptr[n-2], c.ID[n-2]
+	kern, width := &w.kern, w.width
+	for f := lo; f < hi; f++ {
+		scale := w.ones
+		if mid != nil {
+			scale = mid.Row(int(fid[f]))
+		}
+		pLo, pHi := int(ptr[f]), int(ptr[f+1])
+		r0 := 0
+		if kw := kern.Width; kw > 0 {
+			for ; r0+kw <= width; r0 += kw {
+				kern.Fiber(vals, ids, leaf, dst, scale, pLo, pHi, r0)
+			}
+		}
+		if r0 < width {
+			kern.FiberTail(vals, ids, leaf, dst, scale, pLo, pHi, r0, width)
+		}
 	}
 }

@@ -15,7 +15,7 @@
 // layer), both build each block's CSF with the same call — the one
 // nmode.Builder, over the block's nonzeros in input order with
 // block-local keys and the same mode order — and both dispatch the same
-// width-specialized leaf kernel. See DESIGN.md §14.
+// width-specialized fiber kernel. See DESIGN.md §14.
 package ooc
 
 import (

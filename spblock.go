@@ -133,8 +133,8 @@ type (
 	// repeated MTTKRP products over one mode of an order-N tensor.
 	ExecutorN = nmode.Executor
 	// MultiExecutorN is the order-N MultiExecutor: one cached
-	// mode-rooted executor per mode of an arbitrary-order tensor, with
-	// third-order inputs served by the order-3 fast path.
+	// mode-rooted N-mode executor per mode of an arbitrary-order
+	// tensor, third-order inputs included.
 	MultiExecutorN = engine.NEngine
 	// CPNOptions configures an order-N CP-ALS decomposition.
 	CPNOptions = cpd.NOptions
@@ -175,6 +175,15 @@ const (
 // ParseSchedPolicy maps the CLI spelling ("static", "steal",
 // "adaptive") to a SchedPolicy, as mttkrp-bench -sched does.
 func ParseSchedPolicy(s string) (SchedPolicy, error) { return sched.ParsePolicy(s) }
+
+// ParseMethod maps the CLI spelling of a kernel method ("coo",
+// "splatt", "mb", "rankb", "mbrankb" or "mb+rankb", any case) to a
+// Method, as cpd -method does.
+func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
+
+// ParseGrid parses an MB grid spelled QxRxS, as cpd -grid does. It
+// rejects other entry counts, trailing input and entries below 1.
+func ParseGrid(s string) ([3]int, error) { return core.ParseGrid(s) }
 
 // RegisterBlockWidth is the default register-blocking width (16
 // float64 lanes); the kernel registry also carries wider and narrower
@@ -314,9 +323,11 @@ func NewExecutorN(t *TensorN, mode int, opts OptionsN) (*ExecutorN, error) {
 
 // NewMultiExecutorN builds executors for the requested modes (default:
 // all) of an order-N tensor — the arbitrary-order counterpart of
-// NewMultiExecutor. Third-order tensors are served by the order-3
-// kernel families (SPLATT/MB/RankB per opts); higher orders run on the
-// pooled N-mode CSF executors.
+// NewMultiExecutor. Every order, third included, runs on the pooled
+// N-mode CSF executors; at order 3 their products are bit-identical to
+// NewMultiExecutor's for the same method, grid and strip width when the
+// dims strictly decrease (otherwise the trees may pick another fiber
+// mode and agree to rounding).
 func NewMultiExecutorN(t *TensorN, opts OptionsN, modes ...int) (*MultiExecutorN, error) {
 	return engine.NewNEngine(t, opts, modes...)
 }
