@@ -113,20 +113,21 @@ func benchOperands(b *testing.B) (*spblock.Tensor, *spblock.Matrix, *spblock.Mat
 
 func benchKernel(b *testing.B, plan spblock.Plan) {
 	x, bm, cm, out := benchOperands(b)
-	exec, err := spblock.NewExecutor(x, plan)
+	exec, err := spblock.NewMultiExecutor(x, plan, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	factors := [3]*spblock.Matrix{nil, bm, cm}
 	stats := spblock.ComputeStats(x)
 	flops := 2 * int64(out.Cols) * (int64(stats.NNZ) + int64(stats.Fibers))
-	b.SetBytes(flops)                             // reported "MB/s" is really MFLOP/s x 1e-6
-	b.ReportAllocs()                              // steady-state Run must stay at 0 allocs/op
-	if err := exec.Run(bm, cm, out); err != nil { // warm-up sizes the workspace
+	b.SetBytes(flops)                                 // reported "MB/s" is really MFLOP/s x 1e-6
+	b.ReportAllocs()                                  // steady-state Run must stay at 0 allocs/op
+	if err := exec.Run(0, factors, out); err != nil { // warm-up sizes the workspace
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := exec.Run(bm, cm, out); err != nil {
+		if err := exec.Run(0, factors, out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,16 +281,12 @@ func BenchmarkCacheSimSPLATT(b *testing.B) {
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
-// Strip packing ablation: the Sec. V-B "stacked strips" rearrangement
-// on vs off, same strip width.
+// Strip packing: rank strips always run on the Sec. V-B "stacked
+// strips" rearrangement. The unpacked ablation lives in the cache
+// simulator (cachesim.Options.NoStripPacking), where its conflict
+// misses are counted.
 func BenchmarkAblationStripPackingOn(b *testing.B) {
 	benchKernel(b, spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: 32, Workers: 1})
-}
-
-func BenchmarkAblationStripPackingOff(b *testing.B) {
-	benchKernel(b, spblock.Plan{
-		Method: spblock.MethodRankB, RankBlockCols: 32, NoStripPacking: true, Workers: 1,
-	})
 }
 
 // Register blocking ablation: full-width register-blocked kernel

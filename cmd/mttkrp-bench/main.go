@@ -142,20 +142,25 @@ func bench3(x *tensor.COO, name string, rank, reps, workers int, autotune bool, 
 	b := randomMatrix(x.Dims[1], rank, seed+1)
 	c := randomMatrix(x.Dims[2], rank, seed+2)
 	out := spblock.NewMatrix(x.Dims[0], rank)
+	factors := [3]*spblock.Matrix{nil, b, c}
 
 	rec := bench.NewRecord(name, x.Dims[:], x.NNZ(), rank, reps, workers)
 	var baseline float64
 	run := func(plan spblock.Plan) bench.RecordEntry {
-		exec, err := spblock.NewExecutor(x, plan)
+		exec, err := spblock.NewMultiExecutor(x, plan, 0)
 		if err != nil {
 			fatal(err)
 		}
-		if err := exec.Run(b, c, out); err != nil { // warm-up
+		if err := exec.Run(0, factors, out); err != nil { // warm-up
 			fatal(err)
 		}
-		exec.Metrics().Reset() // counters cover exactly the timed window
+		met, err := exec.Metrics(0)
+		if err != nil {
+			fatal(err)
+		}
+		met.Reset() // counters cover exactly the timed window
 		sec := bench.TimeBest(reps, func() {
-			if err := exec.Run(b, c, out); err != nil {
+			if err := exec.Run(0, factors, out); err != nil {
 				panic(err)
 			}
 		})
@@ -163,7 +168,7 @@ func bench3(x *tensor.COO, name string, rank, reps, workers int, autotune bool, 
 		if plan.Method == spblock.MethodSPLATT {
 			baseline = sec
 		}
-		snap := exec.Metrics().Snapshot()
+		snap := met.Snapshot()
 		entry := bench.RecordEntry{
 			Plan:      plan.String(),
 			Kernel:    snap.Kernel,

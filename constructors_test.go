@@ -22,8 +22,8 @@ func demoTensorN(rng *rand.Rand, dims []int, nnz int) *spblock.TensorN {
 	return t
 }
 
-// TestFacadeConstructorValidation pins the validation parity across all
-// four executor constructors and the one-shot MTTKRPN: negative
+// TestFacadeConstructorValidation pins the validation parity across the
+// executor constructors and the one-shot MTTKRP and MTTKRPN: negative
 // Workers and negative RankBlockCols are rejected everywhere —
 // including NewMultiExecutorN at order 3, and MTTKRPN, which used to
 // ignore its options' validity.
@@ -37,6 +37,7 @@ func TestFacadeConstructorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rank = 4
+	b3, c3, out3 := spblock.NewMatrix(8, rank), spblock.NewMatrix(8, rank), spblock.NewMatrix(8, rank)
 	factors4 := make([]*spblock.Matrix, len(n4.Dims))
 	for m := 1; m < len(n4.Dims); m++ {
 		factors4[m] = spblock.NewMatrix(n4.Dims[m], rank)
@@ -52,17 +53,14 @@ func TestFacadeConstructorValidation(t *testing.T) {
 		build   func() error
 		wantErr bool
 	}{
-		{"core negative workers", func() error {
-			_, err := spblock.NewExecutor(x3, spblock.Plan{Method: spblock.MethodSPLATT, Workers: -1})
-			return err
+		{"one-shot negative workers", func() error {
+			return spblock.MTTKRP(x3, b3, c3, out3, spblock.Plan{Method: spblock.MethodSPLATT, Workers: -1})
 		}, true},
-		{"core negative rank block", func() error {
-			_, err := spblock.NewExecutor(x3, spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: -16})
-			return err
+		{"one-shot negative rank block", func() error {
+			return spblock.MTTKRP(x3, b3, c3, out3, spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: -16})
 		}, true},
-		{"core valid", func() error {
-			_, err := spblock.NewExecutor(x3, spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: 16, Workers: 1})
-			return err
+		{"one-shot valid", func() error {
+			return spblock.MTTKRP(x3, b3, c3, out3, spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: 16, Workers: 1})
 		}, false},
 		{"multi negative workers", func() error {
 			_, err := spblock.NewMultiExecutor(x3, spblock.Plan{Method: spblock.MethodSPLATT, Workers: -1})
@@ -141,7 +139,7 @@ func TestFacadeKernelMetrics(t *testing.T) {
 	x := demoTensor(rng, dims, 300)
 	const rank = 32
 
-	exec, err := spblock.NewExecutor(x, spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: 16, Workers: 1})
+	exec, err := spblock.NewMultiExecutor(x, spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: 16, Workers: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +148,15 @@ func TestFacadeKernelMetrics(t *testing.T) {
 	out := spblock.NewMatrix(dims[0], rank)
 	const reps = 3
 	for i := 0; i < reps; i++ {
-		if err := exec.Run(b, c, out); err != nil {
+		if err := exec.Run(0, [3]*spblock.Matrix{nil, b, c}, out); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := exec.Metrics().Snapshot()
+	met, err := exec.Metrics(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := met.Snapshot()
 	if snap.Runs != reps {
 		t.Fatalf("runs = %d, want %d", snap.Runs, reps)
 	}
@@ -174,8 +176,8 @@ func TestFacadeKernelMetrics(t *testing.T) {
 	if im := snap.Imbalance(); im < 1 {
 		t.Fatalf("imbalance %v < 1", im)
 	}
-	exec.Metrics().Reset()
-	if s := exec.Metrics().Snapshot(); s.Runs != 0 || s.NNZ != 0 || s.WallNS != 0 {
+	met.Reset()
+	if s := met.Snapshot(); s.Runs != 0 || s.NNZ != 0 || s.WallNS != 0 {
 		t.Fatalf("reset left state: %+v", s)
 	}
 

@@ -52,13 +52,14 @@ func ExampleComputeStats() {
 	// nnz=4 fibers=3 avgFiber=1.33
 }
 
-// ExampleExecutor shows the intended production loop: preprocess once,
-// run many times (as CP-ALS does).
-func ExampleExecutor() {
+// ExampleMultiExecutor shows the intended production loop: preprocess
+// once, run many times (as CP-ALS does). Mode 0 alone serves the
+// mode-1 product.
+func ExampleMultiExecutor() {
 	x := spblock.NewTensor(spblock.Dims{2, 2, 2}, 2)
 	x.Append(0, 0, 0, 2)
 	x.Append(1, 1, 1, 3)
-	exec, err := spblock.NewExecutor(x, spblock.Plan{Method: spblock.MethodSPLATT})
+	exec, err := spblock.NewMultiExecutor(x, spblock.Plan{Method: spblock.MethodSPLATT}, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -68,7 +69,7 @@ func ExampleExecutor() {
 	c.FillFunc(func(i, j int) float64 { return 10 })
 	out := spblock.NewMatrix(2, 1)
 	for iter := 0; iter < 3; iter++ { // e.g. ALS sweeps
-		if err := exec.Run(b, c, out); err != nil {
+		if err := exec.Run(0, [3]*spblock.Matrix{nil, b, c}, out); err != nil {
 			panic(err)
 		}
 	}

@@ -9,7 +9,7 @@
 // amortised ensure paths) guard calls with the Enabled constant:
 //
 //	if check.Enabled {
-//		check.Must("core.NewExecutor", validateCSF(csf))
+//		check.Must("nmode.NewExecutor", validateTree(csf))
 //	}
 //
 // Enabled is a constant — false without the spblockcheck build tag — so

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spblock/internal/core"
+	"spblock/internal/engine"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
 	"spblock/internal/tensor"
@@ -124,14 +125,20 @@ func TestModelTuneFindsTrafficReducingPlan(t *testing.T) {
 	for i := range c.Data {
 		c.Data[i] = rng.Float64()
 	}
+	run := func(plan core.Plan, out *la.Matrix) {
+		t.Helper()
+		e, err := engine.NewMultiModeExecutor(x, plan, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+			t.Fatal(err)
+		}
+	}
 	want := la.NewMatrix(x.Dims[0], rank)
-	if err := core.MTTKRP(x, b, c, want, core.Plan{Method: core.MethodSPLATT, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
+	run(core.Plan{Method: core.MethodSPLATT, Workers: 1}, want)
 	got := la.NewMatrix(x.Dims[0], rank)
-	if err := core.MTTKRP(x, b, c, got, res.Plan); err != nil {
-		t.Fatal(err)
-	}
+	run(res.Plan, got)
 	if d := got.MaxAbsDiff(want); d > 1e-9 {
 		t.Fatalf("tuned plan wrong by %v", d)
 	}

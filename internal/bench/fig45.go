@@ -5,9 +5,22 @@ import (
 
 	"spblock/internal/cachesim"
 	"spblock/internal/core"
+	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/tensor"
 )
+
+// product is one plan's mode-1 MTTKRP, out = X₍₁₎ · (B ⊙ C).
+type product func(b, c, out *la.Matrix) error
+
+// newProduct builds the mode-0 executor for plan over x.
+func newProduct(x *tensor.COO, plan core.Plan) (product, error) {
+	me, err := engine.NewMultiModeExecutor(x, plan, 0)
+	if err != nil {
+		return nil, err
+	}
+	return func(b, c, out *la.Matrix) error { return me.Run(0, [3]*la.Matrix{nil, b, c}, out) }, nil
+}
 
 // fig4Rank is the rank Figure 4 sweeps at (the paper uses 512).
 const fig4Rank = 512
@@ -36,12 +49,12 @@ func Fig4(cfg Config) (*Table, error) {
 		c := randomMatrix(x.Dims[2], fig4Rank, cfg.Seed+4)
 		out := la.NewMatrix(x.Dims[0], fig4Rank)
 
-		baselineExec, err := core.NewExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
+		baselineExec, err := newProduct(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
 		baseSec := TimeBest(cfg.Reps, func() {
-			if err := baselineExec.Run(b, c, out); err != nil {
+			if err := baselineExec(b, c, out); err != nil {
 				panic(err)
 			}
 		})
@@ -50,14 +63,14 @@ func Fig4(cfg Config) (*Table, error) {
 
 		for _, blocks := range []int{1, 2, 4, 8, 16, 32} {
 			bs := fig4Rank / blocks
-			e, err := core.NewExecutor(x, core.Plan{
+			e, err := newProduct(x, core.Plan{
 				Method: core.MethodRankB, RankBlockCols: bs, Workers: cfg.Workers,
 			})
 			if err != nil {
 				return nil, err
 			}
 			sec := TimeBest(cfg.Reps, func() {
-				if err := e.Run(b, c, out); err != nil {
+				if err := e(b, c, out); err != nil {
 					panic(err)
 				}
 			})
@@ -167,12 +180,12 @@ func Fig5(cfg Config) (*Table, error) {
 		c := randomMatrix(x.Dims[2], fig5Rank, cfg.Seed+6)
 		out := la.NewMatrix(x.Dims[0], fig5Rank)
 
-		baselineExec, err := core.NewExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
+		baselineExec, err := newProduct(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
 		baseSec := TimeBest(cfg.Reps, func() {
-			if err := baselineExec.Run(b, c, out); err != nil {
+			if err := baselineExec(b, c, out); err != nil {
 				panic(err)
 			}
 		})
@@ -190,12 +203,12 @@ func Fig5(cfg Config) (*Table, error) {
 			if !ok {
 				continue
 			}
-			e, err := core.NewExecutor(x, core.Plan{Method: core.MethodMB, Grid: g, Workers: cfg.Workers})
+			e, err := newProduct(x, core.Plan{Method: core.MethodMB, Grid: g, Workers: cfg.Workers})
 			if err != nil {
 				return nil, err
 			}
 			sec := TimeBest(cfg.Reps, func() {
-				if err := e.Run(b, c, out); err != nil {
+				if err := e(b, c, out); err != nil {
 					panic(err)
 				}
 			})

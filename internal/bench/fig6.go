@@ -57,15 +57,15 @@ func Fig6(cfg Config, ranks []int, datasets []string) (*Table, error) {
 			return nil, err
 		}
 
-		splattExec, err := core.NewExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
+		splattExec, err := newProduct(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
-		mbExec, err := core.NewExecutor(x, mbPlan)
+		mbExec, err := newProduct(x, mbPlan)
 		if err != nil {
 			return nil, err
 		}
-		combExec, err := core.NewExecutor(x, combPlan)
+		combExec, err := newProduct(x, combPlan)
 		if err != nil {
 			return nil, err
 		}
@@ -82,16 +82,16 @@ func Fig6(cfg Config, ranks []int, datasets []string) (*Table, error) {
 			if rbWidth <= 0 || rbWidth > rank {
 				rbWidth = minInt(64, rank)
 			}
-			rbExec, err := core.NewExecutor(x, core.Plan{
+			rbExec, err := newProduct(x, core.Plan{
 				Method: core.MethodRankB, RankBlockCols: rbWidth, Workers: cfg.Workers,
 			})
 			if err != nil {
 				return nil, err
 			}
 
-			run := func(e *core.Executor) float64 {
+			run := func(e product) float64 {
 				return TimeBest(cfg.Reps, func() {
-					if err := e.Run(b, c, out); err != nil {
+					if err := e(b, c, out); err != nil {
 						panic(err)
 					}
 				})

@@ -1,9 +1,13 @@
-package core
+package core_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"spblock/internal/core"
+	"spblock/internal/engine"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
 	"spblock/internal/sched"
@@ -13,8 +17,8 @@ import (
 
 // TestRunSteadyStateAllocations is the regression guard for the pooled
 // workspaces: after a warm-up run sizes the workspace for the rank,
-// repeated Executor.Run calls must not touch the heap at all — for any
-// method, sequential or parallel. CP-ALS calls MTTKRP 10–1000s of
+// repeated Run calls on the face must not touch the heap at all — for
+// any method and mode, sequential or parallel. CP-ALS calls MTTKRP 10–1000s of
 // times per decomposition, so a single allocation here multiplies into
 // allocator pressure and GC noise across every decomposition and every
 // autotuning measurement.
@@ -24,82 +28,89 @@ func TestRunSteadyStateAllocations(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	dims := tensor.Dims{32, 48, 24}
-	x := randCOO(rng, dims, 4000)
+	x := core.RandCOO(rng, dims, 4000)
 	const rank = 48
-	b := randMatrix(rng, dims[1], rank)
-	c := randMatrix(rng, dims[2], rank)
-	out := la.NewMatrix(dims[0], rank)
-	plans := []Plan{
-		{Method: MethodCOO, Workers: 1},
-		{Method: MethodCOO, Workers: 4},
-		{Method: MethodSPLATT, Workers: 1},
-		{Method: MethodSPLATT, Workers: 4},
-		{Method: MethodRankB, RankBlockCols: 16, Workers: 1},
-		{Method: MethodRankB, RankBlockCols: 16, Workers: 4},
-		{Method: MethodRankB, RankBlockCols: 16, NoStripPacking: true, Workers: 1},
-		{Method: MethodRankB, Workers: 1}, // whole rank, no strips
+	var factors, outs [3]*la.Matrix
+	for m := range factors {
+		factors[m] = core.RandMatrix(rng, dims[m], rank)
+		outs[m] = la.NewMatrix(dims[m], rank)
+	}
+	plans := []core.Plan{
+		{Method: core.MethodCOO, Workers: 1},
+		{Method: core.MethodCOO, Workers: 4},
+		{Method: core.MethodSPLATT, Workers: 1},
+		{Method: core.MethodSPLATT, Workers: 4},
+		{Method: core.MethodRankB, RankBlockCols: 16, Workers: 1},
+		{Method: core.MethodRankB, RankBlockCols: 16, Workers: 4},
+		{Method: core.MethodRankB, Workers: 1}, // whole rank, no strips
 		// One plan per registered kernel width plus the scalar variant:
 		// the cached-function-pointer dispatch must stay allocation-free
 		// for every entry the registry can resolve.
-		{Method: MethodRankB, RankBlockCols: 8, Workers: 1},
-		{Method: MethodRankB, RankBlockCols: 24, Workers: 1},
-		{Method: MethodRankB, RankBlockCols: 32, Workers: 1},
-		{Method: MethodRankB, RankBlockCols: 4, Workers: 1}, // below MinWidth: scalar tails
-		{Method: MethodMB, Grid: [3]int{4, 2, 2}, Workers: 1},
-		{Method: MethodMB, Grid: [3]int{4, 2, 2}, Workers: 4},
-		{Method: MethodMBRankB, Grid: [3]int{4, 2, 2}, RankBlockCols: 16, Workers: 1},
-		{Method: MethodMBRankB, Grid: [3]int{4, 2, 2}, RankBlockCols: 16, Workers: 4},
+		{Method: core.MethodRankB, RankBlockCols: 8, Workers: 1},
+		{Method: core.MethodRankB, RankBlockCols: 24, Workers: 1},
+		{Method: core.MethodRankB, RankBlockCols: 32, Workers: 1},
+		{Method: core.MethodRankB, RankBlockCols: 4, Workers: 1}, // below MinWidth: scalar tails
+		{Method: core.MethodMB, Grid: [3]int{4, 2, 2}, Workers: 1},
+		{Method: core.MethodMB, Grid: [3]int{4, 2, 2}, Workers: 4},
+		{Method: core.MethodMBRankB, Grid: [3]int{4, 2, 2}, RankBlockCols: 16, Workers: 1},
+		{Method: core.MethodMBRankB, Grid: [3]int{4, 2, 2}, RankBlockCols: 16, Workers: 4},
 		// The stealing and adaptive paths must hold the same zero-alloc
 		// contract: the chunk claims are atomic ops over layouts prebuilt
 		// in the cold half, and adaptive promotion is a flag flip.
-		{Method: MethodSPLATT, Workers: 4, Sched: sched.PolicySteal},
-		{Method: MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive},
-		{Method: MethodMB, Grid: [3]int{4, 2, 2}, Workers: 4, Sched: sched.PolicySteal},
-		{Method: MethodMBRankB, Grid: [3]int{4, 2, 2}, RankBlockCols: 16, Workers: 4, Sched: sched.PolicySteal},
-		{Method: MethodCOO, Workers: 4, Sched: sched.PolicyAdaptive}, // resolves static, must stay clean
+		{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicySteal},
+		{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive},
+		{Method: core.MethodMB, Grid: [3]int{4, 2, 2}, Workers: 4, Sched: sched.PolicySteal},
+		{Method: core.MethodMBRankB, Grid: [3]int{4, 2, 2}, RankBlockCols: 16, Workers: 4, Sched: sched.PolicySteal},
+		{Method: core.MethodCOO, Workers: 4, Sched: sched.PolicyAdaptive}, // resolves static, must stay clean
 	}
 	// Every registered kernel width rides the stealing queue through the
 	// width-specialised rank-strip dispatch.
 	for _, w := range kernel.Widths() {
-		plans = append(plans, Plan{Method: MethodRankB, RankBlockCols: w, Workers: 4, Sched: sched.PolicySteal})
+		plans = append(plans, core.Plan{Method: core.MethodRankB, RankBlockCols: w, Workers: 4, Sched: sched.PolicySteal})
 	}
 	for _, plan := range plans {
-		e, err := NewExecutor(x, plan)
+		e, err := engine.NewMultiModeExecutor(x, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm-up: the first Run at a rank sizes the pooled buffers and
-		// the parallel launches spawn their first goroutines.
-		for i := 0; i < 2; i++ {
-			if err := e.Run(b, c, out); err != nil {
+		for n := 0; n < 3; n++ {
+			// Warm-up: the first Run at a rank sizes the pooled buffers
+			// and the parallel launches spawn their first goroutines.
+			for i := 0; i < 2; i++ {
+				if err := e.Run(n, factors, outs[n]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			met, err := e.Metrics(n)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		e.Metrics().Reset()
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := e.Run(b, c, out); err != nil {
-				t.Fatal(err)
+			met.Reset()
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := e.Run(n, factors, outs[n]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v mode %d: %.2f allocs per steady-state Run, want 0", plan, n, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v: %.2f allocs per steady-state Run, want 0", plan, allocs)
-		}
-		// The instrumentation layer must have been *collecting* during
-		// those zero-alloc runs — an accidentally-dead collector would
-		// pass the alloc check trivially.
-		snap := e.Metrics().Snapshot()
-		if snap.Runs < 20 {
-			t.Errorf("%v: collector saw %d runs during the alloc window", plan, snap.Runs)
-		}
-		if snap.NNZ <= 0 || snap.BytesEst <= 0 || snap.WallNS <= 0 {
-			t.Errorf("%v: degenerate counters while collecting: %+v", plan, snap)
-		}
-		var workerNS int64
-		for _, ns := range snap.WorkerNS {
-			workerNS += ns
-		}
-		if workerNS <= 0 {
-			t.Errorf("%v: no worker time recorded: %v", plan, snap.WorkerNS)
+			// The instrumentation layer must have been *collecting*
+			// during those zero-alloc runs — an accidentally-dead
+			// collector would pass the alloc check trivially.
+			snap := met.Snapshot()
+			if snap.Runs < 20 {
+				t.Errorf("%v mode %d: collector saw %d runs during the alloc window", plan, n, snap.Runs)
+			}
+			if snap.NNZ <= 0 || snap.BytesEst <= 0 || snap.WallNS <= 0 {
+				t.Errorf("%v mode %d: degenerate counters while collecting: %+v", plan, n, snap)
+			}
+			var workerNS int64
+			for _, ns := range snap.WorkerNS {
+				workerNS += ns
+			}
+			if workerNS <= 0 {
+				t.Errorf("%v mode %d: no worker time recorded: %v", plan, n, snap.WorkerNS)
+			}
 		}
 	}
 }
@@ -115,35 +126,34 @@ func TestPromotedAdaptiveAllocationFree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	dims := tensor.Dims{32, 48, 24}
-	x := randCOO(rng, dims, 4000)
+	x := core.RandCOO(rng, dims, 4000)
 	const rank = 32
-	b := randMatrix(rng, dims[1], rank)
-	c := randMatrix(rng, dims[2], rank)
+	f := [3]*la.Matrix{nil, core.RandMatrix(rng, dims[1], rank), core.RandMatrix(rng, dims[2], rank)}
 	out := la.NewMatrix(dims[0], rank)
-	e, err := NewExecutor(x, Plan{Method: MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive})
+	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := e.Run(b, c, out); err != nil {
+		if err := e.Run(0, f, out); err != nil {
 			t.Fatal(err)
 		}
 	}
 	promote(t, e, func() {
-		if err := e.Run(b, c, out); err != nil {
+		if err := e.Run(0, f, out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := e.Run(b, c, out); err != nil {
+		if err := e.Run(0, f, out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("promoted adaptive: %.2f allocs per steady-state Run, want 0", allocs)
 	}
-	if !e.ws.pool.Stealing() {
-		t.Fatal("promotion did not stick")
+	if s := schedOf(t, e); s != sched.AdaptiveStealName {
+		t.Fatalf("promotion did not stick: sched = %q", s)
 	}
 }
 
@@ -153,21 +163,21 @@ func TestPromotedAdaptiveAllocationFree(t *testing.T) {
 func TestRankChangeResizesWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	dims := tensor.Dims{16, 20, 12}
-	x := randCOO(rng, dims, 800)
-	e, err := NewExecutor(x, Plan{Method: MethodRankB, RankBlockCols: 16, Workers: 2})
+	x := core.RandCOO(rng, dims, 800)
+	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodRankB, RankBlockCols: 16, Workers: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rank := range []int{48, 17, 48} {
-		b := randMatrix(rng, dims[1], rank)
-		c := randMatrix(rng, dims[2], rank)
+		b := core.RandMatrix(rng, dims[1], rank)
+		c := core.RandMatrix(rng, dims[2], rank)
 		got := la.NewMatrix(dims[0], rank)
 		want := la.NewMatrix(dims[0], rank)
-		if err := Reference(x, b, c, want); err != nil {
+		if err := core.Reference(x, b, c, want); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			if err := e.Run(b, c, got); err != nil {
+			if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,34 +188,51 @@ func TestRankChangeResizesWorkspace(t *testing.T) {
 }
 
 // TestRunReleasesOperands: a cached executor outlives the jobs that
-// run it, so after Run its workspace must not keep the caller's factor
-// and output matrices reachable — sequential or parallel, stripped or
-// not.
+// run it, so after Run it must not keep the caller's factor and output
+// matrices reachable — sequential or parallel, stripped or not. Each
+// operand carries a finalizer; once the test drops its own references,
+// a collection must finalize all three.
 func TestRunReleasesOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	dims := tensor.Dims{16, 20, 12}
-	x := randCOO(rng, dims, 800)
+	x := core.RandCOO(rng, dims, 800)
 	const rank = 24
-	b := randMatrix(rng, dims[1], rank)
-	c := randMatrix(rng, dims[2], rank)
-	out := la.NewMatrix(dims[0], rank)
-	for _, plan := range []Plan{
-		{Method: MethodCOO, Workers: 2},
-		{Method: MethodSPLATT, Workers: 1},
-		{Method: MethodMB, Grid: [3]int{2, 2, 2}, Workers: 2},
-		{Method: MethodRankB, RankBlockCols: 16, Workers: 2},
-		{Method: MethodMBRankB, Grid: [3]int{2, 1, 2}, RankBlockCols: 8, Workers: 1},
+	for _, plan := range []core.Plan{
+		{Method: core.MethodCOO, Workers: 2},
+		{Method: core.MethodSPLATT, Workers: 1},
+		{Method: core.MethodMB, Grid: [3]int{2, 2, 2}, Workers: 2},
+		{Method: core.MethodRankB, RankBlockCols: 16, Workers: 2},
+		{Method: core.MethodMBRankB, Grid: [3]int{2, 1, 2}, RankBlockCols: 8, Workers: 1},
 	} {
-		e, err := NewExecutor(x, plan)
+		e, err := engine.NewMultiModeExecutor(x, plan, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(b, c, out); err != nil {
-			t.Fatal(err)
+		freed := make(chan struct{}, 3)
+		run := func() {
+			b := core.RandMatrix(rng, dims[1], rank)
+			c := core.RandMatrix(rng, dims[2], rank)
+			out := la.NewMatrix(dims[0], rank)
+			for _, m := range []*la.Matrix{b, c, out} {
+				runtime.SetFinalizer(m, func(*la.Matrix) { freed <- struct{}{} })
+			}
+			if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if e.ws.b != nil || e.ws.c != nil || e.ws.out != nil {
-			t.Errorf("%v: workspace still holds the operands after Run", plan)
+		run()
+		for n, deadline := 0, time.Now().Add(5*time.Second); n < 3; {
+			runtime.GC()
+			select {
+			case <-freed:
+				n++
+			case <-time.After(10 * time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("%v: only %d of 3 operands were released after Run", plan, n)
+				}
+			}
 		}
+		runtime.KeepAlive(e)
 	}
 }
 
@@ -217,18 +244,18 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	b := la.NewMatrix(4, 2)
 	c := la.NewMatrix(4, 2)
 	out := la.NewMatrix(4, 2)
-	for _, method := range []Method{MethodCOO, MethodSPLATT, MethodMB, MethodRankB, MethodMBRankB} {
-		plan := Plan{Method: method, Grid: [3]int{1, 1, 1}, Workers: -1}
-		if _, err := NewExecutor(x, plan); err == nil {
-			t.Errorf("%v: NewExecutor accepted Workers=-1", method)
+	for _, method := range []core.Method{core.MethodCOO, core.MethodSPLATT, core.MethodMB, core.MethodRankB, core.MethodMBRankB} {
+		plan := core.Plan{Method: method, Grid: [3]int{1, 1, 1}, Workers: -1}
+		if _, err := engine.NewMultiModeExecutor(x, plan); err == nil {
+			t.Errorf("%v: NewMultiModeExecutor accepted Workers=-1", method)
 		}
-		if err := MTTKRP(x, b, c, out, plan); err == nil {
+		if err := mttkrp(x, b, c, out, plan); err == nil {
 			t.Errorf("%v: MTTKRP accepted Workers=-1", method)
 		}
 	}
 	// Workers 0 (GOMAXPROCS) and positive degrees stay valid.
 	for _, w := range []int{0, 1, 3} {
-		if _, err := NewExecutor(x, Plan{Method: MethodSPLATT, Workers: w}); err != nil {
+		if _, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: w}); err != nil {
 			t.Errorf("Workers=%d rejected: %v", w, err)
 		}
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"spblock/internal/kernel"
-	"spblock/internal/la"
 	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
@@ -14,7 +12,10 @@ import (
 // Grid[2] axis-aligned blocks and the nonzeros of each block are stored
 // contiguously in their own SPLATT structure. Coordinates stay global,
 // so the factor matrices need no reindexing — the locality win comes
-// purely from confining each block's factor-row working set.
+// purely from confining each block's factor-row working set. The
+// executors run their own order-N layout (nmode.BlockedTensor); this
+// order-3 view is what the cache simulator and the autotuner's cost
+// model trace.
 type BlockedTensor struct {
 	Dims      tensor.Dims
 	Grid      [3]int
@@ -107,30 +108,5 @@ func (bt *BlockedTensor) FactorAccessCounts() [3]int {
 		bt.Grid[1] * bt.Grid[2],
 		bt.Grid[0] * bt.Grid[2],
 		bt.Grid[0] * bt.Grid[1],
-	}
-}
-
-// mbLayer runs all blocks of mode-1 layer bi sequentially. bs == 0
-// selects the plain SPLATT per-block kernel; bs > 0 applies rank
-// blocking inside each block (MB+RankB, Figure 3b).
-//
-// Two blocks in different mode-1 layers write disjoint output rows, so
-// layers are the natural race-free parallel unit (the same argument
-// SPLATT uses for slices); Executor.runMB shares layers across workers.
-//
-//spblock:hotpath
-func mbLayer(bt *BlockedTensor, b, c, out *la.Matrix, kern *kernel.Strip, bs, bi int, accum []float64) {
-	for bj := 0; bj < bt.Grid[1]; bj++ {
-		for bk := 0; bk < bt.Grid[2]; bk++ {
-			blk := bt.BlockAt(bi, bj, bk)
-			if blk == nil {
-				continue
-			}
-			if bs == 0 {
-				splattRange(blk, b, c, out, accum, 0, blk.NumSlices())
-			} else {
-				rankBRange(blk, b, c, out, kern, bs, 0, blk.NumSlices())
-			}
-		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"spblock/internal/kernel"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -138,7 +139,8 @@ func searchMB(base Plan, dims tensor.Dims, cost CostFunc, tol float64, trials *[
 // trials — "relatively inexpensive compared to the 10–1000s of
 // iterations required for decomposition".
 //
-// Each candidate runs once for warm-up (sizing the executor's pooled
+// Each candidate runs the mode-1 product on a fresh nmode executor
+// (Plan.Options), once for warm-up (sizing the executor's pooled
 // workspace) before the timed trials, so the timed runs are
 // allocation-free and the measurements carry no allocator or GC noise.
 func Autotune(t *tensor.COO, rank int, method Method, opts AutotuneOptions) (Plan, []Trial, error) {
@@ -155,28 +157,31 @@ func Autotune(t *tensor.COO, rank int, method Method, opts AutotuneOptions) (Pla
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	b := la.NewMatrix(t.Dims[1], rank)
-	c := la.NewMatrix(t.Dims[2], rank)
-	for i := range b.Data {
-		b.Data[i] = rng.Float64()
-	}
-	for i := range c.Data {
-		c.Data[i] = rng.Float64()
+	factors := []*la.Matrix{nil, la.NewMatrix(t.Dims[1], rank), la.NewMatrix(t.Dims[2], rank)}
+	for _, f := range factors[1:] {
+		for i := range f.Data {
+			f.Data[i] = rng.Float64()
+		}
 	}
 	out := la.NewMatrix(t.Dims[0], rank)
+	nt := tensor.ToNMode(t)
 
 	cost := func(p Plan) float64 {
-		e, err := NewExecutor(t, p)
+		o, err := p.Options()
 		if err != nil {
 			return float64(^uint(0) >> 1) // unbuildable plans lose
 		}
-		if err := e.Run(b, c, out); err != nil { // warm-up
+		e, err := nmode.NewExecutor(nt, 0, o)
+		if err != nil {
+			return float64(^uint(0) >> 1)
+		}
+		if err := e.Run(factors, out); err != nil { // warm-up
 			return float64(^uint(0) >> 1)
 		}
 		bestSec := 0.0
 		for trial := 0; trial < opts.Trials; trial++ {
 			start := time.Now()
-			if err := e.Run(b, c, out); err != nil {
+			if err := e.Run(factors, out); err != nil {
 				return float64(^uint(0) >> 1)
 			}
 			sec := time.Since(start).Seconds()

@@ -38,3 +38,26 @@ func Reference(t *tensor.COO, b, c, out *la.Matrix) error {
 	}
 	return nil
 }
+
+// validateOperands checks the factor shapes against the tensor dims.
+//
+//spblock:coldpath
+func validateOperands(dims tensor.Dims, b, c, out *la.Matrix) error {
+	if b.Cols != c.Cols || b.Cols != out.Cols {
+		return fmt.Errorf("core: rank mismatch: B has %d cols, C %d, out %d",
+			b.Cols, c.Cols, out.Cols)
+	}
+	if b.Cols == 0 {
+		return fmt.Errorf("core: rank must be positive")
+	}
+	if out.Rows != dims[0] {
+		return fmt.Errorf("core: out has %d rows, tensor mode-1 length is %d", out.Rows, dims[0])
+	}
+	if b.Rows != dims[1] {
+		return fmt.Errorf("core: B has %d rows, tensor mode-2 length is %d", b.Rows, dims[1])
+	}
+	if c.Rows != dims[2] {
+		return fmt.Errorf("core: C has %d rows, tensor mode-3 length is %d", c.Rows, dims[2])
+	}
+	return nil
+}

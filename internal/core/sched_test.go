@@ -1,12 +1,15 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"spblock/internal/core"
+	"spblock/internal/engine"
 	"spblock/internal/gen"
 	"spblock/internal/la"
+	"spblock/internal/metrics"
 	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
@@ -51,36 +54,36 @@ func bitIdentical(a, b *la.Matrix) bool {
 // the kernel bodies.
 func TestSchedulerEquivalence(t *testing.T) {
 	const rank = 19 // deliberately not a multiple of any kernel width
-	methods := []Plan{
-		{Method: MethodSPLATT},
-		{Method: MethodRankB, RankBlockCols: 8},
-		{Method: MethodMB, Grid: [3]int{6, 2, 2}},
-		{Method: MethodMBRankB, Grid: [3]int{6, 2, 2}, RankBlockCols: 8},
+	methods := []core.Plan{
+		{Method: core.MethodSPLATT},
+		{Method: core.MethodRankB, RankBlockCols: 8},
+		{Method: core.MethodMB, Grid: [3]int{6, 2, 2}},
+		{Method: core.MethodMBRankB, Grid: [3]int{6, 2, 2}, RankBlockCols: 8},
 	}
 	for name, x := range schedTestTensors(t) {
 		rng := rand.New(rand.NewSource(99))
-		b := randMatrix(rng, x.Dims[1], rank)
-		c := randMatrix(rng, x.Dims[2], rank)
+		b := core.RandMatrix(rng, x.Dims[1], rank)
+		c := core.RandMatrix(rng, x.Dims[2], rank)
 		for _, base := range methods {
 			base.Workers = 4
 			ref := la.NewMatrix(x.Dims[0], rank)
-			refExec, err := NewExecutor(x, base)
+			refExec, err := engine.NewMultiModeExecutor(x, base, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := refExec.Run(b, c, ref); err != nil {
+			if err := refExec.Run(0, [3]*la.Matrix{nil, b, c}, ref); err != nil {
 				t.Fatal(err)
 			}
 			for _, pol := range []sched.Policy{sched.PolicySteal, sched.PolicyAdaptive} {
 				plan := base
 				plan.Sched = pol
-				e, err := NewExecutor(x, plan)
+				e, err := engine.NewMultiModeExecutor(x, plan, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := la.NewMatrix(x.Dims[0], rank)
 				for run := 0; run < 4; run++ {
-					if err := e.Run(b, c, got); err != nil {
+					if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 						t.Fatal(err)
 					}
 					if !bitIdentical(got, ref) {
@@ -96,18 +99,36 @@ func TestSchedulerEquivalence(t *testing.T) {
 // synthetic busy-time delta on worker 0 before each run makes every
 // window observe an imbalance near the worker count, so the controller
 // fires after its patience. run is one checked product.
-func promote(t *testing.T, e *Executor, run func()) {
+func promote(t *testing.T, e *engine.MultiModeExecutor, run func()) {
 	t.Helper()
-	for i := 0; i <= sched.DefaultPatience && e.Sched() != sched.AdaptiveStealName; i++ {
-		e.met.AddWorkerTime(0, 500*time.Millisecond)
+	for i := 0; i <= sched.DefaultPatience && schedOf(t, e) != sched.AdaptiveStealName; i++ {
+		metricsOf(t, e).AddWorkerTime(0, 500*time.Millisecond)
 		run()
 	}
-	if e.Sched() != sched.AdaptiveStealName {
-		t.Fatalf("ratchet never fired: sched = %q", e.Sched())
+	if schedOf(t, e) != sched.AdaptiveStealName {
+		t.Fatalf("ratchet never fired: sched = %q", schedOf(t, e))
 	}
-	if !e.ws.pool.Stealing() {
-		t.Fatal("promoted executor's pool is not stealing")
+}
+
+// schedOf is mode 0's resolved scheduler name. Its pool flips to the
+// stealing layout exactly when the name becomes a stealing one.
+func schedOf(t *testing.T, e *engine.MultiModeExecutor) string {
+	t.Helper()
+	s, err := e.Sched(0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
+}
+
+// metricsOf is mode 0's metrics collector.
+func metricsOf(t *testing.T, e *engine.MultiModeExecutor) *metrics.Collector {
+	t.Helper()
+	m, err := e.Metrics(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestAdaptivePromotionBitIdentical drives the adaptive executor
@@ -119,22 +140,22 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 	x := schedTestTensors(t)["clustered"]
 	const rank = 16
 	rng := rand.New(rand.NewSource(5))
-	b := randMatrix(rng, x.Dims[1], rank)
-	c := randMatrix(rng, x.Dims[2], rank)
+	b := core.RandMatrix(rng, x.Dims[1], rank)
+	c := core.RandMatrix(rng, x.Dims[2], rank)
 	ref := la.NewMatrix(x.Dims[0], rank)
-	if err := MTTKRP(x, b, c, ref, Plan{Method: MethodSPLATT, Workers: 1}); err != nil {
+	if err := mttkrp(x, b, c, ref, core.Plan{Method: core.MethodSPLATT, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 
-	e, err := NewExecutor(x, Plan{Method: MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive})
+	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Sched() != sched.AdaptiveStaticName {
-		t.Fatalf("pre-promotion sched = %q", e.Sched())
+	if schedOf(t, e) != sched.AdaptiveStaticName {
+		t.Fatalf("pre-promotion sched = %q", schedOf(t, e))
 	}
 	got := la.NewMatrix(x.Dims[0], rank)
-	if err := e.Run(b, c, got); err != nil {
+	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bitIdentical(got, ref) {
@@ -142,7 +163,7 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 	}
 
 	promote(t, e, func() {
-		if err := e.Run(b, c, got); err != nil {
+		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
@@ -150,15 +171,15 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 		}
 	})
 	for run := 0; run < 3; run++ {
-		if err := e.Run(b, c, got); err != nil {
+		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
 			t.Fatalf("post-promotion run %d differs", run)
 		}
 	}
-	if e.Sched() != sched.AdaptiveStealName {
-		t.Fatalf("post-promotion sched = %q", e.Sched())
+	if schedOf(t, e) != sched.AdaptiveStealName {
+		t.Fatalf("post-promotion sched = %q", schedOf(t, e))
 	}
 }
 
@@ -174,26 +195,26 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 	x := schedTestTensors(t)["clustered"]
 	const rank = 16
 	rng := rand.New(rand.NewSource(21))
-	b := randMatrix(rng, x.Dims[1], rank)
-	c := randMatrix(rng, x.Dims[2], rank)
+	b := core.RandMatrix(rng, x.Dims[1], rank)
+	c := core.RandMatrix(rng, x.Dims[2], rank)
 	ref := la.NewMatrix(x.Dims[0], rank)
-	if err := MTTKRP(x, b, c, ref, Plan{Method: MethodSPLATT, Workers: 1}); err != nil {
+	if err := mttkrp(x, b, c, ref, core.Plan{Method: core.MethodSPLATT, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 
-	e, err := NewExecutor(x, Plan{Method: MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive})
+	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := la.NewMatrix(x.Dims[0], rank)
-	if err := e.Run(b, c, got); err != nil { // sizes buckets and baseline at 4
+	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil { // sizes buckets and baseline at 4
 		t.Fatal(err)
 	}
 	if err := e.SetWorkers(3); err != nil {
 		t.Fatal(err)
 	}
-	if e.Sched() != sched.AdaptiveStaticName {
-		t.Fatalf("post-resize sched = %q, want %q", e.Sched(), sched.AdaptiveStaticName)
+	if schedOf(t, e) != sched.AdaptiveStaticName {
+		t.Fatalf("post-resize sched = %q, want %q", schedOf(t, e), sched.AdaptiveStaticName)
 	}
 	// Drive the ratchet with synthetic skew: worker 0's bucket gets a
 	// large busy-time delta before each run, so every post-resize window
@@ -201,23 +222,20 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 	// thresholds (promote above 1.25 sustained for 3 windows) the fourth
 	// run must be promoted; a stale 4-long baseline against the resized
 	// buckets would observe 1 forever and never promote.
-	for run := 0; run < 8 && e.Sched() != sched.AdaptiveStealName; run++ {
-		if err := e.Run(b, c, got); err != nil {
+	for run := 0; run < 8 && schedOf(t, e) != sched.AdaptiveStealName; run++ {
+		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
 			t.Fatalf("post-resize run %d: output differs", run)
 		}
-		e.met.AddWorkerTime(0, 500*time.Millisecond)
+		metricsOf(t, e).AddWorkerTime(0, 500*time.Millisecond)
 	}
-	if e.Sched() != sched.AdaptiveStealName {
-		t.Fatalf("ratchet never fired after SetWorkers: sched = %q", e.Sched())
-	}
-	if !e.ws.pool.Stealing() {
-		t.Fatal("promoted executor's pool is not stealing")
+	if schedOf(t, e) != sched.AdaptiveStealName {
+		t.Fatalf("ratchet never fired after SetWorkers: sched = %q", schedOf(t, e))
 	}
 	// And the promoted, resized executor still computes the same bits.
-	if err := e.Run(b, c, got); err != nil {
+	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bitIdentical(got, ref) {
@@ -230,41 +248,38 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 // discard the controller's ratchet state.
 func TestSetWorkersKeepsPromotion(t *testing.T) {
 	x := schedTestTensors(t)["clustered"]
-	e, err := NewExecutor(x, Plan{Method: MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive})
+	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const rank = 8
 	rng := rand.New(rand.NewSource(22))
-	b := randMatrix(rng, x.Dims[1], rank)
-	c := randMatrix(rng, x.Dims[2], rank)
+	b := core.RandMatrix(rng, x.Dims[1], rank)
+	c := core.RandMatrix(rng, x.Dims[2], rank)
 	out := la.NewMatrix(x.Dims[0], rank)
-	if err := e.Run(b, c, out); err != nil {
+	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
 		t.Fatal(err)
 	}
-	for run := 0; run < 8 && e.Sched() != sched.AdaptiveStealName; run++ {
-		e.met.AddWorkerTime(0, 500*time.Millisecond)
-		if err := e.Run(b, c, out); err != nil {
+	for run := 0; run < 8 && schedOf(t, e) != sched.AdaptiveStealName; run++ {
+		metricsOf(t, e).AddWorkerTime(0, 500*time.Millisecond)
+		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.Sched() != sched.AdaptiveStealName {
-		t.Fatalf("ratchet never fired: sched = %q", e.Sched())
+	if schedOf(t, e) != sched.AdaptiveStealName {
+		t.Fatalf("ratchet never fired: sched = %q", schedOf(t, e))
 	}
 	if err := e.SetWorkers(2); err != nil {
 		t.Fatal(err)
 	}
-	if e.Sched() != sched.AdaptiveStealName {
-		t.Fatalf("promotion lost across SetWorkers: sched = %q", e.Sched())
+	if schedOf(t, e) != sched.AdaptiveStealName {
+		t.Fatalf("promotion lost across SetWorkers: sched = %q", schedOf(t, e))
 	}
-	if !e.ws.pool.Stealing() {
-		t.Fatal("resized pool not stealing after prior promotion")
-	}
-	if err := e.Run(b, c, out); err != nil {
+	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
 		t.Fatal(err)
 	}
-	if e.met.Workers() != 2 {
-		t.Fatalf("metrics buckets = %d, want 2", e.met.Workers())
+	if metricsOf(t, e).Workers() != 2 {
+		t.Fatalf("metrics buckets = %d, want 2", metricsOf(t, e).Workers())
 	}
 }
 
@@ -272,7 +287,7 @@ func TestSetWorkersKeepsPromotion(t *testing.T) {
 // a resize rebuilds the runner set and metrics buckets.
 func TestSetWorkersValidatesAndResizes(t *testing.T) {
 	x := schedTestTensors(t)["poisson"]
-	e, err := NewExecutor(x, Plan{Method: MethodSPLATT, Workers: 4})
+	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +296,10 @@ func TestSetWorkersValidatesAndResizes(t *testing.T) {
 	}
 	const rank = 8
 	rng := rand.New(rand.NewSource(23))
-	b := randMatrix(rng, x.Dims[1], rank)
-	c := randMatrix(rng, x.Dims[2], rank)
+	b := core.RandMatrix(rng, x.Dims[1], rank)
+	c := core.RandMatrix(rng, x.Dims[2], rank)
 	ref := la.NewMatrix(x.Dims[0], rank)
-	if err := MTTKRP(x, b, c, ref, Plan{Method: MethodSPLATT, Workers: 1}); err != nil {
+	if err := mttkrp(x, b, c, ref, core.Plan{Method: core.MethodSPLATT, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := la.NewMatrix(x.Dims[0], rank)
@@ -292,7 +307,7 @@ func TestSetWorkersValidatesAndResizes(t *testing.T) {
 		if err := e.SetWorkers(w); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(b, c, out); err != nil {
+		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(out, ref) {
@@ -308,25 +323,22 @@ func TestCOONeverSteals(t *testing.T) {
 	x := schedTestTensors(t)["clustered"]
 	const rank = 8
 	rng := rand.New(rand.NewSource(6))
-	b := randMatrix(rng, x.Dims[1], rank)
-	c := randMatrix(rng, x.Dims[2], rank)
+	b := core.RandMatrix(rng, x.Dims[1], rank)
+	c := core.RandMatrix(rng, x.Dims[2], rank)
 	ref := la.NewMatrix(x.Dims[0], rank)
-	if err := MTTKRP(x, b, c, ref, Plan{Method: MethodCOO, Workers: 4}); err != nil {
+	if err := mttkrp(x, b, c, ref, core.Plan{Method: core.MethodCOO, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for _, pol := range []sched.Policy{sched.PolicySteal, sched.PolicyAdaptive} {
-		e, err := NewExecutor(x, Plan{Method: MethodCOO, Workers: 4, Sched: pol})
+		e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodCOO, Workers: 4, Sched: pol}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.ws.pool.Stealing() || e.ws.pool.CanSteal() {
-			t.Fatalf("%v: COO executor built a stealing path", pol)
-		}
-		if e.Sched() != sched.StaticName {
-			t.Fatalf("%v: COO resolved sched = %q, want static", pol, e.Sched())
+		if schedOf(t, e) != sched.StaticName {
+			t.Fatalf("%v: COO resolved sched = %q, want static", pol, schedOf(t, e))
 		}
 		got := la.NewMatrix(x.Dims[0], rank)
-		if err := e.Run(b, c, got); err != nil {
+		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
@@ -339,8 +351,8 @@ func TestCOONeverSteals(t *testing.T) {
 func TestInvalidSchedRejected(t *testing.T) {
 	x := tensor.NewCOO(tensor.Dims{4, 4, 4}, 0)
 	x.Append(1, 1, 1, 1)
-	if _, err := NewExecutor(x, Plan{Method: MethodSPLATT, Sched: sched.Policy(9)}); err == nil {
-		t.Fatal("NewExecutor accepted an unknown sched policy")
+	if _, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Sched: sched.Policy(9)}); err == nil {
+		t.Fatal("NewMultiModeExecutor accepted an unknown sched policy")
 	}
 }
 
@@ -348,7 +360,7 @@ func TestInvalidSchedRejected(t *testing.T) {
 // comparison key, so static plans must render exactly as before and
 // non-static plans must be distinguishable.
 func TestPlanStringSchedSuffix(t *testing.T) {
-	p := Plan{Method: MethodSPLATT}
+	p := core.Plan{Method: core.MethodSPLATT}
 	if got := p.String(); got != "SPLATT" {
 		t.Fatalf("static plan string = %q, want unchanged %q", got, "SPLATT")
 	}

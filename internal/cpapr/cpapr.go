@@ -15,7 +15,7 @@
 // nonzeros — per nonzero (i,j,k): m = Σ_r a_ir·b_jr·c_kr, then
 // Φ[i,r] += (x/m)·b_jr·c_kr. That numerator IS an MTTKRP over the
 // "ratio tensor" whose values are x/m at X's coordinates, so the
-// update is executed through the shared engine layer: one
+// update is executed through the shared engine layer: one COO
 // MultiModeExecutor over a ratio tensor that aliases X's coordinates,
 // with the ratio values rewritten in place before each mode's product.
 // Everything the paper says about MTTKRP's memory behaviour applies
@@ -119,10 +119,9 @@ func Decompose(t *tensor.COO, opts Options) (*Result, error) {
 
 	// The ratio tensor aliases t's coordinates and owns only a value
 	// array; its engine serves all three Φ numerators as mode products.
-	// Because the engine's permuted views share the ratio tensor's
-	// value storage (MethodCOO executors alias their input), rewriting
-	// rt.Val before a Run feeds every mode's executor — one value pass
-	// per update, zero coordinate copies.
+	// Because every mode's COO executor aliases the ratio tensor's
+	// value storage, rewriting rt.Val before a Run feeds that mode's
+	// product — one value pass per update, zero coordinate copies.
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1

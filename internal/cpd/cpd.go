@@ -33,9 +33,8 @@ type Options struct {
 	// Tol stops iteration when the fit improves by less than this.
 	// Default 1e-5.
 	Tol float64
-	// Plan selects the MTTKRP kernel (its Grid is interpreted in
-	// mode-1 orientation and permuted for the other modes). Default:
-	// SPLATT.
+	// Plan selects the MTTKRP kernel (its Grid is indexed by mode).
+	// Default: SPLATT.
 	Plan core.Plan
 	// Memoize shares the mode-3 contraction between the mode-1 and
 	// mode-2 products via internal/memo (the dimension-tree trade of
@@ -154,8 +153,8 @@ func CPALS(t *tensor.COO, opts Options) (*Result, error) {
 }
 
 // newKernel builds the order-3 kernel CPALS runs: the multi-mode engine
-// for opts.Plan, built once per decomposition so each mode's permuted
-// executor and pooled workspace serve every sweep, plus the memo engine
+// for opts.Plan, built once per decomposition so each mode's executor
+// and pooled workspace serve every sweep, plus the memo engine
 // when opts.Memoize is set. The memoized path folds modes 1-2 from the
 // memo buffer, so it only needs the mode-3 executor.
 func newKernel(t *tensor.COO, opts Options) (als.Kernel, error) {
@@ -183,9 +182,7 @@ func newKernel(t *tensor.COO, opts Options) (als.Kernel, error) {
 // one preprocessed executor stack across many decompositions instead of
 // paying the per-mode CSF/block builds on every job. The engine must
 // have all three mode executors built; its plan (not Options.Plan)
-// selects the kernels, and the returned Result.Plan reports it from the
-// mode-0 executor (whose permutation is the identity, so the plan is in
-// the caller's orientation).
+// selects the kernels, and the returned Result.Plan reports it.
 //
 // Memoize is rejected: the memoized kernel folds two modes outside the
 // engine, bypassing the cached stack the caller is leasing. The caller
@@ -203,16 +200,12 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 	if eng.Dims() != t.Dims {
 		return nil, fmt.Errorf("cpd: engine dims %v do not match tensor dims %v", eng.Dims(), t.Dims)
 	}
-	e0, err := eng.Executor(0)
-	if err != nil {
-		return nil, fmt.Errorf("cpd: %w", err)
-	}
-	for mode := 1; mode < 3; mode++ {
-		if _, err := eng.Executor(mode); err != nil {
+	for mode := 0; mode < 3; mode++ {
+		if _, err := eng.Metrics(mode); err != nil {
 			return nil, fmt.Errorf("cpd: %w", err)
 		}
 	}
-	return decompose(&engineKernel{dims: t.Dims[:], eng: eng}, opts.sweeps(t), e0.Plan())
+	return decompose(&engineKernel{dims: t.Dims[:], eng: eng}, opts.sweeps(t), eng.Plan())
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a

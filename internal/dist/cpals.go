@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"spblock/internal/als"
-	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/metrics"
 	"spblock/internal/mpi"
@@ -67,6 +66,26 @@ func (r *CPResult) Fit() float64 {
 	return r.Fits[len(r.Fits)-1]
 }
 
+// modePerms expresses mode n's MTTKRP as the mode-1 product the
+// partitioner distributes: modePerms[n] permutes the tensor so mode n
+// leads and the remaining modes keep ascending order, and those two
+// modes' factors act as that product's B and C.
+var modePerms = [3][3]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
+
+// permuteView returns a mode-permuted view of t that shares t's
+// coordinate and value storage: new mode m holds what old mode perm[m]
+// held, and no nonzero is copied. perm must be one of modePerms.
+func permuteView(t *tensor.COO, perm [3]int) *tensor.COO {
+	coords := [3][]tensor.Index{t.I, t.J, t.K}
+	return &tensor.COO{
+		Dims: tensor.Dims{t.Dims[perm[0]], t.Dims[perm[1]], t.Dims[perm[2]]},
+		I:    coords[perm[0]],
+		J:    coords[perm[1]],
+		K:    coords[perm[2]],
+		Val:  t.Val,
+	}
+}
+
 // distKernel adapts the distributed runtime to the shared ALS core:
 // each mode product runs on its partitioned engine, the result is
 // copied into the core's output buffer, and the modeled time /
@@ -92,8 +111,8 @@ type distKernel struct {
 func (k *distKernel) Dims() []int { return k.dims }
 
 func (k *distKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
-	mp := engine.Modes[mode]
-	dr, err := k.engines[mode].Run(factors[mp.BFactor], factors[mp.CFactor])
+	perm := modePerms[mode]
+	dr, err := k.engines[mode].Run(factors[perm[1]], factors[perm[2]])
 	if dr != nil {
 		// Account the attempt's modeled time, traffic and reliability
 		// telemetry even when it failed — the cluster really spent it.
@@ -181,16 +200,13 @@ func CPALS(t *tensor.COO, cfg Config, opts CPOptions) (*CPResult, error) {
 	}
 
 	// One engine per mode, partitioned once per decomposition. The
-	// permuted inputs are zero-copy views (engine.PermuteView); the
+	// permuted inputs are zero-copy views (permuteView); the
 	// partitioner and block builder only read them — and the recovery
 	// path re-partitions the same views after a crash.
 	var pts [3]*tensor.COO
 	var engines [3]*Engine
 	for n := 0; n < 3; n++ {
-		pt, err := engine.PermuteView(t, engine.Modes[n].Perm)
-		if err != nil {
-			return nil, err
-		}
+		pt := permuteView(t, modePerms[n])
 		pts[n] = pt
 		eng, err := NewEngine(pt, r, cfg)
 		if err != nil {

@@ -158,3 +158,28 @@ func TestEngineReuse(t *testing.T) {
 		t.Fatal("rank 0 engine accepted")
 	}
 }
+
+// TestPermuteViewIsZeroCopy: each mode's permuted view leads with the
+// mode and shares the tensor's coordinate and value storage.
+func TestPermuteViewIsZeroCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := randCOO(rng, tensor.Dims{5, 6, 7}, 40)
+	coords := [3][]tensor.Index{x.I, x.J, x.K}
+	for n, perm := range modePerms {
+		v := permuteView(x, perm)
+		if err := v.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if perm[0] != n || perm[1] >= perm[2] {
+			t.Fatalf("mode %d: permutation %v does not lead with the mode", n, perm)
+		}
+		for m, c := range [3][]tensor.Index{v.I, v.J, v.K} {
+			if v.Dims[m] != x.Dims[perm[m]] || &c[0] != &coords[perm[m]][0] {
+				t.Fatalf("mode %d: view mode %d does not alias tensor mode %d", n, m, perm[m])
+			}
+		}
+		if &v.Val[0] != &x.Val[0] {
+			t.Fatalf("mode %d: values were copied, not aliased", n)
+		}
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"spblock/internal/core"
+	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/mpi"
 	"spblock/internal/partition"
@@ -68,10 +69,11 @@ type block struct {
 }
 
 // blockRunner is the per-block kernel interface: one MTTKRP over a
-// rank's local tensor block. Production blocks are *core.Executor;
-// tests substitute poisoned runners to exercise the rank-error path.
+// rank's local tensor block (always mode 0). Production blocks are
+// mode-0 engine.MultiModeExecutors; tests substitute poisoned runners
+// to exercise the rank-error path.
 type blockRunner interface {
-	Run(b, c, out *la.Matrix) error
+	Run(mode int, factors [3]*la.Matrix, out *la.Matrix) error
 }
 
 // Engine owns the distributed setup for one tensor orientation at one
@@ -160,9 +162,7 @@ func NewEngine(t *tensor.COO, rank int, cfg Config) (*Engine, error) {
 		if nnz == 0 {
 			continue
 		}
-		plan := cfg.Plan
-		plan.Grid = clampGrid(plan.Grid, blk.coo.Dims)
-		exec, err := core.NewExecutor(blk.coo, plan)
+		exec, err := engine.NewMultiModeExecutor(blk.coo, cfg.Plan, 0)
 		if err != nil {
 			return nil, fmt.Errorf("dist: block %d: %w", idx, err)
 		}
@@ -264,7 +264,7 @@ func (eng *Engine) Run(b, c *la.Matrix) (*Result, error) {
 		if execs[inner] != nil {
 			e := execs[inner]
 			if err := comm.TimeCompute(func() error {
-				return e.Run(bChunk, cChunk, partial)
+				return e.Run(0, [3]*la.Matrix{nil, bChunk, cChunk}, partial)
 			}); err != nil {
 				return fmt.Errorf("dist: rank %d block executor: %w", comm.Rank(), err)
 			}
@@ -449,18 +449,6 @@ func flattenRows(m *la.Matrix, rows int) []float64 {
 		copy(out[i*m.Cols:(i+1)*m.Cols], m.Row(i))
 	}
 	return out
-}
-
-func clampGrid(g [3]int, dims tensor.Dims) [3]int {
-	for m := 0; m < 3; m++ {
-		if g[m] < 1 {
-			g[m] = 1
-		}
-		if g[m] > dims[m] {
-			g[m] = dims[m]
-		}
-	}
-	return g
 }
 
 func maxInt(a, b int) int {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spblock/internal/core"
+	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/mpi"
 	"spblock/internal/tensor"
@@ -34,8 +35,12 @@ func randMatrix(rng *rand.Rand, rows, cols int) *la.Matrix {
 
 func sharedMemoryReference(t *testing.T, x *tensor.COO, b, c *la.Matrix) *la.Matrix {
 	t.Helper()
+	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := la.NewMatrix(x.Dims[0], b.Cols)
-	if err := core.MTTKRP(x, b, c, out, core.Plan{Method: core.MethodSPLATT, Workers: 1}); err != nil {
+	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 
 	"spblock/internal/core"
 	"spblock/internal/la"
+	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
 
@@ -31,24 +32,50 @@ func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
 	return t
 }
 
-// enginePlans enumerates every kernel family through the engine; the
-// grid is deliberately asymmetric so PermutePlan's permutation and
-// clamping are exercised by the mode-2/mode-3 products.
+// enginePlans enumerates every Method through the face, at 1 and 2
+// workers under the static and stealing schedulers; the grid is
+// deliberately asymmetric so every mode's product sees a different
+// block shape.
 func enginePlans() []core.Plan {
-	return []core.Plan{
+	var plans []core.Plan
+	for _, p := range []core.Plan{
 		{Method: core.MethodCOO},
-		{Method: core.MethodSPLATT, Workers: 1},
-		{Method: core.MethodSPLATT, Workers: 4},
-		{Method: core.MethodRankB, RankBlockCols: 16, Workers: 1},
-		{Method: core.MethodRankB, RankBlockCols: 16, NoStripPacking: true, Workers: 1},
-		{Method: core.MethodMB, Grid: [3]int{4, 2, 1}, Workers: 2},
-		{Method: core.MethodMBRankB, Grid: [3]int{2, 3, 2}, RankBlockCols: 16, Workers: 2},
+		{Method: core.MethodSPLATT},
+		{Method: core.MethodRankB, RankBlockCols: 16},
+		{Method: core.MethodMB, Grid: [3]int{4, 2, 1}},
+		{Method: core.MethodMBRankB, Grid: [3]int{2, 3, 2}, RankBlockCols: 16},
+	} {
+		for _, workers := range []int{1, 2} {
+			for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicySteal} {
+				p.Workers, p.Sched = workers, pol
+				plans = append(plans, p)
+			}
+		}
 	}
+	return plans
 }
 
-// TestCrossModeEquivalenceMatrix checks every Method × every mode: the
-// engine's mode-n product must agree with the dense reference oracle
-// run on an explicitly permuted copy of the tensor.
+// modeRef is the dense oracle's view of mode n's product: the mode-1
+// product of the tensor permuted so mode n leads, with the remaining
+// modes' factors as B and C in ascending mode order.
+func modeRef(t *testing.T, x *tensor.COO, n int, factors [3]*la.Matrix) *la.Matrix {
+	t.Helper()
+	rest := [3][2]int{{1, 2}, {0, 2}, {0, 1}}[n]
+	pt, err := x.PermuteModes([3]int{n, rest[0], rest[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := la.NewMatrix(x.Dims[n], factors[0].Cols)
+	if err := core.Reference(pt, factors[rest[0]], factors[rest[1]], want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestCrossModeEquivalenceMatrix checks every Method × {1,2} workers ×
+// {static, steal} × every mode: the face's mode-n product must agree
+// with the dense reference oracle run on an explicitly permuted copy of
+// the tensor.
 func TestCrossModeEquivalenceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dims := tensor.Dims{13, 11, 9}
@@ -61,14 +88,7 @@ func TestCrossModeEquivalenceMatrix(t *testing.T) {
 	}
 	var want [3]*la.Matrix
 	for n := 0; n < 3; n++ {
-		pt, err := x.PermuteModes(Modes[n].Perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[n] = la.NewMatrix(dims[n], rank)
-		if err := core.Reference(pt, factors[Modes[n].BFactor], factors[Modes[n].CFactor], want[n]); err != nil {
-			t.Fatal(err)
-		}
+		want[n] = modeRef(t, x, n, factors)
 	}
 	for _, plan := range enginePlans() {
 		eng, err := NewMultiModeExecutor(x, plan)
@@ -90,64 +110,6 @@ func TestCrossModeEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-func TestPermuteViewIsZeroCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := randCOO(rng, tensor.Dims{5, 6, 7}, 40)
-	v, err := PermuteView(x, [3]int{2, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Dims != (tensor.Dims{7, 5, 6}) {
-		t.Fatalf("permuted dims = %v", v.Dims)
-	}
-	if &v.I[0] != &x.K[0] || &v.J[0] != &x.I[0] || &v.K[0] != &x.J[0] {
-		t.Fatal("coordinate slices were copied, not aliased")
-	}
-	if &v.Val[0] != &x.Val[0] {
-		t.Fatal("values were copied, not aliased")
-	}
-	if err := v.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Aliased values: a write through the original is visible in the view.
-	x.Val[0] = 42
-	if v.Val[0] != 42 {
-		t.Fatal("value mutation not visible through the view")
-	}
-}
-
-func TestPermuteViewRejectsBadPerm(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	for _, perm := range [][3]int{{0, 0, 1}, {0, 1, 3}, {-1, 1, 2}} {
-		if _, err := PermuteView(x, perm); err == nil {
-			t.Fatalf("perm %v: expected error", perm)
-		}
-	}
-}
-
-func TestPermutePlan(t *testing.T) {
-	dims := tensor.Dims{10, 4, 2}
-	plan := core.Plan{Method: core.MethodMB, Grid: [3]int{8, 3, 2}}
-	// Mode 2 leads with old mode 3: grid becomes {2,8,3} clamped to
-	// permuted dims {2,10,4} → {2,8,3}.
-	p := PermutePlan(plan, 2, dims)
-	if p.Grid != ([3]int{2, 8, 3}) {
-		t.Fatalf("mode-3 grid = %v", p.Grid)
-	}
-	// Clamping: a grid larger than the permuted mode lengths shrinks.
-	plan.Grid = [3]int{10, 10, 10}
-	p = PermutePlan(plan, 1, dims) // permuted dims {4,10,2}
-	if p.Grid != ([3]int{4, 10, 2}) {
-		t.Fatalf("clamped grid = %v", p.Grid)
-	}
-	// Zero grid defaults to {1,1,1}.
-	plan.Grid = [3]int{}
-	p = PermutePlan(plan, 0, dims)
-	if p.Grid != ([3]int{1, 1, 1}) {
-		t.Fatalf("defaulted grid = %v", p.Grid)
-	}
-}
-
 func TestModeSubsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randCOO(rng, tensor.Dims{6, 5, 4}, 50)
@@ -165,11 +127,14 @@ func TestModeSubsets(t *testing.T) {
 	if err := eng.Run(0, factors, la.NewMatrix(6, 8)); err == nil {
 		t.Fatal("expected error running a mode that was not requested")
 	}
-	if _, err := eng.Executor(1); err == nil {
-		t.Fatal("expected error fetching an unbuilt mode's executor")
+	if _, err := eng.Metrics(1); err == nil {
+		t.Fatal("expected error fetching an unbuilt mode's metrics")
 	}
-	if _, err := eng.Executor(5); err == nil {
+	if _, err := eng.Metrics(5); err == nil {
 		t.Fatal("expected error for out-of-range mode")
+	}
+	if err := eng.Run(5, factors, out); err == nil {
+		t.Fatal("expected error running an out-of-range mode")
 	}
 }
 
@@ -189,7 +154,7 @@ func TestNewMultiModeExecutorErrors(t *testing.T) {
 
 // TestSharedValueStorage is the contract cpapr depends on: with
 // MethodCOO, rewriting the input tensor's values between Runs is
-// visible to every mode's executor, because the permuted views alias
+// visible to every mode's executor, because the COO executors alias
 // the value array.
 func TestSharedValueStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
@@ -209,14 +174,7 @@ func TestSharedValueStorage(t *testing.T) {
 		x.Val[p] = float64(p + 1)
 	}
 	for n := 0; n < 3; n++ {
-		pt, err := x.PermuteModes(Modes[n].Perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := la.NewMatrix(dims[n], rank)
-		if err := core.Reference(pt, factors[Modes[n].BFactor], factors[Modes[n].CFactor], want); err != nil {
-			t.Fatal(err)
-		}
+		want := modeRef(t, x, n, factors)
 		got := la.NewMatrix(dims[n], rank)
 		if err := eng.Run(n, factors, got); err != nil {
 			t.Fatal(err)

@@ -9,14 +9,14 @@ import (
 	"spblock/internal/nmode"
 )
 
-// NEngine is the order-N MultiModeExecutor: it builds and caches one
-// mode-rooted nmode.Executor per requested mode of an arbitrary-order
-// tensor, exactly once per tensor, at every order. Each mode's
-// workspace is reused across the 10-1000s of Run calls of a
-// decomposition, so steady-state products are allocation-free.
+// NEngine builds and caches one mode-rooted nmode.Executor per
+// requested mode of an arbitrary-order tensor, exactly once per
+// tensor, at every order. Each mode's workspace is reused across the
+// 10-1000s of Run calls of a decomposition, so steady-state products
+// are allocation-free.
 //
-// The same concurrency rule as MultiModeExecutor applies: one NEngine
-// must not Run the same mode concurrently with itself.
+// One NEngine must not Run the same mode concurrently with itself;
+// distinct modes may run from different goroutines.
 type NEngine struct {
 	dims  []int
 	execs []*nmode.Executor
@@ -128,6 +128,19 @@ func (e *NEngine) SetWorkers(n int) error {
 		}
 	}
 	return nil
+}
+
+// MemoryBytes sums the preprocessed-structure footprint of every built
+// mode executor — what a serving cache charges one cached multi-mode
+// stack against its byte budget.
+func (e *NEngine) MemoryBytes() int64 {
+	var s int64
+	for _, ex := range e.execs {
+		if ex != nil {
+			s += ex.MemoryBytes()
+		}
+	}
+	return s
 }
 
 // Order returns the number of modes.

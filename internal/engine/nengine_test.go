@@ -47,14 +47,7 @@ func TestCrossOrderEquivalence(t *testing.T) {
 	}
 	var want [3]*la.Matrix
 	for n := 0; n < 3; n++ {
-		pt, err := x.PermuteModes(Modes[n].Perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[n] = la.NewMatrix(dims[n], rank)
-		if err := core.Reference(pt, factors[Modes[n].BFactor], factors[Modes[n].CFactor], want[n]); err != nil {
-			t.Fatal(err)
-		}
+		want[n] = modeRef(t, x, n, [3]*la.Matrix{factors[0], factors[1], factors[2]})
 	}
 	for _, opts := range nOptionRows(3) {
 		eng, err := NewNEngine(nt, opts)
@@ -76,14 +69,12 @@ func TestCrossOrderEquivalence(t *testing.T) {
 	}
 }
 
-// TestNEngineOrder3BitIdenticalToCore pins the order-3 nmode walk to
-// the core kernels bit for bit: both end every fiber with the same
-// fused out[i] += acc ⊙ C[k] through the same kernel variant, in the
-// same fiber and block order. The dims strictly decrease, so
-// DefaultModeOrder puts the shorter remaining mode in the middle for
-// every output mode, which is the tree core builds for its permuted
-// view (tensor.SPLATTModeOrder); on other shapes the two trees may
-// pick different fiber modes and agree only to rounding.
+// TestNEngineOrder3BitIdenticalToCore pins the face's core.Plan
+// methods to the default register walk of NewNEngine bit for bit, at
+// every mode, worker count and scheduler. RankB and MB+RankB translate
+// to that walk directly. SPLATT and MB run Algorithm 1's accumulator
+// array instead, which performs the same operations on every output
+// element in the same order, so it must not move a bit either.
 func TestNEngineOrder3BitIdenticalToCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dims := tensor.Dims{13, 11, 9}
@@ -129,7 +120,7 @@ func TestNEngineOrder3BitIdenticalToCore(t *testing.T) {
 							t.Fatal(err)
 						}
 						if d := got.MaxAbsDiff(want); d != 0 {
-							t.Errorf("%v rank %d mode %d: nmode differs from core by %v", plan, rank, n, d)
+							t.Errorf("%v rank %d mode %d: face differs from the register walk by %v", plan, rank, n, d)
 						}
 					}
 				}

@@ -1,6 +1,6 @@
-// Package kernel owns the register-blocked fiber kernel shared by the
-// order-3 (internal/core) and order-N (internal/nmode) MTTKRP inner
-// loops: the innermost body of the paper's Algorithm 2 (Sec. V-B),
+// Package kernel owns the register-blocked fiber kernel of the MTTKRP
+// tree walk (internal/nmode), in memory and out of core: the innermost
+// body of the paper's Algorithm 2 (Sec. V-B),
 // where a fiber's nonzeros are swept with all column accumulators held
 // in scalar locals (registers) and the fiber ends with one fused
 // dst += acc ⊙ scale.
@@ -12,10 +12,10 @@
 // through the cached function pointers on the hot path — no interface
 // boxing, no map lookup, no per-call branching beyond the strip loop
 // itself. The contract deliberately takes raw slices (vals, ids, and
-// the dst and scale rows) rather than a tensor type, so one kernel body
-// serves both core's CSF fibers, where dst is an output row, and the
-// nmode walk, where dst is an output row or a mid-level accumulator:
-// tensor.Index and nmode.Index are both aliases of int32.
+// the dst and scale rows) rather than a tensor type: dst is an output
+// row or a mid-level accumulator of the walk. The package also holds
+// the whole-rank helpers of Algorithm 1 (Axpy, ScaleAdd), the COO
+// kernel (KRPAxpy) and the privatised-output reduction (Add).
 package kernel
 
 import (

@@ -94,7 +94,7 @@ func MatMul(a, b *Matrix) *Matrix {
 //
 // This is the explicit product the paper describes in Sec. III-B; real
 // MTTKRP kernels never materialise it, so this implementation exists as
-// the test oracle for every kernel in internal/core.
+// the test oracle behind core.Reference.
 func KhatriRao(b, c *Matrix) *Matrix {
 	if b.Cols != c.Cols {
 		panic(fmt.Sprintf("la: KhatriRao rank mismatch %d vs %d", b.Cols, c.Cols))

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"spblock/internal/core"
+	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/tensor"
 )
@@ -66,6 +67,10 @@ func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 1}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rank := range []int{1, 8, 17, 32} {
 		a := randMatrix(rng, dims[0], rank)
 		b := randMatrix(rng, dims[1], rank)
@@ -77,7 +82,7 @@ func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 
 		// Mode 1 oracle: plain SPLATT kernel.
 		want1 := la.NewMatrix(dims[0], rank)
-		if err := core.MTTKRP(x, b, c, want1, core.Plan{Method: core.MethodSPLATT, Workers: 1}); err != nil {
+		if err := plain.Run(0, [3]*la.Matrix{a, b, c}, want1); err != nil {
 			t.Fatal(err)
 		}
 		got1 := la.NewMatrix(dims[0], rank)
@@ -88,13 +93,9 @@ func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 			t.Fatalf("rank %d: mode-1 fold differs by %v", rank, d)
 		}
 
-		// Mode 2 oracle: permuted plain kernel.
-		perm, err := x.PermuteModes([3]int{1, 0, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Mode 2 oracle: plain SPLATT kernel.
 		want2 := la.NewMatrix(dims[1], rank)
-		if err := core.MTTKRP(perm, a, c, want2, core.Plan{Method: core.MethodSPLATT, Workers: 1}); err != nil {
+		if err := plain.Run(1, [3]*la.Matrix{a, b, c}, want2); err != nil {
 			t.Fatal(err)
 		}
 		got2 := la.NewMatrix(dims[1], rank)

@@ -37,6 +37,14 @@ func allocCases() []Options {
 		{RankBlockCols: 16, Workers: 4, Sched: sched.PolicySteal},
 		{Grid: []int{2, 2, 1, 2}, Workers: 4, Sched: sched.PolicySteal},
 		{Grid: []int{2, 2, 1, 2}, RankBlockCols: 16, Workers: 4, Sched: sched.PolicyAdaptive},
+		// Algorithm 1's accumulator body and the coordinate kernel hold
+		// the same contracts on every walk shape and worker count.
+		{Algorithm: AlgAccumulator, Workers: 1},
+		{Algorithm: AlgAccumulator, Workers: 4, Sched: sched.PolicySteal},
+		{Algorithm: AlgAccumulator, Grid: []int{2, 2, 1, 2}, Workers: 4},
+		{Algorithm: AlgCOO, Workers: 1},
+		{Algorithm: AlgCOO, Workers: 4},
+		{Algorithm: AlgCOO, Workers: 3, Sched: sched.PolicyAdaptive},
 	}
 }
 
@@ -198,6 +206,9 @@ func TestExecutorValidation(t *testing.T) {
 	if _, err := NewExecutor(x, 0, Options{Grid: []int{2, 2}}); err == nil {
 		t.Error("short grid accepted")
 	}
+	if _, err := NewExecutor(x, 0, Options{Algorithm: AlgCOO + 1}); err == nil {
+		t.Error("unknown algorithm accepted")
+	}
 	e, err := NewExecutor(x, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -330,6 +341,8 @@ func TestExecutorRunReleasesOperands(t *testing.T) {
 		{Workers: 1},
 		{Workers: 3, RankBlockCols: 8},
 		{Workers: 2, Grid: []int{2, 2, 1, 2}},
+		{Workers: 2, Algorithm: AlgAccumulator},
+		{Workers: 2, Algorithm: AlgCOO},
 	} {
 		e, err := NewExecutor(x, 0, opts)
 		if err != nil {
@@ -340,6 +353,11 @@ func TestExecutorRunReleasesOperands(t *testing.T) {
 		}
 		if e.ws.factors != nil || e.ws.out != nil {
 			t.Errorf("%+v: workspace still holds the operands after Run", opts)
+		}
+		for w, wk := range e.ws.walkers {
+			if wk.factors != nil || wk.out != nil {
+				t.Errorf("%+v: walker %d still holds the operands after Run", opts, w)
+			}
 		}
 	}
 }

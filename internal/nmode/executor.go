@@ -11,25 +11,28 @@ import (
 )
 
 // Executor owns the preprocessed structures and pooled workspace for
-// repeated MTTKRP products over one mode of an order-N tensor — the
-// N-mode counterpart of core.Executor. NewExecutor builds the
-// mode-rooted CSF tree (or the blocked layout when opts.Grid asks for
-// one) and validates it exactly once; Run then reuses pooled walkers,
-// packed rank-strip buffers and the prebuilt workers of its
-// sched.Pool, so steady-state calls perform no heap allocations.
+// repeated MTTKRP products over one mode of an order-N tensor, for
+// every kernel the library runs: the register-blocked and Algorithm 1
+// tree walks and the coordinate kernel (Options.Algorithm).
+// NewExecutor builds the mode-rooted CSF tree (or the blocked layout
+// when opts.Grid asks for one) and validates it exactly once; Run then
+// reuses pooled walkers, packed rank-strip buffers and the prebuilt
+// workers of its sched.Pool, so steady-state calls perform no heap
+// allocations.
 //
-// Like core.Executor, one Executor must not Run concurrently with
-// itself; distinct Executors (e.g. distinct modes of an engine.NEngine)
-// are independent.
+// One Executor must not Run concurrently with itself; distinct
+// Executors (e.g. distinct modes of an engine.NEngine) are independent.
 type Executor struct {
 	dims  []int
 	mode  int
 	order int
 	opts  Options
 
-	// Exactly one of csf / blocked is non-nil.
+	// Exactly one of csf / blocked / coo is non-nil; coo is the
+	// caller's tensor, aliased (AlgCOO).
 	csf     *CSF
 	blocked *BlockedTensor
+	coo     *Tensor
 	// layers groups the non-empty blocks by their root-mode block
 	// coordinate: blocks in different layers write disjoint output rows,
 	// so layers are the parallel work units of the blocked path.
@@ -41,7 +44,8 @@ type Executor struct {
 
 // NewExecutor preprocesses t for mode-`mode` MTTKRP products under
 // opts. The CSF mode order is DefaultModeOrder (output mode at the
-// root, remaining modes by increasing length).
+// root, remaining modes by increasing length). An AlgCOO executor
+// builds nothing and keeps t.
 func NewExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -56,6 +60,10 @@ func NewExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	if opts.Algorithm == AlgCOO {
+		opts.Grid, opts.RankBlockCols = nil, 0
+		return newExecutor(t.Dims, mode, opts, nil, nil, t), nil
+	}
 	modeOrder := DefaultModeOrder(t.Dims, mode)
 	grid, blocked, err := normalizeGrid(opts.Grid, t.Dims)
 	if err != nil {
@@ -66,13 +74,13 @@ func NewExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newExecutor(t.Dims, mode, opts, nil, bt), nil
+		return newExecutor(t.Dims, mode, opts, nil, bt, nil), nil
 	}
 	c, err := Build(t, modeOrder)
 	if err != nil {
 		return nil, err
 	}
-	return newExecutor(t.Dims, mode, opts, c, nil), nil
+	return newExecutor(t.Dims, mode, opts, c, nil, nil), nil
 }
 
 // validate rejects option values no executor can honour.
@@ -88,16 +96,19 @@ func (o Options) validate() error {
 	if !o.Sched.Valid() {
 		return fmt.Errorf("nmode: unknown sched policy %d", o.Sched)
 	}
+	if o.Algorithm > AlgCOO {
+		return fmt.Errorf("nmode: unknown algorithm %d", o.Algorithm)
+	}
 	return nil
 }
 
-// newExecutor wraps a built structure whose root is mode: exactly one
-// of csf and bt is non-nil, and opts has been validated. It is shared
-// by NewExecutor and the one-shot products over a caller's tree or
-// blocked layout.
+// newExecutor wraps a built structure whose root is mode, or the
+// tensor an AlgCOO executor reads: exactly one of csf, bt and coo is
+// non-nil, and opts has been validated. It is shared by NewExecutor
+// and the one-shot products over a caller's tree or blocked layout.
 //
 //spblock:coldpath
-func newExecutor(dims []int, mode int, opts Options, csf *CSF, bt *BlockedTensor) *Executor {
+func newExecutor(dims []int, mode int, opts Options, csf *CSF, bt *BlockedTensor, coo *Tensor) *Executor {
 	e := &Executor{
 		dims:    append([]int(nil), dims...),
 		mode:    mode,
@@ -105,14 +116,16 @@ func newExecutor(dims []int, mode int, opts Options, csf *CSF, bt *BlockedTensor
 		opts:    opts,
 		csf:     csf,
 		blocked: bt,
+		coo:     coo,
 	}
 	if bt != nil {
 		e.layers = rootLayers(bt, mode)
 	}
 	if check.Enabled {
-		if bt != nil {
+		switch {
+		case bt != nil:
 			check.Must("nmode.NewExecutor", validateBlocked(bt))
-		} else {
+		case csf != nil:
 			check.Must("nmode.NewExecutor", validateTree(csf))
 		}
 	}
@@ -146,7 +159,8 @@ func (e *Executor) Mode() int { return e.mode }
 // dispatches through, resolved from the effective strip width on the
 // first Run at a given rank (the zero Variant before any Run). It is
 // resolved with or without rank strips: an unstripped executor runs the
-// whole rank as one strip.
+// whole rank as one strip. AlgAccumulator and AlgCOO executors never
+// resolve one.
 func (e *Executor) Kernel() kernel.Variant { return e.ws.kern.Variant }
 
 // Metrics returns the executor's instrumentation collector: per-Run
@@ -169,10 +183,33 @@ func (e *Executor) Order() int { return e.order }
 //
 //spblock:hotpath
 func (e *Executor) NNZ() int {
-	if e.blocked != nil {
+	switch {
+	case e.blocked != nil:
 		return e.blocked.NNZ()
+	case e.coo != nil:
+		return e.coo.NNZ()
 	}
 	return e.csf.NNZ()
+}
+
+// MemoryBytes reports the footprint of the executor's preprocessed
+// structure — the tree, the blocks' trees, or the aliased coordinates
+// and values of an AlgCOO executor — the storage a long-lived executor
+// cache charges against its byte budget.
+func (e *Executor) MemoryBytes() int64 {
+	switch {
+	case e.blocked != nil:
+		var s int64
+		for _, layer := range e.layers {
+			for _, blk := range layer {
+				s += blk.MemoryBytes()
+			}
+		}
+		return s
+	case e.coo != nil:
+		return int64(e.coo.NNZ()) * int64(4*e.order+8)
+	}
+	return e.csf.MemoryBytes()
 }
 
 // Run computes out = MTTKRP over the executor's mode. factors is
@@ -254,15 +291,25 @@ func (e *Executor) checkOperands(factors []*la.Matrix, out *la.Matrix) error {
 }
 
 // runAll walks every tree once with the given operands through the
-// pool. The operands are unpublished afterwards, so a long-lived
-// executor does not keep a finished job's matrices alive.
+// pool, then reduces an AlgCOO executor's private outputs into out in
+// worker order (a sequential pool writes out directly and has none).
+// The operands are unpublished afterwards, so a long-lived executor
+// does not keep a finished job's matrices alive.
 //
 //spblock:hotpath
 func (e *Executor) runAll(factors []*la.Matrix, out *la.Matrix) {
 	ws := &e.ws
 	ws.factors, ws.out = factors, out
 	ws.pool.Run()
+	for _, priv := range ws.privates {
+		for i := 0; i < out.Rows; i++ {
+			kernel.Add(out.Row(i), priv.Row(i))
+		}
+	}
 	ws.factors, ws.out = nil, nil
+	for _, wk := range ws.walkers {
+		wk.factors, wk.out = nil, nil
+	}
 }
 
 // normalizeGrid clamps a requested grid to the tensor shape. Returns

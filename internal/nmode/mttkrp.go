@@ -28,9 +28,36 @@ type Options struct {
 	// work-stealing over root ranges or block layers, PolicyAdaptive
 	// static with metrics-driven promotion. Every product honours it,
 	// one-shot included, although a one-shot run ends before an
-	// adaptive executor could promote.
+	// adaptive executor could promote. AlgCOO always runs static.
 	Sched sched.Policy
+	// Algorithm selects the product's body. The zero value is the
+	// register-blocked tree walk; see Algorithm.
+	Algorithm Algorithm
 }
+
+// Algorithm selects how an Executor computes its product.
+type Algorithm uint8
+
+const (
+	// AlgRegister walks the CSF tree and sums each fiber in registers
+	// through the resolved width-specialised kernel (Sec. V-B,
+	// Algorithm 2).
+	AlgRegister Algorithm = iota
+	// AlgAccumulator walks the same tree but sums each fiber in an
+	// accumulator array — clear, one kernel.Axpy per nonzero, then
+	// kernel.ScaleAdd — as the paper's baseline Algorithm 1 does. Each
+	// output element sees the same operations in the same order as
+	// under AlgRegister, so the two are bit-identical; only the memory
+	// traffic differs.
+	AlgAccumulator
+	// AlgCOO skips the tree and runs the coordinate kernel over nonzero
+	// ranges of the caller's tensor (Sec. III-C1), which the executor
+	// keeps aliased: rewriting t.Val in place between runs is seen by
+	// the next run. Parallel workers accumulate into private outputs,
+	// reduced in worker order, so the layout always runs static. Grid
+	// and RankBlockCols are ignored.
+	AlgCOO
+)
 
 // MTTKRP computes the mode-ModeOrder[0] matricised tensor times
 // Khatri-Rao product:
@@ -57,7 +84,10 @@ func runOnce(dims []int, mode int, opts Options, c *CSF, bt *BlockedTensor, fact
 	if err := opts.validate(); err != nil {
 		return err
 	}
-	return newExecutor(dims, mode, opts, c, bt).Run(factors, out)
+	if opts.Algorithm == AlgCOO {
+		return fmt.Errorf("nmode: AlgCOO needs a coordinate tensor, not a built tree")
+	}
+	return newExecutor(dims, mode, opts, c, bt, nil).Run(factors, out)
 }
 
 // Walker is a reusable, exported handle on the pooled DFS state for
@@ -111,7 +141,10 @@ type walker struct {
 	bufs    [][]float64
 	// ones is the scale row of an order-2 root, which is itself a
 	// fiber with no factor row above it (x·1 == x exactly).
-	ones  []float64
+	ones []float64
+	// acc, when non-nil, is Algorithm 1's fiber accumulator array: the
+	// AlgAccumulator body sums each fiber here instead of in registers.
+	acc   []float64
 	width int
 	// kern is the register-block kernel variant for the walker's
 	// effective strip width, resolved once on the owner's cold path
@@ -188,13 +221,19 @@ func (w *walker) node(d int, nd int32, dst []float64) {
 }
 
 // fibers adds the leaf sums of fibers [lo, hi) (level order-2 nodes)
-// into dst, each scaled by its row of mid (by ones when mid is nil),
-// through the resolved width-specialized kernel. The tail is always
-// narrower than kernel.MaxWidth — see the rankBRange contract in
-// internal/core.
+// into dst, each scaled by its row of mid (by ones when mid is nil).
+// The register body sweeps a fiber once per register block of the
+// resolved width-specialized kernel; kernel.Resolve guarantees every
+// tail is narrower than kernel.MaxWidth (it trails an unrolled block,
+// or the whole strip is below kernel.MinWidth). A walker with an
+// accumulator array runs accFibers instead.
 //
 //spblock:hotpath
 func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
+	if w.acc != nil {
+		w.accFibers(lo, hi, dst, mid)
+		return
+	}
 	c := w.c
 	n := c.Order()
 	leaf := w.factors[c.ModeOrder[n-1]]
@@ -215,5 +254,80 @@ func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
 		if r0 < width {
 			kern.FiberTail(vals, ids, leaf, dst, scale, pLo, pHi, r0, width)
 		}
+	}
+}
+
+// accFibers is fibers with Algorithm 1's body: each fiber is summed
+// over the whole width into the accumulator array (clear, one Axpy per
+// nonzero), then added into dst scaled by its row of mid. Every
+// element sees the register body's operations in the same order.
+//
+//spblock:hotpath
+func (w *walker) accFibers(lo, hi int32, dst []float64, mid *la.Matrix) {
+	c := w.c
+	n := c.Order()
+	leaf := w.factors[c.ModeOrder[n-1]]
+	vals, ids, ptr, fid := c.Val, c.ID[n-1], c.Ptr[n-2], c.ID[n-2]
+	acc := w.acc[:w.width]
+	for f := lo; f < hi; f++ {
+		scale := w.ones
+		if mid != nil {
+			scale = mid.Row(int(fid[f]))
+		}
+		clear(acc)
+		for p := ptr[f]; p < ptr[f+1]; p++ {
+			kernel.Axpy(acc, vals[p], leaf.Row(int(ids[p])))
+		}
+		kernel.ScaleAdd(dst, acc, scale)
+	}
+}
+
+// coo adds the coordinate-form product of nonzeros [lo, hi) of t into
+// w.out: out[i] += v · ⊙ of the other modes' factor rows, in ascending
+// mode order (Sec. III-C1). Order 3 is kernel.KRPAxpy's
+// (v·b[q])·c[q]; higher orders build the same left-to-right product in
+// the walker's first accumulator before the final multiply-add.
+//
+//spblock:hotpath
+func (w *walker) coo(t *Tensor, mode, lo, hi int) {
+	f, out := w.factors, w.out
+	first, last := 0, len(f)-1
+	if mode == first {
+		first++
+	}
+	if mode == last {
+		last--
+	}
+	vals, oid := t.Val, t.Idx[mode]
+	a, aid := f[first], t.Idx[first]
+	if first == last {
+		for p := lo; p < hi; p++ {
+			kernel.Axpy(out.Row(int(oid[p])), vals[p], a.Row(int(aid[p])))
+		}
+		return
+	}
+	z, zid := f[last], t.Idx[last]
+	if len(f) == 3 {
+		for p := lo; p < hi; p++ {
+			kernel.KRPAxpy(out.Row(int(oid[p])), vals[p], a.Row(int(aid[p])), z.Row(int(zid[p])))
+		}
+		return
+	}
+	buf := w.bufs[1][:w.width]
+	for p := lo; p < hi; p++ {
+		v := vals[p]
+		for q, x := range a.Row(int(aid[p]))[:len(buf)] {
+			buf[q] = v * x
+		}
+		for m := first + 1; m < last; m++ {
+			if m == mode {
+				continue
+			}
+			row := f[m].Row(int(t.Idx[m][p]))
+			for q := range buf {
+				buf[q] *= row[q]
+			}
+		}
+		kernel.ScaleAdd(out.Row(int(oid[p])), buf, z.Row(int(zid[p])))
 	}
 }

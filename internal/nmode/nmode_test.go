@@ -2,6 +2,7 @@ package nmode
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,15 +113,24 @@ func TestDedupN(t *testing.T) {
 }
 
 func TestDefaultModeOrder(t *testing.T) {
-	order := DefaultModeOrder([]int{100, 5, 50, 5}, 2)
-	if order[0] != 2 {
-		t.Fatalf("output mode not at root: %v", order)
-	}
-	// Remaining sorted by increasing length: 5 (mode1), 5 (mode3), 100 (mode0).
-	want := []int{2, 1, 3, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	// Output mode at the root, the rest by increasing length; equal
+	// lengths put the higher mode index first.
+	for _, tc := range []struct {
+		dims []int
+		mode int
+		want []int
+	}{
+		{[]int{100, 5, 50, 5}, 2, []int{2, 3, 1, 0}}, // order-4 tie
+		{[]int{7, 7, 7, 7}, 1, []int{1, 3, 2, 0}},
+		{[]int{9, 9, 9}, 0, []int{0, 2, 1}}, // cubic: the SPLATT trees
+		{[]int{9, 9, 9}, 1, []int{1, 2, 0}},
+		{[]int{9, 9, 9}, 2, []int{2, 1, 0}},
+		{[]int{60, 50, 40}, 0, []int{0, 2, 1}},
+		{[]int{40, 50, 60}, 0, []int{0, 1, 2}},
+		{[]int{4, 8}, 1, []int{1, 0}},
+	} {
+		if got := DefaultModeOrder(tc.dims, tc.mode); !slices.Equal(got, tc.want) {
+			t.Errorf("DefaultModeOrder(%v, %d) = %v, want %v", tc.dims, tc.mode, got, tc.want)
 		}
 	}
 }

@@ -44,6 +44,8 @@ func NewTensor(dims []int, capacity int) *Tensor {
 func (t *Tensor) Order() int { return len(t.Dims) }
 
 // NNZ returns the number of stored entries.
+//
+//spblock:hotpath
 func (t *Tensor) NNZ() int { return len(t.Val) }
 
 // Append adds a nonzero; coords must have one entry per mode.
@@ -174,7 +176,9 @@ func (t *Tensor) Dedup() (int, error) {
 // DefaultModeOrder returns the CSF mode ordering for MTTKRP on
 // `mode`: the output mode at the root, remaining modes by increasing
 // length — short modes near the root maximise branch sharing, the
-// standard SPLATT/CSF choice.
+// standard SPLATT/CSF choice. Among modes of equal length the higher
+// index comes first, so a cubic order-3 tensor gets the SPLATT tree
+// for every output mode: (0,2,1), (1,2,0) and (2,1,0).
 func DefaultModeOrder(dims []int, mode int) []int {
 	rest := make([]int, 0, len(dims)-1)
 	for m := range dims {
@@ -186,7 +190,7 @@ func DefaultModeOrder(dims []int, mode int) []int {
 		if dims[rest[a]] != dims[rest[b]] {
 			return dims[rest[a]] < dims[rest[b]]
 		}
-		return rest[a] < rest[b]
+		return rest[a] > rest[b]
 	})
 	return append([]int{mode}, rest...)
 }

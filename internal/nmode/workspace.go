@@ -9,11 +9,11 @@ import (
 )
 
 // nworkspace owns every buffer the N-mode kernels touch beyond the
-// caller's operands, with internal/core's workspace discipline: a
-// CP-ALS decomposition calls MTTKRP 10-1000s of times, and per-call
-// makes (packed factor strips, per-worker DFS accumulators, goroutine
-// closures) would turn into allocator pressure and GC noise on every
-// sweep and every autotuner measurement.
+// caller's operands: a CP-ALS decomposition calls MTTKRP 10-1000s of
+// times, and per-call makes (packed factor strips, per-worker DFS
+// accumulators, private COO outputs, goroutine closures) would turn
+// into allocator pressure and GC noise on every sweep and every
+// autotuner measurement.
 //
 // Worker-count-dependent state (the sched.Pool's runners and queue
 // layouts) is built once in NewExecutor; rank-dependent buffers
@@ -28,9 +28,10 @@ type nworkspace struct {
 	rank int
 
 	// pool runs the executor's work units — root-slice ranges on the
-	// unblocked path, root-mode block layers on the blocked path — on
-	// its prebuilt workers under the requested scheduling policy (see
-	// internal/sched). Built once in initPool.
+	// unblocked path, root-mode block layers on the blocked path,
+	// nonzero ranges for AlgCOO — on its prebuilt workers under the
+	// requested scheduling policy (see internal/sched). Built once in
+	// initPool.
 	pool sched.Pool
 
 	// Operand state of the in-flight Run (or strip), published before
@@ -41,6 +42,9 @@ type nworkspace struct {
 	// walkers holds one DFS accumulator set per worker (index 0 serves
 	// the sequential path).
 	walkers []*walker
+	// privates holds one output copy per parallel AlgCOO worker: COO
+	// nonzero ranges do not own disjoint output rows.
+	privates []*la.Matrix
 
 	// Packed rank-strip buffers (Sec. V-B "stacked strips"), one per
 	// non-root mode, plus reusable view headers and the factor-pointer
@@ -70,16 +74,28 @@ func (e *Executor) ensure(r int) {
 	// The effective strip width drives the kernel variant: packed
 	// strips are RankBlockCols wide, otherwise the whole rank is one
 	// strip (narrower final strips fall to the variant's scalar tail).
-	eff := r
-	if bs := e.opts.RankBlockCols; bs > 0 && bs < r {
-		eff = bs
+	if e.opts.Algorithm == AlgRegister {
+		eff := r
+		if bs := e.opts.RankBlockCols; bs > 0 && bs < r {
+			eff = bs
+		}
+		ws.kern = kernel.Resolve(eff)
+		e.met.SetKernel(ws.kern.Name)
 	}
-	ws.kern = kernel.Resolve(eff)
-	e.met.SetKernel(ws.kern.Name)
 	nw := max(ws.pool.Workers(), 1)
 	ws.walkers = ws.walkers[:0]
 	for w := 0; w < nw; w++ {
-		ws.walkers = append(ws.walkers, newWalkerBufs(e.order, r, ws.kern))
+		wk := newWalkerBufs(e.order, r, ws.kern)
+		if e.opts.Algorithm == AlgAccumulator {
+			wk.acc = make([]float64, r)
+		}
+		ws.walkers = append(ws.walkers, wk)
+	}
+	ws.privates = ws.privates[:0]
+	if e.coo != nil {
+		for w := 0; w < ws.pool.Workers(); w++ {
+			ws.privates = append(ws.privates, la.NewMatrix(e.dims[e.mode], r))
+		}
 	}
 	if bs := e.opts.RankBlockCols; bs > 0 && bs < r {
 		if check.Enabled {
@@ -103,23 +119,24 @@ func (e *Executor) ensure(r int) {
 }
 
 // perRunMetrics derives the per-Run counter deltas from the
-// preprocessed structure at rank r, on the amortised resize path (the
-// same split internal/core uses): "fibers" are the parents of the leaf
-// level, the N-mode generalisation of the order-3 fiber epilogue.
+// preprocessed structure at rank r, on the amortised resize path, so
+// EndRun's hot path is constant-count integer adds: "fibers" are the
+// parents of the leaf level, the N-mode generalisation of the order-3
+// fiber epilogue (none for AlgCOO).
 //
 //spblock:coldpath
 func (e *Executor) perRunMetrics(r int) metrics.PerRun {
-	var nnz, fibers, blocks int64
-	if e.blocked != nil {
-		nnz = int64(e.blocked.NNZ())
+	nnz := int64(e.NNZ())
+	var fibers, blocks int64
+	switch {
+	case e.blocked != nil:
 		for _, layer := range e.layers {
 			for _, blk := range layer {
 				fibers += int64(blk.NumNodes(blk.Order() - 2))
 				blocks++
 			}
 		}
-	} else {
-		nnz = int64(e.csf.NNZ())
+	case e.csf != nil:
 		fibers = int64(e.csf.NumNodes(e.order - 2))
 	}
 	strips := 0
@@ -137,21 +154,43 @@ func (e *Executor) perRunMetrics(r int) metrics.PerRun {
 }
 
 // initPool defines the executor's work units — leaf-weighted root
-// ranges of the tree, or nnz-weighted root-mode block layers — and
-// hands them to the pool with the unit body that runs a range of them.
-// Distinct roots and distinct layers own distinct output rows, so any
-// partition is race-free and bit-identical.
+// ranges of the tree, nnz-weighted root-mode block layers, or ordered
+// nonzero ranges — and hands them to the pool with the unit body that
+// runs a range of them. Distinct roots and distinct layers own
+// distinct output rows, so any partition of them is race-free and
+// bit-identical; COO ranges write private outputs instead.
 //
 //spblock:coldpath
 func (e *Executor) initPool() {
 	p := &e.ws.pool
-	if e.blocked != nil {
+	switch {
+	case e.blocked != nil:
 		p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitLayers, len(e.layers), layerCum(e.layers), e.layerUnit)
-		return
+	case e.coo != nil:
+		p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitOrdered, e.coo.NNZ(), nil, e.cooUnit)
+	default:
+		end := rootLeafEnds(e.csf)
+		cum := func(i int) int64 { return end[i] }
+		p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitShares, e.csf.NumNodes(0), cum, e.rootUnit)
 	}
-	end := rootLeafEnds(e.csf)
-	cum := func(i int) int64 { return end[i] }
-	p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitShares, e.csf.NumNodes(0), cum, e.rootUnit)
+}
+
+// cooUnit runs the coordinate kernel over nonzeros [lo, hi) as worker
+// w: into out on a sequential pool, else into w's private output. The
+// ordered split hands each worker exactly one range per run, so the
+// private output is zeroed here once per run.
+//
+//spblock:hotpath
+func (e *Executor) cooUnit(w, lo, hi int) {
+	ws := &e.ws
+	out := ws.out
+	if len(ws.privates) > 0 {
+		out = ws.privates[w]
+		out.Zero()
+	}
+	wk := ws.walkers[w]
+	wk.factors, wk.out, wk.width = ws.factors, out, out.Cols
+	wk.coo(e.coo, e.mode, lo, hi)
 }
 
 // rootUnit walks the tree's roots [lo, hi) as worker w.

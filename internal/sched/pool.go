@@ -33,8 +33,8 @@ const (
 // calls it once per run as Unit(0, 0, n) on the caller's goroutine.
 type Unit func(w, lo, hi int)
 
-// Pool is the one worker pool behind both in-memory executor families
-// (internal/core and internal/nmode). The executor builds its
+// Pool is the one worker pool behind the in-memory executors
+// (internal/nmode). The executor builds its
 // structure, defines its work units (how many, their cumulative
 // weight, and the Unit body that runs a range of them) and publishes
 // its operands before each Run; the Pool owns the rest: the prebuilt per-worker runners and their allocation-free

@@ -3,11 +3,11 @@
 // tensors and submit MTTKRP / CP-ALS / CP-APR jobs against them over
 // HTTP. Its core is an executor cache keyed by tensor fingerprint —
 // the whole-engine generalisation of internal/memo's storage-for-time
-// trade: the expensive per-mode preprocessing (permutation, CSF and
-// block builds, workspace sizing) is paid once per distinct tensor and
-// reused by every job any tenant submits for it, with exclusive leases
+// trade: the expensive per-mode preprocessing (CSF and block builds,
+// workspace sizing) is paid once per distinct tensor and reused by
+// every job any tenant submits for it, with exclusive leases
 // serialising jobs on one stack because pooled workspaces are
-// single-Run by contract (see internal/core).
+// single-Run by contract (see internal/nmode).
 //
 // Admission control is two-layered: a bounded worker pool caps the
 // process-wide decomposition concurrency (excess jobs queue), and a

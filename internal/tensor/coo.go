@@ -232,8 +232,8 @@ func (t *COO) Dedup() int {
 // PermuteModes returns a new tensor whose mode order is rearranged so
 // that new mode m holds what old mode perm[m] held. perm must be a
 // permutation of {0,1,2}. MTTKRP for mode n on tensor X equals MTTKRP
-// for mode 1 on X permuted so that mode n comes first — this is how the
-// library serves all three mode products with one kernel family.
+// for mode 1 on X permuted so that mode n comes first (Sec. III-B),
+// which is how the tests build dense references for every mode.
 func (t *COO) PermuteModes(perm [3]int) (*COO, error) {
 	seen := [3]bool{}
 	for _, p := range perm {

@@ -10,11 +10,11 @@
 //
 //	x, _ := spblock.LoadTNS("data.tns")
 //	plan, _, _ := spblock.Autotune(x, 64, spblock.MethodMBRankB, spblock.AutotuneOptions{})
-//	exec, _ := spblock.NewExecutor(x, plan)
+//	me, _ := spblock.NewMultiExecutor(x, plan)
 //	b := spblock.NewMatrix(x.Dims[1], 64) // fill with your factors
 //	c := spblock.NewMatrix(x.Dims[2], 64)
 //	out := spblock.NewMatrix(x.Dims[0], 64)
-//	_ = exec.Run(b, c, out) // out = X(1) · (B ⊙ C)
+//	_ = me.Run(0, [3]*spblock.Matrix{nil, b, c}, out) // out = X(1) · (B ⊙ C)
 //
 // The facade re-exports the library's primary types; the analysis
 // tooling (roofline model, cache simulator, pressure point analysis,
@@ -58,15 +58,14 @@ type (
 	Plan = core.Plan
 	// Method names one of the kernel families.
 	Method = core.Method
-	// Executor owns preprocessed structures and runs MTTKRP repeatedly.
-	Executor = core.Executor
 	// KernelVariant identifies the width-specialized rank-strip kernel
-	// an executor resolved for its plan (Executor.Kernel,
-	// MultiExecutor.Kernel, MultiExecutorN.Kernel).
+	// an executor resolved for its plan (MultiExecutor.Kernel,
+	// MultiExecutorN.Kernel, ExecutorN.Kernel).
 	KernelVariant = kernel.Variant
 	// KernelMetrics is the always-on, allocation-free instrumentation
-	// collector every executor carries; reach it via Executor.Metrics,
-	// MultiExecutor.Metrics or MultiExecutorN.Metrics.
+	// collector every executor carries; reach it via
+	// MultiExecutor.Metrics, MultiExecutorN.Metrics or
+	// ExecutorN.Metrics.
 	KernelMetrics = metrics.Collector
 	// KernelSnapshot is a point-in-time copy of a collector's counters
 	// with the derived report quantities (ns/run, load imbalance,
@@ -75,8 +74,8 @@ type (
 	// PhaseTimes buckets a decomposition's wall time by phase (MTTKRP vs
 	// solve vs fit); CPALS, CPALSN and DistCPALS results carry one.
 	PhaseTimes = metrics.PhaseTimes
-	// MultiExecutor serves MTTKRP for several modes of one tensor,
-	// building each mode's permuted executor exactly once.
+	// MultiExecutor serves MTTKRP for several modes of one tensor
+	// under a Plan, building each mode's executor exactly once.
 	MultiExecutor = engine.MultiModeExecutor
 	// BlockedTensor is the multi-dimensionally blocked representation.
 	BlockedTensor = core.BlockedTensor
@@ -199,7 +198,7 @@ func KernelWidths() []int { return kernel.Widths() }
 // PlanKernel predicts the rank-strip kernel variant an executor for
 // plan resolves at the given rank (the zero variant for methods that
 // never register-block). Executors report the variant they actually
-// resolved via Executor.Kernel after the first Run.
+// resolved via MultiExecutor.Kernel after the first Run.
 func PlanKernel(plan Plan, rank int) KernelVariant { return core.PlanKernel(plan, rank) }
 
 // NewTensor allocates an empty tensor with the given mode lengths.
@@ -226,27 +225,30 @@ func BuildCSF(t *Tensor) (*CSF, error) { return tensor.BuildCSF(t) }
 // ComputeStats gathers shape statistics for a tensor.
 func ComputeStats(t *Tensor) Stats { return tensor.ComputeStats(t) }
 
-// NewExecutor preprocesses t for the plan; Run it once per MTTKRP.
-// Repeated Run calls reuse the executor's pooled workspace and are
-// allocation-free in steady state.
-func NewExecutor(t *Tensor, plan Plan) (*Executor, error) { return core.NewExecutor(t, plan) }
-
 // NewMultiExecutor preprocesses t once per requested mode (default:
 // all three) so one setup serves every mode product of a decomposition
-// loop — the same amortisation CPALS and DistCPALS use internally. Use
-// it instead of NewExecutor whenever you need more than the mode-1
-// product:
+// loop — the same amortisation CPALS and DistCPALS use internally.
+// Repeated Run calls reuse each mode's pooled workspace and are
+// allocation-free in steady state:
 //
 //	me, _ := spblock.NewMultiExecutor(x, plan)
 //	factors := [3]*spblock.Matrix{a, b, c}
 //	_ = me.Run(1, factors, out) // out = X₍₂₎ · (A ⊙ C)
+//
+// Pass mode 0 alone when only the mode-1 product is needed.
 func NewMultiExecutor(t *Tensor, plan Plan, modes ...int) (*MultiExecutor, error) {
 	return engine.NewMultiModeExecutor(t, plan, modes...)
 }
 
 // MTTKRP computes out = X₍₁₎ · (B ⊙ C) once with the given plan.
+// Repeated products over the same tensor should build a
+// NewMultiExecutor instead.
 func MTTKRP(t *Tensor, b, c, out *Matrix, plan Plan) error {
-	return core.MTTKRP(t, b, c, out, plan)
+	me, err := engine.NewMultiModeExecutor(t, plan, 0)
+	if err != nil {
+		return err
+	}
+	return me.Run(0, [3]*la.Matrix{nil, b, c}, out)
 }
 
 // BuildBlocked reorganises t into the grid blocks of MB blocking.
@@ -323,11 +325,10 @@ func NewExecutorN(t *TensorN, mode int, opts OptionsN) (*ExecutorN, error) {
 
 // NewMultiExecutorN builds executors for the requested modes (default:
 // all) of an order-N tensor — the arbitrary-order counterpart of
-// NewMultiExecutor. Every order, third included, runs on the pooled
-// N-mode CSF executors; at order 3 their products are bit-identical to
-// NewMultiExecutor's for the same method, grid and strip width when the
-// dims strictly decrease (otherwise the trees may pick another fiber
-// mode and agree to rounding).
+// NewMultiExecutor, which runs on the same pooled N-mode executors. At
+// order 3 the default options compute NewMultiExecutor's RankB
+// products bit for bit, and SPLATT's too (Algorithm 1's accumulator
+// array performs the same arithmetic as the register walk).
 func NewMultiExecutorN(t *TensorN, opts OptionsN, modes ...int) (*MultiExecutorN, error) {
 	return engine.NewNEngine(t, opts, modes...)
 }

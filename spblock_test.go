@@ -51,12 +51,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(trials) == 0 {
 		t.Fatal("no autotune trials")
 	}
-	exec, err := spblock.NewExecutor(x, plan)
+	exec, err := spblock.NewMultiExecutor(x, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := spblock.NewMatrix(dims[0], rank)
-	if err := exec.Run(b, c, out); err != nil {
+	if err := exec.Run(0, [3]*spblock.Matrix{nil, b, c}, out); err != nil {
 		t.Fatal(err)
 	}
 	if d := out.MaxAbsDiff(base); d > 1e-9 {
@@ -306,7 +306,10 @@ func TestFacadeMultiExecutor(t *testing.T) {
 			t.Fatalf("mode %d differs from COO reference by %v", n, d)
 		}
 	}
-	if _, err := me.Executor(0); err != nil {
+	if _, err := me.Metrics(0); err != nil {
 		t.Fatal(err)
+	}
+	if me.MemoryBytes() <= 0 {
+		t.Fatal("built executors report no memory")
 	}
 }
