@@ -40,6 +40,16 @@ type SweepStarter interface {
 	StartSweep(factors []*la.Matrix) error
 }
 
+// WorkerCounter is an optional Kernel extension reporting how many
+// workers the kernel's products run on. Run gives the dense phase of a
+// sweep — the Gram products, the normal-equation solves and the column
+// normalisation — the same count, read once per Run; a kernel without
+// the extension gets GOMAXPROCS. The dense phase's results do not depend
+// on the count.
+type WorkerCounter interface {
+	Workers() int
+}
+
 // SweepRecoverer is an optional Kernel extension for fault-tolerant
 // kernels: when an MTTKRP dispatch (or StartSweep) fails mid-sweep, the
 // loop asks the kernel whether it has recovered — e.g. the distributed
@@ -128,6 +138,7 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 	res := &Result{
 		Lambda:  make([]float64, r),
 		Factors: make([]*la.Matrix, n),
+		Fits:    make([]float64, 0, cfg.MaxIters),
 	}
 	for mode := 0; mode < n; mode++ {
 		m := la.NewMatrix(dims[mode], r)
@@ -136,9 +147,15 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 		}
 		res.Factors[mode] = m
 	}
-	grams := make([]*la.Matrix, n)
-	for mode := 0; mode < n; mode++ {
-		grams[mode] = la.Gram(res.Factors[mode])
+	workers := 0
+	if wc, ok := k.(WorkerCounter); ok {
+		workers = wc.Workers()
+	}
+	ws := newWorkspace(n, r, workers)
+	// Mode 0 is the first a sweep updates and reads only the other
+	// modes' Grams, so its own is first computed after its solve.
+	for mode := 1; mode < n; mode++ {
+		ws.dense.Gram(ws.grams[mode], res.Factors[mode])
 	}
 
 	outs := make([]*la.Matrix, n)
@@ -174,35 +191,11 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 				return mode, true, err
 			}
 			t0 = time.Now()
-			// V = Hadamard of all other modes' Gram matrices.
-			var v *la.Matrix
-			for other := 0; other < n; other++ {
-				if other == mode {
-					continue
-				}
-				if v == nil {
-					v = grams[other].Clone()
-				} else {
-					la.HadamardInPlace(v, grams[other])
-				}
-			}
-			res.Factors[mode].CopyFrom(outs[mode])
-			if err := la.SolveSPD(v, res.Factors[mode]); err != nil {
-				res.Phases.SolveNS += time.Since(t0).Nanoseconds()
+			err = ws.update(mode, res.Factors[mode], outs[mode], res.Lambda, rng)
+			res.Phases.SolveNS += time.Since(t0).Nanoseconds()
+			if err != nil {
 				return mode, false, fmt.Errorf("%s: mode-%d solve: %w", pfx, mode+1, err)
 			}
-			copy(res.Lambda, la.NormalizeColumns(res.Factors[mode]))
-			// Guard against dead columns: a zero column would make all
-			// later Gram products singular; re-seed it randomly.
-			for q := 0; q < r; q++ {
-				if res.Lambda[q] == 0 {
-					for i := 0; i < res.Factors[mode].Rows; i++ {
-						res.Factors[mode].Set(i, q, rng.Float64())
-					}
-				}
-			}
-			grams[mode] = la.Gram(res.Factors[mode])
-			res.Phases.SolveNS += time.Since(t0).Nanoseconds()
 		}
 		return -1, true, nil
 	}
@@ -228,7 +221,7 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 		}
 
 		t0 := time.Now()
-		fit := fit(cfg.NormX, res, grams, outs[n-1])
+		fit := ws.fit(cfg.NormX, res, outs[n-1])
 		res.Phases.NormNS += time.Since(t0).Nanoseconds()
 		res.Fits = append(res.Fits, fit)
 		res.Iters = iter + 1
@@ -241,23 +234,95 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// workspace is one Run's dense-phase state: the Dense that runs the
+// Gram, solve and normalise products on the kernel's worker count and
+// holds the Cholesky buffers, each mode's Gram, and the Hadamard
+// products V (one mode's normal equations) and gAll (the fit's model
+// norm). It is sized once per Run, so a sweep allocates nothing.
+//
+//spblock:workspace
+type workspace struct {
+	dense   *la.Dense
+	grams   []*la.Matrix
+	v, gAll *la.Matrix
+}
+
+//spblock:coldpath
+func newWorkspace(order, rank, workers int) *workspace {
+	ws := &workspace{
+		dense: la.NewDense(workers),
+		grams: make([]*la.Matrix, order),
+		v:     la.NewMatrix(rank, rank),
+		gAll:  la.NewMatrix(rank, rank),
+	}
+	// The Grams start as NaN: each is written before it is read, so a
+	// read of an unwritten one would show as a NaN fit.
+	for m := range ws.grams {
+		ws.grams[m] = la.NewMatrix(rank, rank)
+		for i := range ws.grams[m].Data {
+			ws.grams[m].Data[i] = math.NaN()
+		}
+	}
+	return ws //spblock:allow constructor hands a fresh workspace to its Run
+}
+
+// hadamard sets dst to the element-wise product of the Grams of every
+// mode except skip (-1 skips none).
+//
+//spblock:hotpath
+func (ws *workspace) hadamard(dst *la.Matrix, skip int) {
+	first := true
+	for m, g := range ws.grams {
+		if m == skip {
+			continue
+		}
+		if first {
+			dst.CopyFrom(g)
+			first = false
+		} else {
+			la.HadamardInPlace(dst, g)
+		}
+	}
+}
+
+// update is one mode's least-squares step: with V the Hadamard product
+// of the other modes' Grams, factor = mttkrp·V⁻¹, its column norms go to
+// lambda as its columns are normalised, dead columns are re-seeded from
+// rng, and the mode's Gram is refreshed.
+//
+//spblock:hotpath
+func (ws *workspace) update(mode int, factor, mttkrp *la.Matrix, lambda []float64, rng *rand.Rand) error {
+	ws.hadamard(ws.v, mode)
+	factor.CopyFrom(mttkrp)
+	if err := ws.dense.SolveSPD(ws.v, factor); err != nil {
+		return err
+	}
+	ws.dense.NormalizeColumns(lambda, factor)
+	// Guard against dead columns: a zero column would make all later
+	// Gram products singular; re-seed it randomly.
+	for q, l := range lambda {
+		if l == 0 {
+			for i := 0; i < factor.Rows; i++ {
+				factor.Data[i*factor.Stride+q] = rng.Float64()
+			}
+		}
+	}
+	ws.dense.Gram(ws.grams[mode], factor)
+	return nil
+}
+
 // fit evaluates 1 − ‖X − M‖/‖X‖ with the standard identity
 // ‖X − M‖² = ‖X‖² + ‖M‖² − 2⟨X, M⟩: ‖M‖² = λᵀ (∘_n G_n) λ, and ⟨X, M⟩
 // falls out of the last mode's MTTKRP against the (normalised) last
 // factor and λ.
-func fit(normX float64, res *Result, grams []*la.Matrix, lastMTTKRP *la.Matrix) float64 {
+//
+//spblock:hotpath
+func (ws *workspace) fit(normX float64, res *Result, lastMTTKRP *la.Matrix) float64 {
 	r := len(res.Lambda)
-	var gAll *la.Matrix
-	for _, g := range grams {
-		if gAll == nil {
-			gAll = g.Clone()
-		} else {
-			la.HadamardInPlace(gAll, g)
-		}
-	}
+	ws.hadamard(ws.gAll, -1)
 	var normM2 float64
 	for p := 0; p < r; p++ {
-		row := gAll.Row(p)
+		row := ws.gAll.Row(p)
 		for q := 0; q < r; q++ {
 			normM2 += res.Lambda[p] * res.Lambda[q] * row[q]
 		}

@@ -117,6 +117,10 @@ func (k *engineKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) er
 	return k.eng.Run(mode, [3]*la.Matrix{factors[0], factors[1], factors[2]}, out)
 }
 
+// Workers gives the dense ALS phase the engine's current parallelism
+// (als.WorkerCounter), so a per-job SetWorkers covers the whole sweep.
+func (k *engineKernel) Workers() int { return k.eng.Workers() }
+
 // memoKernel folds modes 1-2 from the shared mode-3 contraction
 // (refreshed once per sweep via StartSweep); mode 3 still runs through
 // the configured engine plan.

@@ -38,6 +38,10 @@ func (k *nKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
 	return k.eng.Run(mode, factors, out)
 }
 
+// Workers gives the dense ALS phase the engine's current parallelism
+// (als.WorkerCounter).
+func (k *nKernel) Workers() int { return k.eng.Workers() }
+
 // CPALSN decomposes an order-N sparse tensor with alternating least
 // squares on the unified engine: one pooled mode-rooted executor per
 // mode, built once per decomposition (NewNEngine validates t and its

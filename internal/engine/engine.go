@@ -26,11 +26,11 @@ import (
 // core.Plan.Options. A decomposition driver constructs it up front and
 // then calls Run per mode per sweep.
 //
-// The embedded NEngine supplies Metrics, Sched, Kernel, SetWorkers and
-// MemoryBytes. One MultiModeExecutor must not Run the same mode
-// concurrently with itself; distinct modes have distinct executors and
-// workspaces, so running different modes from different goroutines is
-// safe.
+// The embedded NEngine supplies Metrics, Sched, Kernel, SetWorkers,
+// Workers and MemoryBytes. One MultiModeExecutor must not Run the same
+// mode concurrently with itself; distinct modes have distinct executors
+// and workspaces, so running different modes from different goroutines
+// is safe.
 type MultiModeExecutor struct {
 	NEngine
 	dims tensor.Dims

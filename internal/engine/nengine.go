@@ -130,6 +130,18 @@ func (e *NEngine) SetWorkers(n int) error {
 	return nil
 }
 
+// Workers reports the parallelism of the built mode executors: they
+// share one Options at construction and are re-sized together by
+// SetWorkers.
+func (e *NEngine) Workers() int {
+	for _, ex := range e.execs {
+		if ex != nil {
+			return ex.Workers()
+		}
+	}
+	return 0
+}
+
 // MemoryBytes sums the preprocessed-structure footprint of every built
 // mode executor — what a serving cache charges one cached multi-mode
 // stack against its byte budget.

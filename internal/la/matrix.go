@@ -74,10 +74,11 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // CopyFrom copies src into m. Shapes must match.
+//
+//spblock:hotpath
 func (m *Matrix) CopyFrom(src *Matrix) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("la: CopyFrom shape mismatch %dx%d vs %dx%d",
-			m.Rows, m.Cols, src.Rows, src.Cols))
+		panic(fmt.Sprintf("la: CopyFrom shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols)) //spblock:allow shape-mismatch panic, a bug in the caller
 	}
 	for i := 0; i < m.Rows; i++ {
 		copy(m.Row(i), src.Row(i))

@@ -2,6 +2,7 @@ package nmode
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"spblock/internal/analysis/check"
@@ -150,6 +151,15 @@ func (e *Executor) SetWorkers(n int) error {
 	// re-size at the new width.
 	e.ws.rank = 0
 	return nil
+}
+
+// Workers reports the executor's configured parallelism, as set by
+// NewExecutor or the last SetWorkers, with 0 resolved to GOMAXPROCS.
+func (e *Executor) Workers() int {
+	if e.opts.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return e.opts.Workers
 }
 
 // Mode returns the output mode this executor serves.
