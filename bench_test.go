@@ -272,7 +272,7 @@ func BenchmarkCacheSimSPLATT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cachesim.MeasureTraffic(cachesim.POWER8(), func(h *cachesim.Hierarchy) error {
-			return cachesim.TraceSPLATT(h, csf, cachesim.Options{Rank: 64})
+			return cachesim.TraceSPLATT(h, cachesim.Options{Rank: 64}, csf)
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func main() {
 	fmt.Printf("\n1. roofline (rank %d):\n", rank)
 	for _, alpha := range []float64{0.0, 0.8, 0.95, 1.0} {
 		in, err := roofline.Intensity(roofline.Params{
-			NNZ: int64(csf.NNZ()), Fibers: int64(csf.NumFibers()), Rank: rank, Alpha: alpha,
+			NNZ: int64(csf.NNZ()), Fibers: int64(csf.NumNodes(1)), Rank: rank, Alpha: alpha,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -80,7 +80,7 @@ func main() {
 	// 3. Per-structure DRAM traffic through the paper's cache.
 	fmt.Println("\n3. simulated DRAM traffic (POWER8-like 64KB L1 + 512KB L2):")
 	tr, err := cachesim.MeasureTraffic(cachesim.POWER8(), func(h *cachesim.Hierarchy) error {
-		return cachesim.TraceSPLATT(h, csf, cachesim.Options{Rank: rank})
+		return cachesim.TraceSPLATT(h, cachesim.Options{Rank: rank}, csf)
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -108,9 +108,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := cachesim.TraceRankB(cl, csf, cachesim.Options{
+		if err := cachesim.TraceRankB(cl, cachesim.Options{
 			Rank: rank, RankBlockCols: 32, NoStripPacking: noPack,
-		}); err != nil {
+		}, csf); err != nil {
 			log.Fatal(err)
 		}
 		m := cl.Region(cachesim.RegionB)

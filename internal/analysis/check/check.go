@@ -59,8 +59,8 @@ func Must(site string, err error) {
 // the tensor mode it stores; nVals is the leaf value count.
 //
 // The order-3 SPLATT structure is the three-level case: levels
-// (SliceID, FiberK, NzJ), pointers (SlicePtr, FiberPtr), mode order
-// {0, 2, 1}.
+// (slice ids, fiber k ids, leaf j ids), pointers (slice, fiber), mode
+// order {0, 2, 1}.
 func Tree(dims, modeOrder []int, ids, ptrs [][]int32, nVals int) error {
 	n := len(dims)
 	if n < 1 || len(ids) != n || len(ptrs) != n-1 || len(modeOrder) != n {

@@ -27,6 +27,7 @@ import (
 	"spblock/internal/cachesim"
 	"spblock/internal/core"
 	"spblock/internal/kernel"
+	"spblock/internal/nmode"
 	"spblock/internal/roofline"
 	"spblock/internal/tensor"
 )
@@ -179,7 +180,7 @@ func ModelCost(t *tensor.COO, rank int, opts Options) (core.CostFunc, error) {
 	cpuSec := flops / (opts.Machine.PeakGFLOP * 1e9)
 
 	// Blocked structures are rebuilt per candidate grid; cache them.
-	blockedCache := map[[3]int]*core.BlockedTensor{}
+	blockedCache := map[[3]int]*nmode.BlockedTensor{}
 	infinity := 1e300
 
 	return func(p core.Plan) float64 {
@@ -188,28 +189,29 @@ func ModelCost(t *tensor.COO, rank int, opts Options) (core.CostFunc, error) {
 		switch p.Method {
 		case core.MethodSPLATT:
 			trace = func(h *cachesim.Hierarchy) error {
-				return cachesim.TraceSPLATT(h, csf, simOpt)
+				return cachesim.TraceSPLATT(h, simOpt, csf)
 			}
 		case core.MethodRankB:
 			trace = func(h *cachesim.Hierarchy) error {
-				return cachesim.TraceRankB(h, csf, simOpt)
+				return cachesim.TraceRankB(h, simOpt, csf)
 			}
 		case core.MethodMB, core.MethodMBRankB:
 			grid := p.Grid
 			bt, ok := blockedCache[grid]
 			if !ok {
 				var err error
-				bt, err = core.BuildBlocked(sub, grid)
+				bt, err = tensor.BuildBlocked(sub, grid)
 				if err != nil {
 					return infinity
 				}
 				blockedCache[grid] = bt
 			}
+			traceBlocks := cachesim.TraceRankB
 			if p.Method == core.MethodMB {
-				simOpt.RankBlockCols = 0
+				traceBlocks = cachesim.TraceSPLATT
 			}
 			trace = func(h *cachesim.Hierarchy) error {
-				return cachesim.TraceMB(h, bt, simOpt)
+				return traceBlocks(h, simOpt, bt.Blocks...)
 			}
 		default:
 			return infinity

@@ -82,7 +82,7 @@ func Table1(cfg Config) (*Table, error) {
 	}
 	for _, res := range results {
 		tr, err := cachesim.MeasureTraffic(cachesim.POWER8(), func(h *cachesim.Hierarchy) error {
-			return cachesim.TraceSPLATT(h, simCSF, res.Variant.TraceOptions(rank))
+			return cachesim.TraceSPLATT(h, res.Variant.TraceOptions(rank), simCSF)
 		})
 		if err != nil {
 			return nil, err

@@ -44,7 +44,7 @@ func Fig4(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nnz, fibers := int64(csf.NNZ()), int64(csf.NumFibers())
+		nnz, fibers := int64(csf.NNZ()), int64(csf.NumNodes(1))
 		b := randomMatrix(x.Dims[1], fig4Rank, cfg.Seed+3)
 		c := randomMatrix(x.Dims[2], fig4Rank, cfg.Seed+4)
 		out := la.NewMatrix(x.Dims[0], fig4Rank)
@@ -106,7 +106,7 @@ func Fig5Traffic(cfg Config, rank int) (*Table, error) {
 			return nil, err
 		}
 		baseTr, err := cachesim.MeasureTraffic(cachesim.POWER8(), func(h *cachesim.Hierarchy) error {
-			return cachesim.TraceSPLATT(h, csf, cachesim.Options{Rank: rank})
+			return cachesim.TraceSPLATT(h, cachesim.Options{Rank: rank}, csf)
 		})
 		if err != nil {
 			return nil, err
@@ -128,12 +128,12 @@ func Fig5Traffic(cfg Config, rank int) (*Table, error) {
 			if !ok {
 				continue
 			}
-			bt, err := core.BuildBlocked(x, g)
+			bt, err := tensor.BuildBlocked(x, g)
 			if err != nil {
 				return nil, err
 			}
 			tr, err := cachesim.MeasureTraffic(cachesim.POWER8(), func(h *cachesim.Hierarchy) error {
-				return cachesim.TraceMB(h, bt, cachesim.Options{Rank: rank})
+				return cachesim.TraceSPLATT(h, cachesim.Options{Rank: rank}, bt.Blocks...)
 			})
 			if err != nil {
 				return nil, err

@@ -197,11 +197,11 @@ func simulateKernels(x *tensor.COO, rank int) ([5]float64, error) {
 	if err != nil {
 		return out, err
 	}
-	bt, err := core.BuildBlocked(x, mbRes.Plan.Grid)
+	bt, err := tensor.BuildBlocked(x, mbRes.Plan.Grid)
 	if err != nil {
 		return out, err
 	}
-	btComb, err := core.BuildBlocked(x, combRes.Plan.Grid)
+	btComb, err := tensor.BuildBlocked(x, combRes.Plan.Grid)
 	if err != nil {
 		return out, err
 	}
@@ -221,25 +221,25 @@ func simulateKernels(x *tensor.COO, rank int) ([5]float64, error) {
 		return total / 1e6, share, nil
 	}
 	base, bShare, err := measure(func(h *cachesim.Hierarchy) error {
-		return cachesim.TraceSPLATT(h, csf, cachesim.Options{Rank: rank})
+		return cachesim.TraceSPLATT(h, cachesim.Options{Rank: rank}, csf)
 	})
 	if err != nil {
 		return out, err
 	}
 	mb, _, err := measure(func(h *cachesim.Hierarchy) error {
-		return cachesim.TraceMB(h, bt, cachesim.Options{Rank: rank})
+		return cachesim.TraceSPLATT(h, cachesim.Options{Rank: rank}, bt.Blocks...)
 	})
 	if err != nil {
 		return out, err
 	}
 	rbT, _, err := measure(func(h *cachesim.Hierarchy) error {
-		return cachesim.TraceRankB(h, csf, cachesim.Options{Rank: rank, RankBlockCols: rb})
+		return cachesim.TraceRankB(h, cachesim.Options{Rank: rank, RankBlockCols: rb}, csf)
 	})
 	if err != nil {
 		return out, err
 	}
 	comb, _, err := measure(func(h *cachesim.Hierarchy) error {
-		return cachesim.TraceMB(h, btComb, cachesim.Options{Rank: rank, RankBlockCols: rbComb})
+		return cachesim.TraceRankB(h, cachesim.Options{Rank: rank, RankBlockCols: rbComb}, btComb.Blocks...)
 	})
 	if err != nil {
 		return out, err

@@ -141,7 +141,7 @@ func TestStripPackingKillsConflictMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := TraceRankB(c, csf, Options{Rank: 512, RankBlockCols: 64, NoStripPacking: noPack}); err != nil {
+		if err := TraceRankB(c, Options{Rank: 512, RankBlockCols: 64, NoStripPacking: noPack}, csf); err != nil {
 			t.Fatal(err)
 		}
 		return c.Region(RegionB)

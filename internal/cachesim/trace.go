@@ -2,8 +2,10 @@ package cachesim
 
 import (
 	"fmt"
+	"slices"
 
-	"spblock/internal/core"
+	"spblock/internal/kernel"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -14,7 +16,7 @@ type Options struct {
 	// IndexBytes is the size of tensor indices/pointers: 4 matches this
 	// library's layout, 8 matches the paper's byte model. Default 4.
 	IndexBytes int
-	// RankBlockCols is the strip width for TraceRankB/TraceMB. 0 or
+	// RankBlockCols is the strip width for TraceRankB. 0 or
 	// >= Rank means one full-width strip (register blocking without
 	// packing); anything smaller traces the packed-strip execution the
 	// real kernels use.
@@ -62,36 +64,71 @@ func rowBytes(row int, stride, r0, r1 int) (int64, int) {
 	return int64(row)*int64(stride)*valueBytes + int64(r0)*valueBytes, (r1 - r0) * valueBytes
 }
 
+// splattTrees checks that trees holds at least one tree, that every
+// non-nil tree is an order-3 SPLATT tree (tensor.CheckSPLATT), and that
+// they share one shape, which it returns.
+func splattTrees(trees []*nmode.CSF) ([]int, error) {
+	var dims []int
+	for _, t := range trees {
+		if t == nil {
+			continue
+		}
+		if err := tensor.CheckSPLATT(t); err != nil {
+			return nil, fmt.Errorf("cachesim: %w", err)
+		}
+		if dims == nil {
+			dims = t.Dims
+		} else if !slices.Equal(t.Dims, dims) {
+			return nil, fmt.Errorf("cachesim: trees of shapes %v and %v", dims, t.Dims)
+		}
+	}
+	if dims == nil {
+		return nil, fmt.Errorf("cachesim: no tree to trace")
+	}
+	return dims, nil
+}
+
 // TraceSPLATT replays Algorithm 1's access stream (with any configured
-// pressure points) through h. Factor matrices use stride == Rank.
-func TraceSPLATT(h Toucher, t *tensor.CSF, opt Options) error {
+// pressure points) through h, one tree after another: a single SPLATT
+// tree, or the blocks of an MB layout in block order (the MB kernel;
+// nil blocks are empty and skipped). Factor matrices use stride ==
+// Rank.
+func TraceSPLATT(h Toucher, opt Options, trees ...*nmode.CSF) error {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return err
 	}
-	traceSplattRange(h, t, opt, 0, t.NumSlices())
+	if _, err := splattTrees(trees); err != nil {
+		return err
+	}
+	for _, t := range trees {
+		if t != nil {
+			traceSplatt(h, t, opt)
+		}
+	}
 	return nil
 }
 
-func traceSplattRange(h Toucher, t *tensor.CSF, opt Options, lo, hi int) {
+func traceSplatt(h Toucher, t *nmode.CSF, opt Options) {
 	r := opt.Rank
 	ib := opt.IndexBytes
-	for s := lo; s < hi; s++ {
-		i := int(t.SliceID[s])
+	sliceID, slicePtr, fiberK, fiberPtr, nzJ := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.ID[2]
+	for s := range sliceID {
+		i := int(sliceID[s])
 		h.Touch(RegionSlice, int64(s)*int64(ib), ib)
 		aOff, aLen := rowBytes(i, r, 0, r)
-		for f := int(t.SlicePtr[s]); f < int(t.SlicePtr[s+1]); f++ {
+		for f := int(slicePtr[s]); f < int(slicePtr[s+1]); f++ {
 			h.Touch(RegionFiber, int64(f)*int64(ib), ib)                // k_index
 			h.Touch(RegionFiber, fiberPtrOffset+int64(f)*int64(ib), ib) // k_pointer
-			k := int(t.FiberK[f])
+			k := int(fiberK[f])
 			if !opt.SkipAccumLoads && !opt.FlopsInner {
 				h.Touch(RegionAccum, 0, r*valueBytes) // s <- 0
 			}
-			for p := int(t.FiberPtr[f]); p < int(t.FiberPtr[f+1]); p++ {
+			for p := int(fiberPtr[f]); p < int(fiberPtr[f+1]); p++ {
 				h.Touch(RegionVal, int64(p)*valueBytes, valueBytes)
 				h.Touch(RegionJIdx, int64(p)*int64(ib), ib)
 				if !opt.SkipB {
-					j := int(t.NzJ[p])
+					j := int(nzJ[p])
 					if opt.BRowZero {
 						j = 0
 					}
@@ -173,25 +210,23 @@ func traceUnpackStrip(h Toucher, reg Region, nRows, stride, rr, w int) {
 // traceRankBStrip replays Algorithm 2's register-blocked slice loop for
 // one strip. Accumulators are registers: no accumulator traffic, and A
 // is loaded+stored per fiber per register block.
-func traceRankBStrip(h Toucher, t *tensor.CSF, opt Options, sl stripLayout, lo, hi int) {
+func traceRankBStrip(h Toucher, t *nmode.CSF, opt Options, sl stripLayout) {
 	ib := opt.IndexBytes
-	for s := lo; s < hi; s++ {
-		i := int(t.SliceID[s])
+	sliceID, slicePtr, fiberK, fiberPtr, nzJ := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.ID[2]
+	for s := range sliceID {
+		i := int(sliceID[s])
 		h.Touch(RegionSlice, int64(s)*int64(ib), ib)
-		for f := int(t.SlicePtr[s]); f < int(t.SlicePtr[s+1]); f++ {
+		for f := int(slicePtr[s]); f < int(slicePtr[s+1]); f++ {
 			h.Touch(RegionFiber, int64(f)*int64(ib), ib)
 			h.Touch(RegionFiber, fiberPtrOffset+int64(f)*int64(ib), ib)
-			k := int(t.FiberK[f])
-			for r0 := 0; r0 < sl.width; r0 += core.RegisterBlockWidth {
-				r1 := r0 + core.RegisterBlockWidth
-				if r1 > sl.width {
-					r1 = sl.width
-				}
-				for p := int(t.FiberPtr[f]); p < int(t.FiberPtr[f+1]); p++ {
+			k := int(fiberK[f])
+			for r0 := 0; r0 < sl.width; r0 += kernel.DefaultWidth {
+				r1 := min(r0+kernel.DefaultWidth, sl.width)
+				for p := int(fiberPtr[f]); p < int(fiberPtr[f+1]); p++ {
 					h.Touch(RegionVal, int64(p)*valueBytes, valueBytes)
 					h.Touch(RegionJIdx, int64(p)*int64(ib), ib)
 					if !opt.SkipB {
-						sl.touchRow(h, RegionB, int(t.NzJ[p]), r0, r1)
+						sl.touchRow(h, RegionB, int(nzJ[p]), r0, r1)
 					}
 				}
 				if !opt.SkipC {
@@ -206,7 +241,7 @@ func traceRankBStrip(h Toucher, t *tensor.CSF, opt Options, sl stripLayout, lo, 
 
 // strips enumerates the rank strips for opt, calling body with each
 // strip's layout. dims supplies the factor row counts for packing.
-func traceStrips(h Toucher, opt Options, dims tensor.Dims, body func(sl stripLayout)) {
+func traceStrips(h Toucher, opt Options, dims []int, body func(sl stripLayout)) {
 	r := opt.Rank
 	bs := opt.RankBlockCols
 	if bs <= 0 || bs >= r {
@@ -238,48 +273,24 @@ func traceStrips(h Toucher, opt Options, dims tensor.Dims, body func(sl stripLay
 
 // TraceRankB replays Algorithm 2's access stream, including the strip
 // packing of the factor matrices (Sec. V-B's "stacked strips"
-// rearrangement) that the real kernel performs.
-func TraceRankB(h Toucher, t *tensor.CSF, opt Options) error {
+// rearrangement) that the real kernel performs. Over the blocks of an
+// MB layout (nil blocks skipped) the strip loop is outermost and each
+// strip sweeps every block in block order: MB+RankB, Figure 3b.
+func TraceRankB(h Toucher, opt Options, trees ...*nmode.CSF) error {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return err
 	}
-	traceStrips(h, opt, t.Dims, func(sl stripLayout) {
-		traceRankBStrip(h, t, opt, sl, 0, t.NumSlices())
-	})
-	return nil
-}
-
-// TraceMB replays the multi-dimensionally blocked kernel. With
-// RankBlockCols == 0 each block runs the SPLATT trace (MethodMB); with
-// RankBlockCols > 0 the strip loop is outermost and each strip sweeps
-// all blocks (MethodMBRankB, Figure 3b).
-func TraceMB(h Toucher, bt *core.BlockedTensor, opt Options) error {
-	opt, err := opt.withDefaults()
+	dims, err := splattTrees(trees)
 	if err != nil {
 		return err
 	}
-	eachBlock := func(f func(blk *tensor.CSF)) {
-		for bi := 0; bi < bt.Grid[0]; bi++ {
-			for bj := 0; bj < bt.Grid[1]; bj++ {
-				for bk := 0; bk < bt.Grid[2]; bk++ {
-					if blk := bt.BlockAt(bi, bj, bk); blk != nil {
-						f(blk)
-					}
-				}
+	traceStrips(h, opt, dims, func(sl stripLayout) {
+		for _, t := range trees {
+			if t != nil {
+				traceRankBStrip(h, t, opt, sl)
 			}
 		}
-	}
-	if opt.RankBlockCols <= 0 {
-		eachBlock(func(blk *tensor.CSF) {
-			traceSplattRange(h, blk, opt, 0, blk.NumSlices())
-		})
-		return nil
-	}
-	traceStrips(h, opt, bt.Dims, func(sl stripLayout) {
-		eachBlock(func(blk *tensor.CSF) {
-			traceRankBStrip(h, blk, opt, sl, 0, blk.NumSlices())
-		})
 	})
 	return nil
 }

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"spblock/internal/core"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -22,7 +22,7 @@ func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
 	return t
 }
 
-func mustCSF(t *testing.T, c *tensor.COO) *tensor.CSF {
+func mustCSF(t *testing.T, c *tensor.COO) *nmode.CSF {
 	t.Helper()
 	csf, err := tensor.BuildCSF(c)
 	if err != nil {
@@ -43,17 +43,20 @@ func hugeConfig() Config {
 func TestOptionsValidation(t *testing.T) {
 	h, _ := NewHierarchy(hugeConfig())
 	csf := mustCSF(t, randCOO(rand.New(rand.NewSource(1)), tensor.Dims{4, 4, 4}, 10))
-	if err := TraceSPLATT(h, csf, Options{Rank: 0}); err == nil {
+	if err := TraceSPLATT(h, Options{Rank: 0}, csf); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if err := TraceSPLATT(h, csf, Options{Rank: 8, IndexBytes: 3}); err == nil {
+	if err := TraceSPLATT(h, Options{Rank: 8, IndexBytes: 3}, csf); err == nil {
 		t.Fatal("bad index bytes accepted")
 	}
-	if err := TraceSPLATT(h, csf, Options{Rank: 8, IndexBytes: 8}); err != nil {
+	if err := TraceSPLATT(h, Options{Rank: 8, IndexBytes: 8}, csf); err != nil {
 		t.Fatalf("8-byte indices rejected: %v", err)
 	}
 }
 
+// The MB kernel is TraceSPLATT over the block list: splitting the one
+// fiber across two blocks keeps the per-nonzero stream and repeats the
+// per-fiber epilogue.
 func TestTraceSPLATTAccessCounts(t *testing.T) {
 	// One slice, one fiber, three nonzeros at rank 8 (64 B rows = one
 	// line each in a 64 B-line cache).
@@ -61,43 +64,56 @@ func TestTraceSPLATTAccessCounts(t *testing.T) {
 	c.Append(2, 1, 3, 1)
 	c.Append(2, 4, 3, 1)
 	c.Append(2, 6, 3, 1)
-	csf := mustCSF(t, c)
-	h, _ := NewHierarchy(hugeConfig())
-	if err := TraceSPLATT(h, csf, Options{Rank: 8}); err != nil {
+	bt, err := tensor.BuildBlocked(c, [3]int{1, 2, 1}) // j = 1 | j = 4, 6
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr := h.Snapshot()
-	sum := func(r Region) int64 {
-		var s int64
-		for _, v := range tr.Served[r] {
-			s += v
+	for _, tc := range []struct {
+		name   string
+		trees  []*nmode.CSF
+		fibers int64
+	}{
+		{"tree", []*nmode.CSF{mustCSF(t, c)}, 1},
+		{"blocks", bt.Blocks, 2},
+	} {
+		h, _ := NewHierarchy(hugeConfig())
+		if err := TraceSPLATT(h, Options{Rank: 8}, tc.trees...); err != nil {
+			t.Fatal(err)
 		}
-		return s
-	}
-	// B: one row (one line) per nonzero = 3 accesses.
-	if sum(RegionB) != 3 {
-		t.Fatalf("B accesses = %d, want 3", sum(RegionB))
-	}
-	// C: one row at the fiber end = 1.
-	if sum(RegionC) != 1 {
-		t.Fatalf("C accesses = %d, want 1", sum(RegionC))
-	}
-	// A: load + store at the fiber end = 2.
-	if sum(RegionA) != 2 {
-		t.Fatalf("A accesses = %d, want 2", sum(RegionA))
-	}
-	// Accumulator: zeroing (1) + load+store per nonzero (6) + epilogue read (1) = 8.
-	if sum(RegionAccum) != 8 {
-		t.Fatalf("accum accesses = %d, want 8", sum(RegionAccum))
-	}
-	// Values: 3 nonzeros x 8 B within one line = 3 accesses (1 distinct line).
-	if sum(RegionVal) != 3 {
-		t.Fatalf("val accesses = %d, want 3", sum(RegionVal))
-	}
-	// Distinct B rows 1, 4, 6 at rank 8: rows 1,4,6 cover offsets
-	// 64..127, 256..319, 384..447 -> 3 distinct lines from memory.
-	if tr.MemLines(RegionB) != 3 {
-		t.Fatalf("B memory lines = %d, want 3", tr.MemLines(RegionB))
+		tr := h.Snapshot()
+		sum := func(r Region) int64 {
+			var s int64
+			for _, v := range tr.Served[r] {
+				s += v
+			}
+			return s
+		}
+		// B: one row (one line) per nonzero = 3 accesses.
+		if sum(RegionB) != 3 {
+			t.Fatalf("%s: B accesses = %d, want 3", tc.name, sum(RegionB))
+		}
+		// C: one row at each fiber end.
+		if sum(RegionC) != tc.fibers {
+			t.Fatalf("%s: C accesses = %d, want %d", tc.name, sum(RegionC), tc.fibers)
+		}
+		// A: load + store at each fiber end.
+		if sum(RegionA) != 2*tc.fibers {
+			t.Fatalf("%s: A accesses = %d, want %d", tc.name, sum(RegionA), 2*tc.fibers)
+		}
+		// Accumulator: zeroing and epilogue read per fiber + load+store
+		// per nonzero (6).
+		if want := 2*tc.fibers + 6; sum(RegionAccum) != want {
+			t.Fatalf("%s: accum accesses = %d, want %d", tc.name, sum(RegionAccum), want)
+		}
+		// Values: 3 nonzeros x 8 B = 3 accesses.
+		if sum(RegionVal) != 3 {
+			t.Fatalf("%s: val accesses = %d, want 3", tc.name, sum(RegionVal))
+		}
+		// Distinct B rows 1, 4, 6 at rank 8: rows 1,4,6 cover offsets
+		// 64..127, 256..319, 384..447 -> 3 distinct lines from memory.
+		if tr.MemLines(RegionB) != 3 {
+			t.Fatalf("%s: B memory lines = %d, want 3", tc.name, tr.MemLines(RegionB))
+		}
 	}
 }
 
@@ -109,7 +125,7 @@ func TestPressurePointsRemoveTraffic(t *testing.T) {
 	measure := func(opt Options) Traffic {
 		h, _ := NewHierarchy(hugeConfig())
 		opt.Rank = 16
-		if err := TraceSPLATT(h, csf, opt); err != nil {
+		if err := TraceSPLATT(h, opt, csf); err != nil {
 			t.Fatal(err)
 		}
 		return h.Snapshot()
@@ -176,50 +192,101 @@ func TestPressurePointsRemoveTraffic(t *testing.T) {
 }
 
 // csfDistinctJ returns the distinct j values (test helper).
-func csfDistinctJ(c *tensor.CSF) map[tensor.Index]bool {
+func csfDistinctJ(c *nmode.CSF) map[tensor.Index]bool {
 	m := map[tensor.Index]bool{}
-	for _, j := range c.NzJ {
+	for _, j := range c.ID[2] {
 		m[j] = true
 	}
 	return m
 }
 
+// One tree and the blocks of an MB layout carry the same tensor stream:
+// the strip loop sweeps every block, so each nonzero is read once per
+// register block either way.
 func TestTraceRankBEliminatesAccumulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randCOO(rng, tensor.Dims{16, 32, 16}, 300)
-	csf := mustCSF(t, x)
-	h, _ := NewHierarchy(hugeConfig())
-	if err := TraceRankB(h, csf, Options{Rank: 64, RankBlockCols: 32}); err != nil {
+	bt, err := tensor.BuildBlocked(x, [3]int{2, 3, 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr := h.Snapshot()
-	var accum int64
-	for _, v := range tr.Served[RegionAccum] {
-		accum += v
-	}
-	if accum != 0 {
-		t.Fatalf("rank-blocked kernel generated %d accumulator accesses, want 0", accum)
-	}
-	// Values are re-read once per register block: rank 64 = 4 register
-	// blocks of 16 -> 4x the nonzero count.
-	var val int64
-	for _, v := range tr.Served[RegionVal] {
-		val += v
-	}
-	if val != int64(4*csf.NNZ()) {
-		t.Fatalf("val accesses = %d, want %d", val, 4*csf.NNZ())
+	for name, trees := range map[string][]*nmode.CSF{
+		"tree":   {mustCSF(t, x)},
+		"blocks": bt.Blocks,
+	} {
+		h, _ := NewHierarchy(hugeConfig())
+		if err := TraceRankB(h, Options{Rank: 64, RankBlockCols: 32}, trees...); err != nil {
+			t.Fatal(err)
+		}
+		tr := h.Snapshot()
+		var accum int64
+		for _, v := range tr.Served[RegionAccum] {
+			accum += v
+		}
+		if accum != 0 {
+			t.Fatalf("%s: rank-blocked kernel generated %d accumulator accesses, want 0", name, accum)
+		}
+		// Values are re-read once per register block: rank 64 = 4
+		// register blocks of 16 -> 4x the nonzero count.
+		var val int64
+		for _, v := range tr.Served[RegionVal] {
+			val += v
+		}
+		if val != int64(4*x.NNZ()) {
+			t.Fatalf("%s: val accesses = %d, want %d", name, val, 4*x.NNZ())
+		}
 	}
 }
 
+// Trees the order-3 traces cannot read are rejected: another order,
+// another level order, trees of two shapes, or no tree at all.
+func TestTraceRejectsNonSPLATTTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x := randCOO(rng, tensor.Dims{6, 5, 4}, 40)
+	order4 := nmode.NewTensor([]int{3, 3, 3, 3}, 1)
+	order4.Append([]nmode.Index{1, 2, 0, 1}, 1)
+	tree4, err := nmode.Build(order4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ijk, err := nmode.Build(tensor.ToNMode(x), []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	splatt := mustCSF(t, x)
+	other := mustCSF(t, randCOO(rng, tensor.Dims{6, 5, 5}, 40))
+	for _, tc := range []struct {
+		name  string
+		trees []*nmode.CSF
+	}{
+		{"order-4 tree", []*nmode.CSF{tree4}},
+		{"(0, 1, 2) tree", []*nmode.CSF{ijk}},
+		{"(0, 1, 2) block beside a SPLATT block", []*nmode.CSF{splatt, nil, ijk}},
+		{"trees of two shapes", []*nmode.CSF{splatt, other}},
+		{"empty block list", nil},
+		{"all blocks nil", []*nmode.CSF{nil, nil}},
+	} {
+		h, _ := NewHierarchy(hugeConfig())
+		if err := TraceSPLATT(h, Options{Rank: 8}, tc.trees...); err == nil {
+			t.Errorf("TraceSPLATT accepted %s", tc.name)
+		}
+		if err := TraceRankB(h, Options{Rank: 8, RankBlockCols: 4}, tc.trees...); err == nil {
+			t.Errorf("TraceRankB accepted %s", tc.name)
+		}
+	}
+}
+
+// The MB kernel is TraceSPLATT over the block list: every nonzero of
+// the tensor is streamed exactly once across the blocks.
 func TestTraceMBConservesTensorStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := randCOO(rng, tensor.Dims{12, 12, 12}, 200)
-	bt, err := core.BuildBlocked(x, [3]int{2, 3, 2})
+	bt, err := tensor.BuildBlocked(x, [3]int{2, 3, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, _ := NewHierarchy(hugeConfig())
-	if err := TraceMB(h, bt, Options{Rank: 8}); err != nil {
+	if err := TraceSPLATT(h, Options{Rank: 8}, bt.Blocks...); err != nil {
 		t.Fatal(err)
 	}
 	tr := h.Snapshot()
@@ -270,18 +337,18 @@ func TestBlockingReducesBTraffic(t *testing.T) {
 	rank := 64
 
 	baseTr, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
-		return TraceSPLATT(h, csf, Options{Rank: rank})
+		return TraceSPLATT(h, Options{Rank: rank}, csf)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	bt, err := core.BuildBlocked(x, [3]int{1, 8, 1})
+	bt, err := tensor.BuildBlocked(x, [3]int{1, 8, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mbTr, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
-		return TraceMB(h, bt, Options{Rank: rank})
+		return TraceSPLATT(h, Options{Rank: rank}, bt.Blocks...)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,13 +377,13 @@ func TestRankBlockingReducesBTrafficAtHighRank(t *testing.T) {
 	rank := 512
 
 	baseTr, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
-		return TraceSPLATT(h, csf, Options{Rank: rank})
+		return TraceSPLATT(h, Options{Rank: rank}, csf)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rbTr, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
-		return TraceRankB(h, csf, Options{Rank: rank, RankBlockCols: 64})
+		return TraceRankB(h, Options{Rank: rank, RankBlockCols: 64}, csf)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +402,7 @@ func TestMeasureTrafficPropagatesErrors(t *testing.T) {
 	}
 	csf := mustCSF(t, randCOO(rand.New(rand.NewSource(8)), tensor.Dims{4, 4, 4}, 10))
 	if _, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
-		return TraceSPLATT(h, csf, Options{Rank: 0})
+		return TraceSPLATT(h, Options{Rank: 0}, csf)
 	}); err == nil {
 		t.Fatal("trace error swallowed")
 	}
@@ -352,13 +419,13 @@ func TestStripPackingAblation(t *testing.T) {
 	rank := 512
 
 	packed, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
-		return TraceRankB(h, csf, Options{Rank: rank, RankBlockCols: 64})
+		return TraceRankB(h, Options{Rank: rank, RankBlockCols: 64}, csf)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	unpacked, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
-		return TraceRankB(h, csf, Options{Rank: rank, RankBlockCols: 64, NoStripPacking: true})
+		return TraceRankB(h, Options{Rank: rank, RankBlockCols: 64, NoStripPacking: true}, csf)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,7 @@
 // Plan.Options translates it for the nmode executors that run every
 // mode's product (the three products are structurally identical —
 // Sec. III-B); internal/engine wraps them as the order-3 face. The
-// package also keeps the dense Reference oracle and the BlockedTensor
-// layout the cache simulator and the autotuner's cost model trace.
+// package also keeps the dense Reference oracle.
 package core
 
 import (

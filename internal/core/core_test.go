@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
@@ -61,16 +62,16 @@ func TestSliceShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cumOf := func(c *tensor.CSF) func(int) int64 {
-		return func(i int) int64 { return int64(c.FiberPtr[c.SlicePtr[i+1]]) }
+	cumOf := func(c *nmode.CSF) func(int) int64 {
+		return func(i int) int64 { return int64(c.Ptr[1][c.Ptr[0][i+1]]) }
 	}
 	for _, workers := range []int{1, 2, 3, 7, 100} {
-		shares := sched.Shares(csf.NumSlices(), workers, cumOf(csf))
+		shares := sched.Shares(csf.NumNodes(0), workers, cumOf(csf))
 		if len(shares) == 0 {
 			t.Fatal("no shares")
 		}
 		// Coverage: contiguous, disjoint, spanning [0, numSlices).
-		if shares[0][0] != 0 || shares[len(shares)-1][1] != csf.NumSlices() {
+		if shares[0][0] != 0 || shares[len(shares)-1][1] != csf.NumNodes(0) {
 			t.Fatalf("workers=%d: shares %v do not span", workers, shares)
 		}
 		for s := 1; s < len(shares); s++ {
@@ -89,23 +90,26 @@ func TestSliceShares(t *testing.T) {
 	}
 	// Empty tensor: no shares.
 	emptyCSF, _ := tensor.BuildCSF(tensor.NewCOO(tensor.Dims{3, 3, 3}, 0))
-	if s := sched.Shares(emptyCSF.NumSlices(), 4, cumOf(emptyCSF)); s != nil {
+	if s := sched.Shares(emptyCSF.NumNodes(0), 4, cumOf(emptyCSF)); s != nil {
 		t.Fatalf("empty tensor shares = %v", s)
 	}
 }
 
+// The MB layout the plans run and the cache simulator traces is
+// tensor.BuildBlocked's nmode blocked tree: its flat block ids nest
+// (bi, bj, bk) row-major, and each block is a SPLATT tree.
 func TestBuildBlockedStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dims := tensor.Dims{12, 9, 15}
 	x := randCOO(rng, dims, 300)
-	bt, err := BuildBlocked(x, [3]int{3, 3, 5})
+	bt, err := tensor.BuildBlocked(x, [3]int{3, 3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bt.NNZ() != x.NNZ() {
 		t.Fatalf("blocked nnz %d != %d", bt.NNZ(), x.NNZ())
 	}
-	if bt.BlockDims != [3]int{4, 3, 3} {
+	if !reflect.DeepEqual(bt.BlockDims, []int{4, 3, 3}) {
 		t.Fatalf("block dims = %v", bt.BlockDims)
 	}
 	// Every nonzero lands in the block its coordinates dictate, with
@@ -114,14 +118,23 @@ func TestBuildBlockedStructure(t *testing.T) {
 	for bi := 0; bi < 3; bi++ {
 		for bj := 0; bj < 3; bj++ {
 			for bk := 0; bk < 5; bk++ {
-				blk := bt.BlockAt(bi, bj, bk)
+				blk := bt.Blocks[(bi*3+bj)*5+bk]
 				if blk == nil {
 					continue
 				}
 				if err := blk.Validate(); err != nil {
 					t.Fatalf("block (%d,%d,%d): %v", bi, bj, bk, err)
 				}
-				back := blk.ToCOO()
+				if err := tensor.CheckSPLATT(blk); err != nil {
+					t.Fatalf("block (%d,%d,%d): %v", bi, bj, bk, err)
+				}
+				back, err := tensor.FromNMode(blk.ToTensor())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !back.IsFiberSorted() {
+					t.Fatalf("block (%d,%d,%d) not in fiber order", bi, bj, bk)
+				}
 				total += back.NNZ()
 				for p := 0; p < back.NNZ(); p++ {
 					if int(back.I[p])/4 != bi || int(back.J[p])/3 != bj || int(back.K[p])/3 != bk {
@@ -135,9 +148,6 @@ func TestBuildBlockedStructure(t *testing.T) {
 	if total != x.NNZ() {
 		t.Fatalf("blocks hold %d nonzeros, tensor has %d", total, x.NNZ())
 	}
-	if bt.FactorAccessCounts() != [3]int{15, 15, 9} {
-		t.Fatalf("factor access counts = %v", bt.FactorAccessCounts())
-	}
 }
 
 // Each block is the SPLATT tree of exactly its own nonzeros — the same
@@ -146,7 +156,7 @@ func TestBuildBlockedStructure(t *testing.T) {
 func TestBuildBlockedBlocksAreExactCSFs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := randCOO(rng, tensor.Dims{13, 10, 11}, 900)
-	bt, err := BuildBlocked(x, [3]int{3, 2, 4})
+	bt, err := tensor.BuildBlocked(x, [3]int{3, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +182,8 @@ func TestBuildBlockedBlocksAreExactCSFs(t *testing.T) {
 			t.Fatalf("block %d differs from BuildCSF of its nonzeros", id)
 		}
 		for name, a := range map[string][]int32{
-			"SliceID": blk.SliceID, "SlicePtr": blk.SlicePtr, "FiberK": blk.FiberK,
-			"FiberPtr": blk.FiberPtr, "NzJ": blk.NzJ,
+			"slice ids": blk.ID[0], "slice pointers": blk.Ptr[0], "fiber ids": blk.ID[1],
+			"fiber pointers": blk.Ptr[1], "leaf ids": blk.ID[2],
 		} {
 			if len(a) != cap(a) {
 				t.Fatalf("block %d %s: len %d cap %d", id, name, len(a), cap(a))
@@ -188,17 +198,26 @@ func TestBuildBlockedBlocksAreExactCSFs(t *testing.T) {
 func TestBuildBlockedOverheadGrowsWithGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := randCOO(rng, tensor.Dims{40, 40, 40}, 4000)
-	flat, err := BuildBlocked(x, [3]int{1, 1, 1})
+	flat, err := tensor.BuildBlocked(x, [3]int{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := BuildBlocked(x, [3]int{8, 8, 8})
+	fine, err := tensor.BuildBlocked(x, [3]int{8, 8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fine.MemoryBytes() <= flat.MemoryBytes() {
+	memoryBytes := func(bt *nmode.BlockedTensor) int64 {
+		var s int64
+		for _, b := range bt.Blocks {
+			if b != nil {
+				s += b.MemoryBytes()
+			}
+		}
+		return s
+	}
+	if memoryBytes(fine) <= memoryBytes(flat) {
 		t.Fatalf("fine grid memory %d not above flat %d — fiber splitting must cost",
-			fine.MemoryBytes(), flat.MemoryBytes())
+			memoryBytes(fine), memoryBytes(flat))
 	}
 	if flat.NumBlocks() != 1 {
 		t.Fatalf("flat grid has %d blocks", flat.NumBlocks())
@@ -209,7 +228,7 @@ func TestBuildBlockedDoesNotMutateInput(t *testing.T) {
 	x := tensor.NewCOO(tensor.Dims{4, 4, 4}, 0)
 	x.Append(3, 3, 3, 1)
 	x.Append(0, 0, 0, 2) // unsorted
-	if _, err := BuildBlocked(x, [3]int{2, 2, 2}); err != nil {
+	if _, err := tensor.BuildBlocked(x, [3]int{2, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if x.I[0] != 3 {

@@ -104,28 +104,11 @@ func decompose(k als.Kernel, cfg als.Config, plan core.Plan) (*Result, error) {
 	}, err
 }
 
-// engineKernel adapts the order-3 multi-mode engine to the shared ALS
-// core.
-type engineKernel struct {
-	dims []int
-	eng  *engine.MultiModeExecutor
-}
-
-func (k *engineKernel) Dims() []int { return k.dims }
-
-func (k *engineKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
-	return k.eng.Run(mode, [3]*la.Matrix{factors[0], factors[1], factors[2]}, out)
-}
-
-// Workers gives the dense ALS phase the engine's current parallelism
-// (als.WorkerCounter), so a per-job SetWorkers covers the whole sweep.
-func (k *engineKernel) Workers() int { return k.eng.Workers() }
-
 // memoKernel folds modes 1-2 from the shared mode-3 contraction
 // (refreshed once per sweep via StartSweep); mode 3 still runs through
 // the configured engine plan.
 type memoKernel struct {
-	engineKernel
+	nKernel
 	memo *memo.Engine
 }
 
@@ -140,7 +123,7 @@ func (k *memoKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) erro
 	case 1:
 		return k.memo.FoldMode2(factors[0], out)
 	}
-	return k.engineKernel.MTTKRP(mode, factors, out)
+	return k.nKernel.MTTKRP(mode, factors, out)
 }
 
 // CPALS decomposes t with alternating least squares over an engine it
@@ -170,15 +153,15 @@ func newKernel(t *tensor.COO, opts Options) (als.Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	ek := engineKernel{dims: t.Dims[:], eng: eng}
+	nk := nKernel{dims: t.Dims[:], eng: &eng.NEngine}
 	if !opts.Memoize {
-		return &ek, nil
+		return &nk, nil
 	}
 	m, err := memo.NewEngine(t)
 	if err != nil {
 		return nil, err
 	}
-	return &memoKernel{engineKernel: ek, memo: m}, nil
+	return &memoKernel{nKernel: nk, memo: m}, nil
 }
 
 // CPALSEngine decomposes t through a caller-supplied multi-mode engine
@@ -209,7 +192,7 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 			return nil, fmt.Errorf("cpd: %w", err)
 		}
 	}
-	return decompose(&engineKernel{dims: t.Dims[:], eng: eng}, opts.sweeps(t), eng.Plan())
+	return decompose(&nKernel{dims: t.Dims[:], eng: &eng.NEngine}, opts.sweeps(t), eng.Plan())
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a

@@ -20,19 +20,16 @@ import (
 	"fmt"
 
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
 // Engine owns the (i,j)-pair structure and the memo buffer.
 type Engine struct {
-	dims tensor.Dims
-
-	// pairI/pairJ identify each non-empty (i, j) pair; pairs are sorted.
-	pairI, pairJ []tensor.Index
-	// pairPtr[p] .. pairPtr[p+1] is pair p's range in leafK/leafVal.
-	pairPtr []int32
-	leafK   []tensor.Index
-	leafVal []float64
+	// pairs is the tensor's CSF tree in mode order (0, 1, 2): its
+	// level-1 nodes are the non-empty (i, j) pairs in (i, j) order, and
+	// each pair's leaves are its (k, value) entries.
+	pairs *nmode.CSF
 
 	// s is the memo buffer (P × rank), reallocated when the rank changes.
 	s *la.Matrix
@@ -40,69 +37,15 @@ type Engine struct {
 
 // NewEngine builds the pair structure from t. The input is unchanged.
 func NewEngine(t *tensor.COO) (*Engine, error) {
-	if err := t.Validate(); err != nil {
+	c, err := nmode.Build(tensor.ToNMode(t), []int{0, 1, 2})
+	if err != nil {
 		return nil, err
 	}
-	// Sort a copy by (i, j, k) with three stable counting passes.
-	srcI, srcJ, srcK, srcV := t.I, t.J, t.K, t.Val
-	n := t.NNZ()
-	dstI := make([]tensor.Index, n)
-	dstJ := make([]tensor.Index, n)
-	dstK := make([]tensor.Index, n)
-	dstV := make([]float64, n)
-	// Copy first so the source slices are ours to ping-pong.
-	dstI = append(dstI[:0], srcI...)
-	dstJ = append(dstJ[:0], srcJ...)
-	dstK = append(dstK[:0], srcK...)
-	dstV = append(dstV[:0], srcV...)
-	srcI, srcJ, srcK, srcV = dstI, dstJ, dstK, dstV
-	dstI = make([]tensor.Index, n)
-	dstJ = make([]tensor.Index, n)
-	dstK = make([]tensor.Index, n)
-	dstV = make([]float64, n)
-	for pass := 0; pass < 3; pass++ {
-		var key []tensor.Index
-		var dim int
-		switch pass {
-		case 0:
-			key, dim = srcK, t.Dims[2]
-		case 1:
-			key, dim = srcJ, t.Dims[1]
-		default:
-			key, dim = srcI, t.Dims[0]
-		}
-		counts := make([]int32, dim+1)
-		for _, v := range key {
-			counts[v+1]++
-		}
-		for d := 0; d < dim; d++ {
-			counts[d+1] += counts[d]
-		}
-		for p := 0; p < n; p++ {
-			pos := counts[key[p]]
-			counts[key[p]]++
-			dstI[pos], dstJ[pos], dstK[pos], dstV[pos] = srcI[p], srcJ[p], srcK[p], srcV[p]
-		}
-		srcI, dstI = dstI, srcI
-		srcJ, dstJ = dstJ, srcJ
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
-	}
-
-	e := &Engine{dims: t.Dims, leafK: srcK, leafVal: srcV}
-	for p := 0; p < n; p++ {
-		if p == 0 || srcI[p] != srcI[p-1] || srcJ[p] != srcJ[p-1] {
-			e.pairI = append(e.pairI, srcI[p])
-			e.pairJ = append(e.pairJ, srcJ[p])
-			e.pairPtr = append(e.pairPtr, int32(p))
-		}
-	}
-	e.pairPtr = append(e.pairPtr, int32(n))
-	return e, nil
+	return &Engine{pairs: c}, nil
 }
 
 // NumPairs returns P, the number of distinct (i, j) pairs.
-func (e *Engine) NumPairs() int { return len(e.pairI) }
+func (e *Engine) NumPairs() int { return e.pairs.NumNodes(1) }
 
 // MemoBytes returns the memo buffer size for a given rank — the
 // storage overhead of the method.
@@ -113,8 +56,8 @@ func (e *Engine) MemoBytes(rank int) int64 {
 // ComputeS contracts the tensor with the mode-3 factor C into the memo
 // buffer: S[p,:] = Σ_{k in pair p} val · C[k,:].
 func (e *Engine) ComputeS(c *la.Matrix) error {
-	if c.Rows != e.dims[2] {
-		return fmt.Errorf("memo: C has %d rows, want %d", c.Rows, e.dims[2])
+	if c.Rows != e.pairs.Dims[2] {
+		return fmt.Errorf("memo: C has %d rows, want %d", c.Rows, e.pairs.Dims[2])
 	}
 	r := c.Cols
 	if r == 0 {
@@ -134,11 +77,12 @@ func (e *Engine) ComputeS(c *la.Matrix) error {
 		e.s.Data = e.s.Data[:need]
 		e.s.Zero()
 	}
+	leafPtr, leafK, leafVal := e.pairs.Ptr[1], e.pairs.ID[2], e.pairs.Val
 	for p := 0; p < e.NumPairs(); p++ {
 		row := e.s.Row(p)
-		for q := e.pairPtr[p]; q < e.pairPtr[p+1]; q++ {
-			v := e.leafVal[q]
-			crow := c.Row(int(e.leafK[q]))
+		for q := leafPtr[p]; q < leafPtr[p+1]; q++ {
+			v := leafVal[q]
+			crow := c.Row(int(leafK[q]))
 			for x := range row {
 				row[x] += v * crow[x]
 			}
@@ -148,19 +92,22 @@ func (e *Engine) ComputeS(c *la.Matrix) error {
 }
 
 // FoldMode1 computes the mode-1 MTTKRP from the memo buffer:
-// out[i,:] += S[p,:] ∘ B[j_p,:] for every pair p with pairI[p] == i.
+// out[i,:] += S[p,:] ∘ B[j_p,:] for every pair p = (i, j_p).
 // ComputeS must have run with the current C. out is zeroed first.
 func (e *Engine) FoldMode1(b, out *la.Matrix) error {
-	if err := e.checkFold(b, out, e.dims[1], e.dims[0]); err != nil {
+	if err := e.checkFold(b, out, e.pairs.Dims[1], e.pairs.Dims[0]); err != nil {
 		return err
 	}
 	out.Zero()
-	for p := 0; p < e.NumPairs(); p++ {
-		srow := e.s.Row(p)
-		brow := b.Row(int(e.pairJ[p]))
-		orow := out.Row(int(e.pairI[p]))
-		for x := range srow {
-			orow[x] += srow[x] * brow[x]
+	sliceI, slicePtr, pairJ := e.pairs.ID[0], e.pairs.Ptr[0], e.pairs.ID[1]
+	for s, i := range sliceI {
+		orow := out.Row(int(i))
+		for p := slicePtr[s]; p < slicePtr[s+1]; p++ {
+			srow := e.s.Row(int(p))
+			brow := b.Row(int(pairJ[p]))
+			for x := range srow {
+				orow[x] += srow[x] * brow[x]
+			}
 		}
 	}
 	return nil
@@ -170,16 +117,19 @@ func (e *Engine) FoldMode1(b, out *la.Matrix) error {
 // out[j,:] += S[p,:] ∘ A[i_p,:]. ComputeS must have run with the
 // current C. out is zeroed first.
 func (e *Engine) FoldMode2(a, out *la.Matrix) error {
-	if err := e.checkFold(a, out, e.dims[0], e.dims[1]); err != nil {
+	if err := e.checkFold(a, out, e.pairs.Dims[0], e.pairs.Dims[1]); err != nil {
 		return err
 	}
 	out.Zero()
-	for p := 0; p < e.NumPairs(); p++ {
-		srow := e.s.Row(p)
-		arow := a.Row(int(e.pairI[p]))
-		orow := out.Row(int(e.pairJ[p]))
-		for x := range srow {
-			orow[x] += srow[x] * arow[x]
+	sliceI, slicePtr, pairJ := e.pairs.ID[0], e.pairs.Ptr[0], e.pairs.ID[1]
+	for s, i := range sliceI {
+		arow := a.Row(int(i))
+		for p := slicePtr[s]; p < slicePtr[s+1]; p++ {
+			srow := e.s.Row(int(p))
+			orow := out.Row(int(pairJ[p]))
+			for x := range srow {
+				orow[x] += srow[x] * arow[x]
+			}
 		}
 	}
 	return nil

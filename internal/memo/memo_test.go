@@ -2,6 +2,7 @@ package memo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -43,16 +44,36 @@ func TestNewEngineValidation(t *testing.T) {
 
 func TestPairStructure(t *testing.T) {
 	x := tensor.NewCOO(tensor.Dims{3, 3, 4}, 0)
-	x.Append(0, 0, 1, 1)
-	x.Append(0, 0, 3, 2) // same pair (0,0)
-	x.Append(0, 1, 0, 3)
 	x.Append(2, 0, 2, 4)
+	x.Append(0, 0, 3, 2) // same pair (0,0) as the last entry
+	x.Append(0, 1, 0, 3)
+	x.Append(0, 0, 1, 1)
 	e, err := NewEngine(x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.NumPairs() != 3 {
 		t.Fatalf("pairs = %d, want 3", e.NumPairs())
+	}
+	// The level-1 nodes are the (i, j) pairs in (i, j) order, each
+	// holding its k leaves in k order.
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"i", e.pairs.ID[0], []tensor.Index{0, 2}},
+		{"i pointers", e.pairs.Ptr[0], []int32{0, 2, 3}},
+		{"j", e.pairs.ID[1], []tensor.Index{0, 1, 0}},
+		{"pair pointers", e.pairs.Ptr[1], []int32{0, 2, 3, 4}},
+		{"k", e.pairs.ID[2], []tensor.Index{1, 3, 0, 2}},
+		{"values", e.pairs.Val, []float64{1, 2, 3, 4}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if x.I[0] != 2 {
+		t.Fatal("NewEngine reordered the caller's tensor")
 	}
 	if e.MemoBytes(16) != 3*16*8 {
 		t.Fatalf("MemoBytes = %d", e.MemoBytes(16))

@@ -55,8 +55,9 @@ func FuzzReadTNS(f *testing.F) {
 // layout from them, and checks the results: the spblockcheck structure
 // oracle, the tree against the sort.SliceStable oracle, and every block
 // against Build over that block's nonzeros. Every build path in the
-// module (Build, BuildBlocked, out-of-core slots, tensor.BuildCSF,
-// core.BuildBlocked) goes through the one Builder this exercises.
+// module (Build, BuildBlocked, out-of-core slots, and through them
+// tensor.BuildCSF, tensor.BuildBlocked and memo) goes through the one
+// Builder this exercises.
 func FuzzCSFBuild(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 6, 0, 1, 2, 7, 3, 3, 3, 1, 1, 1}, []byte{1, 2, 3})
 	f.Add([]byte{2, 1, 1, 0, 0}, []byte{})

@@ -84,7 +84,7 @@ type Manifest struct {
 func (m *Manifest) Order() int { return len(m.Dims) }
 
 // BlockDims returns the per-mode block edge lengths, ceil(dim/grid) —
-// identical to BlockedTensor.BlockDims.
+// identical to nmode.BlockedTensor.BlockDims.
 func (m *Manifest) BlockDims() []int {
 	bd := make([]int, len(m.Dims))
 	for i := range m.Dims {

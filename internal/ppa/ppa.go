@@ -15,6 +15,7 @@ import (
 
 	"spblock/internal/cachesim"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -83,11 +84,12 @@ func (v Variant) TraceOptions(rank int) cachesim.Options {
 	return opt
 }
 
-// Run executes the variant kernel once over t at the rank implied by
-// out.Cols, accumulating into out (whose contents are meaningful only
-// for Type6Unchanged), and returns a checksum that the caller should
-// consume to keep the compiler honest.
-func Run(v Variant, t *tensor.CSF, b, c, out *la.Matrix, accum []float64) float64 {
+// Run executes the variant kernel once over the SPLATT tree t (built by
+// tensor.BuildCSF) at the rank implied by out.Cols, accumulating into
+// out (whose contents are meaningful only for Type6Unchanged), and
+// returns a checksum that the caller should consume to keep the
+// compiler honest.
+func Run(v Variant, t *nmode.CSF, b, c, out *la.Matrix, accum []float64) float64 {
 	switch v {
 	case Type1NoB:
 		return runNoB(t, c, out, accum)
@@ -106,20 +108,21 @@ func Run(v Variant, t *tensor.CSF, b, c, out *la.Matrix, accum []float64) float6
 	}
 }
 
-func runBaseline(t *tensor.CSF, b, c, out *la.Matrix, accum []float64) float64 {
+func runBaseline(t *nmode.CSF, b, c, out *la.Matrix, accum []float64) float64 {
 	r := out.Cols
-	for s := 0; s < t.NumSlices(); s++ {
-		orow := out.Row(int(t.SliceID[s]))
-		for f := t.SlicePtr[s]; f < t.SlicePtr[s+1]; f++ {
+	sliceID, slicePtr, fiberK, fiberPtr, nzJ, val := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.ID[2], t.Val
+	for s := range sliceID {
+		orow := out.Row(int(sliceID[s]))
+		for f := slicePtr[s]; f < slicePtr[s+1]; f++ {
 			clear(accum)
-			for p := t.FiberPtr[f]; p < t.FiberPtr[f+1]; p++ {
-				v := t.Val[p]
-				brow := b.Row(int(t.NzJ[p]))
+			for p := fiberPtr[f]; p < fiberPtr[f+1]; p++ {
+				v := val[p]
+				brow := b.Row(int(nzJ[p]))
 				for q := 0; q < r; q++ {
 					accum[q] += v * brow[q]
 				}
 			}
-			crow := c.Row(int(t.FiberK[f]))
+			crow := c.Row(int(fiberK[f]))
 			for q := 0; q < r; q++ {
 				orow[q] += accum[q] * crow[q]
 			}
@@ -130,19 +133,20 @@ func runBaseline(t *tensor.CSF, b, c, out *la.Matrix, accum []float64) float64 {
 
 // runNoB replaces the B row read with the nonzero value itself: the
 // inner loop's loads of B disappear while the flop count stays.
-func runNoB(t *tensor.CSF, c, out *la.Matrix, accum []float64) float64 {
+func runNoB(t *nmode.CSF, c, out *la.Matrix, accum []float64) float64 {
 	r := out.Cols
-	for s := 0; s < t.NumSlices(); s++ {
-		orow := out.Row(int(t.SliceID[s]))
-		for f := t.SlicePtr[s]; f < t.SlicePtr[s+1]; f++ {
+	sliceID, slicePtr, fiberK, fiberPtr, val := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.Val
+	for s := range sliceID {
+		orow := out.Row(int(sliceID[s]))
+		for f := slicePtr[s]; f < slicePtr[s+1]; f++ {
 			clear(accum)
-			for p := t.FiberPtr[f]; p < t.FiberPtr[f+1]; p++ {
-				v := t.Val[p]
+			for p := fiberPtr[f]; p < fiberPtr[f+1]; p++ {
+				v := val[p]
 				for q := 0; q < r; q++ {
 					accum[q] += v * v
 				}
 			}
-			crow := c.Row(int(t.FiberK[f]))
+			crow := c.Row(int(fiberK[f]))
 			for q := 0; q < r; q++ {
 				orow[q] += accum[q] * crow[q]
 			}
@@ -151,23 +155,24 @@ func runNoB(t *tensor.CSF, c, out *la.Matrix, accum []float64) float64 {
 	return out.Data[0]
 }
 
-func runBInL1(t *tensor.CSF, b, c, out *la.Matrix, accum []float64) float64 {
+func runBInL1(t *nmode.CSF, b, c, out *la.Matrix, accum []float64) float64 {
 	r := out.Cols
 	brow0 := b.Row(0)
-	for s := 0; s < t.NumSlices(); s++ {
-		orow := out.Row(int(t.SliceID[s]))
-		for f := t.SlicePtr[s]; f < t.SlicePtr[s+1]; f++ {
+	sliceID, slicePtr, fiberK, fiberPtr, nzJ, val := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.ID[2], t.Val
+	for s := range sliceID {
+		orow := out.Row(int(sliceID[s]))
+		for f := slicePtr[s]; f < slicePtr[s+1]; f++ {
 			clear(accum)
-			for p := t.FiberPtr[f]; p < t.FiberPtr[f+1]; p++ {
-				v := t.Val[p]
+			for p := fiberPtr[f]; p < fiberPtr[f+1]; p++ {
+				v := val[p]
 				// The j index is still loaded (the instruction stream is
 				// unchanged); only the row it selects is redirected.
-				_ = t.NzJ[p]
+				_ = nzJ[p]
 				for q := 0; q < r; q++ {
 					accum[q] += v * brow0[q]
 				}
 			}
-			crow := c.Row(int(t.FiberK[f]))
+			crow := c.Row(int(fiberK[f]))
 			for q := 0; q < r; q++ {
 				orow[q] += accum[q] * crow[q]
 			}
@@ -179,32 +184,33 @@ func runBInL1(t *tensor.CSF, b, c, out *la.Matrix, accum []float64) float64 {
 // runNoAccumLoads keeps partial sums in 16-wide register blocks,
 // removing the accumulator array's load/store traffic and the loads of
 // A in the epilogue (lines 7 and 9 of Algorithm 1).
-func runNoAccumLoads(t *tensor.CSF, b, c, out *la.Matrix) float64 {
+func runNoAccumLoads(t *nmode.CSF, b, c, out *la.Matrix) float64 {
 	r := out.Cols
-	for s := 0; s < t.NumSlices(); s++ {
-		i := int(t.SliceID[s])
-		for f := t.SlicePtr[s]; f < t.SlicePtr[s+1]; f++ {
-			pLo, pHi := int(t.FiberPtr[f]), int(t.FiberPtr[f+1])
-			k := int(t.FiberK[f])
+	sliceID, slicePtr, fiberK, fiberPtr, nzJ := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.ID[2]
+	for s := range sliceID {
+		i := int(sliceID[s])
+		for f := slicePtr[s]; f < slicePtr[s+1]; f++ {
+			pLo, pHi := int(fiberPtr[f]), int(fiberPtr[f+1])
+			k := int(fiberK[f])
 			r0 := 0
 			for ; r0+16 <= r; r0 += 16 {
-				registerBlock16(t, b, c, out, pLo, pHi, i, k, r0)
+				registerBlock16(t.Val, nzJ, b, c, out, pLo, pHi, i, k, r0)
 			}
 			if r0 < r {
-				registerBlockTail(t, b, c, out, pLo, pHi, i, k, r0, r)
+				registerBlockTail(t.Val, nzJ, b, c, out, pLo, pHi, i, k, r0, r)
 			}
 		}
 	}
 	return out.Data[0]
 }
 
-func registerBlock16(t *tensor.CSF, b, c, out *la.Matrix, pLo, pHi, i, k, r0 int) {
+func registerBlock16(val []float64, nzJ []nmode.Index, b, c, out *la.Matrix, pLo, pHi, i, k, r0 int) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
 	var a8, a9, a10, a11, a12, a13, a14, a15 float64
 	bd, bs := b.Data, b.Stride
 	for p := pLo; p < pHi; p++ {
-		v := t.Val[p]
-		brow := bd[int(t.NzJ[p])*bs+r0:]
+		v := val[p]
+		brow := bd[int(nzJ[p])*bs+r0:]
 		brow = brow[:16:16]
 		a0 += v * brow[0]
 		a1 += v * brow[1]
@@ -247,12 +253,12 @@ func registerBlock16(t *tensor.CSF, b, c, out *la.Matrix, pLo, pHi, i, k, r0 int
 	orow[15] = a15 * crow[15]
 }
 
-func registerBlockTail(t *tensor.CSF, b, c, out *la.Matrix, pLo, pHi, i, k, r0, r1 int) {
+func registerBlockTail(val []float64, nzJ []nmode.Index, b, c, out *la.Matrix, pLo, pHi, i, k, r0, r1 int) {
 	var acc [16]float64
 	w := r1 - r0
 	for p := pLo; p < pHi; p++ {
-		v := t.Val[p]
-		brow := b.Data[int(t.NzJ[p])*b.Stride+r0:]
+		v := val[p]
+		brow := b.Data[int(nzJ[p])*b.Stride+r0:]
 		for q := 0; q < w; q++ {
 			acc[q] += v * brow[q]
 		}
@@ -264,20 +270,21 @@ func registerBlockTail(t *tensor.CSF, b, c, out *la.Matrix, pLo, pHi, i, k, r0, 
 	}
 }
 
-func runNoC(t *tensor.CSF, b, out *la.Matrix, accum []float64) float64 {
+func runNoC(t *nmode.CSF, b, out *la.Matrix, accum []float64) float64 {
 	r := out.Cols
-	for s := 0; s < t.NumSlices(); s++ {
-		orow := out.Row(int(t.SliceID[s]))
-		for f := t.SlicePtr[s]; f < t.SlicePtr[s+1]; f++ {
+	sliceID, slicePtr, fiberK, fiberPtr, nzJ, val := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.ID[2], t.Val
+	for s := range sliceID {
+		orow := out.Row(int(sliceID[s]))
+		for f := slicePtr[s]; f < slicePtr[s+1]; f++ {
 			clear(accum)
-			for p := t.FiberPtr[f]; p < t.FiberPtr[f+1]; p++ {
-				v := t.Val[p]
-				brow := b.Row(int(t.NzJ[p]))
+			for p := fiberPtr[f]; p < fiberPtr[f+1]; p++ {
+				v := val[p]
+				brow := b.Row(int(nzJ[p]))
 				for q := 0; q < r; q++ {
 					accum[q] += v * brow[q]
 				}
 			}
-			kv := float64(t.FiberK[f]) // stands in for the C row without touching C
+			kv := float64(fiberK[f]) // stands in for the C row without touching C
 			for q := 0; q < r; q++ {
 				orow[q] += accum[q] * kv
 			}
@@ -289,15 +296,16 @@ func runNoC(t *tensor.CSF, b, out *la.Matrix, accum []float64) float64 {
 // runFlopsInner is the COO emulation: the fiber epilogue's multiply by
 // C and accumulate into A happens per nonzero, increasing flops but
 // not (much) data movement.
-func runFlopsInner(t *tensor.CSF, b, c, out *la.Matrix) float64 {
+func runFlopsInner(t *nmode.CSF, b, c, out *la.Matrix) float64 {
 	r := out.Cols
-	for s := 0; s < t.NumSlices(); s++ {
-		orow := out.Row(int(t.SliceID[s]))
-		for f := t.SlicePtr[s]; f < t.SlicePtr[s+1]; f++ {
-			crow := c.Row(int(t.FiberK[f]))
-			for p := t.FiberPtr[f]; p < t.FiberPtr[f+1]; p++ {
-				v := t.Val[p]
-				brow := b.Row(int(t.NzJ[p]))
+	sliceID, slicePtr, fiberK, fiberPtr, nzJ, val := t.ID[0], t.Ptr[0], t.ID[1], t.Ptr[1], t.ID[2], t.Val
+	for s := range sliceID {
+		orow := out.Row(int(sliceID[s]))
+		for f := slicePtr[s]; f < slicePtr[s+1]; f++ {
+			crow := c.Row(int(fiberK[f]))
+			for p := fiberPtr[f]; p < fiberPtr[f+1]; p++ {
+				v := val[p]
+				brow := b.Row(int(nzJ[p]))
 				for q := 0; q < r; q++ {
 					orow[q] += v * brow[q] * crow[q]
 				}
@@ -318,7 +326,11 @@ type Result struct {
 // Measure times every variant over reps repetitions (keeping the
 // minimum) on a single goroutine, as the paper measured on a single
 // core, and returns results in Table I order with Relative filled in.
-func Measure(t *tensor.CSF, b, c *la.Matrix, rank, reps int) ([]Result, error) {
+// t must be a SPLATT tree (tensor.CheckSPLATT).
+func Measure(t *nmode.CSF, b, c *la.Matrix, rank, reps int) ([]Result, error) {
+	if err := tensor.CheckSPLATT(t); err != nil {
+		return nil, fmt.Errorf("ppa: %w", err)
+	}
 	if rank <= 0 || rank != b.Cols || rank != c.Cols {
 		return nil, fmt.Errorf("ppa: rank %d inconsistent with factors (%d, %d)", rank, b.Cols, c.Cols)
 	}

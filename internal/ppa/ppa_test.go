@@ -6,10 +6,11 @@ import (
 
 	"spblock/internal/cachesim"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
-func testTensor(t *testing.T, seed int64, dims tensor.Dims, nnz int) *tensor.CSF {
+func testTensor(t *testing.T, seed int64, dims tensor.Dims, nnz int) *nmode.CSF {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	c := tensor.NewCOO(dims, nnz)
@@ -66,11 +67,11 @@ func TestBaselineMatchesSPLATTSemantics(t *testing.T) {
 
 	// Oracle: COO accumulation.
 	want := la.NewMatrix(8, rank)
-	coo := csf.ToCOO()
+	coo := csf.ToTensor()
 	for p := 0; p < coo.NNZ(); p++ {
-		brow := b.Row(int(coo.J[p]))
-		crow := c.Row(int(coo.K[p]))
-		orow := want.Row(int(coo.I[p]))
+		brow := b.Row(int(coo.Idx[1][p]))
+		crow := c.Row(int(coo.Idx[2][p]))
+		orow := want.Row(int(coo.Idx[0][p]))
 		for q := 0; q < rank; q++ {
 			orow[q] += coo.Val[p] * brow[q] * crow[q]
 		}
@@ -119,6 +120,23 @@ func TestMeasureValidation(t *testing.T) {
 	if _, err := Measure(csf, la.NewMatrix(3, 8), la.NewMatrix(4, 8), 8, 1); err == nil {
 		t.Fatal("mismatched B rows accepted")
 	}
+	// Only the SPLATT layout: an (i, j, k) tree or an order-4 tree of
+	// matching leading dims is rejected.
+	ijk, err := nmode.Build(csf.ToTensor(), []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x4 := nmode.NewTensor([]int{4, 4, 4, 4}, 1)
+	x4.Append([]nmode.Index{1, 2, 3, 0}, 1)
+	tree4, err := nmode.Build(x4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tree := range map[string]*nmode.CSF{"(0, 1, 2)": ijk, "order-4": tree4} {
+		if _, err := Measure(tree, la.NewMatrix(4, 8), la.NewMatrix(4, 8), 8, 1); err == nil {
+			t.Fatalf("%s tree accepted", name)
+		}
+	}
 }
 
 func TestMeasureProducesOrderedResults(t *testing.T) {
@@ -166,7 +184,7 @@ func TestTrafficOrderingMatchesTableI(t *testing.T) {
 	rank := 128
 	mem := func(v Variant) int64 {
 		tr, err := cachesim.MeasureTraffic(cachesim.POWER8(), func(h *cachesim.Hierarchy) error {
-			return cachesim.TraceSPLATT(h, csf, v.TraceOptions(rank))
+			return cachesim.TraceSPLATT(h, v.TraceOptions(rank), csf)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -37,17 +37,3 @@ func ToNMode(t *COO) *nmode.Tensor {
 // SPLATTModeOrder returns the tree level order of the SPLATT structure:
 // slices over mode 0, fibers over mode 2, leaves over mode 1.
 func SPLATTModeOrder() []int { return []int{0, 2, 1} }
-
-// FromNModeCSF relabels an order-3 nmode tree built with
-// SPLATTModeOrder as the SPLATT structure, sharing its arrays.
-func FromNModeCSF(c *nmode.CSF) *CSF {
-	return &CSF{
-		Dims:     Dims{c.Dims[0], c.Dims[1], c.Dims[2]},
-		SliceID:  c.ID[0],
-		SlicePtr: c.Ptr[0],
-		FiberK:   c.ID[1],
-		FiberPtr: c.Ptr[1],
-		NzJ:      c.ID[2],
-		Val:      c.Val,
-	}
-}

@@ -119,8 +119,9 @@ func ProfileTensor(t *COO) (Profile, error) {
 		if err != nil {
 			return Profile{}, err
 		}
-		for f := 0; f < csf.NumFibers(); f++ {
-			if l := int(csf.FiberPtr[f+1] - csf.FiberPtr[f]); l > p.MaxFiberLen {
+		fiberPtr := csf.Ptr[1]
+		for f := 1; f < len(fiberPtr); f++ {
+			if l := int(fiberPtr[f] - fiberPtr[f-1]); l > p.MaxFiberLen {
 				p.MaxFiberLen = l
 			}
 		}

@@ -135,13 +135,13 @@ func TestPaperExampleFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if csf.NumSlices() != 3 || csf.NumFibers() != 6 || csf.NNZ() != 7 {
+	if csf.NumNodes(0) != 3 || csf.NumNodes(1) != 6 || csf.NNZ() != 7 {
 		t.Fatalf("CSF shape %d/%d/%d, want 3/6/7",
-			csf.NumSlices(), csf.NumFibers(), csf.NNZ())
+			csf.NumNodes(0), csf.NumNodes(1), csf.NNZ())
 	}
 	// Row 1 of the figure holds fibers k=1,2,3 (1-based) = 0,1,2 here.
-	if csf.SlicePtr[1]-csf.SlicePtr[0] != 3 {
-		t.Fatalf("row 0 fiber count = %d, want 3", csf.SlicePtr[1]-csf.SlicePtr[0])
+	if n := csf.Ptr[0][1] - csf.Ptr[0][0]; n != 3 {
+		t.Fatalf("row 0 fiber count = %d, want 3", n)
 	}
 }
 

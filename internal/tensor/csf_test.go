@@ -4,7 +4,21 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"spblock/internal/analysis/check"
+	"spblock/internal/nmode"
 )
+
+// toCOO expands a SPLATT tree back to coordinate form, in tree (fiber)
+// order.
+func toCOO(t *testing.T, c *nmode.CSF) *COO {
+	t.Helper()
+	back, err := FromNMode(c.ToTensor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
 
 func TestBuildCSFEmpty(t *testing.T) {
 	c := NewCOO(Dims{4, 4, 4}, 0)
@@ -12,13 +26,13 @@ func TestBuildCSFEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if csf.NNZ() != 0 || csf.NumFibers() != 0 || csf.NumSlices() != 0 {
+	if csf.NNZ() != 0 || csf.NumNodes(1) != 0 || csf.NumNodes(0) != 0 {
 		t.Fatal("empty CSF has phantom content")
 	}
 	if err := csf.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	back := csf.ToCOO()
+	back := toCOO(t, csf)
 	if back.NNZ() != 0 {
 		t.Fatal("empty round trip failed")
 	}
@@ -60,12 +74,12 @@ func TestCSFRoundTrip(t *testing.T) {
 		if err := csf.Validate(); err != nil {
 			t.Fatalf("nnz=%d: %v", nnz, err)
 		}
-		back := csf.ToCOO()
+		back := toCOO(t, csf)
 		if !sameMultiset(entryMultiset(c), entryMultiset(back)) {
 			t.Fatalf("nnz=%d: round trip changed entries", nnz)
 		}
 		if !back.IsFiberSorted() {
-			t.Fatal("ToCOO output not fiber sorted")
+			t.Fatal("ToTensor output not fiber sorted")
 		}
 	}
 }
@@ -81,16 +95,16 @@ func TestCSFCountsMatchCOO(t *testing.T) {
 	if csf.NNZ() != c.NNZ() {
 		t.Fatalf("nnz %d != %d", csf.NNZ(), c.NNZ())
 	}
-	if csf.NumFibers() != c.CountFibers() {
-		t.Fatalf("fibers %d != %d", csf.NumFibers(), c.CountFibers())
+	if csf.NumNodes(1) != c.CountFibers() {
+		t.Fatalf("fibers %d != %d", csf.NumNodes(1), c.CountFibers())
 	}
 	// Slice count equals distinct i values.
 	seen := map[Index]bool{}
 	for _, i := range c.I {
 		seen[i] = true
 	}
-	if csf.NumSlices() != len(seen) {
-		t.Fatalf("slices %d != %d", csf.NumSlices(), len(seen))
+	if csf.NumNodes(0) != len(seen) {
+		t.Fatalf("slices %d != %d", csf.NumNodes(0), len(seen))
 	}
 }
 
@@ -108,8 +122,8 @@ func TestCSFMemoryModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper model: 16 + 8*3 + 16*6 + 16*7 = 248.
-	if got := csf.PaperMemoryBytes(); got != 248 {
-		t.Fatalf("PaperMemoryBytes = %d, want 248", got)
+	if got := ComputeStats(c).SPLATTBytes; got != 248 {
+		t.Fatalf("SPLATTBytes = %d, want 248", got)
 	}
 	// Actual: 4*(3 slices + 4 sliceptr + 6 fiberK + 7 fiberptr + 7 nzJ) + 8*7 = 4*27+56 = 164.
 	if got := csf.MemoryBytes(); got != 164 {
@@ -121,9 +135,12 @@ func TestCSFMemoryModels(t *testing.T) {
 	}
 }
 
+// The SPLATT tree's full invariants — sorted ids, no empty slice or
+// fiber, in-range ids, spanning pointers — are the deep structure
+// oracle's; nmode's Validate checks the shallow subset.
 func TestCSFValidateCatchesCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	fresh := func() *CSF {
+	fresh := func() *nmode.CSF {
 		c := randomCOO(rng, Dims{5, 5, 5}, 60)
 		c.Dedup()
 		csf, err := BuildCSF(c)
@@ -132,34 +149,42 @@ func TestCSFValidateCatchesCorruption(t *testing.T) {
 		}
 		return csf
 	}
+	valid := func(c *nmode.CSF) error {
+		return check.Tree(c.Dims, c.ModeOrder, c.ID, c.Ptr, len(c.Val))
+	}
+	if err := valid(fresh()); err != nil {
+		t.Fatal(err)
+	}
 
 	corruptions := []struct {
 		name string
-		mut  func(c *CSF)
+		mut  func(c *nmode.CSF)
 	}{
-		{"slice id out of range", func(c *CSF) { c.SliceID[0] = 99 }},
-		{"slice ids out of order", func(c *CSF) {
-			if len(c.SliceID) > 1 {
-				c.SliceID[1] = c.SliceID[0]
+		{"slice id out of range", func(c *nmode.CSF) { c.ID[0][0] = 99 }},
+		{"slice ids out of order", func(c *nmode.CSF) {
+			if len(c.ID[0]) > 1 {
+				c.ID[0][1] = c.ID[0][0]
 			} else {
-				c.SliceID[0] = -1
+				c.ID[0][0] = -1
 			}
 		}},
-		{"fiber k out of range", func(c *CSF) { c.FiberK[0] = -3 }},
-		{"j out of range", func(c *CSF) { c.NzJ[0] = 99 }},
-		{"sliceptr broken", func(c *CSF) { c.SlicePtr[0] = 1 }},
-		{"fiberptr broken", func(c *CSF) { c.FiberPtr[len(c.FiberPtr)-1]++ }},
-		{"ragged val", func(c *CSF) { c.Val = c.Val[:len(c.Val)-1] }},
+		{"fiber k out of range", func(c *nmode.CSF) { c.ID[1][0] = -3 }},
+		{"j out of range", func(c *nmode.CSF) { c.ID[2][0] = 99 }},
+		{"slice pointers broken", func(c *nmode.CSF) { c.Ptr[0][0] = 1 }},
+		{"fiber pointers broken", func(c *nmode.CSF) { c.Ptr[1][len(c.Ptr[1])-1]++ }},
+		{"ragged val", func(c *nmode.CSF) { c.Val = c.Val[:len(c.Val)-1] }},
 	}
 	for _, tc := range corruptions {
 		csf := fresh()
 		tc.mut(csf)
-		if err := csf.Validate(); err == nil {
-			t.Fatalf("%s: Validate accepted corrupted structure", tc.name)
+		if err := valid(csf); err == nil {
+			t.Fatalf("%s: accepted corrupted structure", tc.name)
 		}
 	}
 }
 
+// The average fiber length, nnz / fibers, controls how much work the
+// SPLATT format saves over COO (Sec. III-C).
 func TestAvgFiberLength(t *testing.T) {
 	c := NewCOO(Dims{2, 4, 2}, 0)
 	// One fiber with 4 nonzeros, one with 2.
@@ -168,16 +193,11 @@ func TestAvgFiberLength(t *testing.T) {
 	}
 	c.Append(1, 0, 1, 1)
 	c.Append(1, 1, 1, 1)
-	csf, err := BuildCSF(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := csf.AvgFiberLength(); got != 3 {
+	if got := ComputeStats(c).AvgFiberLength; got != 3 {
 		t.Fatalf("AvgFiberLength = %v, want 3", got)
 	}
-	empty := &CSF{Dims: Dims{1, 1, 1}, SlicePtr: []int32{0}, FiberPtr: []int32{0}}
-	if empty.AvgFiberLength() != 0 {
-		t.Fatal("empty AvgFiberLength should be 0")
+	if got := ComputeStats(NewCOO(Dims{1, 1, 1}, 0)).AvgFiberLength; got != 0 {
+		t.Fatalf("empty AvgFiberLength = %v, want 0", got)
 	}
 }
 
@@ -196,17 +216,17 @@ func TestQuickCSFRoundTrip(t *testing.T) {
 		if csf.Validate() != nil {
 			return false
 		}
-		if csf.NumFibers() != c.CountFibers() || csf.NNZ() != c.NNZ() {
+		if csf.NumNodes(1) != c.CountFibers() || csf.NNZ() != c.NNZ() {
 			return false
 		}
-		return sameMultiset(entryMultiset(c), entryMultiset(csf.ToCOO()))
+		return sameMultiset(entryMultiset(c), entryMultiset(toCOO(t, csf)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// BuildCSF is the relabelled nmode tree: on a shuffled deduplicated
+// BuildCSF is the SPLATT-ordered nmode tree: on a shuffled deduplicated
 // tensor it must list the entries in exactly the fiber order
 // SortFiberOrder produces, with every array exactly sized, whether or
 // not the input arrives already sorted.
@@ -227,7 +247,7 @@ func TestBuildCSFFiberOrderExactlySized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back := csf.ToCOO()
+			back := toCOO(t, csf)
 			for p := 0; p < sorted.NNZ(); p++ {
 				if back.I[p] != sorted.I[p] || back.J[p] != sorted.J[p] ||
 					back.K[p] != sorted.K[p] || back.Val[p] != sorted.Val[p] {
@@ -235,12 +255,12 @@ func TestBuildCSFFiberOrderExactlySized(t *testing.T) {
 				}
 			}
 			for name, n := range map[string][2]int{
-				"SliceID":  {len(csf.SliceID), cap(csf.SliceID)},
-				"SlicePtr": {len(csf.SlicePtr), cap(csf.SlicePtr)},
-				"FiberK":   {len(csf.FiberK), cap(csf.FiberK)},
-				"FiberPtr": {len(csf.FiberPtr), cap(csf.FiberPtr)},
-				"NzJ":      {len(csf.NzJ), cap(csf.NzJ)},
-				"Val":      {len(csf.Val), cap(csf.Val)},
+				"slice ids":      {len(csf.ID[0]), cap(csf.ID[0])},
+				"slice pointers": {len(csf.Ptr[0]), cap(csf.Ptr[0])},
+				"fiber ids":      {len(csf.ID[1]), cap(csf.ID[1])},
+				"fiber pointers": {len(csf.Ptr[1]), cap(csf.Ptr[1])},
+				"leaf ids":       {len(csf.ID[2]), cap(csf.ID[2])},
+				"values":         {len(csf.Val), cap(csf.Val)},
 			} {
 				if n[0] != n[1] {
 					t.Fatalf("nnz %d: %s len %d cap %d", nnz, name, n[0], n[1])

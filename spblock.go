@@ -47,8 +47,6 @@ type (
 	Tensor = tensor.COO
 	// Dims holds the three mode lengths.
 	Dims = tensor.Dims
-	// CSF is the SPLATT compressed-fiber storage (Figure 1b of the paper).
-	CSF = tensor.CSF
 	// Stats summarises a tensor's shape (Table II vocabulary).
 	Stats = tensor.Stats
 	// Matrix is a dense row-major factor matrix.
@@ -77,8 +75,9 @@ type (
 	// MultiExecutor serves MTTKRP for several modes of one tensor
 	// under a Plan, building each mode's executor exactly once.
 	MultiExecutor = engine.MultiModeExecutor
-	// BlockedTensor is the multi-dimensionally blocked representation.
-	BlockedTensor = core.BlockedTensor
+	// BlockedTensor is the multi-dimensionally blocked representation:
+	// one CSF tree per non-empty grid block.
+	BlockedTensor = nmode.BlockedTensor
 	// SchedPolicy selects the work-distribution policy for a plan's
 	// parallel workers (Plan.Sched, OptionsN.Sched): static shares,
 	// chunked work stealing, or the adaptive controller that promotes
@@ -219,8 +218,9 @@ func ReadTNS(r io.Reader) (*Tensor, error) { return tensor.ReadTNS(r) }
 // WriteTNS writes a tensor in FROSTT text form.
 func WriteTNS(w io.Writer, t *Tensor) error { return tensor.WriteTNS(w, t) }
 
-// BuildCSF converts a tensor to the SPLATT storage format.
-func BuildCSF(t *Tensor) (*CSF, error) { return tensor.BuildCSF(t) }
+// BuildCSF converts a tensor to the SPLATT storage format (Figure 1b of
+// the paper): the CSF tree with mode order (0, 2, 1).
+func BuildCSF(t *Tensor) (*CSFN, error) { return tensor.BuildCSF(t) }
 
 // ComputeStats gathers shape statistics for a tensor.
 func ComputeStats(t *Tensor) Stats { return tensor.ComputeStats(t) }
@@ -253,7 +253,7 @@ func MTTKRP(t *Tensor, b, c, out *Matrix, plan Plan) error {
 
 // BuildBlocked reorganises t into the grid blocks of MB blocking.
 func BuildBlocked(t *Tensor, grid [3]int) (*BlockedTensor, error) {
-	return core.BuildBlocked(t, grid)
+	return tensor.BuildBlocked(t, grid)
 }
 
 // Autotune runs the Sec. V-C heuristic and returns a tuned plan.
