@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"time"
 
-	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/nmode"
 )
@@ -97,11 +96,11 @@ func main() {
 	// CPALSN does under the hood), then each mode product runs against
 	// pooled workspaces. The second pass is the steady state — no
 	// allocations, no tree rebuilds.
-	eng, err := engine.NewNEngine(x, nmode.Options{RankBlockCols: 16})
+	eng, err := nmode.NewEngine(x, nmode.Options{RankBlockCols: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nunified engine (NewNEngine, rank strips):\n")
+	fmt.Printf("\nunified engine (nmode.NewEngine, rank strips):\n")
 	outs := make([]*la.Matrix, len(dims))
 	for m, d := range dims {
 		outs[m] = la.NewMatrix(d, rank)

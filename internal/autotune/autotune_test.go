@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
 	"spblock/internal/tensor"
@@ -127,11 +126,11 @@ func TestModelTuneFindsTrafficReducingPlan(t *testing.T) {
 	}
 	run := func(plan core.Plan, out *la.Matrix) {
 		t.Helper()
-		e, err := engine.NewMultiModeExecutor(x, plan, 0)
+		e, err := core.NewEngine(x, plan, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+		if err := e.Run(0, []*la.Matrix{nil, b, c}, out); err != nil {
 			t.Fatal(err)
 		}
 	}

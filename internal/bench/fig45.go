@@ -5,21 +5,19 @@ import (
 
 	"spblock/internal/cachesim"
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
-// product is one plan's mode-1 MTTKRP, out = X₍₁₎ · (B ⊙ C).
-type product func(b, c, out *la.Matrix) error
-
-// newProduct builds the mode-0 executor for plan over x.
-func newProduct(x *tensor.COO, plan core.Plan) (product, error) {
-	me, err := engine.NewMultiModeExecutor(x, plan, 0)
+// newProduct builds the mode-0 executor for plan over x: one plan's
+// mode-1 MTTKRP, out = X₍₁₎ · (B ⊙ C).
+func newProduct(x *tensor.COO, plan core.Plan) (*nmode.Executor, error) {
+	opts, err := plan.Options()
 	if err != nil {
 		return nil, err
 	}
-	return func(b, c, out *la.Matrix) error { return me.Run(0, [3]*la.Matrix{nil, b, c}, out) }, nil
+	return nmode.NewExecutor(tensor.ToNMode(x), 0, opts)
 }
 
 // fig4Rank is the rank Figure 4 sweeps at (the paper uses 512).
@@ -45,8 +43,9 @@ func Fig4(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		nnz, fibers := int64(csf.NNZ()), int64(csf.NumNodes(1))
-		b := randomMatrix(x.Dims[1], fig4Rank, cfg.Seed+3)
-		c := randomMatrix(x.Dims[2], fig4Rank, cfg.Seed+4)
+		factors := []*la.Matrix{nil,
+			randomMatrix(x.Dims[1], fig4Rank, cfg.Seed+3),
+			randomMatrix(x.Dims[2], fig4Rank, cfg.Seed+4)}
 		out := la.NewMatrix(x.Dims[0], fig4Rank)
 
 		baselineExec, err := newProduct(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
@@ -54,7 +53,7 @@ func Fig4(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		baseSec := TimeBest(cfg.Reps, func() {
-			if err := baselineExec(b, c, out); err != nil {
+			if err := baselineExec.Run(factors, out); err != nil {
 				panic(err)
 			}
 		})
@@ -70,7 +69,7 @@ func Fig4(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			sec := TimeBest(cfg.Reps, func() {
-				if err := e(b, c, out); err != nil {
+				if err := e.Run(factors, out); err != nil {
 					panic(err)
 				}
 			})
@@ -176,8 +175,9 @@ func Fig5(cfg Config) (*Table, error) {
 		}
 		stats := tensor.ComputeStats(x)
 		nnz, fibers := int64(stats.NNZ), int64(stats.Fibers)
-		b := randomMatrix(x.Dims[1], fig5Rank, cfg.Seed+5)
-		c := randomMatrix(x.Dims[2], fig5Rank, cfg.Seed+6)
+		factors := []*la.Matrix{nil,
+			randomMatrix(x.Dims[1], fig5Rank, cfg.Seed+5),
+			randomMatrix(x.Dims[2], fig5Rank, cfg.Seed+6)}
 		out := la.NewMatrix(x.Dims[0], fig5Rank)
 
 		baselineExec, err := newProduct(x, core.Plan{Method: core.MethodSPLATT, Workers: cfg.Workers})
@@ -185,7 +185,7 @@ func Fig5(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		baseSec := TimeBest(cfg.Reps, func() {
-			if err := baselineExec(b, c, out); err != nil {
+			if err := baselineExec.Run(factors, out); err != nil {
 				panic(err)
 			}
 		})
@@ -208,7 +208,7 @@ func Fig5(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			sec := TimeBest(cfg.Reps, func() {
-				if err := e(b, c, out); err != nil {
+				if err := e.Run(factors, out); err != nil {
 					panic(err)
 				}
 			})

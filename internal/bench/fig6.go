@@ -8,6 +8,7 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/gen"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/roofline"
 	"spblock/internal/tensor"
 )
@@ -71,8 +72,9 @@ func Fig6(cfg Config, ranks []int, datasets []string) (*Table, error) {
 		}
 
 		for _, rank := range ranks {
-			b := randomMatrix(x.Dims[1], rank, cfg.Seed+int64(rank))
-			c := randomMatrix(x.Dims[2], rank, cfg.Seed+int64(rank)+1)
+			factors := []*la.Matrix{nil,
+				randomMatrix(x.Dims[1], rank, cfg.Seed+int64(rank)),
+				randomMatrix(x.Dims[2], rank, cfg.Seed+int64(rank)+1)}
 			out := la.NewMatrix(x.Dims[0], rank)
 
 			// RankB strip width follows the heuristic rule of thumb:
@@ -89,9 +91,9 @@ func Fig6(cfg Config, ranks []int, datasets []string) (*Table, error) {
 				return nil, err
 			}
 
-			run := func(e product) float64 {
+			run := func(e *nmode.Executor) float64 {
 				return TimeBest(cfg.Reps, func() {
-					if err := e(b, c, out); err != nil {
+					if err := e.Run(factors, out); err != nil {
 						panic(err)
 					}
 				})

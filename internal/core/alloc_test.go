@@ -2,12 +2,9 @@ package core_test
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
 	"spblock/internal/sched"
@@ -17,7 +14,7 @@ import (
 
 // TestRunSteadyStateAllocations is the regression guard for the pooled
 // workspaces: after a warm-up run sizes the workspace for the rank,
-// repeated Run calls on the face must not touch the heap at all — for
+// repeated Run calls on the engine must not touch the heap at all — for
 // any method and mode, sequential or parallel. CP-ALS calls MTTKRP 10–1000s of
 // times per decomposition, so a single allocation here multiplies into
 // allocator pressure and GC noise across every decomposition and every
@@ -30,7 +27,7 @@ func TestRunSteadyStateAllocations(t *testing.T) {
 	dims := tensor.Dims{32, 48, 24}
 	x := core.RandCOO(rng, dims, 4000)
 	const rank = 48
-	var factors, outs [3]*la.Matrix
+	factors, outs := make([]*la.Matrix, 3), make([]*la.Matrix, 3)
 	for m := range factors {
 		factors[m] = core.RandMatrix(rng, dims[m], rank)
 		outs[m] = la.NewMatrix(dims[m], rank)
@@ -69,7 +66,7 @@ func TestRunSteadyStateAllocations(t *testing.T) {
 		plans = append(plans, core.Plan{Method: core.MethodRankB, RankBlockCols: w, Workers: 4, Sched: sched.PolicySteal})
 	}
 	for _, plan := range plans {
-		e, err := engine.NewMultiModeExecutor(x, plan)
+		e, err := core.NewEngine(x, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,9 +125,9 @@ func TestPromotedAdaptiveAllocationFree(t *testing.T) {
 	dims := tensor.Dims{32, 48, 24}
 	x := core.RandCOO(rng, dims, 4000)
 	const rank = 32
-	f := [3]*la.Matrix{nil, core.RandMatrix(rng, dims[1], rank), core.RandMatrix(rng, dims[2], rank)}
+	f := []*la.Matrix{nil, core.RandMatrix(rng, dims[1], rank), core.RandMatrix(rng, dims[2], rank)}
 	out := la.NewMatrix(dims[0], rank)
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +161,7 @@ func TestRankChangeResizesWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	dims := tensor.Dims{16, 20, 12}
 	x := core.RandCOO(rng, dims, 800)
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodRankB, RankBlockCols: 16, Workers: 2}, 0)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodRankB, RankBlockCols: 16, Workers: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,62 +174,13 @@ func TestRankChangeResizesWorkspace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+			if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if d := got.MaxAbsDiff(want); d > 1e-9 {
 			t.Fatalf("rank %d after resize: differs from oracle by %v", rank, d)
 		}
-	}
-}
-
-// TestRunReleasesOperands: a cached executor outlives the jobs that
-// run it, so after Run it must not keep the caller's factor and output
-// matrices reachable — sequential or parallel, stripped or not. Each
-// operand carries a finalizer; once the test drops its own references,
-// a collection must finalize all three.
-func TestRunReleasesOperands(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	dims := tensor.Dims{16, 20, 12}
-	x := core.RandCOO(rng, dims, 800)
-	const rank = 24
-	for _, plan := range []core.Plan{
-		{Method: core.MethodCOO, Workers: 2},
-		{Method: core.MethodSPLATT, Workers: 1},
-		{Method: core.MethodMB, Grid: [3]int{2, 2, 2}, Workers: 2},
-		{Method: core.MethodRankB, RankBlockCols: 16, Workers: 2},
-		{Method: core.MethodMBRankB, Grid: [3]int{2, 1, 2}, RankBlockCols: 8, Workers: 1},
-	} {
-		e, err := engine.NewMultiModeExecutor(x, plan, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freed := make(chan struct{}, 3)
-		run := func() {
-			b := core.RandMatrix(rng, dims[1], rank)
-			c := core.RandMatrix(rng, dims[2], rank)
-			out := la.NewMatrix(dims[0], rank)
-			for _, m := range []*la.Matrix{b, c, out} {
-				runtime.SetFinalizer(m, func(*la.Matrix) { freed <- struct{}{} })
-			}
-			if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
-		for n, deadline := 0, time.Now().Add(5*time.Second); n < 3; {
-			runtime.GC()
-			select {
-			case <-freed:
-				n++
-			case <-time.After(10 * time.Millisecond):
-				if time.Now().After(deadline) {
-					t.Fatalf("%v: only %d of 3 operands were released after Run", plan, n)
-				}
-			}
-		}
-		runtime.KeepAlive(e)
 	}
 }
 
@@ -246,8 +194,8 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	out := la.NewMatrix(4, 2)
 	for _, method := range []core.Method{core.MethodCOO, core.MethodSPLATT, core.MethodMB, core.MethodRankB, core.MethodMBRankB} {
 		plan := core.Plan{Method: method, Grid: [3]int{1, 1, 1}, Workers: -1}
-		if _, err := engine.NewMultiModeExecutor(x, plan); err == nil {
-			t.Errorf("%v: NewMultiModeExecutor accepted Workers=-1", method)
+		if _, err := core.NewEngine(x, plan); err == nil {
+			t.Errorf("%v: NewEngine accepted Workers=-1", method)
 		}
 		if err := mttkrp(x, b, c, out, plan); err == nil {
 			t.Errorf("%v: MTTKRP accepted Workers=-1", method)
@@ -255,7 +203,7 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	}
 	// Workers 0 (GOMAXPROCS) and positive degrees stay valid.
 	for _, w := range []int{0, 1, 3} {
-		if _, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: w}); err != nil {
+		if _, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: w}); err != nil {
 			t.Errorf("Workers=%d rejected: %v", w, err)
 		}
 	}

@@ -1,4 +1,4 @@
-package engine
+package core_test
 
 import (
 	"math/rand"
@@ -9,6 +9,7 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/gen"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -39,16 +40,16 @@ func BenchmarkMBRankBOverSPLATT(b *testing.B) {
 	}
 	const rank = 64
 	rng := rand.New(rand.NewSource(1))
-	var factors, outs [3]*la.Matrix
+	factors, outs := make([]*la.Matrix, 3), make([]*la.Matrix, 3)
 	for m := range factors {
-		factors[m] = randMatrix(rng, x.Dims[m], rank)
+		factors[m] = core.RandMatrix(rng, x.Dims[m], rank)
 		outs[m] = la.NewMatrix(x.Dims[m], rank)
 	}
 	plans := [2]core.Plan{
 		{Method: core.MethodSPLATT, Workers: 2},
 		{Method: core.MethodMBRankB, Grid: [3]int{2, 2, 2}, RankBlockCols: 32, Workers: 2},
 	}
-	var execs [2]*MultiModeExecutor
+	var execs [2]*nmode.Engine
 	var build, spent [2]time.Duration
 	sweep := func(i int) {
 		start := time.Now()
@@ -61,7 +62,7 @@ func BenchmarkMBRankBOverSPLATT(b *testing.B) {
 	}
 	for i, plan := range plans {
 		start := time.Now()
-		if execs[i], err = NewMultiModeExecutor(x, plan); err != nil {
+		if execs[i], err = core.NewEngine(x, plan); err != nil {
 			b.Fatal(err)
 		}
 		build[i] = time.Since(start)

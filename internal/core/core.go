@@ -6,8 +6,8 @@
 // A Plan picks one of those kernels for a third-order tensor, and
 // Plan.Options translates it for the nmode executors that run every
 // mode's product (the three products are structurally identical —
-// Sec. III-B); internal/engine wraps them as the order-3 face. The
-// package also keeps the dense Reference oracle.
+// Sec. III-B); NewEngine builds them. The package also keeps the dense
+// Reference oracle.
 package core
 
 import (
@@ -18,6 +18,7 @@ import (
 	"spblock/internal/kernel"
 	"spblock/internal/nmode"
 	"spblock/internal/sched"
+	"spblock/internal/tensor"
 )
 
 // Method selects an MTTKRP kernel.
@@ -162,6 +163,19 @@ func (p Plan) Options() (nmode.Options, error) {
 		o.Grid = []int{p.Grid[0], p.Grid[1], p.Grid[2]}
 	}
 	return o, nil
+}
+
+// NewEngine builds the executors of the requested modes (default: all
+// three) of t under plan — the one place an order-3 plan turns into
+// executors; the grid is clamped to the mode lengths. MethodCOO
+// executors alias t's storage, so values rewritten in place between
+// runs are seen by the next run.
+func NewEngine(t *tensor.COO, plan Plan, modes ...int) (*nmode.Engine, error) {
+	opts, err := plan.Options()
+	if err != nil {
+		return nil, err
+	}
+	return nmode.NewEngine(tensor.ToNMode(t), opts, modes...)
 }
 
 // PlanKernel predicts the rank-strip kernel variant an executor built

@@ -1,4 +1,4 @@
-package engine
+package core_test
 
 import (
 	"math/rand"
@@ -6,33 +6,12 @@ import (
 
 	"spblock/internal/core"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
 
-func randMatrix(rng *rand.Rand, rows, cols int) *la.Matrix {
-	m := la.NewMatrix(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	return m
-}
-
-func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
-	t := tensor.NewCOO(dims, nnz)
-	for p := 0; p < nnz; p++ {
-		t.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.NormFloat64(),
-		)
-	}
-	t.Dedup()
-	return t
-}
-
-// enginePlans enumerates every Method through the face, at 1 and 2
+// enginePlans enumerates every Method through NewEngine, at 1 and 2
 // workers under the static and stealing schedulers; the grid is
 // deliberately asymmetric so every mode's product sees a different
 // block shape.
@@ -58,14 +37,14 @@ func enginePlans() []core.Plan {
 // modeRef is the dense oracle's view of mode n's product: the mode-1
 // product of the tensor permuted so mode n leads, with the remaining
 // modes' factors as B and C in ascending mode order.
-func modeRef(t *testing.T, x *tensor.COO, n int, factors [3]*la.Matrix) *la.Matrix {
+func modeRef(t *testing.T, x *tensor.COO, n int, factors []*la.Matrix) *la.Matrix {
 	t.Helper()
 	rest := [3][2]int{{1, 2}, {0, 2}, {0, 1}}[n]
 	pt, err := x.PermuteModes([3]int{n, rest[0], rest[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := la.NewMatrix(x.Dims[n], factors[0].Cols)
+	want := la.NewMatrix(x.Dims[n], factors[rest[0]].Cols)
 	if err := core.Reference(pt, factors[rest[0]], factors[rest[1]], want); err != nil {
 		t.Fatal(err)
 	}
@@ -73,25 +52,25 @@ func modeRef(t *testing.T, x *tensor.COO, n int, factors [3]*la.Matrix) *la.Matr
 }
 
 // TestCrossModeEquivalenceMatrix checks every Method × {1,2} workers ×
-// {static, steal} × every mode: the face's mode-n product must agree
+// {static, steal} × every mode: the engine's mode-n product must agree
 // with the dense reference oracle run on an explicitly permuted copy of
 // the tensor.
 func TestCrossModeEquivalenceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dims := tensor.Dims{13, 11, 9}
-	x := randCOO(rng, dims, 300)
+	x := core.RandCOO(rng, dims, 300)
 	const rank = 33 // off the register-block width to hit tail paths
-	factors := [3]*la.Matrix{
-		randMatrix(rng, dims[0], rank),
-		randMatrix(rng, dims[1], rank),
-		randMatrix(rng, dims[2], rank),
+	factors := []*la.Matrix{
+		core.RandMatrix(rng, dims[0], rank),
+		core.RandMatrix(rng, dims[1], rank),
+		core.RandMatrix(rng, dims[2], rank),
 	}
 	var want [3]*la.Matrix
 	for n := 0; n < 3; n++ {
 		want[n] = modeRef(t, x, n, factors)
 	}
 	for _, plan := range enginePlans() {
-		eng, err := NewMultiModeExecutor(x, plan)
+		eng, err := core.NewEngine(x, plan)
 		if err != nil {
 			t.Fatalf("%v: %v", plan, err)
 		}
@@ -110,15 +89,75 @@ func TestCrossModeEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// TestEngineOrder3BitIdenticalToCore pins every core.Plan method to the
+// default register walk of nmode.NewEngine bit for bit, at every mode,
+// worker count and scheduler. RankB and MB+RankB translate to that walk
+// directly. SPLATT and MB run Algorithm 1's accumulator array instead,
+// which performs the same operations on every output element in the
+// same order, so it must not move a bit either.
+func TestEngineOrder3BitIdenticalToCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	dims := tensor.Dims{13, 11, 9}
+	x := core.RandCOO(rng, dims, 300)
+	nt := tensor.ToNMode(x)
+	methods := []struct {
+		method core.Method
+		grid   []int
+		bs     int
+	}{
+		{core.MethodSPLATT, nil, 0},
+		{core.MethodRankB, nil, 16},
+		{core.MethodMB, []int{2, 3, 2}, 0},
+		{core.MethodMBRankB, []int{2, 3, 2}, 16},
+	}
+	for _, rank := range []int{5, 33, 64} {
+		factors := make([]*la.Matrix, 3)
+		for m := range factors {
+			factors[m] = core.RandMatrix(rng, dims[m], rank)
+		}
+		for _, mt := range methods {
+			for _, workers := range []int{1, 2} {
+				for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicySteal} {
+					plan := core.Plan{Method: mt.method, Grid: [3]int{1, 1, 1}, RankBlockCols: mt.bs, Workers: workers, Sched: pol}
+					if mt.grid != nil {
+						plan.Grid = [3]int{mt.grid[0], mt.grid[1], mt.grid[2]}
+					}
+					ref, err := core.NewEngine(x, plan)
+					if err != nil {
+						t.Fatalf("%v: %v", plan, err)
+					}
+					eng, err := nmode.NewEngine(nt, nmode.Options{Grid: mt.grid, RankBlockCols: mt.bs, Workers: workers, Sched: pol})
+					if err != nil {
+						t.Fatalf("%v: %v", plan, err)
+					}
+					for n := 0; n < 3; n++ {
+						want := la.NewMatrix(dims[n], rank)
+						got := la.NewMatrix(dims[n], rank)
+						if err := ref.Run(n, factors, want); err != nil {
+							t.Fatal(err)
+						}
+						if err := eng.Run(n, factors, got); err != nil {
+							t.Fatal(err)
+						}
+						if d := got.MaxAbsDiff(want); d != 0 {
+							t.Errorf("%v rank %d mode %d: plan differs from the register walk by %v", plan, rank, n, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestModeSubsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	x := randCOO(rng, tensor.Dims{6, 5, 4}, 50)
-	eng, err := NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT}, 2)
+	x := core.RandCOO(rng, tensor.Dims{6, 5, 4}, 50)
+	eng, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factors := [3]*la.Matrix{
-		randMatrix(rng, 6, 8), randMatrix(rng, 5, 8), randMatrix(rng, 4, 8),
+	factors := []*la.Matrix{
+		core.RandMatrix(rng, 6, 8), core.RandMatrix(rng, 5, 8), core.RandMatrix(rng, 4, 8),
 	}
 	out := la.NewMatrix(4, 8)
 	if err := eng.Run(2, factors, out); err != nil {
@@ -138,17 +177,23 @@ func TestModeSubsets(t *testing.T) {
 	}
 }
 
-func TestNewMultiModeExecutorErrors(t *testing.T) {
+func TestNewEngineErrors(t *testing.T) {
 	x := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	if _, err := NewMultiModeExecutor(x, core.Plan{}, 3); err == nil {
+	if _, err := core.NewEngine(x, core.Plan{}, 3); err == nil {
 		t.Fatal("expected error for mode 3")
 	}
-	if _, err := NewMultiModeExecutor(x, core.Plan{Workers: -1}); err == nil {
+	if _, err := core.NewEngine(x, core.Plan{Workers: -1}); err == nil {
 		t.Fatal("expected error for negative workers")
 	}
 	bad := &tensor.COO{Dims: tensor.Dims{0, 1, 1}}
-	if _, err := NewMultiModeExecutor(bad, core.Plan{}); err == nil {
+	if _, err := core.NewEngine(bad, core.Plan{}); err == nil {
 		t.Fatal("expected error for invalid tensor")
+	}
+	ragged := tensor.NewCOO(tensor.Dims{2, 2, 2}, 1)
+	ragged.Append(1, 1, 1, 1)
+	ragged.K = ragged.K[:0]
+	if _, err := core.NewEngine(ragged, core.Plan{}); err == nil {
+		t.Fatal("expected error for ragged coordinates")
 	}
 }
 
@@ -159,16 +204,16 @@ func TestNewMultiModeExecutorErrors(t *testing.T) {
 func TestSharedValueStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	dims := tensor.Dims{5, 4, 3}
-	x := randCOO(rng, dims, 30)
-	eng, err := NewMultiModeExecutor(x, core.Plan{Method: core.MethodCOO})
+	x := core.RandCOO(rng, dims, 30)
+	eng, err := core.NewEngine(x, core.Plan{Method: core.MethodCOO})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const rank = 4
-	factors := [3]*la.Matrix{
-		randMatrix(rng, dims[0], rank),
-		randMatrix(rng, dims[1], rank),
-		randMatrix(rng, dims[2], rank),
+	factors := []*la.Matrix{
+		core.RandMatrix(rng, dims[0], rank),
+		core.RandMatrix(rng, dims[1], rank),
+		core.RandMatrix(rng, dims[2], rank),
 	}
 	for p := range x.Val {
 		x.Val[p] = float64(p + 1)

@@ -7,23 +7,22 @@ import (
 	"testing/quick"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
 	"spblock/internal/tensor"
 )
 
-// These tests run core.Plan's kernels through the order-3 face
-// (internal/engine), which builds them from Plan.Options.
+// These tests run core.Plan's kernels through NewEngine, which builds
+// them from Plan.Options.
 
 // mttkrp is the one-shot mode-1 product out = X₍₁₎ · (B ⊙ C) under
 // plan.
 func mttkrp(x *tensor.COO, b, c, out *la.Matrix, plan core.Plan) error {
-	e, err := engine.NewMultiModeExecutor(x, plan, 0)
+	e, err := core.NewEngine(x, plan, 0)
 	if err != nil {
 		return err
 	}
-	return e.Run(0, [3]*la.Matrix{nil, b, c}, out)
+	return e.Run(0, []*la.Matrix{nil, b, c}, out)
 }
 
 // allPlans enumerates every kernel configuration worth testing against
@@ -136,12 +135,12 @@ func TestOperandValidation(t *testing.T) {
 	ok := func() (b, c, out *la.Matrix) {
 		return la.NewMatrix(5, 8), la.NewMatrix(6, 8), la.NewMatrix(4, 8)
 	}
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT}, 0)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, c, out := ok()
-	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+	if err := e.Run(0, []*la.Matrix{nil, b, c}, out); err != nil {
 		t.Fatalf("valid operands rejected: %v", err)
 	}
 	cases := []func() (x, y, z *la.Matrix){
@@ -157,47 +156,43 @@ func TestOperandValidation(t *testing.T) {
 	}
 	for n, mk := range cases {
 		bb, cc, oo := mk()
-		if err := e.Run(0, [3]*la.Matrix{nil, bb, cc}, oo); err == nil {
+		if err := e.Run(0, []*la.Matrix{nil, bb, cc}, oo); err == nil {
 			t.Fatalf("case %d: invalid operands accepted", n)
 		}
 	}
-	if err := e.Run(3, [3]*la.Matrix{nil, b, c}, out); err == nil {
+	if err := e.Run(3, []*la.Matrix{nil, b, c}, out); err == nil {
 		t.Fatal("mode 3 accepted")
 	}
 }
 
 // TestNewExecutorErrors covers plan and tensor validation at build
-// time. The face clamps each grid entry to [1, dim], so out-of-range
-// grids build (and Plan reports the clamped grid), while a grid that
-// stays too fine after clamping is refused by the block builder.
+// time. The executors clamp each grid entry to [1, dim], so
+// out-of-range grids build, while a grid that stays too fine after
+// clamping is refused by the block builder.
 func TestNewExecutorErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := core.RandCOO(rng, tensor.Dims{4, 4, 4}, 10)
-	if _, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.Method(99)}); err == nil {
+	if _, err := core.NewEngine(x, core.Plan{Method: core.Method(99)}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 	for _, grid := range [][3]int{{0, 1, 1}, {9, 1, 1}} {
-		e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodMB, Grid: grid})
-		if err != nil {
+		if _, err := core.NewEngine(x, core.Plan{Method: core.MethodMB, Grid: grid}); err != nil {
 			t.Fatalf("grid %v: %v", grid, err)
-		}
-		if want := [3]int{min(max(grid[0], 1), 4), 1, 1}; e.Plan().Grid != want {
-			t.Fatalf("grid %v normalised to %v, want %v", grid, e.Plan().Grid, want)
 		}
 	}
 	// A grid within every mode length can still ask for millions of
 	// blocks; the builder caps the count instead of allocating them.
 	wide := tensor.NewCOO(tensor.Dims{4096, 2048, 1}, 1)
 	wide.Append(0, 0, 0, 1)
-	if _, err := engine.NewMultiModeExecutor(wide, core.Plan{Method: core.MethodMB, Grid: [3]int{4096, 2048, 1}}, 0); err == nil {
+	if _, err := core.NewEngine(wide, core.Plan{Method: core.MethodMB, Grid: [3]int{4096, 2048, 1}}, 0); err == nil {
 		t.Fatal("8M-block grid accepted")
 	}
-	if _, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodRankB, RankBlockCols: -1}); err == nil {
+	if _, err := core.NewEngine(x, core.Plan{Method: core.MethodRankB, RankBlockCols: -1}); err == nil {
 		t.Fatal("negative rank block accepted")
 	}
 	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
 	bad.Append(7, 0, 0, 1)
-	if _, err := engine.NewMultiModeExecutor(bad, core.Plan{Method: core.MethodSPLATT}); err == nil {
+	if _, err := core.NewEngine(bad, core.Plan{Method: core.MethodSPLATT}); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
 }
@@ -212,11 +207,11 @@ func TestRunIsRepeatable(t *testing.T) {
 		{Method: core.MethodSPLATT},
 		{Method: core.MethodMBRankB, Grid: [3]int{2, 2, 2}, RankBlockCols: 16},
 	} {
-		e, err := engine.NewMultiModeExecutor(x, plan)
+		e, err := core.NewEngine(x, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := [3]*la.Matrix{core.RandMatrix(rng, 10, 17), core.RandMatrix(rng, 10, 17), core.RandMatrix(rng, 10, 17)}
+		f := []*la.Matrix{core.RandMatrix(rng, 10, 17), core.RandMatrix(rng, 10, 17), core.RandMatrix(rng, 10, 17)}
 		for n := 0; n < 3; n++ {
 			out1 := la.NewMatrix(10, 17)
 			out2 := la.NewMatrix(10, 17)
@@ -254,12 +249,12 @@ func TestMTTKRPModeEquivalence(t *testing.T) {
 			orow[q] += x.Val[p] * arow[q] * crow[q]
 		}
 	}
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodMBRankB, Grid: [3]int{2, 2, 2}, RankBlockCols: 16}, 1)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodMBRankB, Grid: [3]int{2, 2, 2}, RankBlockCols: 16}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := la.NewMatrix(dims[1], r)
-	if err := e.Run(1, [3]*la.Matrix{a, nil, c}, got); err != nil {
+	if err := e.Run(1, []*la.Matrix{a, nil, c}, got); err != nil {
 		t.Fatal(err)
 	}
 	if d := got.MaxAbsDiff(want); d > 1e-9 {

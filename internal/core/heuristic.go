@@ -8,7 +8,6 @@ import (
 
 	"spblock/internal/kernel"
 	"spblock/internal/la"
-	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -139,10 +138,10 @@ func searchMB(base Plan, dims tensor.Dims, cost CostFunc, tol float64, trials *[
 // trials — "relatively inexpensive compared to the 10–1000s of
 // iterations required for decomposition".
 //
-// Each candidate runs the mode-1 product on a fresh nmode executor
-// (Plan.Options), once for warm-up (sizing the executor's pooled
-// workspace) before the timed trials, so the timed runs are
-// allocation-free and the measurements carry no allocator or GC noise.
+// Each candidate runs the mode-1 product on a fresh NewEngine, once for
+// warm-up (sizing the executor's pooled workspace) before the timed
+// trials, so the timed runs are allocation-free and the measurements
+// carry no allocator or GC noise.
 func Autotune(t *tensor.COO, rank int, method Method, opts AutotuneOptions) (Plan, []Trial, error) {
 	if err := t.Validate(); err != nil {
 		return Plan{}, nil, err
@@ -164,24 +163,19 @@ func Autotune(t *tensor.COO, rank int, method Method, opts AutotuneOptions) (Pla
 		}
 	}
 	out := la.NewMatrix(t.Dims[0], rank)
-	nt := tensor.ToNMode(t)
 
 	cost := func(p Plan) float64 {
-		o, err := p.Options()
+		e, err := NewEngine(t, p, 0)
 		if err != nil {
 			return float64(^uint(0) >> 1) // unbuildable plans lose
 		}
-		e, err := nmode.NewExecutor(nt, 0, o)
-		if err != nil {
-			return float64(^uint(0) >> 1)
-		}
-		if err := e.Run(factors, out); err != nil { // warm-up
+		if err := e.Run(0, factors, out); err != nil { // warm-up
 			return float64(^uint(0) >> 1)
 		}
 		bestSec := 0.0
 		for trial := 0; trial < opts.Trials; trial++ {
 			start := time.Now()
-			if err := e.Run(factors, out); err != nil {
+			if err := e.Run(0, factors, out); err != nil {
 				return float64(^uint(0) >> 1)
 			}
 			sec := time.Since(start).Seconds()

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/gen"
 	"spblock/internal/la"
 	"spblock/internal/metrics"
+	"spblock/internal/nmode"
 	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
@@ -67,23 +67,23 @@ func TestSchedulerEquivalence(t *testing.T) {
 		for _, base := range methods {
 			base.Workers = 4
 			ref := la.NewMatrix(x.Dims[0], rank)
-			refExec, err := engine.NewMultiModeExecutor(x, base, 0)
+			refExec, err := core.NewEngine(x, base, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := refExec.Run(0, [3]*la.Matrix{nil, b, c}, ref); err != nil {
+			if err := refExec.Run(0, []*la.Matrix{nil, b, c}, ref); err != nil {
 				t.Fatal(err)
 			}
 			for _, pol := range []sched.Policy{sched.PolicySteal, sched.PolicyAdaptive} {
 				plan := base
 				plan.Sched = pol
-				e, err := engine.NewMultiModeExecutor(x, plan, 0)
+				e, err := core.NewEngine(x, plan, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := la.NewMatrix(x.Dims[0], rank)
 				for run := 0; run < 4; run++ {
-					if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+					if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 						t.Fatal(err)
 					}
 					if !bitIdentical(got, ref) {
@@ -99,7 +99,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 // synthetic busy-time delta on worker 0 before each run makes every
 // window observe an imbalance near the worker count, so the controller
 // fires after its patience. run is one checked product.
-func promote(t *testing.T, e *engine.MultiModeExecutor, run func()) {
+func promote(t *testing.T, e *nmode.Engine, run func()) {
 	t.Helper()
 	for i := 0; i <= sched.DefaultPatience && schedOf(t, e) != sched.AdaptiveStealName; i++ {
 		metricsOf(t, e).AddWorkerTime(0, 500*time.Millisecond)
@@ -112,7 +112,7 @@ func promote(t *testing.T, e *engine.MultiModeExecutor, run func()) {
 
 // schedOf is mode 0's resolved scheduler name. Its pool flips to the
 // stealing layout exactly when the name becomes a stealing one.
-func schedOf(t *testing.T, e *engine.MultiModeExecutor) string {
+func schedOf(t *testing.T, e *nmode.Engine) string {
 	t.Helper()
 	s, err := e.Sched(0)
 	if err != nil {
@@ -122,7 +122,7 @@ func schedOf(t *testing.T, e *engine.MultiModeExecutor) string {
 }
 
 // metricsOf is mode 0's metrics collector.
-func metricsOf(t *testing.T, e *engine.MultiModeExecutor) *metrics.Collector {
+func metricsOf(t *testing.T, e *nmode.Engine) *metrics.Collector {
 	t.Helper()
 	m, err := e.Metrics(0)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 		t.Fatalf("pre-promotion sched = %q", schedOf(t, e))
 	}
 	got := la.NewMatrix(x.Dims[0], rank)
-	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+	if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bitIdentical(got, ref) {
@@ -163,7 +163,7 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 	}
 
 	promote(t, e, func() {
-		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+		if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
@@ -171,7 +171,7 @@ func TestAdaptivePromotionBitIdentical(t *testing.T) {
 		}
 	})
 	for run := 0; run < 3; run++ {
-		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+		if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
@@ -202,12 +202,12 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := la.NewMatrix(x.Dims[0], rank)
-	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil { // sizes buckets and baseline at 4
+	if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil { // sizes buckets and baseline at 4
 		t.Fatal(err)
 	}
 	if err := e.SetWorkers(3); err != nil {
@@ -223,7 +223,7 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 	// run must be promoted; a stale 4-long baseline against the resized
 	// buckets would observe 1 forever and never promote.
 	for run := 0; run < 8 && schedOf(t, e) != sched.AdaptiveStealName; run++ {
-		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+		if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
@@ -235,7 +235,7 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 		t.Fatalf("ratchet never fired after SetWorkers: sched = %q", schedOf(t, e))
 	}
 	// And the promoted, resized executor still computes the same bits.
-	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+	if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bitIdentical(got, ref) {
@@ -248,7 +248,7 @@ func TestAdaptiveRatchetSurvivesSetWorkers(t *testing.T) {
 // discard the controller's ratchet state.
 func TestSetWorkersKeepsPromotion(t *testing.T) {
 	x := schedTestTensors(t)["clustered"]
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: 4, Sched: sched.PolicyAdaptive}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +257,12 @@ func TestSetWorkersKeepsPromotion(t *testing.T) {
 	b := core.RandMatrix(rng, x.Dims[1], rank)
 	c := core.RandMatrix(rng, x.Dims[2], rank)
 	out := la.NewMatrix(x.Dims[0], rank)
-	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+	if err := e.Run(0, []*la.Matrix{nil, b, c}, out); err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 8 && schedOf(t, e) != sched.AdaptiveStealName; run++ {
 		metricsOf(t, e).AddWorkerTime(0, 500*time.Millisecond)
-		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+		if err := e.Run(0, []*la.Matrix{nil, b, c}, out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestSetWorkersKeepsPromotion(t *testing.T) {
 	if schedOf(t, e) != sched.AdaptiveStealName {
 		t.Fatalf("promotion lost across SetWorkers: sched = %q", schedOf(t, e))
 	}
-	if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+	if err := e.Run(0, []*la.Matrix{nil, b, c}, out); err != nil {
 		t.Fatal(err)
 	}
 	if metricsOf(t, e).Workers() != 2 {
@@ -287,7 +287,7 @@ func TestSetWorkersKeepsPromotion(t *testing.T) {
 // a resize rebuilds the runner set and metrics buckets.
 func TestSetWorkersValidatesAndResizes(t *testing.T) {
 	x := schedTestTensors(t)["poisson"]
-	e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 4}, 0)
+	e, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSetWorkersValidatesAndResizes(t *testing.T) {
 		if err := e.SetWorkers(w); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, out); err != nil {
+		if err := e.Run(0, []*la.Matrix{nil, b, c}, out); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(out, ref) {
@@ -330,7 +330,7 @@ func TestCOONeverSteals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range []sched.Policy{sched.PolicySteal, sched.PolicyAdaptive} {
-		e, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodCOO, Workers: 4, Sched: pol}, 0)
+		e, err := core.NewEngine(x, core.Plan{Method: core.MethodCOO, Workers: 4, Sched: pol}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestCOONeverSteals(t *testing.T) {
 			t.Fatalf("%v: COO resolved sched = %q, want static", pol, schedOf(t, e))
 		}
 		got := la.NewMatrix(x.Dims[0], rank)
-		if err := e.Run(0, [3]*la.Matrix{nil, b, c}, got); err != nil {
+		if err := e.Run(0, []*la.Matrix{nil, b, c}, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(got, ref) {
@@ -351,8 +351,8 @@ func TestCOONeverSteals(t *testing.T) {
 func TestInvalidSchedRejected(t *testing.T) {
 	x := tensor.NewCOO(tensor.Dims{4, 4, 4}, 0)
 	x.Append(1, 1, 1, 1)
-	if _, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Sched: sched.Policy(9)}); err == nil {
-		t.Fatal("NewMultiModeExecutor accepted an unknown sched policy")
+	if _, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Sched: sched.Policy(9)}); err == nil {
+		t.Fatal("NewEngine accepted an unknown sched policy")
 	}
 }
 

@@ -16,7 +16,7 @@
 // Φ[i,r] += (x/m)·b_jr·c_kr. That numerator IS an MTTKRP over the
 // "ratio tensor" whose values are x/m at X's coordinates, so the
 // update is executed through the shared engine layer: one COO
-// MultiModeExecutor over a ratio tensor that aliases X's coordinates,
+// nmode.Engine over a ratio tensor that aliases X's coordinates,
 // with the ratio values rewritten in place before each mode's product.
 // Everything the paper says about MTTKRP's memory behaviour applies
 // here too.
@@ -29,8 +29,8 @@ import (
 	"math/rand"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -127,7 +127,7 @@ func Decompose(t *tensor.COO, opts Options) (*Result, error) {
 		workers = 1
 	}
 	rt := &tensor.COO{Dims: t.Dims, I: t.I, J: t.J, K: t.K, Val: make([]float64, t.NNZ())}
-	eng, err := engine.NewMultiModeExecutor(rt, core.Plan{Method: core.MethodCOO, Workers: workers})
+	eng, err := core.NewEngine(rt, core.Plan{Method: core.MethodCOO, Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func Decompose(t *tensor.COO, opts Options) (*Result, error) {
 			if err := ctx.Err(); err != nil {
 				return res, fmt.Errorf("cpapr: canceled before mode-%d update: %w", n+1, err)
 			}
-			if err := updateMode(t, rt, eng, res.Factors, phi[n], n, opts.MinValue); err != nil {
+			if err := updateMode(t, rt, eng, res.Factors[:], phi[n], n, opts.MinValue); err != nil {
 				return nil, err
 			}
 		}
@@ -169,7 +169,7 @@ func Decompose(t *tensor.COO, opts Options) (*Result, error) {
 // the numerator Φ = (X ⊘ M)₍mode₎ · Π as mode `mode`'s MTTKRP through
 // the engine, then scales the factor by Φ over the column-sum
 // denominator.
-func updateMode(t, rt *tensor.COO, eng *engine.MultiModeExecutor, factors [3]*la.Matrix, phi *la.Matrix, mode int, minVal float64) error {
+func updateMode(t, rt *tensor.COO, eng *nmode.Engine, factors []*la.Matrix, phi *la.Matrix, mode int, minVal float64) error {
 	r := phi.Cols
 	a, b, c := factors[0], factors[1], factors[2]
 	for p := 0; p < t.NNZ(); p++ {

@@ -5,8 +5,8 @@
 // per decomposition).
 //
 // Every entry point — CPALS, CPALSEngine, CPALSN and CPALSOOC — checks
-// its input, picks an als.Kernel (order-3 engine, memoized, order-N
-// engine or out-of-core stream) and hands it to one driver around the
+// its input, picks an als.Kernel (an nmode.Engine, the memoized kernel
+// or the out-of-core stream) and hands it to one driver around the
 // shared sweep loop in internal/als, so all four return the same Result.
 package cpd
 
@@ -14,13 +14,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"spblock/internal/als"
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/memo"
 	"spblock/internal/metrics"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -34,7 +35,7 @@ type Options struct {
 	// Default 1e-5.
 	Tol float64
 	// Plan selects the MTTKRP kernel (its Grid is indexed by mode).
-	// Default: SPLATT.
+	// The zero Plan runs the COO kernel.
 	Plan core.Plan
 	// Memoize shares the mode-3 contraction between the mode-1 and
 	// mode-2 products via internal/memo (the dimension-tree trade of
@@ -68,10 +69,6 @@ type Result struct {
 	// Phases buckets the decomposition's wall time by phase (MTTKRP vs
 	// solve vs fit) — see metrics.PhaseTimes.
 	Phases metrics.PhaseTimes
-	// Plan is the order-3 plan the sweeps ran on: Options.Plan with
-	// defaults applied for CPALS, the engine's plan for CPALSEngine. It
-	// is the zero Plan for CPALSN and CPALSOOC.
-	Plan core.Plan
 }
 
 // Fit returns the final fit, or 0 before any sweep ran.
@@ -83,11 +80,10 @@ func (r *Result) Fit() float64 {
 }
 
 // decompose is the one CP-ALS driver behind every entry point: it runs
-// the shared sweep loop over k with cfg's sweep parameters and ‖X‖,
-// and reports plan on the Result. als.Run owns the rank, MaxIters and
-// Tol checks and defaults. On a mid-sweep error the partial result is
-// returned alongside the error.
-func decompose(k als.Kernel, cfg als.Config, plan core.Plan) (*Result, error) {
+// the shared sweep loop over k with cfg's sweep parameters and ‖X‖.
+// als.Run owns the rank, MaxIters and Tol checks and defaults. On a
+// mid-sweep error the partial result is returned alongside the error.
+func decompose(k als.Kernel, cfg als.Config) (*Result, error) {
 	cfg.ErrPrefix = "cpd"
 	ares, err := als.Run(k, cfg)
 	if ares == nil {
@@ -100,7 +96,6 @@ func decompose(k als.Kernel, cfg als.Config, plan core.Plan) (*Result, error) {
 		Iters:     ares.Iters,
 		Converged: ares.Converged,
 		Phases:    ares.Phases,
-		Plan:      plan,
 	}, err
 }
 
@@ -127,16 +122,13 @@ func (k *memoKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) erro
 }
 
 // CPALS decomposes t with alternating least squares over an engine it
-// builds for Options.Plan (the builders validate t).
+// builds for Options.Plan (the engine build validates t).
 func CPALS(t *tensor.COO, opts Options) (*Result, error) {
-	if opts.Plan.Grid == ([3]int{}) {
-		opts.Plan.Grid = [3]int{1, 1, 1}
-	}
 	k, err := newKernel(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	return decompose(k, opts.sweeps(t), opts.Plan)
+	return decompose(k, opts.sweeps(t))
 }
 
 // newKernel builds the order-3 kernel CPALS runs: the multi-mode engine
@@ -149,11 +141,11 @@ func newKernel(t *tensor.COO, opts Options) (als.Kernel, error) {
 	if opts.Memoize {
 		modes = []int{2}
 	}
-	eng, err := engine.NewMultiModeExecutor(t, opts.Plan, modes...)
+	eng, err := core.NewEngine(t, opts.Plan, modes...)
 	if err != nil {
 		return nil, err
 	}
-	nk := nKernel{dims: t.Dims[:], eng: &eng.NEngine}
+	nk := nKernel{eng}
 	if !opts.Memoize {
 		return &nk, nil
 	}
@@ -164,17 +156,17 @@ func newKernel(t *tensor.COO, opts Options) (als.Kernel, error) {
 	return &memoKernel{nKernel: nk, memo: m}, nil
 }
 
-// CPALSEngine decomposes t through a caller-supplied multi-mode engine
-// built over the same tensor — the path a serving cache uses to reuse
-// one preprocessed executor stack across many decompositions instead of
+// CPALSEngine decomposes t through a caller-supplied engine built over
+// the same tensor — the path a serving cache uses to reuse one
+// preprocessed executor stack across many decompositions instead of
 // paying the per-mode CSF/block builds on every job. The engine must
-// have all three mode executors built; its plan (not Options.Plan)
-// selects the kernels, and the returned Result.Plan reports it.
+// have all three mode executors built; the plan it was built with (not
+// Options.Plan) selects the kernels.
 //
 // Memoize is rejected: the memoized kernel folds two modes outside the
 // engine, bypassing the cached stack the caller is leasing. The caller
 // owns the engine's single-Run-per-mode exclusivity for the whole call.
-func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*Result, error) {
+func CPALSEngine(t *tensor.COO, eng *nmode.Engine, opts Options) (*Result, error) {
 	if opts.Memoize {
 		return nil, fmt.Errorf("cpd: CPALSEngine does not support Memoize")
 	}
@@ -184,7 +176,7 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 	if eng == nil {
 		return nil, fmt.Errorf("cpd: CPALSEngine needs a non-nil engine")
 	}
-	if eng.Dims() != t.Dims {
+	if !slices.Equal(eng.Dims(), t.Dims[:]) {
 		return nil, fmt.Errorf("cpd: engine dims %v do not match tensor dims %v", eng.Dims(), t.Dims)
 	}
 	for mode := 0; mode < 3; mode++ {
@@ -192,7 +184,7 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 			return nil, fmt.Errorf("cpd: %w", err)
 		}
 	}
-	return decompose(&nKernel{dims: t.Dims[:], eng: &eng.NEngine}, opts.sweeps(t), eng.Plan())
+	return decompose(&nKernel{eng}, opts.sweeps(t))
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a

@@ -4,8 +4,6 @@ import (
 	"math"
 
 	"spblock/internal/als"
-	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/nmode"
 )
@@ -26,28 +24,23 @@ type NOptions struct {
 	Seed int64
 }
 
-// nKernel adapts the order-N engine to the shared ALS core.
+// nKernel adapts an nmode.Engine to the shared ALS core. The engine
+// supplies Dims, and Workers gives the dense ALS phase its current
+// parallelism (als.WorkerCounter).
 type nKernel struct {
-	dims []int
-	eng  *engine.NEngine
+	*nmode.Engine
 }
-
-func (k *nKernel) Dims() []int { return k.dims }
 
 func (k *nKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
-	return k.eng.Run(mode, factors, out)
+	return k.Run(mode, factors, out)
 }
-
-// Workers gives the dense ALS phase the engine's current parallelism
-// (als.WorkerCounter).
-func (k *nKernel) Workers() int { return k.eng.Workers() }
 
 // CPALSN decomposes an order-N sparse tensor with alternating least
 // squares on the unified engine: one pooled mode-rooted executor per
-// mode, built once per decomposition (NewNEngine validates t and its
-// order).
+// mode, built once per decomposition (nmode.NewEngine validates t and
+// its order).
 func CPALSN(t *nmode.Tensor, opts NOptions) (*Result, error) {
-	eng, err := engine.NewNEngine(t, opts.Kernel)
+	eng, err := nmode.NewEngine(t, opts.Kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -55,6 +48,6 @@ func CPALSN(t *nmode.Tensor, opts NOptions) (*Result, error) {
 	for _, v := range t.Val {
 		normX += v * v
 	}
-	return decompose(&nKernel{dims: t.Dims, eng: eng}, als.Config{Rank: opts.Rank, MaxIters: opts.MaxIters,
-		Tol: opts.Tol, Seed: opts.Seed, NormX: math.Sqrt(normX)}, core.Plan{})
+	return decompose(&nKernel{eng}, als.Config{Rank: opts.Rank, MaxIters: opts.MaxIters,
+		Tol: opts.Tol, Seed: opts.Seed, NormX: math.Sqrt(normX)})
 }

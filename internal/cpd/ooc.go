@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"spblock/internal/als"
-	"spblock/internal/core"
 	"spblock/internal/ooc"
 )
 
@@ -34,5 +33,5 @@ type OOCOptions struct {
 // so the fit sequence matches the in-memory run exactly.
 func CPALSOOC(e *ooc.Engine, opts OOCOptions) (*Result, error) {
 	return decompose(e, als.Config{Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol,
-		Seed: opts.Seed, NormX: math.Sqrt(e.NormSq())}, core.Plan{})
+		Seed: opts.Seed, NormX: math.Sqrt(e.NormSq())})
 }

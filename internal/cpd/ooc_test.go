@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spblock/internal/als"
-	"spblock/internal/engine"
 	"spblock/internal/nmode"
 	"spblock/internal/ooc"
 )
@@ -113,7 +112,7 @@ func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
 	x := randSparseN(13, dims, 900)
 	stage := stageForTest(t, x, grid)
 
-	eng, err := engine.NewNEngine(x, nmode.Options{Grid: grid, Workers: 2})
+	eng, err := nmode.NewEngine(x, nmode.Options{Grid: grid, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
 	}
 	cfg := als.Config{Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 9,
 		NormX: math.Sqrt(normX), ErrPrefix: "cpd"}
-	ares, err := als.Run(&nKernel{dims: x.Dims, eng: eng}, cfg)
+	ares, err := als.Run(&nKernel{eng}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

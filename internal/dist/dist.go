@@ -19,9 +19,9 @@ import (
 	"sync"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/mpi"
+	"spblock/internal/nmode"
 	"spblock/internal/partition"
 	"spblock/internal/tensor"
 )
@@ -68,12 +68,12 @@ type block struct {
 	xhi, yhi, zhi int
 }
 
-// blockRunner is the per-block kernel interface: one MTTKRP over a
-// rank's local tensor block (always mode 0). Production blocks are
-// mode-0 engine.MultiModeExecutors; tests substitute poisoned runners
-// to exercise the rank-error path.
+// blockRunner is the per-block kernel interface: one mode-0 MTTKRP
+// over a rank's local tensor block. Production blocks are mode-0
+// nmode.Executors; tests substitute poisoned runners to exercise the
+// rank-error path.
 type blockRunner interface {
-	Run(mode int, factors [3]*la.Matrix, out *la.Matrix) error
+	Run(factors []*la.Matrix, out *la.Matrix) error
 }
 
 // Engine owns the distributed setup for one tensor orientation at one
@@ -146,6 +146,10 @@ func NewEngine(t *tensor.COO, rank int, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	opts, err := cfg.Plan.Options()
+	if err != nil {
+		return nil, err
+	}
 	e.execs = make([]blockRunner, e.innerP)
 	e.minNNZ = -1
 	for idx, blk := range blocks {
@@ -162,7 +166,7 @@ func NewEngine(t *tensor.COO, rank int, cfg Config) (*Engine, error) {
 		if nnz == 0 {
 			continue
 		}
-		exec, err := engine.NewMultiModeExecutor(blk.coo, cfg.Plan, 0)
+		exec, err := nmode.NewExecutor(tensor.ToNMode(blk.coo), 0, opts)
 		if err != nil {
 			return nil, fmt.Errorf("dist: block %d: %w", idx, err)
 		}
@@ -264,7 +268,7 @@ func (eng *Engine) Run(b, c *la.Matrix) (*Result, error) {
 		if execs[inner] != nil {
 			e := execs[inner]
 			if err := comm.TimeCompute(func() error {
-				return e.Run(0, [3]*la.Matrix{nil, bChunk, cChunk}, partial)
+				return e.Run([]*la.Matrix{nil, bChunk, cChunk}, partial)
 			}); err != nil {
 				return fmt.Errorf("dist: rank %d block executor: %w", comm.Rank(), err)
 			}

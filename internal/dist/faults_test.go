@@ -131,7 +131,7 @@ func TestSubCommSplitTallGrid(t *testing.T) {
 // poisonedRunner is a blockRunner that always fails.
 type poisonedRunner struct{}
 
-func (poisonedRunner) Run(int, [3]*la.Matrix, *la.Matrix) error {
+func (poisonedRunner) Run([]*la.Matrix, *la.Matrix) error {
 	return fmt.Errorf("injected executor failure")
 }
 

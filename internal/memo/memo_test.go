@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/la"
 	"spblock/internal/tensor"
 )
@@ -88,7 +87,7 @@ func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT, Workers: 1}, 0, 1)
+	plain, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: 1}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 
 		// Mode 1 oracle: plain SPLATT kernel.
 		want1 := la.NewMatrix(dims[0], rank)
-		if err := plain.Run(0, [3]*la.Matrix{a, b, c}, want1); err != nil {
+		if err := plain.Run(0, []*la.Matrix{a, b, c}, want1); err != nil {
 			t.Fatal(err)
 		}
 		got1 := la.NewMatrix(dims[0], rank)
@@ -116,7 +115,7 @@ func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 
 		// Mode 2 oracle: plain SPLATT kernel.
 		want2 := la.NewMatrix(dims[1], rank)
-		if err := plain.Run(1, [3]*la.Matrix{a, b, c}, want2); err != nil {
+		if err := plain.Run(1, []*la.Matrix{a, b, c}, want2); err != nil {
 			t.Fatal(err)
 		}
 		got2 := la.NewMatrix(dims[1], rank)

@@ -31,6 +31,12 @@ func BuildBlocked(t *Tensor, grid []int, modeOrder []int) (*BlockedTensor, error
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	return buildBlocked(t, grid, modeOrder)
+}
+
+// buildBlocked is BuildBlocked over a validated tensor; it still checks
+// the grid and the mode order.
+func buildBlocked(t *Tensor, grid []int, modeOrder []int) (*BlockedTensor, error) {
 	n := t.Order()
 	if len(grid) != n {
 		return nil, fmt.Errorf("%w: grid %v for order-%d tensor", ErrBadTensor, grid, n)

@@ -66,10 +66,15 @@ func Build(t *Tensor, modeOrder []int) (*CSF, error) {
 	if err := checkModeOrder(modeOrder, t.Order()); err != nil {
 		return nil, err
 	}
+	return build(t, modeOrder), nil
+}
+
+// build is Build over a validated tensor and mode order.
+func build(t *Tensor, modeOrder []int) *CSF {
 	c := newTree(append([]int(nil), t.Dims...))
 	b := NewBuilder(t.Order(), t.NNZ(), slices.Max(t.Dims))
 	b.Tree(c, &Span{Idx: t.Idx, Val: t.Val, Ext: t.Dims}, append([]int(nil), modeOrder...))
-	return c, nil
+	return c
 }
 
 // Validate checks the tree invariants: consistent level sizes, monotone

@@ -22,7 +22,7 @@ import (
 // allocations.
 //
 // One Executor must not Run concurrently with itself; distinct
-// Executors (e.g. distinct modes of an engine.NEngine) are independent.
+// Executors (e.g. distinct modes of an Engine) are independent.
 type Executor struct {
 	dims  []int
 	mode  int
@@ -44,23 +44,21 @@ type Executor struct {
 }
 
 // NewExecutor preprocesses t for mode-`mode` MTTKRP products under
-// opts. The CSF mode order is DefaultModeOrder (output mode at the
-// root, remaining modes by increasing length). An AlgCOO executor
-// builds nothing and keeps t.
+// opts: the one mode of a NewEngine. The CSF mode order is
+// DefaultModeOrder (output mode at the root, remaining modes by
+// increasing length). An AlgCOO executor builds nothing and keeps t.
 func NewExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
-	if err := t.Validate(); err != nil {
+	e, err := NewEngine(t, opts, mode)
+	if err != nil {
 		return nil, err
 	}
-	n := t.Order()
-	if n < 2 {
-		return nil, fmt.Errorf("nmode: executor needs order >= 2, got %d", n)
-	}
-	if mode < 0 || mode >= n {
-		return nil, fmt.Errorf("nmode: mode %d out of range [0,%d)", mode, n)
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
+	return e.execs[mode], nil
+}
+
+// buildExecutor builds mode `mode`'s executor once NewEngine has
+// validated t, mode and opts, so the builds below do not re-check the
+// tensor.
+func buildExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
 	if opts.Algorithm == AlgCOO {
 		opts.Grid, opts.RankBlockCols = nil, 0
 		return newExecutor(t.Dims, mode, opts, nil, nil, t), nil
@@ -71,17 +69,13 @@ func NewExecutor(t *Tensor, mode int, opts Options) (*Executor, error) {
 		return nil, err
 	}
 	if blocked {
-		bt, err := BuildBlocked(t, grid, modeOrder)
+		bt, err := buildBlocked(t, grid, modeOrder)
 		if err != nil {
 			return nil, err
 		}
 		return newExecutor(t.Dims, mode, opts, nil, bt, nil), nil
 	}
-	c, err := Build(t, modeOrder)
-	if err != nil {
-		return nil, err
-	}
-	return newExecutor(t.Dims, mode, opts, c, nil, nil), nil
+	return newExecutor(t.Dims, mode, opts, build(t, modeOrder), nil, nil), nil
 }
 
 // validate rejects option values no executor can honour.

@@ -19,9 +19,8 @@ type Options struct {
 	Workers int
 	// Grid requests multi-dimensional blocking (Sec. V-A) with one entry
 	// per mode; nil or all-ones means unblocked. Entries are clamped to
-	// [1, dim]. Only Executor and the engine layer honour it — the
-	// one-shot products below run over an already-built tree or
-	// blocked layout.
+	// [1, dim]. Only Executor and Engine honour it — the one-shot
+	// products below run over an already-built tree or blocked layout.
 	Grid []int
 	// Sched selects the work-distribution policy (internal/sched),
 	// mirroring core.Plan.Sched: zero value static, PolicySteal chunked

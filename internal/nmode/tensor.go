@@ -2,8 +2,10 @@
 // following the paper's note that "our methodology and result can
 // trivially be extended to higher-order data" via the compressed sparse
 // fiber (CSF) format of Smith & Karypis (Sec. III-C): an N-level tree
-// whose root level is the MTTKRP output mode, with blocking applied the
-// same way as in the third-order kernels.
+// whose root level is the MTTKRP output mode, with the paper's
+// multi-dimensional and rank blocking applied at every order. An
+// Executor runs one mode's product; an Engine builds one Executor per
+// mode and serves every product of a decomposition.
 package nmode
 
 import (

@@ -7,8 +7,8 @@ import (
 	"sync"
 
 	"spblock/internal/core"
-	"spblock/internal/engine"
 	"spblock/internal/metrics"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -27,7 +27,7 @@ type Entry struct {
 	lease chan struct{}
 
 	// eng is built on first use under the lease (nil until then).
-	eng  *engine.MultiModeExecutor
+	eng  *nmode.Engine
 	plan core.Plan
 	// workers is the stack's currently applied parallelism, owned by
 	// the lease holder like eng. It starts at the plan's value (what
@@ -257,11 +257,11 @@ func (c *Cache) Get(fp string) (*Entry, bool) {
 // Executor returns the entry's multi-mode stack, building all three
 // mode executors on first use and charging the build against the byte
 // budget. The caller must hold the entry's lease.
-func (c *Cache) Executor(e *Entry) (*engine.MultiModeExecutor, error) {
+func (c *Cache) Executor(e *Entry) (*nmode.Engine, error) {
 	if e.eng != nil {
 		return e.eng, nil
 	}
-	eng, err := engine.NewMultiModeExecutor(e.t, e.plan)
+	eng, err := core.NewEngine(e.t, e.plan)
 	if err != nil {
 		return nil, fmt.Errorf("server: building executors for %s: %w", e.fp[:12], err)
 	}
@@ -306,6 +306,16 @@ func (e *Entry) applyWorkers(requested int) error {
 	}
 	e.workers = w
 	return nil
+}
+
+// planString spells the plan the entry's executors run: the grid
+// clamped to [1, dim] per mode, as the executors clamp it.
+func (e *Entry) planString() string {
+	p := e.plan
+	for m, g := range p.Grid {
+		p.Grid[m] = min(max(g, 1), e.t.Dims[m])
+	}
+	return p.String()
 }
 
 // touchLocked bumps e's LRU clock. Caller holds c.mu.

@@ -335,7 +335,7 @@ func (s *Server) runJob(ctx context.Context, entry *Entry, req jobRequest) (*job
 			Iters:     res.Iters,
 			Converged: res.Converged,
 			Fit:       res.Fit(),
-			Plan:      res.Plan.String(),
+			Plan:      entry.planString(),
 		}, nil
 	case "cpapr":
 		res, err := cpapr.Decompose(entry.Tensor(), cpapr.Options{
@@ -358,7 +358,7 @@ func (s *Server) runJob(ctx context.Context, entry *Entry, req jobRequest) (*job
 	return nil, fmt.Errorf("unknown job kind %q", req.Kind)
 }
 
-// runMTTKRP runs req.Reps repetitions of all three mode products with
+// runMTTKRP runs req.Reps repetitions of every mode product with
 // seeded random factors — the service face of the benchmark driver.
 func (s *Server) runMTTKRP(ctx context.Context, entry *Entry, req jobRequest) (*jobResponse, error) {
 	eng, err := s.cache.Executor(entry)
@@ -372,11 +372,11 @@ func (s *Server) runMTTKRP(ctx context.Context, entry *Entry, req jobRequest) (*
 	if reps <= 0 {
 		reps = 1
 	}
-	dims := entry.Tensor().Dims
+	dims := eng.Dims()
 	rng := rand.New(rand.NewSource(req.Seed))
-	var factors [3]*la.Matrix
-	var outs [3]*la.Matrix
-	for m := 0; m < 3; m++ {
+	factors := make([]*la.Matrix, eng.Order())
+	outs := make([]*la.Matrix, eng.Order())
+	for m := range factors {
 		factors[m] = la.NewMatrix(dims[m], req.Rank)
 		for i := range factors[m].Data {
 			factors[m].Data[i] = rng.Float64()
@@ -384,7 +384,7 @@ func (s *Server) runMTTKRP(ctx context.Context, entry *Entry, req jobRequest) (*
 		outs[m] = la.NewMatrix(dims[m], req.Rank)
 	}
 	for rep := 0; rep < reps; rep++ {
-		for mode := 0; mode < 3; mode++ {
+		for mode := range outs {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("canceled before rep %d mode-%d product: %w", rep+1, mode+1, err)
 			}
@@ -393,8 +393,8 @@ func (s *Server) runMTTKRP(ctx context.Context, entry *Entry, req jobRequest) (*
 			}
 		}
 	}
-	snaps := make([]metrics.Snapshot, 3)
-	for mode := 0; mode < 3; mode++ {
+	snaps := make([]metrics.Snapshot, eng.Order())
+	for mode := range snaps {
 		met, err := eng.Metrics(mode)
 		if err != nil {
 			return nil, err

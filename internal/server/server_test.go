@@ -436,6 +436,23 @@ func TestJobValidationAndKinds(t *testing.T) {
 	}
 }
 
+// TestCPALSReplyPlanIsClamped pins the cpals reply's plan string to
+// the plan the entry's executors run: a cache grid finer than a mode
+// length is reported clamped to that length, as the executors clamp it.
+func TestCPALSReplyPlanIsClamped(t *testing.T) {
+	s := New(Options{Cache: CacheConfig{Plan: core.Plan{Method: core.MethodMBRankB, Grid: [3]int{4, 1, 1}, RankBlockCols: 8}}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	fp := upload(t, ts.URL, randCOO(13, tensor.Dims{3, 8, 6}, 60))
+	code, jr, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "cpals", Rank: 2, MaxIters: 2})
+	if code != http.StatusOK {
+		t.Fatalf("cpals job: %d %s", code, raw)
+	}
+	if want := "MB+RankB grid=3x1x1 bs=8"; jr.Plan != want {
+		t.Errorf("reply plan %q, want %q", jr.Plan, want)
+	}
+}
+
 // TestUploadDedup uploads the same logical tensor twice in different
 // storage orders and expects one cache entry.
 func TestUploadDedup(t *testing.T) {

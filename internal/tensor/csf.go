@@ -18,16 +18,7 @@ import (
 // coordinates are kept as distinct nonzeros, in input order (run Dedup
 // first if that matters).
 func BuildCSF(t *COO) (*nmode.CSF, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	// The Builder directly, not nmode.Build, so the tensor is validated
-	// once.
-	x := ToNMode(t)
-	c := &nmode.CSF{Dims: x.Dims, ID: make([][]nmode.Index, 3), Ptr: make([][]int32, 2)}
-	b := nmode.NewBuilder(3, t.NNZ(), slices.Max(x.Dims))
-	b.Tree(c, &nmode.Span{Idx: x.Idx, Val: x.Val, Ext: x.Dims}, SPLATTModeOrder())
-	return c, nil
+	return nmode.Build(ToNMode(t), SPLATTModeOrder())
 }
 
 // BuildBlocked reorganises t into the grid blocks of Sec. V-A

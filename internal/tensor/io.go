@@ -15,10 +15,10 @@ import (
 // comment of the form "# dims: I J K" declares them.
 //
 // Parsing is delegated to the order-N reader in internal/nmode (the
-// canonical TNS parser); this adapter fixes the order at 3 and converts
-// zero-copy. Empty input with no dims comment — where the order is
-// unknowable — is legal here because the order is pinned: it yields an
-// empty 1x1x1 tensor.
+// canonical TNS parser), which validates the tensor; this adapter fixes
+// the order at 3 and converts zero-copy. Empty input with no dims
+// comment — where the order is unknowable — is legal here because the
+// order is pinned: it yields an empty 1x1x1 tensor.
 func ReadTNS(r io.Reader) (*COO, error) {
 	nt, err := nmode.ReadTNS(r)
 	if err != nil {
@@ -27,18 +27,7 @@ func ReadTNS(r io.Reader) (*COO, error) {
 		}
 		return nil, err
 	}
-	if nt.Order() != 3 {
-		return nil, fmt.Errorf("%w: order-%d data where third order is required",
-			ErrBadTensor, nt.Order())
-	}
-	t, err := FromNMode(nt)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return FromNMode(nt)
 }
 
 // WriteTNS writes the tensor in FROSTT text form with a dims comment so

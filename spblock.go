@@ -16,20 +16,22 @@
 //	out := spblock.NewMatrix(x.Dims[0], 64)
 //	_ = me.Run(0, [3]*spblock.Matrix{nil, b, c}, out) // out = X(1) · (B ⊙ C)
 //
-// The facade re-exports the library's primary types; the analysis
-// tooling (roofline model, cache simulator, pressure point analysis,
-// experiment harness) lives in the internal packages and is exposed
-// through the cmd/spblock-exp command.
+// The facade re-exports the library's primary types. The one type it
+// defines itself is MultiExecutor, a MultiExecutorN with an order-3
+// Run, kept for the spbench benchmark. The analysis tooling (roofline
+// model, cache simulator, pressure point analysis, experiment harness)
+// lives in the internal packages and is exposed through the
+// cmd/spblock-exp command.
 package spblock
 
 import (
+	"fmt"
 	"io"
 
 	"spblock/internal/core"
 	"spblock/internal/cpapr"
 	"spblock/internal/cpd"
 	"spblock/internal/dist"
-	"spblock/internal/engine"
 	"spblock/internal/gen"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
@@ -72,9 +74,6 @@ type (
 	// PhaseTimes buckets a decomposition's wall time by phase (MTTKRP vs
 	// solve vs fit); CPALS, CPALSN and DistCPALS results carry one.
 	PhaseTimes = metrics.PhaseTimes
-	// MultiExecutor serves MTTKRP for several modes of one tensor
-	// under a Plan, building each mode's executor exactly once.
-	MultiExecutor = engine.MultiModeExecutor
 	// BlockedTensor is the multi-dimensionally blocked representation:
 	// one CSF tree per non-empty grid block.
 	BlockedTensor = nmode.BlockedTensor
@@ -133,7 +132,7 @@ type (
 	// MultiExecutorN is the order-N MultiExecutor: one cached
 	// mode-rooted N-mode executor per mode of an arbitrary-order
 	// tensor, third-order inputs included.
-	MultiExecutorN = engine.NEngine
+	MultiExecutorN = nmode.Engine
 	// CPNOptions configures an order-N CP-ALS decomposition.
 	CPNOptions = cpd.NOptions
 	// CPNResult is CPResult: every CP-ALS entry point returns the same
@@ -237,18 +236,49 @@ func ComputeStats(t *Tensor) Stats { return tensor.ComputeStats(t) }
 //
 // Pass mode 0 alone when only the mode-1 product is needed.
 func NewMultiExecutor(t *Tensor, plan Plan, modes ...int) (*MultiExecutor, error) {
-	return engine.NewMultiModeExecutor(t, plan, modes...)
+	eng, err := core.NewEngine(t, plan, modes...)
+	if err != nil {
+		return nil, err
+	}
+	return &MultiExecutor{Engine: eng}, nil
+}
+
+// MultiExecutor is a MultiExecutorN built for a Plan, whose Run takes
+// the factors as an array; it is kept until the spbench benchmark next
+// changes. It must not Run one mode concurrently with itself; distinct
+// modes may run from different goroutines.
+type MultiExecutor struct {
+	*nmode.Engine
+	// ops holds each mode's operands during its Run, so Run passes the
+	// engine a slice without allocating; it is cleared afterwards, so a
+	// cached executor does not keep a finished job's matrices alive.
+	ops [3][3]*la.Matrix
+}
+
+// Run computes out = MTTKRP over mode n; factors is indexed by mode
+// (factors[n] is not read). out must be Dims()[n] rows.
+//
+//spblock:hotpath
+func (m *MultiExecutor) Run(n int, factors [3]*Matrix, out *Matrix) error {
+	if n < 0 || n > 2 {
+		return fmt.Errorf("spblock: mode %d out of range [0,2]", n) //spblock:allow misuse error path, never taken by a decomposition sweep
+	}
+	ops := &m.ops[n]
+	*ops = factors
+	err := m.Engine.Run(n, ops[:], out)
+	*ops = [3]*la.Matrix{}
+	return err
 }
 
 // MTTKRP computes out = X₍₁₎ · (B ⊙ C) once with the given plan.
 // Repeated products over the same tensor should build a
 // NewMultiExecutor instead.
 func MTTKRP(t *Tensor, b, c, out *Matrix, plan Plan) error {
-	me, err := engine.NewMultiModeExecutor(t, plan, 0)
+	eng, err := core.NewEngine(t, plan, 0)
 	if err != nil {
 		return err
 	}
-	return me.Run(0, [3]*la.Matrix{nil, b, c}, out)
+	return eng.Run(0, []*la.Matrix{nil, b, c}, out)
 }
 
 // BuildBlocked reorganises t into the grid blocks of MB blocking.
@@ -330,7 +360,7 @@ func NewExecutorN(t *TensorN, mode int, opts OptionsN) (*ExecutorN, error) {
 // products bit for bit, and SPLATT's too (Algorithm 1's accumulator
 // array performs the same arithmetic as the register walk).
 func NewMultiExecutorN(t *TensorN, opts OptionsN, modes ...int) (*MultiExecutorN, error) {
-	return engine.NewNEngine(t, opts, modes...)
+	return nmode.NewEngine(t, opts, modes...)
 }
 
 // CPALSN decomposes an order-N tensor with alternating least squares
@@ -353,5 +383,8 @@ func Fingerprint(t *Tensor) string { return server.Fingerprint(t) }
 // engine, reusing its preprocessed per-mode executors instead of
 // building fresh ones — the serving-cache path of spblockd.
 func CPALSEngine(t *Tensor, eng *MultiExecutor, opts CPOptions) (*CPResult, error) {
-	return cpd.CPALSEngine(t, eng, opts)
+	if eng == nil {
+		return cpd.CPALSEngine(t, nil, opts)
+	}
+	return cpd.CPALSEngine(t, eng.Engine, opts)
 }

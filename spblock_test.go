@@ -3,7 +3,9 @@ package spblock_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"spblock"
 )
@@ -311,5 +313,60 @@ func TestFacadeMultiExecutor(t *testing.T) {
 	}
 	if me.MemoryBytes() <= 0 {
 		t.Fatal("built executors report no memory")
+	}
+}
+
+// TestRunReleasesOperands: a cached executor outlives the jobs that
+// run it, so after Run neither MultiExecutor's operand buffer nor the
+// engine beneath it may keep the caller's factor and output matrices
+// reachable — sequential or parallel, stripped or not. Each operand
+// carries a finalizer; once the test drops its own references, a
+// collection must finalize all three.
+func TestRunReleasesOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	dims := spblock.Dims{16, 20, 12}
+	x := demoTensor(rng, dims, 800)
+	const rank = 24
+	randMatrix := func(rows int) *spblock.Matrix {
+		m := spblock.NewMatrix(rows, rank)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	for _, plan := range []spblock.Plan{
+		{Method: spblock.MethodCOO, Workers: 2},
+		{Method: spblock.MethodSPLATT, Workers: 1},
+		{Method: spblock.MethodMB, Grid: [3]int{2, 2, 2}, Workers: 2},
+		{Method: spblock.MethodRankB, RankBlockCols: 16, Workers: 2},
+		{Method: spblock.MethodMBRankB, Grid: [3]int{2, 1, 2}, RankBlockCols: 8, Workers: 1},
+	} {
+		e, err := spblock.NewMultiExecutor(x, plan, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed := make(chan struct{}, 3)
+		run := func() {
+			b, c, out := randMatrix(dims[1]), randMatrix(dims[2]), spblock.NewMatrix(dims[0], rank)
+			for _, m := range []*spblock.Matrix{b, c, out} {
+				runtime.SetFinalizer(m, func(*spblock.Matrix) { freed <- struct{}{} })
+			}
+			if err := e.Run(0, [3]*spblock.Matrix{nil, b, c}, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		for n, deadline := 0, time.Now().Add(5*time.Second); n < 3; {
+			runtime.GC()
+			select {
+			case <-freed:
+				n++
+			case <-time.After(10 * time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("%v: only %d of 3 operands were released after Run", plan, n)
+				}
+			}
+		}
+		runtime.KeepAlive(e)
 	}
 }
