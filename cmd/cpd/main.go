@@ -66,9 +66,13 @@ func main() {
 		fmt.Printf("kernel: %s (rank-strip register blocking, width %d)\n", kv.Name, kv.Width)
 	}
 
+	kernel, err := plan.Options()
+	if err != nil {
+		fatal(err)
+	}
 	start := time.Now()
 	res, err := spblock.CPALS(x, spblock.CPOptions{
-		Rank: *rank, MaxIters: *iters, Tol: *tol, Plan: plan, Seed: *seed,
+		Rank: *rank, MaxIters: *iters, Tol: *tol, Kernel: kernel, Seed: *seed,
 	})
 	if err != nil {
 		fatal(err)

@@ -139,27 +139,6 @@ func generateCustom(dimsStr string, nnz int, kind string, seed int64) (*nmode.Te
 	if nnz <= 0 {
 		return nil, fmt.Errorf("custom shapes need -nnz > 0")
 	}
-	// Third-order shapes keep the original order-3 generators so the
-	// output for a given seed is unchanged from older releases.
-	if len(d) == 3 {
-		d3 := tensor.Dims{d[0], d[1], d[2]}
-		var (
-			coo *tensor.COO
-			err error
-		)
-		switch kind {
-		case "poisson":
-			coo, err = gen.Poisson(gen.PoissonParams{Dims: d3, Events: nnz + nnz/8}, seed)
-		case "clustered":
-			coo, err = gen.Clustered(gen.ClusteredParams{Dims: d3, NNZ: nnz}, seed)
-		default:
-			return nil, fmt.Errorf("unknown kind %q (poisson|clustered)", kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return tensor.ToNMode(coo), nil
-	}
 	switch kind {
 	case "poisson":
 		return gen.PoissonN(gen.PoissonNParams{Dims: d, Events: nnz + nnz/8}, seed)

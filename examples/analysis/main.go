@@ -22,9 +22,13 @@ import (
 
 func main() {
 	// A Poisson3-like cube, small enough to simulate in seconds.
-	x, err := gen.Poisson(gen.PoissonParams{
-		Dims: tensor.Dims{600, 600, 600}, Events: 400_000, Components: 24, Spread: 0.3,
+	xn, err := gen.PoissonN(gen.PoissonNParams{
+		Dims: []int{600, 600, 600}, Events: 400_000, Components: 24, Spread: 0.3,
 	}, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	x, err := tensor.FromNMode(xn)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,12 +35,16 @@ func main() {
 		{Method: spblock.MethodSPLATT},
 		{Method: spblock.MethodMBRankB, Grid: [3]int{1, 2, 1}, RankBlockCols: 16},
 	} {
+		kernel, err := plan.Options()
+		if err != nil {
+			log.Fatal(err)
+		}
 		start := time.Now()
 		res, err := spblock.CPALS(x, spblock.CPOptions{
 			Rank:     rank,
 			MaxIters: 20,
 			Tol:      1e-6,
-			Plan:     plan,
+			Kernel:   kernel,
 			Seed:     3,
 		})
 		if err != nil {

@@ -93,7 +93,7 @@ func main() {
 	fmt.Println("all order-4 variants agree ✓")
 
 	// The unified engine: every mode's executor built once (what
-	// CPALSN does under the hood), then each mode product runs against
+	// CP-ALS does under the hood), then each mode product runs against
 	// pooled workspaces. The second pass is the steady state — no
 	// allocations, no tree rebuilds.
 	eng, err := nmode.NewEngine(x, nmode.Options{RankBlockCols: 16})

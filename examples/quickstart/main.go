@@ -25,7 +25,9 @@ func main() {
 			rng.Float64(),
 		)
 	}
-	x.Dedup() // merge duplicate coordinates
+	if _, err := x.Dedup(); err != nil { // merge duplicate coordinates
+		log.Fatal(err)
+	}
 	fmt.Println("tensor:", spblock.ComputeStats(x))
 
 	// Random rank-32 factor matrices B (J x R) and C (K x R).

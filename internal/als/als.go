@@ -1,9 +1,9 @@
 // Package als holds the single CP-ALS sweep loop shared by every
-// decomposition driver in the repo (cpd.CPALS, cpd.CPALSN, dist.CPALS).
-// The loop — random factor init, per-mode MTTKRP dispatch, Gram /
-// Hadamard normal-equation solve, lambda normalisation, fit and
-// convergence — is identical across the shared-memory order-3, order-N
-// and distributed paths; only the MTTKRP kernel differs, so the kernel
+// decomposition driver in the repo (cpd's entry points at every order,
+// dist.CPALS). The loop — random factor init, per-mode MTTKRP dispatch,
+// Gram / Hadamard normal-equation solve, lambda normalisation, fit and
+// convergence — is identical across the shared-memory, out-of-core and
+// distributed paths; only the MTTKRP kernel differs, so the kernel
 // is the interface and everything else lives here exactly once.
 //
 // The random number stream is part of the contract: factors are

@@ -93,11 +93,11 @@ func OOC(cfg Config) (*Table, error) {
 		return nil, err
 	}
 
-	opts := cpd.NOptions{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed,
+	opts := cpd.Options{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed,
 		Kernel: nmode.Options{Grid: grid, Workers: cfg.Workers}}
 	var want *cpd.Result
 	memSec := TimeBest(1, func() {
-		want, err = cpd.CPALSN(x, opts)
+		want, err = cpd.CPALS(x, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -118,7 +118,7 @@ func OOC(cfg Config) (*Table, error) {
 		}
 		var got *cpd.Result
 		sec := TimeBest(1, func() {
-			got, err = cpd.CPALSOOC(e, cpd.OOCOptions{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed})
+			got, err = cpd.CPALSOOC(e, cpd.Options{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed})
 		})
 		if err != nil {
 			e.Close()

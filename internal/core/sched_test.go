@@ -19,17 +19,23 @@ import (
 // per-slice nonzero counts — the case work stealing exists for.
 func schedTestTensors(t *testing.T) map[string]*tensor.COO {
 	t.Helper()
-	pois, err := gen.Poisson(gen.PoissonParams{Dims: tensor.Dims{40, 30, 25}, Events: 6000}, 11)
+	pois, err := gen.PoissonN(gen.PoissonNParams{Dims: []int{40, 30, 25}, Events: 6000}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clus, err := gen.Clustered(gen.ClusteredParams{
-		Dims: tensor.Dims{40, 30, 25}, NNZ: 6000, Clusters: 3, ClusterFrac: 0.9,
+	clus, err := gen.ClusteredN(gen.ClusteredNParams{
+		Dims: []int{40, 30, 25}, NNZ: 6000, Clusters: 3, ClusterFrac: 0.9,
 	}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*tensor.COO{"poisson": pois, "clustered": clus}
+	corpus := map[string]*tensor.COO{}
+	for name, x := range map[string]*nmode.Tensor{"poisson": pois, "clustered": clus} {
+		if corpus[name], err = tensor.FromNMode(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return corpus
 }
 
 func bitIdentical(a, b *la.Matrix) bool {

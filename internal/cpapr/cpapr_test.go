@@ -128,9 +128,13 @@ func TestOnGeneratedPoissonData(t *testing.T) {
 	// End-to-end with the paper's data generator: decompose a Poisson
 	// count tensor sampled from a 4-component mixture; KL must improve
 	// substantially over the initial guess.
-	x, err := gen.Poisson(gen.PoissonParams{
-		Dims: tensor.Dims{40, 40, 40}, Events: 8000, Components: 4, Spread: 0.3,
+	xn, err := gen.PoissonN(gen.PoissonNParams{
+		Dims: []int{40, 40, 40}, Events: 8000, Components: 4, Spread: 0.3,
 	}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := tensor.FromNMode(xn)
 	if err != nil {
 		t.Fatal(err)
 	}

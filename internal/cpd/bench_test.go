@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"spblock/internal/als"
-	"spblock/internal/core"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -35,12 +35,12 @@ func benchCPALSSweeps(b *testing.B, memoize bool) {
 	}
 	x.Dedup()
 	opts := Options{Rank: 32, MaxIters: sweeps, Tol: 1e-15, Seed: 1, Memoize: memoize,
-		Plan: core.Plan{Grid: [3]int{1, 1, 1}, Workers: 1}}
-	k, err := newKernel(x, opts)
+		Kernel: nmode.Options{Algorithm: nmode.AlgCOO, Workers: 1}}
+	k, err := newKernel(tensor.ToNMode(x), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := opts.sweeps(x)
+	cfg := opts.sweeps(x.NormSquared())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := als.Run(k, cfg)

@@ -4,10 +4,11 @@
 // expensive part of tensor decompositions" and runs 10–1000s of times
 // per decomposition).
 //
-// Every entry point — CPALS, CPALSEngine, CPALSN and CPALSOOC — checks
-// its input, picks an als.Kernel (an nmode.Engine, the memoized kernel
-// or the out-of-core stream) and hands it to one driver around the
-// shared sweep loop in internal/als, so all four return the same Result.
+// Every entry point — CPALS, CPALSEngine and CPALSOOC — takes the same
+// Options at any order, checks its input, picks an als.Kernel (an
+// nmode.Engine, the memoized order-3 kernel or the out-of-core stream)
+// and hands it to one driver around the shared sweep loop in
+// internal/als, so all three return the same Result.
 package cpd
 
 import (
@@ -17,7 +18,6 @@ import (
 	"slices"
 
 	"spblock/internal/als"
-	"spblock/internal/core"
 	"spblock/internal/la"
 	"spblock/internal/memo"
 	"spblock/internal/metrics"
@@ -25,7 +25,7 @@ import (
 	"spblock/internal/tensor"
 )
 
-// Options configures an order-3 decomposition.
+// Options configures a decomposition at any order.
 type Options struct {
 	// Rank is the decomposition rank R. Required.
 	Rank int
@@ -34,16 +34,20 @@ type Options struct {
 	// Tol stops iteration when the fit improves by less than this.
 	// Default 1e-5.
 	Tol float64
-	// Plan selects the MTTKRP kernel (its Grid is indexed by mode).
-	// The zero Plan runs the COO kernel.
-	Plan core.Plan
+	// Kernel configures the MTTKRP executors CPALS builds (algorithm,
+	// rank strips, workers, MB grid indexed by mode, scheduler); a
+	// caller holding a core.Plan passes plan.Options(). CPALSEngine
+	// and CPALSOOC run their own kernels and ignore it.
+	Kernel nmode.Options
 	// Memoize shares the mode-3 contraction between the mode-1 and
 	// mode-2 products via internal/memo (the dimension-tree trade of
 	// the paper's related work): ~1/3 fewer flops per sweep at the cost
-	// of a P×R buffer (P = distinct (i,j) pairs). Mode 3 still uses the
-	// configured Plan.
+	// of a P×R buffer (P = distinct (i,j) pairs). Mode 3 still runs the
+	// configured Kernel. Only CPALS on a third-order tensor supports it.
 	Memoize bool
-	// Seed drives the random factor initialisation.
+	// Seed drives the random factor initialisation. With the same
+	// seed, rank and iteration budget, every entry point computes the
+	// same trajectory over numerically identical kernels.
 	Seed int64
 	// Ctx cancels the decomposition between mode products (see
 	// als.Config.Ctx): a canceled run returns the partial result with
@@ -51,10 +55,11 @@ type Options struct {
 	Ctx context.Context
 }
 
-// sweeps returns the sweep parameters of a decomposition of t.
-func (o Options) sweeps(t *tensor.COO) als.Config {
+// sweeps returns the sweep parameters of a decomposition of a tensor
+// whose values' squares sum to normSq.
+func (o Options) sweeps(normSq float64) als.Config {
 	return als.Config{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed,
-		NormX: math.Sqrt(t.NormSquared()), Ctx: o.Ctx}
+		NormX: math.Sqrt(normSq), Ctx: o.Ctx}
 }
 
 // Result holds a fitted Kruskal tensor with one factor per mode:
@@ -99,9 +104,20 @@ func decompose(k als.Kernel, cfg als.Config) (*Result, error) {
 	}, err
 }
 
+// nKernel adapts an nmode.Engine to the shared ALS core. The engine
+// supplies Dims, and Workers gives the dense ALS phase its current
+// parallelism (als.WorkerCounter).
+type nKernel struct {
+	*nmode.Engine
+}
+
+func (k *nKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
+	return k.Run(mode, factors, out)
+}
+
 // memoKernel folds modes 1-2 from the shared mode-3 contraction
 // (refreshed once per sweep via StartSweep); mode 3 still runs through
-// the configured engine plan.
+// the configured engine.
 type memoKernel struct {
 	nKernel
 	memo *memo.Engine
@@ -122,51 +138,54 @@ func (k *memoKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) erro
 }
 
 // CPALS decomposes t with alternating least squares over an engine it
-// builds for Options.Plan (the engine build validates t).
-func CPALS(t *tensor.COO, opts Options) (*Result, error) {
+// builds for Options.Kernel (the engine build validates t).
+func CPALS(t *nmode.Tensor, opts Options) (*Result, error) {
 	k, err := newKernel(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	return decompose(k, opts.sweeps(t))
+	return decompose(k, opts.sweeps(normSq(t)))
 }
 
-// newKernel builds the order-3 kernel CPALS runs: the multi-mode engine
-// for opts.Plan, built once per decomposition so each mode's executor
-// and pooled workspace serve every sweep, plus the memo engine
-// when opts.Memoize is set. The memoized path folds modes 1-2 from the
-// memo buffer, so it only needs the mode-3 executor.
-func newKernel(t *tensor.COO, opts Options) (als.Kernel, error) {
-	modes := []int{0, 1, 2}
-	if opts.Memoize {
-		modes = []int{2}
-	}
-	eng, err := core.NewEngine(t, opts.Plan, modes...)
-	if err != nil {
-		return nil, err
-	}
-	nk := nKernel{eng}
+// newKernel builds the kernel CPALS runs: the engine for opts.Kernel,
+// built once per decomposition so each mode's executor and pooled
+// workspace serve every sweep, plus the memo engine when opts.Memoize
+// is set. The memoized path folds modes 1-2 from the memo buffer, so
+// it only needs the mode-3 executor.
+func newKernel(t *nmode.Tensor, opts Options) (als.Kernel, error) {
 	if !opts.Memoize {
-		return &nk, nil
+		eng, err := nmode.NewEngine(t, opts.Kernel)
+		if err != nil {
+			return nil, err
+		}
+		return &nKernel{eng}, nil
 	}
-	m, err := memo.NewEngine(t)
+	coo, err := tensor.FromNMode(t)
+	if err != nil {
+		return nil, fmt.Errorf("cpd: Memoize: %w", err)
+	}
+	eng, err := nmode.NewEngine(t, opts.Kernel, 2)
 	if err != nil {
 		return nil, err
 	}
-	return &memoKernel{nKernel: nk, memo: m}, nil
+	m, err := memo.NewEngine(coo)
+	if err != nil {
+		return nil, err
+	}
+	return &memoKernel{nKernel: nKernel{eng}, memo: m}, nil
 }
 
 // CPALSEngine decomposes t through a caller-supplied engine built over
 // the same tensor — the path a serving cache uses to reuse one
 // preprocessed executor stack across many decompositions instead of
 // paying the per-mode CSF/block builds on every job. The engine must
-// have all three mode executors built; the plan it was built with (not
-// Options.Plan) selects the kernels.
+// have every mode's executor built; the options it was built with (not
+// Options.Kernel) select the kernels.
 //
 // Memoize is rejected: the memoized kernel folds two modes outside the
 // engine, bypassing the cached stack the caller is leasing. The caller
 // owns the engine's single-Run-per-mode exclusivity for the whole call.
-func CPALSEngine(t *tensor.COO, eng *nmode.Engine, opts Options) (*Result, error) {
+func CPALSEngine(t *nmode.Tensor, eng *nmode.Engine, opts Options) (*Result, error) {
 	if opts.Memoize {
 		return nil, fmt.Errorf("cpd: CPALSEngine does not support Memoize")
 	}
@@ -176,15 +195,24 @@ func CPALSEngine(t *tensor.COO, eng *nmode.Engine, opts Options) (*Result, error
 	if eng == nil {
 		return nil, fmt.Errorf("cpd: CPALSEngine needs a non-nil engine")
 	}
-	if !slices.Equal(eng.Dims(), t.Dims[:]) {
+	if !slices.Equal(eng.Dims(), t.Dims) {
 		return nil, fmt.Errorf("cpd: engine dims %v do not match tensor dims %v", eng.Dims(), t.Dims)
 	}
-	for mode := 0; mode < 3; mode++ {
+	for mode := range t.Dims {
 		if _, err := eng.Metrics(mode); err != nil {
 			return nil, fmt.Errorf("cpd: %w", err)
 		}
 	}
-	return decompose(&nKernel{eng}, opts.sweeps(t))
+	return decompose(&nKernel{eng}, opts.sweeps(normSq(t)))
+}
+
+// normSq returns Σ v² over t's values, in storage order.
+func normSq(t *nmode.Tensor) float64 {
+	var s float64
+	for _, v := range t.Val {
+		s += v * v
+	}
+	return s
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a

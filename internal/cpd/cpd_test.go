@@ -7,66 +7,34 @@ import (
 	"math/rand"
 	"testing"
 
-	"spblock/internal/core"
 	"spblock/internal/la"
 	"spblock/internal/nmode"
 	"spblock/internal/ooc"
 	"spblock/internal/tensor"
 )
 
-// plantedTensor builds a dense tensor that is exactly rank `r` (as a
-// COO with every entry stored), so CP-ALS at that rank can reach fit ≈ 1.
-func plantedTensor(seed int64, dims tensor.Dims, r int) *tensor.COO {
-	rng := rand.New(rand.NewSource(seed))
-	var f [3]*la.Matrix
-	for n := 0; n < 3; n++ {
-		f[n] = la.NewMatrix(dims[n], r)
-		for i := range f[n].Data {
-			f[n].Data[i] = rng.Float64() + 0.1
-		}
-	}
-	t := tensor.NewCOO(dims, dims[0]*dims[1]*dims[2])
-	for i := 0; i < dims[0]; i++ {
-		for j := 0; j < dims[1]; j++ {
-			for k := 0; k < dims[2]; k++ {
-				var s float64
-				for q := 0; q < r; q++ {
-					s += f[0].At(i, q) * f[1].At(j, q) * f[2].At(k, q)
-				}
-				t.Append(tensor.Index(i), tensor.Index(j), tensor.Index(k), s)
-			}
-		}
-	}
-	return t
-}
-
-// TestEntryPointValidation runs the same input checks through all four
-// entry points: rank <= 0 and an invalid tensor are rejected, and zero
-// MaxIters and Tol take the defaults of 50 sweeps and 1e-5.
+// TestEntryPointValidation runs the same input checks through every
+// entry point, CPALS at order 3 and at order 4 ("CPALSN"): rank <= 0
+// and an invalid tensor are rejected, and zero MaxIters and Tol take the
+// defaults of 50 sweeps and 1e-5.
 func TestEntryPointValidation(t *testing.T) {
-	xn := randSparseN(17, []int{6, 5, 4}, 60)
-	x := tensorFromN(xn)
-	eng, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT})
+	x := randSparseN(17, []int{6, 5, 4}, 60)
+	x4 := randSparseN(17, []int{6, 5, 4, 3}, 80)
+	eng, err := nmode.NewEngine(x, nmode.Options{Algorithm: nmode.AlgAccumulator})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := ooc.Open(stageForTest(t, xn, []int{2, 2, 2}), ooc.Options{})
+	e, err := ooc.Open(stageForTest(t, x, []int{2, 2, 2}), ooc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	bad := tensor.NewCOO(x.Dims, 0)
-	bad.Append(9, 0, 0, 1)
-	badN := nmode.NewTensor(xn.Dims, 0)
-	badN.Append([]nmode.Index{9, 0, 0}, 1)
+	bad := nmode.NewTensor(x.Dims, 0)
+	bad.Append([]nmode.Index{9, 0, 0}, 1)
+	bad4 := nmode.NewTensor(x4.Dims, 0)
+	bad4.Append([]nmode.Index{9, 0, 0, 0}, 1)
 
-	nopts := func(o Options) NOptions {
-		return NOptions{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed}
-	}
-	oopts := func(o Options) OOCOptions {
-		return OOCOptions{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed}
-	}
 	entries := []struct {
 		name    string
 		run     func(Options) (*Result, error)
@@ -79,10 +47,10 @@ func TestEntryPointValidation(t *testing.T) {
 			func(o Options) (*Result, error) { return CPALSEngine(x, eng, o) },
 			func() (*Result, error) { return CPALSEngine(bad, eng, Options{Rank: 2}) }},
 		{"CPALSN",
-			func(o Options) (*Result, error) { return CPALSN(xn, nopts(o)) },
-			func() (*Result, error) { return CPALSN(badN, NOptions{Rank: 2}) }},
+			func(o Options) (*Result, error) { return CPALS(x4, o) },
+			func() (*Result, error) { return CPALS(bad4, Options{Rank: 2}) }},
 		{"CPALSOOC",
-			func(o Options) (*Result, error) { return CPALSOOC(e, oopts(o)) },
+			func(o Options) (*Result, error) { return CPALSOOC(e, o) },
 			nil}, // ooc.Stage and ooc.Open reject invalid tensors before an Engine exists
 	}
 	for _, ep := range entries {
@@ -126,7 +94,7 @@ func TestEntryPointValidation(t *testing.T) {
 
 func TestCPALSRecoversPlantedStructure(t *testing.T) {
 	dims := tensor.Dims{8, 9, 10}
-	x := plantedTensor(2, dims, 3)
+	x := plantedTensorN(2, dims[:], 3)
 	// ALS converges slowly near the optimum (the well-known "swamp"
 	// behaviour), so give it plenty of sweeps.
 	res, err := CPALS(x, Options{Rank: 3, MaxIters: 500, Tol: 1e-12, Seed: 2})
@@ -143,7 +111,7 @@ func TestCPALSRecoversPlantedStructure(t *testing.T) {
 	}
 	var maxDiff, maxVal float64
 	for p := 0; p < x.NNZ(); p++ {
-		idx := (int(x.I[p])*dims[1]+int(x.J[p]))*dims[2] + int(x.K[p])
+		idx := (int(x.Idx[0][p])*dims[1]+int(x.Idx[1][p]))*dims[2] + int(x.Idx[2][p])
 		if d := math.Abs(dense[idx] - x.Val[p]); d > maxDiff {
 			maxDiff = d
 		}
@@ -159,8 +127,7 @@ func TestCPALSRecoversPlantedStructure(t *testing.T) {
 func TestCPALSFitMonotonicallyImproves(t *testing.T) {
 	// ALS is a monotone algorithm: the fit must never decrease by more
 	// than numerical noise between sweeps.
-	dims := tensor.Dims{10, 8, 12}
-	x := plantedTensor(3, dims, 5)
+	x := plantedTensorN(3, []int{10, 8, 12}, 5)
 	res, err := CPALS(x, Options{Rank: 4, MaxIters: 40, Tol: 1e-12, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -177,18 +144,17 @@ func TestCPALSAllKernelsAgree(t *testing.T) {
 	// seed; since every kernel computes the same MTTKRP, all plans must
 	// yield identical fits (up to float round-off from different
 	// summation orders).
-	dims := tensor.Dims{12, 10, 8}
-	x := plantedTensor(4, dims, 3)
-	plans := []core.Plan{
-		{Method: core.MethodSPLATT, Workers: 1},
-		{Method: core.MethodCOO},
-		{Method: core.MethodRankB, RankBlockCols: 16, Workers: 1},
-		{Method: core.MethodMB, Grid: [3]int{2, 2, 2}, Workers: 1},
-		{Method: core.MethodMBRankB, Grid: [3]int{2, 2, 2}, RankBlockCols: 16, Workers: 2},
+	x := plantedTensorN(4, []int{12, 10, 8}, 3)
+	plans := []nmode.Options{
+		{Algorithm: nmode.AlgAccumulator, Workers: 1},                       // SPLATT
+		{Algorithm: nmode.AlgCOO},                                           // COO
+		{RankBlockCols: 16, Workers: 1},                                     // RankB
+		{Algorithm: nmode.AlgAccumulator, Grid: []int{2, 2, 2}, Workers: 1}, // MB
+		{Grid: []int{2, 2, 2}, RankBlockCols: 16, Workers: 2},               // MB+RankB
 	}
 	var fits []float64
 	for _, p := range plans {
-		res, err := CPALS(x, Options{Rank: 3, MaxIters: 15, Tol: 1e-12, Seed: 9, Plan: p})
+		res, err := CPALS(x, Options{Rank: 3, MaxIters: 15, Tol: 1e-12, Seed: 9, Kernel: p})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -196,14 +162,13 @@ func TestCPALSAllKernelsAgree(t *testing.T) {
 	}
 	for i := 1; i < len(fits); i++ {
 		if math.Abs(fits[i]-fits[0]) > 1e-6 {
-			t.Fatalf("plan %v fit %v differs from SPLATT fit %v", plans[i], fits[i], fits[0])
+			t.Fatalf("kernel %+v fit %v differs from SPLATT fit %v", plans[i], fits[i], fits[0])
 		}
 	}
 }
 
 func TestCPALSConvergesAndStops(t *testing.T) {
-	dims := tensor.Dims{6, 6, 6}
-	x := plantedTensor(5, dims, 2)
+	x := plantedTensorN(5, []int{6, 6, 6}, 2)
 	res, err := CPALS(x, Options{Rank: 2, MaxIters: 500, Tol: 1e-9, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +199,7 @@ func TestCPALSOnSparseTensor(t *testing.T) {
 		)
 	}
 	x.Dedup()
-	res, err := CPALS(x, Options{Rank: 8, MaxIters: 25, Seed: 13})
+	res, err := CPALS(tensor.ToNMode(x), Options{Rank: 8, MaxIters: 25, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +222,7 @@ func TestCPALSOnSparseTensor(t *testing.T) {
 func TestCPALSRankLargerThanModes(t *testing.T) {
 	// Rank exceeding a mode length triggers rank-deficient normal
 	// equations; the ridge fallback must keep ALS alive.
-	x := plantedTensor(7, tensor.Dims{4, 5, 6}, 2)
+	x := plantedTensorN(7, []int{4, 5, 6}, 2)
 	res, err := CPALS(x, Options{Rank: 8, MaxIters: 10, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +235,7 @@ func TestCPALSRankLargerThanModes(t *testing.T) {
 }
 
 func TestReconstructDenseGuards(t *testing.T) {
-	x := plantedTensor(8, tensor.Dims{4, 4, 4}, 2)
+	x := plantedTensorN(8, []int{4, 4, 4}, 2)
 	res, err := CPALS(x, Options{Rank: 2, MaxIters: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +253,7 @@ func TestReconstructDenseGuards(t *testing.T) {
 }
 
 func TestLambdaPositiveAndSorted(t *testing.T) {
-	x := plantedTensor(9, tensor.Dims{8, 8, 8}, 3)
+	x := plantedTensorN(9, []int{8, 8, 8}, 3)
 	res, err := CPALS(x, Options{Rank: 3, MaxIters: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -312,8 +277,7 @@ func TestLambdaPositiveAndSorted(t *testing.T) {
 func TestMemoizedCPALSMatchesPlain(t *testing.T) {
 	// Memoization rearranges arithmetic but computes the same sweep:
 	// the fit trajectories must agree to float tolerance.
-	dims := tensor.Dims{10, 9, 8}
-	x := plantedTensor(11, dims, 3)
+	x := plantedTensorN(11, []int{10, 9, 8}, 3)
 	plain, err := CPALS(x, Options{Rank: 3, MaxIters: 12, Tol: 1e-14, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +309,7 @@ func TestMemoizedCPALSOnSparseTensor(t *testing.T) {
 		)
 	}
 	x.Dedup()
-	res, err := CPALS(x, Options{Rank: 6, MaxIters: 15, Seed: 23, Memoize: true})
+	res, err := CPALS(tensor.ToNMode(x), Options{Rank: 6, MaxIters: 15, Seed: 23, Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,20 +319,20 @@ func TestMemoizedCPALSOnSparseTensor(t *testing.T) {
 }
 
 // TestCPALSEngineMatchesCPALS pins the caller-supplied-engine path: the
-// same tensor, seed and plan through a prebuilt engine must produce the
+// same tensor, seed and kernel through a prebuilt engine must produce the
 // bit-identical trajectory CPALS produces when it builds its own —
 // the property that lets a serving cache substitute one for the other.
 func TestCPALSEngineMatchesCPALS(t *testing.T) {
-	x := plantedTensor(5, tensor.Dims{10, 9, 8}, 3)
+	x := plantedTensorN(5, []int{10, 9, 8}, 3)
 	opts := Options{
 		Rank: 3, MaxIters: 12, Tol: 1e-12, Seed: 7,
-		Plan: core.Plan{Method: core.MethodMB, Grid: [3]int{2, 2, 2}},
+		Kernel: nmode.Options{Algorithm: nmode.AlgAccumulator, Grid: []int{2, 2, 2}},
 	}
 	want, err := CPALS(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(x, opts.Plan)
+	eng, err := nmode.NewEngine(x, opts.Kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +360,9 @@ func TestCPALSEngineMatchesCPALS(t *testing.T) {
 }
 
 func TestCPALSEngineValidation(t *testing.T) {
-	x := plantedTensor(5, tensor.Dims{6, 5, 4}, 2)
-	eng, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT})
+	x := plantedTensorN(5, []int{6, 5, 4}, 2)
+	splatt := nmode.Options{Algorithm: nmode.AlgAccumulator}
+	eng, err := nmode.NewEngine(x, splatt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +375,11 @@ func TestCPALSEngineValidation(t *testing.T) {
 	if _, err := CPALSEngine(x, eng, bad); err == nil {
 		t.Error("Memoize accepted")
 	}
-	other := plantedTensor(6, tensor.Dims{5, 5, 5}, 2)
+	other := plantedTensorN(6, []int{5, 5, 5}, 2)
 	if _, err := CPALSEngine(other, eng, opts); err == nil {
 		t.Error("dims mismatch accepted")
 	}
-	partial, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT}, 0, 2)
+	partial, err := nmode.NewEngine(x, splatt, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,26 +388,71 @@ func TestCPALSEngineValidation(t *testing.T) {
 	}
 }
 
+// TestCPALSCtxCanceled checks that a canceled Ctx stops every entry
+// point before its first sweep, at order 3 and at order 4.
 func TestCPALSCtxCanceled(t *testing.T) {
-	x := plantedTensor(5, tensor.Dims{8, 7, 6}, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := CPALS(x, Options{Rank: 2, MaxIters: 20, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CPALS err = %v, want context.Canceled", err)
+	x := plantedTensorN(5, []int{8, 7, 6}, 2)
+	x4 := plantedTensorN(5, []int{6, 5, 4, 3}, 2)
+	engines := map[*nmode.Tensor]*nmode.Engine{}
+	for _, y := range []*nmode.Tensor{x, x4} {
+		eng, err := nmode.NewEngine(y, nmode.Options{Algorithm: nmode.AlgAccumulator})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[y] = eng
 	}
-	if res == nil || res.Iters != 0 {
-		t.Fatalf("canceled CPALS ran sweeps: %+v", res)
-	}
-	eng, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT})
+	e, err := ooc.Open(stageForTest(t, x4, []int{2, 2, 2, 1}), ooc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = CPALSEngine(x, eng, Options{Rank: 2, MaxIters: 20, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CPALSEngine err = %v, want context.Canceled", err)
+	defer e.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := Options{Rank: 2, MaxIters: 20, Ctx: ctx}
+	for name, run := range map[string]func() (*Result, error){
+		"CPALS":               func() (*Result, error) { return CPALS(x, opts) },
+		"CPALS order 4":       func() (*Result, error) { return CPALS(x4, opts) },
+		"CPALSEngine":         func() (*Result, error) { return CPALSEngine(x, engines[x], opts) },
+		"CPALSEngine order 4": func() (*Result, error) { return CPALSEngine(x4, engines[x4], opts) },
+		"CPALSOOC":            func() (*Result, error) { return CPALSOOC(e, opts) },
+	} {
+		res, err := run()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s err = %v, want context.Canceled", name, err)
+		}
+		if res == nil || res.Iters != 0 {
+			t.Fatalf("canceled %s ran sweeps: %+v", name, res)
+		}
 	}
-	if res == nil || res.Iters != 0 {
-		t.Fatalf("canceled CPALSEngine ran sweeps: %+v", res)
+}
+
+// TestMemoizeRejected checks that only CPALS on a third-order tensor
+// takes Memoize: the memoized kernel folds modes 1-2 outside a leased
+// engine or the out-of-core stream, and exists only at order 3.
+func TestMemoizeRejected(t *testing.T) {
+	x := plantedTensorN(5, []int{6, 5, 4}, 2)
+	x4 := plantedTensorN(5, []int{6, 5, 4, 3}, 2)
+	eng, err := nmode.NewEngine(x, nmode.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ooc.Open(stageForTest(t, x, []int{2, 1, 1}), ooc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	opts := Options{Rank: 2, MaxIters: 2, Memoize: true}
+	if _, err := CPALSEngine(x, eng, opts); err == nil {
+		t.Error("CPALSEngine accepted Memoize")
+	}
+	if _, err := CPALSOOC(e, opts); err == nil {
+		t.Error("CPALSOOC accepted Memoize")
+	}
+	if _, err := CPALS(x4, opts); err == nil {
+		t.Error("order-4 CPALS accepted Memoize")
+	}
+	if _, err := CPALS(x, opts); err != nil {
+		t.Errorf("order-3 CPALS rejected Memoize: %v", err)
 	}
 }

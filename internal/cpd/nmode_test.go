@@ -7,7 +7,6 @@ import (
 
 	"spblock/internal/la"
 	"spblock/internal/nmode"
-	"spblock/internal/tensor"
 )
 
 // plantedTensorN builds a dense order-N tensor of exact rank r.
@@ -48,7 +47,7 @@ func plantedTensorN(seed int64, dims []int, r int) *nmode.Tensor {
 func TestCPALSNRecoversOrder4Structure(t *testing.T) {
 	dims := []int{5, 6, 4, 5}
 	x := plantedTensorN(2, dims, 2)
-	res, err := CPALSN(x, NOptions{Rank: 2, MaxIters: 300, Tol: 1e-11, Seed: 4})
+	res, err := CPALS(x, Options{Rank: 2, MaxIters: 300, Tol: 1e-11, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,42 +60,42 @@ func TestCPALSNRecoversOrder4Structure(t *testing.T) {
 }
 
 func TestCPALSNMatchesThreeModeCPALS(t *testing.T) {
-	// On an order-3 tensor, the generic N-mode path and the specialised
-	// third-order path must converge to comparable fits.
-	dims3 := []int{8, 7, 6}
-	xN := plantedTensorN(3, dims3, 3)
-
-	res, err := CPALSN(xN, NOptions{Rank: 3, MaxIters: 60, Tol: 1e-10, Seed: 5})
+	// An order-4 tensor with a trailing mode of length 1 holds the same
+	// data as its order-3 slice, so their decompositions must converge
+	// to comparable fits.
+	x3 := plantedTensorN(3, []int{8, 7, 6}, 3)
+	x4 := nmode.NewTensor([]int{8, 7, 6, 1}, x3.NNZ())
+	for p := 0; p < x3.NNZ(); p++ {
+		x4.Append(append(x3.Coord(p, nil), 0), x3.Val[p])
+	}
+	opts := Options{Rank: 3, MaxIters: 60, Tol: 1e-10, Seed: 5}
+	res4, err := CPALS(x4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The specialised path on the same data.
-	x3 := tensorFromN(xN)
-	res3, err := CPALS(x3, Options{Rank: 3, MaxIters: 60, Tol: 1e-10, Seed: 5})
+	res3, err := CPALS(x3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Fit()-res3.Fit()) > 0.02 {
-		t.Fatalf("N-mode fit %v vs 3-mode fit %v", res.Fit(), res3.Fit())
+	if math.Abs(res4.Fit()-res3.Fit()) > 0.02 {
+		t.Fatalf("order-4 fit %v vs order-3 fit %v", res4.Fit(), res3.Fit())
 	}
 }
 
 // TestCPALSNTrajectoryMatchesCPALS is the strong form of the agreement
-// test: with the shared internal/als sweep loop, the same seed, and the
-// default kernels (SPLATT in core, the unblocked nmode walk in CPALSN,
-// which end every fiber with the same fused epilogue), the two entry
-// points must produce the same fit trajectory — not just comparable
-// endpoints.
+// test: with the shared internal/als sweep loop and the same seed, the
+// default register-blocked walk and Algorithm 1's accumulator walk (the
+// SPLATT kernel, which ends every fiber with the same fused epilogue)
+// must produce the same fit trajectory — not just comparable endpoints.
 func TestCPALSNTrajectoryMatchesCPALS(t *testing.T) {
-	dims3 := []int{9, 8, 7}
-	xN := plantedTensorN(11, dims3, 3)
-	x3 := tensorFromN(xN)
-
-	resN, err := CPALSN(xN, NOptions{Rank: 3, MaxIters: 25, Tol: 1e-12, Seed: 13})
+	x := plantedTensorN(11, []int{9, 8, 7}, 3)
+	opts := Options{Rank: 3, MaxIters: 25, Tol: 1e-12, Seed: 13}
+	resN, err := CPALS(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res3, err := CPALS(x3, Options{Rank: 3, MaxIters: 25, Tol: 1e-12, Seed: 13})
+	opts.Kernel.Algorithm = nmode.AlgAccumulator
+	res3, err := CPALS(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +120,10 @@ func TestCPALSNTrajectoryMatchesCPALS(t *testing.T) {
 	}
 }
 
-// tensorFromN converts an order-3 nmode.Tensor to the tensor.COO form.
-func tensorFromN(x *nmode.Tensor) *tensor.COO {
-	t := tensor.NewCOO(tensor.Dims{x.Dims[0], x.Dims[1], x.Dims[2]}, x.NNZ())
-	for p := 0; p < x.NNZ(); p++ {
-		t.Append(x.Idx[0][p], x.Idx[1][p], x.Idx[2][p], x.Val[p])
-	}
-	return t
-}
-
 func TestCPALSNMonotoneFits(t *testing.T) {
 	dims := []int{6, 5, 4, 3}
 	x := plantedTensorN(6, dims, 3)
-	res, err := CPALSN(x, NOptions{Rank: 2, MaxIters: 30, Tol: 1e-12, Seed: 7,
+	res, err := CPALS(x, Options{Rank: 2, MaxIters: 30, Tol: 1e-12, Seed: 7,
 		Kernel: nmode.Options{RankBlockCols: 16}})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +145,7 @@ func TestCPALSNOrder2IsMatrixFactorisation(t *testing.T) {
 	// rank-1 matrix must fit essentially perfectly.
 	dims := []int{10, 12}
 	x := plantedTensorN(8, dims, 1)
-	res, err := CPALSN(x, NOptions{Rank: 1, MaxIters: 50, Seed: 9})
+	res, err := CPALS(x, Options{Rank: 1, MaxIters: 50, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

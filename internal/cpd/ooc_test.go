@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"spblock/internal/als"
 	"spblock/internal/nmode"
 	"spblock/internal/ooc"
 )
@@ -66,9 +65,8 @@ func requireSameResult(t *testing.T, tag string, a, b *Result) {
 
 // TestCPALSOOCMatchesCPALSNOrder4 pins the end-to-end contract: a full
 // CP-ALS decomposition streamed at a 25% working-set budget is
-// bit-identical — fits, lambdas, factors — to the in-memory engine
-// over the same tensor and grid (order 4 uses the generic N-mode
-// executors in both paths).
+// bit-identical — fits, lambdas, factors — to the in-memory CPALS over
+// the same order-4 tensor and grid.
 func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
 	dims := []int{9, 12, 7, 8}
 	grid := []int{2, 3, 2, 2}
@@ -78,9 +76,9 @@ func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := NOptions{Rank: 6, MaxIters: 10, Tol: 1e-12, Seed: 3,
+	opts := Options{Rank: 6, MaxIters: 10, Tol: 1e-12, Seed: 3,
 		Kernel: nmode.Options{Grid: grid, Workers: 2}}
-	want, err := CPALSN(x, opts)
+	want, err := CPALS(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +87,7 @@ func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	got, err := CPALSOOC(e, OOCOptions{Rank: 6, MaxIters: 10, Tol: 1e-12, Seed: 3})
+	got, err := CPALSOOC(e, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,37 +102,27 @@ func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
 }
 
 // TestCPALSOOCMatchesGenericOrder3 pins the order-3 streamed run bit
-// for bit against the in-memory N-mode engine: both walk the same
-// blocks with the same nmode walker.
+// for bit against the in-memory CPALS: both walk the same blocks with
+// the same nmode walker.
 func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
 	dims := []int{15, 11, 13}
 	grid := []int{3, 2, 2}
 	x := randSparseN(13, dims, 900)
 	stage := stageForTest(t, x, grid)
 
-	eng, err := nmode.NewEngine(x, nmode.Options{Grid: grid, Workers: 2})
+	opts := Options{Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 9,
+		Kernel: nmode.Options{Grid: grid, Workers: 2}}
+	want, err := CPALS(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var normX float64
-	for _, v := range x.Val {
-		normX += v * v
-	}
-	cfg := als.Config{Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 9,
-		NormX: math.Sqrt(normX), ErrPrefix: "cpd"}
-	ares, err := als.Run(&nKernel{eng}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Result{Lambda: ares.Lambda, Factors: ares.Factors, Fits: ares.Fits,
-		Iters: ares.Iters, Converged: ares.Converged}
 
 	e, err := ooc.Open(stage, ooc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	got, err := CPALSOOC(e, OOCOptions{Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 9})
+	got, err := CPALSOOC(e, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"spblock/internal/cpd"
 	"spblock/internal/la"
 	"spblock/internal/mpi"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -66,7 +67,8 @@ func TestDistCPALSMatchesSharedMemoryTrajectory(t *testing.T) {
 	const rank = 4
 	const iters = 8
 
-	shared, err := cpd.CPALS(x, cpd.Options{Rank: rank, MaxIters: iters, Tol: 1e-14, Seed: 6})
+	shared, err := cpd.CPALS(tensor.ToNMode(x), cpd.Options{Rank: rank, MaxIters: iters, Tol: 1e-14, Seed: 6,
+		Kernel: nmode.Options{Algorithm: nmode.AlgCOO}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
-// ClusteredParams configures the generator that stands in for the
-// real-world FROSTT tensors. Sec. VI-C of the paper attributes the
-// higher real-data speedups to "nice dense sub-structures" absent from
-// the Poisson sets; this generator reproduces that structure directly:
+// ClusteredNParams configures the generator that stands in for the
+// real-world FROSTT tensors, at any order. Sec. VI-C of the paper
+// attributes the higher real-data speedups to "nice dense
+// sub-structures" absent from the Poisson sets; this generator
+// reproduces that structure directly:
 //
 //   - a fraction ClusterFrac of the nonzeros falls into dense
 //     axis-aligned sub-boxes ("communities": users × related items ×
@@ -18,8 +19,8 @@ import (
 //   - the remaining background nonzeros follow independent power-law
 //     (Zipf-like) popularity per mode, matching the heavy-tailed
 //     marginals of review and web data.
-type ClusteredParams struct {
-	Dims tensor.Dims
+type ClusteredNParams struct {
+	Dims []int
 	// NNZ is the target number of distinct nonzeros.
 	NNZ int
 	// Clusters is the number of dense sub-boxes. Defaults to 64.
@@ -34,12 +35,14 @@ type ClusteredParams struct {
 	ZipfS float64
 }
 
-// Clustered generates a deduplicated, fiber-sorted tensor with the
-// configured dense sub-structure. Values are positive counts (event
-// multiplicities), like the rating/count data the real sets contain.
-func Clustered(p ClusteredParams, seed int64) (*tensor.COO, error) {
-	if !p.Dims.Valid() {
-		return nil, fmt.Errorf("gen: invalid dims %v", p.Dims)
+// ClusteredN generates a deduplicated tensor with the configured dense
+// sub-structure, sorted as dedup describes. Values are positive counts
+// (event multiplicities), like the rating/count data the real sets
+// contain.
+func ClusteredN(p ClusteredNParams, seed int64) (*nmode.Tensor, error) {
+	n := len(p.Dims)
+	if err := validateDimsN(p.Dims); err != nil {
+		return nil, err
 	}
 	if p.NNZ <= 0 {
 		return nil, fmt.Errorf("gen: NNZ must be positive, got %d", p.NNZ)
@@ -65,10 +68,11 @@ func Clustered(p ClusteredParams, seed int64) (*tensor.COO, error) {
 	}
 
 	setup := newRand(seed, 3)
-	boxes := make([][3][2]int, clusters)
+	boxes := make([][][2]int, clusters)
 	weights := make([]float64, clusters)
 	for c := 0; c < clusters; c++ {
-		for m := 0; m < 3; m++ {
+		boxes[c] = make([][2]int, n)
+		for m := 0; m < n; m++ {
 			w := int(side * float64(p.Dims[m]))
 			if w < 4 {
 				w = 4
@@ -88,47 +92,44 @@ func Clustered(p ClusteredParams, seed int64) (*tensor.COO, error) {
 
 	// Background mode distributions: permuted power laws, so hubs are
 	// scattered through the index space as they are in collected data.
-	bg := [3]*Categorical{}
-	for m := 0; m < 3; m++ {
+	bg := make([]*Categorical, n)
+	for m := 0; m < n; m++ {
 		bg[m] = NewCategorical(PowerLawWeights(p.Dims[m], zipfS, SubSeed(seed, 10+m)))
 	}
 
 	draw := newRand(seed, 4)
-	// Oversample: duplicates merge in Dedup, so aim above the target
+	// Oversample: duplicates merge in dedup, so aim above the target
 	// and trim. 25% headroom is enough for the densities of Table II.
 	events := p.NNZ + p.NNZ/4 + 16
-	t := tensor.NewCOO(p.Dims, events)
+	t := nmode.NewTensor(p.Dims, events)
+	coords := make([]nmode.Index, n)
 	for e := 0; e < events; e++ {
 		if draw.Float64() < frac {
 			b := boxes[boxDist.Sample(draw)]
-			t.Append(
-				tensor.Index(b[0][0]+draw.Intn(b[0][1]-b[0][0])),
-				tensor.Index(b[1][0]+draw.Intn(b[1][1]-b[1][0])),
-				tensor.Index(b[2][0]+draw.Intn(b[2][1]-b[2][0])),
-				1,
-			)
+			for m := 0; m < n; m++ {
+				coords[m] = nmode.Index(b[m][0] + draw.Intn(b[m][1]-b[m][0]))
+			}
 		} else {
-			t.Append(
-				tensor.Index(bg[0].Sample(draw)),
-				tensor.Index(bg[1].Sample(draw)),
-				tensor.Index(bg[2].Sample(draw)),
-				1,
-			)
+			for m := 0; m < n; m++ {
+				coords[m] = nmode.Index(bg[m].Sample(draw))
+			}
 		}
+		t.Append(coords, 1)
 	}
-	t.Dedup()
-	trimTo(t, p.NNZ, draw)
+	if err := dedup(t); err != nil {
+		return nil, err
+	}
+	trimToN(t, p.NNZ, draw)
 	return t, nil
 }
 
-// trimTo removes random entries until the tensor holds at most target
-// nonzeros, keeping the fiber-sorted order.
-func trimTo(t *tensor.COO, target int, rng *rand.Rand) {
+// trimToN removes random entries until the tensor holds at most target
+// nonzeros, keeping the sorted order.
+func trimToN(t *nmode.Tensor, target int, rng *rand.Rand) {
 	excess := t.NNZ() - target
 	if excess <= 0 {
 		return
 	}
-	// Mark victims via a partial Fisher-Yates over entry positions.
 	n := t.NNZ()
 	victims := make(map[int]bool, excess)
 	for len(victims) < excess {
@@ -139,11 +140,14 @@ func trimTo(t *tensor.COO, target int, rng *rand.Rand) {
 		if victims[p] {
 			continue
 		}
-		t.I[w], t.J[w], t.K[w], t.Val[w] = t.I[p], t.J[p], t.K[p], t.Val[p]
+		for m := range t.Idx {
+			t.Idx[m][w] = t.Idx[m][p]
+		}
+		t.Val[w] = t.Val[p]
 		w++
 	}
-	t.I = t.I[:w]
-	t.J = t.J[:w]
-	t.K = t.K[:w]
+	for m := range t.Idx {
+		t.Idx[m] = t.Idx[m][:w]
+	}
 	t.Val = t.Val[:w]
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -165,11 +166,8 @@ func TestPowerLawWeights(t *testing.T) {
 }
 
 func TestPoissonBasic(t *testing.T) {
-	p := PoissonParams{Dims: tensor.Dims{40, 50, 60}, Events: 5000}
-	got, err := Poisson(p, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := PoissonNParams{Dims: []int{40, 50, 60}, Events: 5000}
+	got := order3(t)(PoissonN(p, 11))
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +184,7 @@ func TestPoissonBasic(t *testing.T) {
 		}
 	}
 	// Determinism.
-	again, err := Poisson(p, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := order3(t)(PoissonN(p, 11))
 	if again.NNZ() != got.NNZ() {
 		t.Fatal("Poisson not deterministic")
 	}
@@ -199,7 +194,7 @@ func TestPoissonBasic(t *testing.T) {
 		}
 	}
 	// Different seed differs.
-	other, _ := Poisson(p, 12)
+	other := order3(t)(PoissonN(p, 12))
 	if other.NNZ() == got.NNZ() {
 		identical := true
 		for p2 := 0; p2 < got.NNZ(); p2++ {
@@ -215,10 +210,10 @@ func TestPoissonBasic(t *testing.T) {
 }
 
 func TestPoissonErrors(t *testing.T) {
-	if _, err := Poisson(PoissonParams{Dims: tensor.Dims{0, 1, 1}, Events: 10}, 1); err == nil {
+	if _, err := PoissonN(PoissonNParams{Dims: []int{0, 1, 1}, Events: 10}, 1); err == nil {
 		t.Fatal("invalid dims accepted")
 	}
-	if _, err := Poisson(PoissonParams{Dims: tensor.Dims{2, 2, 2}, Events: 0}, 1); err == nil {
+	if _, err := PoissonN(PoissonNParams{Dims: []int{2, 2, 2}, Events: 0}, 1); err == nil {
 		t.Fatal("zero events accepted")
 	}
 }
@@ -226,11 +221,8 @@ func TestPoissonErrors(t *testing.T) {
 func TestPoissonSpreadLimitsSupport(t *testing.T) {
 	// With a tiny spread and one component, nonzeros concentrate on a
 	// small fraction of each mode.
-	p := PoissonParams{Dims: tensor.Dims{200, 200, 200}, Events: 4000, Components: 1, Spread: 0.05}
-	got, err := Poisson(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := PoissonNParams{Dims: []int{200, 200, 200}, Events: 4000, Components: 1, Spread: 0.05}
+	got := order3(t)(PoissonN(p, 3))
 	distinct := map[tensor.Index]bool{}
 	for _, i := range got.I {
 		distinct[i] = true
@@ -241,11 +233,8 @@ func TestPoissonSpreadLimitsSupport(t *testing.T) {
 }
 
 func TestClusteredBasic(t *testing.T) {
-	p := ClusteredParams{Dims: tensor.Dims{300, 200, 400}, NNZ: 8000}
-	got, err := Clustered(p, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := ClusteredNParams{Dims: []int{300, 200, 400}, NNZ: 8000}
+	got := order3(t)(ClusteredN(p, 21))
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,17 +245,17 @@ func TestClusteredBasic(t *testing.T) {
 		t.Fatal("Clustered output not sorted")
 	}
 	// Determinism.
-	again, _ := Clustered(p, 21)
+	again := order3(t)(ClusteredN(p, 21))
 	if again.NNZ() != got.NNZ() {
 		t.Fatal("Clustered not deterministic")
 	}
 }
 
 func TestClusteredErrors(t *testing.T) {
-	if _, err := Clustered(ClusteredParams{Dims: tensor.Dims{1, 0, 1}, NNZ: 5}, 1); err == nil {
+	if _, err := ClusteredN(ClusteredNParams{Dims: []int{1, 0, 1}, NNZ: 5}, 1); err == nil {
 		t.Fatal("invalid dims accepted")
 	}
-	if _, err := Clustered(ClusteredParams{Dims: tensor.Dims{5, 5, 5}, NNZ: -1}, 1); err == nil {
+	if _, err := ClusteredN(ClusteredNParams{Dims: []int{5, 5, 5}, NNZ: -1}, 1); err == nil {
 		t.Fatal("negative nnz accepted")
 	}
 }
@@ -278,14 +267,8 @@ func TestClusteredHasDenseSubstructure(t *testing.T) {
 	// boxes repeatedly hit the same (i,k) pairs.
 	dims := tensor.Dims{400, 300, 400}
 	nnz := 20000
-	cl, err := Clustered(ClusteredParams{Dims: dims, NNZ: nnz, ClusterFrac: 0.9, ClusterSide: 0.02}, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg, err := Clustered(ClusteredParams{Dims: dims, NNZ: nnz, ClusterFrac: 1e-9}, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := order3(t)(ClusteredN(ClusteredNParams{Dims: dims[:], NNZ: nnz, ClusterFrac: 0.9, ClusterSide: 0.02}, 31))
+	bg := order3(t)(ClusteredN(ClusteredNParams{Dims: dims[:], NNZ: nnz, ClusterFrac: 1e-9}, 31))
 	clStats := tensor.ComputeStats(cl)
 	bgStats := tensor.ComputeStats(bg)
 	if clStats.AvgFiberLength <= bgStats.AvgFiberLength {
@@ -366,5 +349,22 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Fatal("unknown Kind should still render")
+	}
+}
+
+// order3 returns a function that views a third-order generator result
+// as the fiber-sorted tensor.COO the order-3 code consumes, failing t
+// on an error.
+func order3(t *testing.T) func(*nmode.Tensor, error) *tensor.COO {
+	return func(x *nmode.Tensor, err error) *tensor.COO {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := tensor.FromNMode(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 }

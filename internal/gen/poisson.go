@@ -4,19 +4,20 @@ import (
 	"fmt"
 	"math/rand"
 
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
-// PoissonParams configures the Chi & Kolda style generative sampler for
-// Poisson ("count") tensors. The model: a nonnegative rank-C Kruskal
-// tensor M = Σ_c λ_c a_c ∘ b_c ∘ c_c defines Poisson rates; sampling
-// `Events` index triples proportionally to M and histogramming them
-// yields entry counts that are (conditionally) Poisson. Each event
-// picks a component c ∝ λ_c, then one index per mode from that
-// component's categorical distribution.
-type PoissonParams struct {
-	Dims tensor.Dims
-	// Events is the number of sampled index triples; the resulting nnz
+// PoissonNParams configures the Chi & Kolda style generative sampler for
+// Poisson ("count") tensors of any order. The model: a nonnegative
+// rank-C Kruskal tensor M = Σ_c λ_c a_c ∘ b_c ∘ c_c ∘ … defines Poisson
+// rates; sampling `Events` index tuples proportionally to M and
+// histogramming them yields entry counts that are (conditionally)
+// Poisson. Each event picks a component c ∝ λ_c, then one index per mode
+// from that component's categorical distribution.
+type PoissonNParams struct {
+	Dims []int
+	// Events is the number of sampled index tuples; the resulting nnz
 	// is slightly lower because collisions merge into counts.
 	Events int
 	// Components is the generative rank C (not the decomposition rank
@@ -31,11 +32,12 @@ type PoissonParams struct {
 	Spread float64
 }
 
-// Poisson generates a count tensor. The result is deduplicated (values
-// are event counts) and fiber-sorted.
-func Poisson(p PoissonParams, seed int64) (*tensor.COO, error) {
-	if !p.Dims.Valid() {
-		return nil, fmt.Errorf("gen: invalid dims %v", p.Dims)
+// PoissonN generates a count tensor. The result is deduplicated (values
+// are event counts) and sorted as dedup describes.
+func PoissonN(p PoissonNParams, seed int64) (*nmode.Tensor, error) {
+	n := len(p.Dims)
+	if err := validateDimsN(p.Dims); err != nil {
+		return nil, err
 	}
 	if p.Events <= 0 {
 		return nil, fmt.Errorf("gen: Events must be positive, got %d", p.Events)
@@ -62,23 +64,27 @@ func Poisson(p PoissonParams, seed int64) (*tensor.COO, error) {
 	compDist := NewCategorical(lambda)
 
 	// Per component, per mode: a categorical over a random support.
-	modeDist := make([][3]*Categorical, comp)
+	modeDist := make([][]*Categorical, comp)
 	for c := 0; c < comp; c++ {
-		for m := 0; m < 3; m++ {
+		modeDist[c] = make([]*Categorical, n)
+		for m := 0; m < n; m++ {
 			modeDist[c][m] = componentModeDist(setup, p.Dims[m], spread)
 		}
 	}
 
 	draw := newRand(seed, 2)
-	t := tensor.NewCOO(p.Dims, p.Events)
+	t := nmode.NewTensor(p.Dims, p.Events)
+	coords := make([]nmode.Index, n)
 	for e := 0; e < p.Events; e++ {
 		c := compDist.Sample(draw)
-		i := tensor.Index(modeDist[c][0].Sample(draw))
-		j := tensor.Index(modeDist[c][1].Sample(draw))
-		k := tensor.Index(modeDist[c][2].Sample(draw))
-		t.Append(i, j, k, 1)
+		for m := 0; m < n; m++ {
+			coords[m] = nmode.Index(modeDist[c][m].Sample(draw))
+		}
+		t.Append(coords, 1)
 	}
-	t.Dedup()
+	if err := dedup(t); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -100,4 +106,28 @@ func componentModeDist(rng *rand.Rand, n int, spread float64) *Categorical {
 		w[perm[s]] = rng.ExpFloat64() + 1e-3
 	}
 	return NewCategorical(w)
+}
+
+// dedup merges the generated events' collisions into counts. Order-3
+// tensors come out in the fiber order (0, 2, 1) tensor.COO keeps, every
+// other order in the natural mode order.
+func dedup(t *nmode.Tensor) error {
+	var order []int
+	if t.Order() == 3 {
+		order = tensor.SPLATTModeOrder()
+	}
+	_, err := t.Dedup(order...)
+	return err
+}
+
+func validateDimsN(dims []int) error {
+	if len(dims) < 2 {
+		return fmt.Errorf("gen: order-%d shape needs at least 2 modes", len(dims))
+	}
+	for m, d := range dims {
+		if d <= 0 {
+			return fmt.Errorf("gen: invalid dims %v (mode %d)", dims, m)
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -62,17 +63,22 @@ func (d DatasetSpec) PaperSparsity() float64 {
 
 // Generate builds the bench-scale tensor deterministically from seed.
 func (d DatasetSpec) Generate(seed int64) (*tensor.COO, error) {
+	dims := d.BenchDims[:]
+	var (
+		t   *nmode.Tensor
+		err error
+	)
 	switch d.Kind {
 	case KindPoisson:
-		return Poisson(PoissonParams{
-			Dims:       d.BenchDims,
+		t, err = PoissonN(PoissonNParams{
+			Dims:       dims,
 			Events:     d.BenchNNZ + d.BenchNNZ/8,
 			Components: d.Components,
 			Spread:     d.Spread,
 		}, seed)
 	case KindClustered:
-		return Clustered(ClusteredParams{
-			Dims:        d.BenchDims,
+		t, err = ClusteredN(ClusteredNParams{
+			Dims:        dims,
 			NNZ:         d.BenchNNZ,
 			Clusters:    d.Clusters,
 			ClusterFrac: d.ClusterFrac,
@@ -82,6 +88,10 @@ func (d DatasetSpec) Generate(seed int64) (*tensor.COO, error) {
 	default:
 		return nil, fmt.Errorf("gen: unknown dataset kind %v", d.Kind)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return tensor.FromNMode(t)
 }
 
 // GenerateAt builds the tensor at an arbitrary shape using the spec's

@@ -51,7 +51,7 @@ func allocCases() []Options {
 // TestExecutorSteadyStateAllocations mirrors the order-3 regression
 // guard in internal/core: after a warm-up run sizes the pooled
 // workspace, repeated Executor.Run calls must not touch the heap at
-// all — CPALSN calls this kernel once per mode per sweep. Orders 2, 3
+// all — CP-ALS calls this kernel once per mode per sweep. Orders 2, 3
 // and 4 cover each shape of the walk: a root that is itself a fiber,
 // roots that are fiber parents, and one accumulator level between.
 func TestExecutorSteadyStateAllocations(t *testing.T) {

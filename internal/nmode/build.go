@@ -112,14 +112,25 @@ func (b *Builder) Tree(dst *CSF, s *Span, mo []int) {
 //
 //spblock:hotpath
 func (b *Builder) arrange(s *Span, mo []int) []int32 {
+	perm, bounded := b.sortPerm(s, mo)
+	if !bounded {
+		b.boundaries(perm, len(perm))
+	}
+	return perm
+}
+
+// sortPerm is arrange without the boundary levels when it had to sort:
+// bounded reports whether b.tmp and b.levels already hold them.
+//
+//spblock:hotpath
+func (b *Builder) sortPerm(s *Span, mo []int) (perm []int32, bounded bool) {
 	n := len(s.Val)
 	for d, m := range mo {
 		b.keys[d] = s.Idx[m]
 	}
-	var perm []int32
 	if s.Sel == nil {
 		if b.boundaries(nil, n) {
-			return nil
+			return nil, true
 		}
 		perm = b.perm[:n]
 		for p := range perm {
@@ -130,7 +141,7 @@ func (b *Builder) arrange(s *Span, mo []int) []int32 {
 		perm = b.perm[:n]
 		copy(perm, s.Sel)
 		if b.boundaries(perm, n) {
-			return perm
+			return perm, true
 		}
 	}
 	other := b.tmp[:n]
@@ -158,8 +169,7 @@ func (b *Builder) arrange(s *Span, mo []int) []int32 {
 		perm, other = other, perm
 	}
 	b.perm, b.tmp = perm[:cap(perm)], other[:cap(other)]
-	b.boundaries(perm, n)
-	return perm
+	return perm, false
 }
 
 // boundaries fills b.tmp and b.levels for the n nonzeros at positions

@@ -1,6 +1,7 @@
 package nmode
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -92,6 +93,14 @@ func TestSortByModes(t *testing.T) {
 	}
 	if err := x.SortByModes([]int{0, 1}); err == nil {
 		t.Fatal("short order accepted")
+	}
+	// A coordinate span wider than every mode and the nonzero count is
+	// rejected rather than sized into the counting sort's buckets.
+	wide := NewTensor([]int{4, 4}, 0)
+	wide.Append([]Index{0, 0}, 1)
+	wide.Append([]Index{1 << 30, 0}, 1)
+	if err := wide.SortByModes([]int{0, 1}); !errors.Is(err, ErrBadTensor) {
+		t.Fatalf("wide span: %v", err)
 	}
 }
 

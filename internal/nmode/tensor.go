@@ -106,17 +106,40 @@ func (t *Tensor) Clone() *Tensor {
 
 // SortByModes sorts entries lexicographically by the given mode order
 // (order[0] most significant) with the Builder's stable LSD counting
-// sort, one linear pass per mode.
+// sort, one linear pass per mode, so equal coordinates keep their input
+// order. Each mode is keyed over the span its coordinates cover, so
+// coordinates outside Dims sort too, as long as no mode's span is wider
+// than both the longest mode and the nonzero count.
 func (t *Tensor) SortByModes(order []int) error {
+	if t.Order() < 1 {
+		return fmt.Errorf("%w: zero-order tensor", ErrBadTensor)
+	}
 	if err := checkModeOrder(order, t.Order()); err != nil {
 		return err
 	}
-	if err := t.Validate(); err != nil {
-		return err
-	}
 	n := t.NNZ()
-	b := NewBuilder(t.Order(), n, slices.Max(t.Dims))
-	perm := b.arrange(&Span{Idx: t.Idx, Val: t.Val, Ext: t.Dims}, order)
+	base := make([]Index, t.Order())
+	ext := make([]int, t.Order())
+	limit := max(slices.Max(t.Dims), n)
+	for m, idx := range t.Idx {
+		if len(idx) != n {
+			return fmt.Errorf("%w: mode %d has %d coords for %d values", ErrBadTensor, m, len(idx), n)
+		}
+		if n == 0 {
+			continue
+		}
+		lo, hi := idx[0], idx[0]
+		for _, c := range idx {
+			lo, hi = min(lo, c), max(hi, c)
+		}
+		base[m], ext[m] = lo, int(hi)-int(lo)+1
+		if ext[m] > limit {
+			return fmt.Errorf("%w: mode %d coordinates span [%d,%d], wider than %d",
+				ErrBadTensor, m, lo, hi, limit)
+		}
+	}
+	b := NewBuilder(t.Order(), n, slices.Max(ext))
+	perm, _ := b.sortPerm(&Span{Idx: t.Idx, Val: t.Val, Base: base, Ext: ext}, order)
 	if perm == nil {
 		return nil // already in order
 	}
@@ -135,17 +158,17 @@ func (t *Tensor) SortByModes(order []int) error {
 	return nil
 }
 
-// Dedup merges duplicate coordinates (summing values) after sorting by
-// the natural mode order 0..N-1. Returns the number of merged entries.
-func (t *Tensor) Dedup() (int, error) {
-	if t.NNZ() == 0 {
-		return 0, nil
+// Dedup sorts by the given mode order (default: the natural order
+// 0..N-1) and merges duplicate coordinates, summing their values in
+// input order. Returns the number of merged entries.
+func (t *Tensor) Dedup(order ...int) (int, error) {
+	if order == nil {
+		order = make([]int, t.Order())
+		for m := range order {
+			order[m] = m
+		}
 	}
-	order := make([]int, t.Order())
-	for m := range order {
-		order[m] = m
-	}
-	if err := t.SortByModes(order); err != nil {
+	if err := t.SortByModes(order); err != nil || t.NNZ() == 0 {
 		return 0, err
 	}
 	w := 0

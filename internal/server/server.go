@@ -121,7 +121,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "parsing tensor: %v", err)
 		return
 	}
-	t.Dedup()
+	if _, err := t.Dedup(); err != nil {
+		httpError(w, http.StatusBadRequest, "merging duplicate entries: %v", err)
+		return
+	}
 	e, existed := s.cache.Put(t)
 	writeJSON(w, uploadResponse{
 		Fingerprint: e.Fingerprint(),
@@ -321,7 +324,7 @@ func (s *Server) runJob(ctx context.Context, entry *Entry, req jobRequest) (*job
 		if err := entry.applyWorkers(req.Workers); err != nil {
 			return nil, err
 		}
-		res, err := cpd.CPALSEngine(entry.Tensor(), eng, cpd.Options{
+		res, err := cpd.CPALSEngine(tensor.ToNMode(entry.Tensor()), eng, cpd.Options{
 			Rank:     req.Rank,
 			MaxIters: req.MaxIters,
 			Tol:      req.Tol,

@@ -171,11 +171,21 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, strin
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	x, err := gen.Poisson(gen.PoissonParams{Dims: tensor.Dims{30, 24, 20}, Events: 1500}, 5)
+	return s, ts, upload(t, ts.URL, poisson3(t, []int{30, 24, 20}, 1500, 5))
+}
+
+// poisson3 generates an order-3 Poisson count tensor.
+func poisson3(t *testing.T, dims []int, events int, seed int64) *tensor.COO {
+	t.Helper()
+	x, err := gen.PoissonN(gen.PoissonNParams{Dims: dims, Events: events}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, ts, upload(t, ts.URL, x)
+	c, err := tensor.FromNMode(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func upload(t *testing.T, url string, x *tensor.COO) string {
@@ -326,11 +336,7 @@ func TestJobTimeoutCancelsMidSweep(t *testing.T) {
 	// A tensor and rank big enough that reaching an exact ALS fixed
 	// point (the only way a Tol this small converges) takes far longer
 	// than the timeout, so the deadline provably lands mid-run.
-	big, err := gen.Poisson(gen.PoissonParams{Dims: tensor.Dims{60, 50, 40}, Events: 40000}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := upload(t, ts.URL, big)
+	fp := upload(t, ts.URL, poisson3(t, []int{60, 50, 40}, 40000, 6))
 	start := time.Now()
 	code, _, raw := postJob(t, ts.URL, "", jobRequest{
 		Fingerprint: fp, Kind: "cpals", Rank: 48, MaxIters: 1_000_000, Tol: 1e-300,

@@ -15,13 +15,18 @@ func FromNMode(t *nmode.Tensor) (*COO, error) {
 		return nil, fmt.Errorf("%w: order-%d tensor where third order is required",
 			ErrBadTensor, t.Order())
 	}
+	return fromView(t), nil
+}
+
+// fromView is FromNMode for a tensor known to be third-order.
+func fromView(t *nmode.Tensor) *COO {
 	return &COO{
 		Dims: Dims{t.Dims[0], t.Dims[1], t.Dims[2]},
 		I:    t.Idx[0],
 		J:    t.Idx[1],
 		K:    t.Idx[2],
 		Val:  t.Val,
-	}, nil
+	}
 }
 
 // ToNMode returns an order-N view of t sharing its storage — the

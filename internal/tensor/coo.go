@@ -10,9 +10,10 @@
 package tensor
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"sort"
+
+	"spblock/internal/nmode"
 )
 
 // Index is the in-memory coordinate type. The paper's byte model
@@ -80,153 +81,47 @@ func (t *COO) Append(i, j, k Index, v float64) {
 	t.Val = append(t.Val, v)
 }
 
-// ErrBadTensor wraps structural validation failures.
-var ErrBadTensor = errors.New("tensor: invalid tensor")
+// ErrBadTensor wraps structural validation failures. It is nmode's, so
+// a failure found through the order-N view (ToNMode) matches it too.
+var ErrBadTensor = nmode.ErrBadTensor
 
 // Validate checks structural invariants: positive dims, equal slice
 // lengths and in-range coordinates.
-func (t *COO) Validate() error {
-	if !t.Dims.Valid() {
-		return fmt.Errorf("%w: non-positive dims %v", ErrBadTensor, t.Dims)
-	}
-	n := len(t.Val)
-	if len(t.I) != n || len(t.J) != n || len(t.K) != n {
-		return fmt.Errorf("%w: ragged coordinate slices (%d,%d,%d,%d)",
-			ErrBadTensor, len(t.I), len(t.J), len(t.K), n)
-	}
-	for p := 0; p < n; p++ {
-		if t.I[p] < 0 || int(t.I[p]) >= t.Dims[0] ||
-			t.J[p] < 0 || int(t.J[p]) >= t.Dims[1] ||
-			t.K[p] < 0 || int(t.K[p]) >= t.Dims[2] {
-			return fmt.Errorf("%w: entry %d at (%d,%d,%d) outside %v",
-				ErrBadTensor, p, t.I[p], t.J[p], t.K[p], t.Dims)
-		}
-	}
-	return nil
-}
+func (t *COO) Validate() error { return ToNMode(t).Validate() }
 
 // Clone returns a deep copy.
-func (t *COO) Clone() *COO {
-	c := NewCOO(t.Dims, t.NNZ())
-	c.I = append(c.I, t.I...)
-	c.J = append(c.J, t.J...)
-	c.K = append(c.K, t.K...)
-	c.Val = append(c.Val, t.Val...)
-	return c
+func (t *COO) Clone() *COO { return fromView(ToNMode(t).Clone()) }
+
+// SortFiberOrder sorts entries into (i, k, j) order in place (slices
+// first, then fibers within a slice, then nonzeros within a fiber: the
+// order the SPLATT structure of Figure 1b stores mode-2 fibers in) with
+// nmode's stable counting sort.
+func (t *COO) SortFiberOrder() error {
+	v := ToNMode(t)
+	err := v.SortByModes(SPLATTModeOrder())
+	*t = *fromView(v)
+	return err
 }
 
-// cooSorter orders entries by (i, k, j): slices first, then fibers
-// within a slice, then nonzeros within a fiber. This is exactly the
-// order the SPLATT structure of Figure 1b stores mode-2 fibers in.
-type cooSorter struct{ t *COO }
-
-func (s cooSorter) Len() int { return s.t.NNZ() }
-func (s cooSorter) Less(a, b int) bool {
-	t := s.t
-	if t.I[a] != t.I[b] {
-		return t.I[a] < t.I[b]
-	}
-	if t.K[a] != t.K[b] {
-		return t.K[a] < t.K[b]
-	}
-	return t.J[a] < t.J[b]
-}
-func (s cooSorter) Swap(a, b int) {
-	t := s.t
-	t.I[a], t.I[b] = t.I[b], t.I[a]
-	t.J[a], t.J[b] = t.J[b], t.J[a]
-	t.K[a], t.K[b] = t.K[b], t.K[a]
-	t.Val[a], t.Val[b] = t.Val[b], t.Val[a]
-}
-
-// SortFiberOrder sorts entries into (i, k, j) order in place. Large
-// tensors use a stable LSD counting sort (three linear passes, one per
-// mode), which is substantially faster than a comparison sort for the
-// multi-million-nonzero inputs the experiments run on; small tensors
-// fall back to sort.Sort.
-func (t *COO) SortFiberOrder() {
-	const countingSortThreshold = 1 << 12
-	n := t.NNZ()
-	if n < countingSortThreshold || !t.coordsInRange() {
-		sort.Sort(cooSorter{t})
-		return
-	}
-	srcI, srcJ, srcK, srcV := t.I, t.J, t.K, t.Val
-	dstI := make([]Index, n)
-	dstJ := make([]Index, n)
-	dstK := make([]Index, n)
-	dstV := make([]float64, n)
-	// Least-significant key first: j, then k, then i. Each pass is a
-	// stable counting sort, so the final order is (i, k, j).
-	for pass := 0; pass < 3; pass++ {
-		var key []Index
-		var dim int
-		switch pass {
-		case 0:
-			key, dim = srcJ, t.Dims[1]
-		case 1:
-			key, dim = srcK, t.Dims[2]
-		default:
-			key, dim = srcI, t.Dims[0]
-		}
-		counts := make([]int32, dim+1)
-		for _, v := range key {
-			counts[v+1]++
-		}
-		for d := 0; d < dim; d++ {
-			counts[d+1] += counts[d]
-		}
-		for p := 0; p < n; p++ {
-			pos := counts[key[p]]
-			counts[key[p]]++
-			dstI[pos], dstJ[pos], dstK[pos], dstV[pos] = srcI[p], srcJ[p], srcK[p], srcV[p]
-		}
-		srcI, dstI = dstI, srcI
-		srcJ, dstJ = dstJ, srcJ
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
-	}
-	t.I, t.J, t.K, t.Val = srcI, srcJ, srcK, srcV
-}
-
-// coordsInRange reports whether all coordinates lie inside Dims, the
-// precondition for the counting-sort fast path.
-func (t *COO) coordsInRange() bool {
-	for p := 0; p < t.NNZ(); p++ {
-		if t.I[p] < 0 || int(t.I[p]) >= t.Dims[0] ||
-			t.J[p] < 0 || int(t.J[p]) >= t.Dims[1] ||
-			t.K[p] < 0 || int(t.K[p]) >= t.Dims[2] {
+// IsFiberSorted reports whether entries are in (i, k, j) order.
+func (t *COO) IsFiberSorted() bool {
+	for p := 1; p < t.NNZ(); p++ {
+		if cmp.Or(cmp.Compare(t.I[p-1], t.I[p]), cmp.Compare(t.K[p-1], t.K[p]),
+			cmp.Compare(t.J[p-1], t.J[p])) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// IsFiberSorted reports whether entries are in (i, k, j) order.
-func (t *COO) IsFiberSorted() bool { return sort.IsSorted(cooSorter{t}) }
-
-// Dedup merges duplicate coordinates by summing their values. The
-// tensor is left fiber-sorted. Returns the number of merged entries.
-func (t *COO) Dedup() int {
-	if t.NNZ() == 0 {
-		return 0
-	}
-	t.SortFiberOrder()
-	w := 0
-	for p := 1; p < t.NNZ(); p++ {
-		if t.I[p] == t.I[w] && t.J[p] == t.J[w] && t.K[p] == t.K[w] {
-			t.Val[w] += t.Val[p]
-			continue
-		}
-		w++
-		t.I[w], t.J[w], t.K[w], t.Val[w] = t.I[p], t.J[p], t.K[p], t.Val[p]
-	}
-	merged := t.NNZ() - (w + 1)
-	t.I = t.I[:w+1]
-	t.J = t.J[:w+1]
-	t.K = t.K[:w+1]
-	t.Val = t.Val[:w+1]
-	return merged
+// Dedup merges duplicate coordinates by summing their values in input
+// order. The tensor is left fiber-sorted. Returns the number of merged
+// entries.
+func (t *COO) Dedup() (int, error) {
+	v := ToNMode(t)
+	merged, err := v.Dedup(SPLATTModeOrder()...)
+	*t = *fromView(v)
+	return merged, err
 }
 
 // PermuteModes returns a new tensor whose mode order is rearranged so

@@ -1,8 +1,12 @@
 package tensor
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -97,8 +101,8 @@ func TestValidateCatchesBadTensors(t *testing.T) {
 
 	oob := NewCOO(Dims{2, 2, 2}, 0)
 	oob.Append(2, 0, 0, 1)
-	if err := oob.Validate(); err == nil {
-		t.Fatal("out-of-range i accepted")
+	if err := oob.Validate(); !errors.Is(err, ErrBadTensor) {
+		t.Fatalf("out-of-range i: %v, want ErrBadTensor", err)
 	}
 	oob2 := NewCOO(Dims{2, 2, 2}, 0)
 	oob2.Append(0, 0, -1, 1)
@@ -172,7 +176,10 @@ func TestDedupSumsValues(t *testing.T) {
 	c.Append(0, 0, 0, 1)
 	c.Append(1, 1, 1, 3)
 	c.Append(1, 1, 1, -1)
-	merged := c.Dedup()
+	merged, err := c.Dedup()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if merged != 2 {
 		t.Fatalf("merged = %d, want 2", merged)
 	}
@@ -187,8 +194,8 @@ func TestDedupSumsValues(t *testing.T) {
 
 func TestDedupEmpty(t *testing.T) {
 	c := NewCOO(Dims{1, 1, 1}, 0)
-	if c.Dedup() != 0 {
-		t.Fatal("dedup on empty tensor")
+	if merged, err := c.Dedup(); merged != 0 || err != nil {
+		t.Fatalf("dedup on empty tensor: merged %d, %v", merged, err)
 	}
 }
 
@@ -301,7 +308,7 @@ func TestQuickDedup(t *testing.T) {
 				return false
 			}
 		}
-		return sort.IsSorted(cooSorter{c})
+		return c.IsFiberSorted()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -309,37 +316,97 @@ func TestQuickDedup(t *testing.T) {
 }
 
 func TestSortFiberOrderCountingSortPath(t *testing.T) {
-	// Above the threshold (4096 entries) the LSD counting sort runs;
-	// it must agree with the comparison sort exactly.
+	// The counting sort must agree exactly with a stable comparison
+	// sort, equal coordinates included.
 	rng := rand.New(rand.NewSource(77))
 	big := randomCOO(rng, Dims{50, 60, 70}, 10000)
 	before := entryMultiset(big)
-	ref := big.Clone()
-	sort.Sort(cooSorter{ref}) // force the comparison path
+	ref := make([]entryKey, big.NNZ())
+	for p := range ref {
+		ref[p] = entryKey{big.I[p], big.J[p], big.K[p], big.Val[p]}
+	}
+	slices.SortStableFunc(ref, func(a, b entryKey) int {
+		return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.k, b.k), cmp.Compare(a.j, b.j))
+	})
 
-	big.SortFiberOrder()
+	if err := big.SortFiberOrder(); err != nil {
+		t.Fatal(err)
+	}
 	if !big.IsFiberSorted() {
 		t.Fatal("counting sort output not sorted")
 	}
 	if !sameMultiset(before, entryMultiset(big)) {
 		t.Fatal("counting sort changed the entry multiset")
 	}
-	for p := 0; p < big.NNZ(); p++ {
-		if big.I[p] != ref.I[p] || big.K[p] != ref.K[p] || big.J[p] != ref.J[p] {
-			t.Fatalf("counting sort diverges from comparison sort at %d", p)
+	for p, e := range ref {
+		if (entryKey{big.I[p], big.J[p], big.K[p], big.Val[p]}) != e {
+			t.Fatalf("counting sort diverges from the stable comparison sort at %d", p)
 		}
 	}
 }
 
 func TestSortFiberOrderOutOfRangeFallsBack(t *testing.T) {
-	// Coordinates outside Dims would crash the counting sort; the
-	// implementation must detect them and fall back to comparisons.
+	// Coordinates outside Dims must sort too: the counting sort keys
+	// each mode over the span its coordinates cover.
 	c := NewCOO(Dims{2, 2, 2}, 0)
 	for p := 0; p < 5000; p++ {
 		c.Append(Index(p%10), Index(p%7), Index(p%3), 1) // i up to 9 > dims
 	}
-	c.SortFiberOrder() // must not panic
+	if err := c.SortFiberOrder(); err != nil {
+		t.Fatal(err)
+	}
 	if !c.IsFiberSorted() {
 		t.Fatal("fallback did not sort")
+	}
+}
+
+// dedupOracle sums each coordinate's values left to right in input
+// order, the order Dedup must merge duplicates in.
+func dedupOracle(c *COO) map[[3]Index]float64 {
+	sums := make(map[[3]Index]float64, c.NNZ())
+	for p := 0; p < c.NNZ(); p++ {
+		key := [3]Index{c.I[p], c.J[p], c.K[p]}
+		if s, ok := sums[key]; ok {
+			sums[key] = s + c.Val[p]
+		} else {
+			sums[key] = c.Val[p]
+		}
+	}
+	return sums
+}
+
+// checkDedup reports whether c holds exactly want's coordinates in
+// strictly increasing (i, k, j) order, each with want's value bits.
+func checkDedup(c *COO, want map[[3]Index]float64) error {
+	if c.NNZ() != len(want) {
+		return fmt.Errorf("nnz = %d, want %d distinct coordinates", c.NNZ(), len(want))
+	}
+	for p := 0; p < c.NNZ(); p++ {
+		if p > 0 {
+			a := [3]Index{c.I[p-1], c.K[p-1], c.J[p-1]}
+			b := [3]Index{c.I[p], c.K[p], c.J[p]}
+			if slices.Compare(a[:], b[:]) >= 0 {
+				return fmt.Errorf("entries %d and %d out of (i, k, j) order: %v, %v", p-1, p, a, b)
+			}
+		}
+		key := [3]Index{c.I[p], c.J[p], c.K[p]}
+		if got := c.Val[p]; math.Float64bits(got) != math.Float64bits(want[key]) {
+			return fmt.Errorf("entry %v = %v, want the input-order sum %v", key, got, want[key])
+		}
+	}
+	return nil
+}
+
+// TestDedupSumsInInputOrder pins duplicate merging to input order on a
+// small tensor with many collisions: every merged value must be the
+// left-to-right sum of its duplicates, bit for bit.
+func TestDedupSumsInInputOrder(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		c := randomCOO(rand.New(rand.NewSource(seed)), Dims{4, 4, 4}, 200)
+		want := dedupOracle(c)
+		c.Dedup()
+		if err := checkDedup(c, want); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzReadTNS drives the text parser with arbitrary inputs: it must
-// never panic, and whatever it accepts must validate and round-trip.
+// never panic, whatever it accepts must validate and round-trip, and
+// Dedup must merge its duplicates exactly as the input-order oracle.
 func FuzzReadTNS(f *testing.F) {
 	seeds := []string{
 		"1 1 1 5.0\n",
@@ -19,6 +20,7 @@ func FuzzReadTNS(f *testing.F) {
 		"a b c d\n",
 		"# dims: 0 0 0\n",
 		"1 1 1 1e309\n",
+		"2 1 1 0.1\n1 1 1 0.2\n2 1 1 0.7\n1 1 2 -0\n2 1 1 1e-17\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -42,6 +44,11 @@ func FuzzReadTNS(f *testing.F) {
 		if back.NNZ() != c.NNZ() || back.Dims != c.Dims {
 			t.Fatalf("round trip changed shape: %v/%d vs %v/%d",
 				back.Dims, back.NNZ(), c.Dims, c.NNZ())
+		}
+		want := dedupOracle(c)
+		c.Dedup()
+		if err := checkDedup(c, want); err != nil {
+			t.Fatalf("Dedup: %v", err)
 		}
 	})
 }

@@ -88,7 +88,8 @@ type (
 	// Trial is one measured autotuning candidate.
 	Trial = core.Trial
 
-	// CPOptions configures a CP-ALS decomposition.
+	// CPOptions configures a CP-ALS decomposition at any order; a
+	// caller holding a Plan sets Kernel to plan.Options().
 	CPOptions = cpd.Options
 	// CPResult is a fitted Kruskal tensor with one factor per mode.
 	CPResult = cpd.Result
@@ -133,8 +134,9 @@ type (
 	// mode-rooted N-mode executor per mode of an arbitrary-order
 	// tensor, third-order inputs included.
 	MultiExecutorN = nmode.Engine
-	// CPNOptions configures an order-N CP-ALS decomposition.
-	CPNOptions = cpd.NOptions
+	// CPNOptions is CPOptions, under the name the spbench benchmark
+	// uses; it is kept until the benchmark next changes.
+	CPNOptions = cpd.Options
 	// CPNResult is CPResult: every CP-ALS entry point returns the same
 	// fitted Kruskal tensor.
 	CPNResult = cpd.Result
@@ -292,8 +294,10 @@ func Autotune(t *Tensor, rank int, method Method, opts AutotuneOptions) (Plan, [
 }
 
 // CPALS decomposes t into a rank-R Kruskal tensor with alternating
-// least squares, using the plan's MTTKRP kernel for all three modes.
-func CPALS(t *Tensor, opts CPOptions) (*CPResult, error) { return cpd.CPALS(t, opts) }
+// least squares, running opts.Kernel's MTTKRP for all three modes.
+func CPALS(t *Tensor, opts CPOptions) (*CPResult, error) {
+	return cpd.CPALS(tensor.ToNMode(t), opts)
+}
 
 // CPAPR fits a nonnegative rank-R model to a count tensor by
 // minimising the KL divergence (Poisson likelihood) with multiplicative
@@ -363,9 +367,9 @@ func NewMultiExecutorN(t *TensorN, opts OptionsN, modes ...int) (*MultiExecutorN
 	return nmode.NewEngine(t, opts, modes...)
 }
 
-// CPALSN decomposes an order-N tensor with alternating least squares
-// on the unified engine; the sweep loop is shared with CPALS.
-func CPALSN(t *TensorN, opts CPNOptions) (*CPNResult, error) { return cpd.CPALSN(t, opts) }
+// CPALSN decomposes an order-N tensor with alternating least squares;
+// it is the order-N CPALS, kept for the spbench benchmark.
+func CPALSN(t *TensorN, opts CPNOptions) (*CPNResult, error) { return cpd.CPALS(t, opts) }
 
 // Datasets returns the Table II data-set registry names.
 func Datasets() []string { return gen.Names() }
@@ -384,7 +388,7 @@ func Fingerprint(t *Tensor) string { return server.Fingerprint(t) }
 // building fresh ones — the serving-cache path of spblockd.
 func CPALSEngine(t *Tensor, eng *MultiExecutor, opts CPOptions) (*CPResult, error) {
 	if eng == nil {
-		return cpd.CPALSEngine(t, nil, opts)
+		return cpd.CPALSEngine(tensor.ToNMode(t), nil, opts)
 	}
-	return cpd.CPALSEngine(t, eng.Engine, opts)
+	return cpd.CPALSEngine(tensor.ToNMode(t), eng.Engine, opts)
 }

@@ -370,3 +370,13 @@ func TestRunReleasesOperands(t *testing.T) {
 		runtime.KeepAlive(e)
 	}
 }
+
+// cpalsPlan runs the facade CP-ALS with plan's kernel.
+func cpalsPlan(x *spblock.Tensor, plan spblock.Plan, opts spblock.CPOptions) (*spblock.CPResult, error) {
+	kernel, err := plan.Options()
+	if err != nil {
+		return nil, err
+	}
+	opts.Kernel = kernel
+	return spblock.CPALS(x, opts)
+}
