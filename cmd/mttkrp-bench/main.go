@@ -15,16 +15,10 @@
 //
 // -sched runs every parallel plan under the named work-distribution
 // policy (static shares, chunked work stealing, or the adaptive
-// controller — see internal/sched); the BENCH record stores the
-// scheduler each executor actually resolved to, so an adaptive run
-// records whether the controller promoted.
+// controller — see internal/sched).
 //
-// With -json the run also emits a versioned BENCH record (plan, best
-// ns/op, per-run counters from the kernel instrumentation layer, worker
-// load imbalance, resolved scheduler) for CI artifacts; -baseline
-// compares the fresh record against a committed one and fails when any
-// shared plan regresses past -maxregress. For comparable records across
-// machines, pin the sweep with -autotune=false.
+// The command reports; it gates nothing. CI's perf gates compare
+// kernels timed in the same process instead (DESIGN.md §8.3).
 package main
 
 import (
@@ -43,29 +37,22 @@ import (
 
 func main() {
 	var (
-		in         = flag.String("in", "", "input .tns file (any order >= 2)")
-		dataset    = flag.String("dataset", "", "Table II data set name, or Poisson4, instead of -in")
-		scale      = flag.Float64("scale", 1.0, "scale for -dataset")
-		rank       = flag.Int("rank", 64, "decomposition rank R")
-		reps       = flag.Int("reps", 3, "timed repetitions (best kept)")
-		workers    = flag.Int("workers", 0, "kernel parallelism (0 = GOMAXPROCS)")
-		autotune   = flag.Bool("autotune", true, "tune MB/RankB block sizes (Sec. V-C heuristic)")
-		seed       = flag.Int64("seed", 42, "generator/factor seed")
-		widths     = flag.String("widths", "", `sweep rank-strip widths as extra RankB plans: comma-separated list, or "all" for every registered kernel width`)
-		schedFlag  = flag.String("sched", "static", "work-distribution policy for parallel plans: static|steal|adaptive")
-		jsonOut    = flag.String("json", "", "also write a versioned BENCH record to this path")
-		baseline   = flag.String("baseline", "", "compare against a committed BENCH record; exit 1 on regression")
-		maxregress = flag.Float64("maxregress", 2.0, "regression threshold for -baseline (ratio over baseline ns/op)")
+		in        = flag.String("in", "", "input .tns file (any order >= 2)")
+		dataset   = flag.String("dataset", "", "Table II data set name, or Poisson4, instead of -in")
+		scale     = flag.Float64("scale", 1.0, "scale for -dataset")
+		rank      = flag.Int("rank", 64, "decomposition rank R")
+		reps      = flag.Int("reps", 3, "timed repetitions (best kept)")
+		workers   = flag.Int("workers", 0, "kernel parallelism (0 = GOMAXPROCS)")
+		autotune  = flag.Bool("autotune", true, "tune MB/RankB block sizes (Sec. V-C heuristic)")
+		seed      = flag.Int64("seed", 42, "generator/factor seed")
+		widths    = flag.String("widths", "", `sweep rank-strip widths as extra RankB plans: comma-separated list, or "all" for every registered kernel width`)
+		schedFlag = flag.String("sched", "static", "work-distribution policy for parallel plans: static|steal|adaptive")
 	)
 	flag.Parse()
 
 	nt, err := loadTensor(*in, *dataset, *scale, *seed)
 	if err != nil {
 		fatal(err)
-	}
-	name := *dataset
-	if name == "" {
-		name = *in
 	}
 	sweep, err := parseWidths(*widths, *rank)
 	if err != nil {
@@ -75,38 +62,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var rec *bench.Record
-	if nt.Order() == 3 {
-		x, err := tensor.FromNMode(nt)
-		if err != nil {
-			fatal(err)
-		}
-		rec = bench3(x, name, *rank, *reps, *workers, *autotune, *seed, sweep, policy)
-	} else {
-		rec = benchN(nt, name, *rank, *reps, *workers, *seed, sweep, policy)
+	if nt.Order() != 3 {
+		benchN(nt, *rank, *reps, *workers, *seed, sweep, policy)
+		return
 	}
-	if *jsonOut != "" {
-		if err := bench.WriteRecord(*jsonOut, rec); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonOut)
+	x, err := tensor.FromNMode(nt)
+	if err != nil {
+		fatal(err)
 	}
-	if *baseline != "" {
-		base, err := bench.LoadRecord(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		if regressions := bench.CompareRecords(base, rec, *maxregress); len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "mttkrp-bench: REGRESSION:", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("no regressions past %.2fx of %s\n", *maxregress, *baseline)
-	}
+	bench3(x, *rank, *reps, *workers, *autotune, *seed, sweep, policy)
 }
 
-func bench3(x *tensor.COO, name string, rank, reps, workers int, autotune bool, seed int64, sweep []int, policy spblock.SchedPolicy) *bench.Record {
+func bench3(x *tensor.COO, rank, reps, workers int, autotune bool, seed int64, sweep []int, policy spblock.SchedPolicy) {
 	stats := spblock.ComputeStats(x)
 	profile, err := tensor.ProfileTensor(x)
 	if err != nil {
@@ -144,9 +111,10 @@ func bench3(x *tensor.COO, name string, rank, reps, workers int, autotune bool, 
 	out := spblock.NewMatrix(x.Dims[0], rank)
 	factors := [3]*spblock.Matrix{nil, b, c}
 
-	rec := bench.NewRecord(name, x.Dims[:], x.NNZ(), rank, reps, workers)
 	var baseline float64
-	run := func(plan spblock.Plan) bench.RecordEntry {
+	// run times plan and returns its best seconds, GFLOP/s and kernel
+	// variant.
+	run := func(plan spblock.Plan) (float64, float64, string) {
 		exec, err := spblock.NewMultiExecutor(x, plan, 0)
 		if err != nil {
 			fatal(err)
@@ -154,58 +122,46 @@ func bench3(x *tensor.COO, name string, rank, reps, workers int, autotune bool, 
 		if err := exec.Run(0, factors, out); err != nil { // warm-up
 			fatal(err)
 		}
-		met, err := exec.Metrics(0)
-		if err != nil {
-			fatal(err)
-		}
-		met.Reset() // counters cover exactly the timed window
 		sec := bench.TimeBest(reps, func() {
 			if err := exec.Run(0, factors, out); err != nil {
 				panic(err)
 			}
 		})
-		gf := bench.GFLOPS(int64(stats.NNZ), int64(stats.Fibers), rank, sec)
 		if plan.Method == spblock.MethodSPLATT {
 			baseline = sec
 		}
-		snap := met.Snapshot()
-		entry := bench.RecordEntry{
-			Plan:      plan.String(),
-			Kernel:    snap.Kernel,
-			Sched:     snap.Sched,
-			BestNS:    int64(sec * 1e9),
-			GFLOPS:    gf,
-			Imbalance: snap.Imbalance(),
-			Counters:  snap,
+		met, err := exec.Metrics(0)
+		if err != nil {
+			fatal(err)
 		}
-		if baseline > 0 && plan.Method != spblock.MethodSPLATT {
-			entry.Speedup = baseline / sec
-		}
-		rec.Entries = append(rec.Entries, entry)
-		return entry
+		return sec, bench.GFLOPS(int64(stats.NNZ), int64(stats.Fibers), rank, sec), met.Snapshot().Kernel
 	}
 
 	fmt.Printf("%-36s %-8s %10s %9s %9s\n", "plan", "kernel", "time (s)", "GFLOP/s", "speedup")
 	for _, plan := range plans {
-		e := run(plan)
-		speedup := "-"
-		if baseline > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(baseline)*1e9/float64(e.BestNS))
-		}
-		fmt.Printf("%-36s %-8s %10.4f %9.2f %9s\n", e.Plan, kernelLabel(e.Kernel), float64(e.BestNS)/1e9, e.GFLOPS, speedup)
+		sec, gf, kernel := run(plan)
+		fmt.Printf("%-36s %-8s %10.4f %9.2f %9s\n", plan, kernelLabel(kernel), sec, gf, speedup(baseline, sec))
 	}
 	if len(sweep) > 0 {
 		fmt.Printf("\nrank-strip width sweep (rankb):\n")
 		fmt.Printf("%-10s %-8s %14s %9s\n", "width", "kernel", "ns/run", "GFLOP/s")
 		for _, w := range sweep {
-			e := run(spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: w, Workers: workers, Sched: policy})
-			fmt.Printf("%-10d %-8s %14d %9.2f\n", w, kernelLabel(e.Kernel), e.BestNS, e.GFLOPS)
+			sec, gf, kernel := run(spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: w, Workers: workers, Sched: policy})
+			fmt.Printf("%-10d %-8s %14d %9.2f\n", w, kernelLabel(kernel), int64(sec*1e9), gf)
 		}
 	}
-	return rec
 }
 
-// kernelLabel renders an entry's kernel variant for the console table
+// speedup renders baseline/sec for the console table ("-" before the
+// baseline has run).
+func speedup(baseline, sec float64) string {
+	if baseline <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2fx", baseline/sec)
+}
+
+// kernelLabel renders a plan's kernel variant for the console table
 // ("-" for plans that never resolve one).
 func kernelLabel(k string) string {
 	if k == "" {
@@ -251,7 +207,7 @@ func parseWidths(s string, rank int) ([]int, error) {
 // benchN times the unified order-N engine's configuration ladder on a
 // higher-order tensor: plain CSF, rank strips, a multi-dimensional
 // block grid, and the combination — each a pooled mode-0 executor.
-func benchN(t *nmode.Tensor, name string, rank, reps, workers int, seed int64, sweep []int, policy spblock.SchedPolicy) *bench.Record {
+func benchN(t *nmode.Tensor, rank, reps, workers int, seed int64, sweep []int, policy spblock.SchedPolicy) {
 	n := t.Order()
 	fmt.Printf("tensor: %v nnz=%d (order %d)\n", t.Dims, t.NNZ(), n)
 	fmt.Printf("rank:   %d\n\n", rank)
@@ -285,8 +241,8 @@ func benchN(t *nmode.Tensor, name string, rank, reps, workers int, seed int64, s
 			opts spblock.OptionsN
 		}{fmt.Sprintf("csf-n+rankb[bs=%d]", w), spblock.OptionsN{RankBlockCols: w, Workers: workers, Sched: policy}})
 	}
-	// Like Plan.String, keep the historical names for the static policy
-	// (the committed baselines' comparison keys) and qualify the rest.
+	// Like Plan.String, keep the unqualified names for the static policy
+	// and qualify the rest.
 	if policy != spblock.SchedStatic {
 		for i := range rows {
 			rows[i].name += " sched=" + policy.String()
@@ -299,7 +255,6 @@ func benchN(t *nmode.Tensor, name string, rank, reps, workers int, seed int64, s
 	}
 	out := spblock.NewMatrix(t.Dims[0], rank)
 
-	rec := bench.NewRecord(name, t.Dims, t.NNZ(), rank, reps, workers)
 	var baseline float64
 	fmt.Printf("%-36s %-8s %10s %9s %9s\n", "plan", "kernel", "time (s)", "GFLOP/s", "speedup")
 	for i, row := range rows {
@@ -310,7 +265,6 @@ func benchN(t *nmode.Tensor, name string, rank, reps, workers int, seed int64, s
 		if err := exec.Run(factors, out); err != nil { // warm-up
 			fatal(err)
 		}
-		exec.Metrics().Reset() // counters cover exactly the timed window
 		sec := bench.TimeBest(reps, func() {
 			if err := exec.Run(factors, out); err != nil {
 				panic(err)
@@ -323,27 +277,8 @@ func benchN(t *nmode.Tensor, name string, rank, reps, workers int, seed int64, s
 		if i == 0 {
 			baseline = sec
 		}
-		speedup := "-"
-		if baseline > 0 {
-			speedup = fmt.Sprintf("%.2fx", baseline/sec)
-		}
-		snap := exec.Metrics().Snapshot()
-		entry := bench.RecordEntry{
-			Plan:      row.name,
-			Kernel:    snap.Kernel,
-			Sched:     snap.Sched,
-			BestNS:    int64(sec * 1e9),
-			GFLOPS:    gf,
-			Imbalance: snap.Imbalance(),
-			Counters:  snap,
-		}
-		if i > 0 && baseline > 0 {
-			entry.Speedup = baseline / sec
-		}
-		rec.Entries = append(rec.Entries, entry)
-		fmt.Printf("%-36s %-8s %10.4f %9.2f %9s\n", row.name, kernelLabel(snap.Kernel), sec, gf, speedup)
+		fmt.Printf("%-36s %-8s %10.4f %9.2f %9s\n", row.name, kernelLabel(exec.Metrics().Snapshot().Kernel), sec, gf, speedup(baseline, sec))
 	}
-	return rec
 }
 
 func loadTensor(in, dataset string, scale float64, seed int64) (*nmode.Tensor, error) {

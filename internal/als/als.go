@@ -62,6 +62,9 @@ type SweepRecoverer interface {
 	RecoverSweep(sweep, mode, attempt int, err error) bool
 }
 
+// maxFitsPrealloc caps the sweeps Run sizes Result.Fits for up front.
+const maxFitsPrealloc = 1024
+
 // Config parameterises Run. Callers own their public-facing defaults;
 // Run only backstops MaxIters (50) and Tol (1e-5).
 type Config struct {
@@ -138,7 +141,10 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 	res := &Result{
 		Lambda:  make([]float64, r),
 		Factors: make([]*la.Matrix, n),
-		Fits:    make([]float64, 0, cfg.MaxIters),
+		// MaxIters comes from callers as far as an HTTP job body, so
+		// it bounds the sweeps but not the up-front allocation; a run
+		// past the first maxFitsPrealloc sweeps grows Fits by append.
+		Fits: make([]float64, 0, min(cfg.MaxIters, maxFitsPrealloc)),
 	}
 	for mode := 0; mode < n; mode++ {
 		m := la.NewMatrix(dims[mode], r)

@@ -24,33 +24,30 @@ var poisson3 = sync.OnceValues(func() (*tensor.COO, error) {
 	return spec.Generate(1)
 })
 
-// BenchmarkMBRankBOverSPLATT measures the paper's headline claim in one
-// process: the SPLATT baseline (Algorithm 1) against MB+RankB with a
-// 2x2x2 grid and 32-column strips, both on 2 workers. The tensor is
-// Poisson3 at bench scale (3750^3, 2.1M nonzeros) at rank 64, so every
-// factor matrix (1.9 MB) exceeds a 512 KB L2. One op is one product
-// per mode (0, 1, 2) with each plan, after a warm-up sweep; the two
-// plans' sweeps alternate, so the reported mbrankb/splatt time ratio
-// cancels host drift. CI gates that ratio. splatt-ms and mbrankb-ms are
-// the per-sweep times, *-build-s the executor construction times.
-func BenchmarkMBRankBOverSPLATT(b *testing.B) {
-	x, err := poisson3()
+// poisson1Small generates Poisson1 at scale 0.2 (51^3), once per test
+// binary.
+var poisson1Small = sync.OnceValues(func() (*tensor.COO, error) {
+	spec, err := gen.Lookup("Poisson1")
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
-	const rank = 64
+	return spec.GenerateAt(tensor.Dims{51, 51, 51}, spec.BenchNNZ/5, 42)
+})
+
+// alternate builds one engine per plan on x and runs a warm-up sweep
+// (one product per mode) with each, which sizes the rank-dependent
+// workspaces. It then times b.N rounds in which every plan runs one
+// sweep in turn, so host drift hits all plans alike, and returns each
+// plan's total sweep time and engine construction time.
+func alternate(b *testing.B, x *tensor.COO, rank int, plans []core.Plan) (spent, build []time.Duration) {
 	rng := rand.New(rand.NewSource(1))
 	factors, outs := make([]*la.Matrix, 3), make([]*la.Matrix, 3)
 	for m := range factors {
 		factors[m] = core.RandMatrix(rng, x.Dims[m], rank)
 		outs[m] = la.NewMatrix(x.Dims[m], rank)
 	}
-	plans := [2]core.Plan{
-		{Method: core.MethodSPLATT, Workers: 2},
-		{Method: core.MethodMBRankB, Grid: [3]int{2, 2, 2}, RankBlockCols: 32, Workers: 2},
-	}
-	var execs [2]*nmode.Engine
-	var build, spent [2]time.Duration
+	execs := make([]*nmode.Engine, len(plans))
+	spent, build = make([]time.Duration, len(plans)), make([]time.Duration, len(plans))
 	sweep := func(i int) {
 		start := time.Now()
 		for m := range outs {
@@ -62,21 +59,76 @@ func BenchmarkMBRankBOverSPLATT(b *testing.B) {
 	}
 	for i, plan := range plans {
 		start := time.Now()
+		var err error
 		if execs[i], err = core.NewEngine(x, plan); err != nil {
 			b.Fatal(err)
 		}
 		build[i] = time.Since(start)
-		sweep(i) // sizes the rank-dependent workspaces
+		sweep(i)
+		spent[i] = 0
 	}
-	spent = [2]time.Duration{}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		sweep(0)
-		sweep(1)
+		for i := range plans {
+			sweep(i)
+		}
 	}
+	return spent, build
+}
+
+// BenchmarkMBRankBOverSPLATT measures the paper's headline claim in one
+// process: the SPLATT baseline (Algorithm 1) against MB+RankB with a
+// 2x2x2 grid and 32-column strips, both on 2 workers. The tensor is
+// Poisson3 at bench scale (3750^3, 2.1M nonzeros) at rank 64, so every
+// factor matrix (1.9 MB) exceeds a 512 KB L2. One op is one product
+// per mode (0, 1, 2) with each plan, after a warm-up sweep. A COO
+// engine on 2 workers runs alongside as the reference for the SPLATT
+// row. The plans' sweeps alternate, so the reported time ratios cancel
+// host drift: mbrankb/splatt bounds the blocked register walk against
+// the accumulator walk, and splatt/coo the accumulator walk against the
+// coordinate kernel. CI gates both ratios. *-ms are the per-sweep
+// times, *-build-s the executor construction times.
+func BenchmarkMBRankBOverSPLATT(b *testing.B) {
+	x, err := poisson3()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spent, build := alternate(b, x, 64, []core.Plan{
+		{Method: core.MethodSPLATT, Workers: 2},
+		{Method: core.MethodMBRankB, Grid: [3]int{2, 2, 2}, RankBlockCols: 32, Workers: 2},
+		{Method: core.MethodCOO, Workers: 2},
+	})
 	b.ReportMetric(spent[0].Seconds()*1e3/float64(b.N), "splatt-ms")
 	b.ReportMetric(spent[1].Seconds()*1e3/float64(b.N), "mbrankb-ms")
+	b.ReportMetric(spent[2].Seconds()*1e3/float64(b.N), "coo-ms")
 	b.ReportMetric(spent[1].Seconds()/spent[0].Seconds(), "mbrankb/splatt")
+	b.ReportMetric(spent[0].Seconds()/spent[2].Seconds(), "splatt/coo")
 	b.ReportMetric(build[0].Seconds(), "splatt-build-s")
 	b.ReportMetric(build[1].Seconds(), "mbrankb-build-s")
+}
+
+// BenchmarkRegisterWalkInCache times the three MTTKRP bodies where the
+// register walk's fast path shows: Poisson1 at scale 0.2 (51^3, 62k nonzeros,
+// fibers of 24 nonzeros on average) at rank 32, whose 13 KB factors
+// stay in cache, on one worker. Poisson3's fibers average 1.3
+// nonzeros, too short for register blocking to show there. RankB with
+// 32-column strips runs the register walk, SPLATT the accumulator walk
+// and COO the coordinate kernel, one sweep each in turn. CI gates
+// rankb/splatt, which a register walk fallen back to scalar tails
+// raises from about 1.0 to 1.6, and splatt/coo.
+func BenchmarkRegisterWalkInCache(b *testing.B) {
+	x, err := poisson1Small()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spent, _ := alternate(b, x, 32, []core.Plan{
+		{Method: core.MethodSPLATT, Workers: 1},
+		{Method: core.MethodRankB, RankBlockCols: 32, Workers: 1},
+		{Method: core.MethodCOO, Workers: 1},
+	})
+	b.ReportMetric(spent[0].Seconds()*1e3/float64(b.N), "splatt-ms")
+	b.ReportMetric(spent[1].Seconds()*1e3/float64(b.N), "rankb-ms")
+	b.ReportMetric(spent[2].Seconds()*1e3/float64(b.N), "coo-ms")
+	b.ReportMetric(spent[1].Seconds()/spent[0].Seconds(), "rankb/splatt")
+	b.ReportMetric(spent[0].Seconds()/spent[2].Seconds(), "splatt/coo")
 }

@@ -134,8 +134,9 @@ func (p Plan) String() string {
 	if p.Method == MethodRankB || p.Method == MethodMBRankB {
 		s += fmt.Sprintf(" bs=%d", p.RankBlockCols)
 	}
-	// Static is the historical default and stays unspelled so existing
-	// BENCH baselines (keyed by plan string) keep matching.
+	// Static is the default and stays unspelled: spblockd's cpals reply
+	// and mttkrp-bench's plan column spell this string, so a static plan
+	// reads the same as before the scheduler option existed.
 	if p.Sched != sched.PolicyStatic {
 		s += " sched=" + p.Sched.String()
 	}

@@ -362,9 +362,9 @@ func TestInvalidSchedRejected(t *testing.T) {
 	}
 }
 
-// TestPlanStringSchedSuffix: the plan string is the BENCH baseline
-// comparison key, so static plans must render exactly as before and
-// non-static plans must be distinguishable.
+// TestPlanStringSchedSuffix: spblockd's cpals reply spells the plan
+// string, so static plans must render exactly as before and non-static
+// plans must be distinguishable.
 func TestPlanStringSchedSuffix(t *testing.T) {
 	p := core.Plan{Method: core.MethodSPLATT}
 	if got := p.String(); got != "SPLATT" {

@@ -60,8 +60,8 @@ type Variant struct {
 	// Width is the unrolled register-block width in columns; 0 means
 	// the scalar variant (everything runs in the tail bodies).
 	Width int
-	// Name is the stable identifier recorded in metrics and BENCH
-	// output: "w8", "w16", "w24", "w32" or "scalar".
+	// Name is the stable identifier recorded in metrics and the
+	// mttkrp-bench kernel column: "w8", "w16", "w24", "w32" or "scalar".
 	Name string
 }
 

@@ -272,8 +272,8 @@ func (c *Collector) Reset() {
 
 // Snapshot is a point-in-time copy of a Collector's accumulated state,
 // plus the derived report quantities. It is a plain value: safe to
-// retain, compare and serialise (all fields are JSON-tagged for the
-// BENCH record schema).
+// retain, compare and serialise (all fields are JSON-tagged; spblockd's
+// mttkrp reply carries one per mode).
 type Snapshot struct {
 	// Runs is the number of completed executor Runs.
 	Runs int64 `json:"runs"`
@@ -299,10 +299,10 @@ type Snapshot struct {
 	Kernel string `json:"kernel,omitempty"`
 	// Sched names the resolved scheduler (internal/sched: "static",
 	// "steal", "adaptive:static", "adaptive:steal"). Empty for
-	// sequential executors. BENCH schema v3.
+	// sequential executors.
 	Sched string `json:"sched,omitempty"`
 	// WorkerSteals holds each worker's stolen-chunk count; omitted when
-	// no chunk was ever stolen. BENCH schema v3.
+	// no chunk was ever stolen.
 	WorkerSteals []int64 `json:"worker_steals,omitempty"`
 	// IOWaitNS is the wall time the out-of-core consumer loop spent
 	// blocked waiting for the next decoded block, in nanoseconds.

@@ -122,7 +122,7 @@ func TestCollectorSchedAndSteals(t *testing.T) {
 	}
 
 	// No steals yet: the snapshot omits the buckets entirely so
-	// static-scheduled BENCH records stay free of dead fields.
+	// static-scheduled JSON snapshots stay free of dead fields.
 	s := c.Snapshot()
 	if s.Sched != "steal" {
 		t.Fatalf("snapshot sched = %q", s.Sched)
@@ -268,7 +268,7 @@ func TestCollectorIOWaitAndPrefetch(t *testing.T) {
 	}
 
 	// In-memory executors never size prefetchers: their snapshots omit
-	// the ooc fields from the BENCH record entirely.
+	// the ooc fields from their JSON entirely.
 	var plain Collector
 	plain.SizeWorkers(1)
 	data, err := json.Marshal(plain.Snapshot())

@@ -53,7 +53,7 @@ const (
 )
 
 // Resolved scheduler names as they appear in metrics.Snapshot.Sched
-// and BENCH records. The adaptive policy reports which layout it is
+// and the imbalance experiment's "resolved" column. The adaptive policy reports which layout it is
 // currently running; the promotion happens on the hot path, so both
 // strings are preallocated constants.
 const (

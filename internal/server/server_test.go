@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -331,12 +332,14 @@ func TestConcurrentCPALSClientsShareExecutor(t *testing.T) {
 // TestJobTimeoutCancelsMidSweep pins the cancel path: a CP-ALS job
 // with an unreachable sweep budget and a tiny timeout must come back
 // promptly as 504, and the entry must keep serving afterwards.
+// It also checks that the canceled job leaves no goroutine behind.
 func TestJobTimeoutCancelsMidSweep(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{})
 	// A tensor and rank big enough that reaching an exact ALS fixed
 	// point (the only way a Tol this small converges) takes far longer
 	// than the timeout, so the deadline provably lands mid-run.
 	fp := upload(t, ts.URL, poisson3(t, []int{60, 50, 40}, 40000, 6))
+	before := idleGoroutines()
 	start := time.Now()
 	code, _, raw := postJob(t, ts.URL, "", jobRequest{
 		Fingerprint: fp, Kind: "cpals", Rank: 48, MaxIters: 1_000_000, Tol: 1e-300,
@@ -351,6 +354,7 @@ func TestJobTimeoutCancelsMidSweep(t *testing.T) {
 	if !strings.Contains(raw, "deadline") {
 		t.Errorf("error body does not mention the deadline: %s", raw)
 	}
+	waitGoroutines(t, before)
 	code, jr, raw := postJob(t, ts.URL, "", jobRequest{
 		Fingerprint: fp, Kind: "cpals", Rank: 3, MaxIters: 3, Tol: 1e-12,
 	})
@@ -361,6 +365,111 @@ func TestJobTimeoutCancelsMidSweep(t *testing.T) {
 	if got := metricValue(t, m, `spblockd_jobs_total{outcome="canceled"}`); got != 1 {
 		t.Errorf("canceled jobs = %d, want 1", got)
 	}
+}
+
+// TestClientCancelLeaksNoGoroutines closes a client's connection
+// while its CP-ALS job runs: the job must end as canceled (499) and
+// the goroutine count settle back to its pre-job value.
+func TestClientCancelLeaksNoGoroutines(t *testing.T) {
+	s, ts, _ := newTestServer(t, Options{})
+	fp := upload(t, ts.URL, poisson3(t, []int{60, 50, 40}, 40000, 6))
+	before := idleGoroutines()
+	body, err := json.Marshal(jobRequest{Fingerprint: fp, Kind: "cpals", Rank: 48, MaxIters: 1_000_000, Tol: 1e-300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("X-Tenant", "leaver")
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hr)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	waitFor(t, "the job to start", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.inflight["leaver"] == 1
+	})
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("canceled request got a reply")
+	}
+	waitFor(t, "the job to end as canceled", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobsCanceled == 1 && len(s.inflight) == 0
+	})
+	if got := statusFor(context.Canceled); got != 499 {
+		t.Errorf("client cancel maps to %d, want 499", got)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestHugeMaxItersGetsReply: a cpals job's maxIters sizes nothing up
+// front, so a sweep budget of 1<<62 still gets an HTTP reply instead of
+// a failed allocation in the handler.
+func TestHugeMaxItersGetsReply(t *testing.T) {
+	_, ts, fp := newTestServer(t, Options{})
+	code, jr, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "cpals", Rank: 3, MaxIters: 1 << 62})
+	if code != http.StatusOK || jr.Iters == 0 || !jr.Converged {
+		t.Fatalf("cpals job with maxIters 1<<62: %d %s", code, raw)
+	}
+}
+
+// idleGoroutines closes the default client's idle connections and
+// returns the goroutine count once it has stopped falling for 20 ms:
+// the server ends a closed connection's goroutine asynchronously.
+func idleGoroutines() int {
+	http.DefaultClient.CloseIdleConnections()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// waitGoroutines fails unless the goroutine count, with idle client
+// connections closed, settles back to at most want within 5 s.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	var got int
+	ok := poll(func() bool {
+		http.DefaultClient.CloseIdleConnections()
+		got = runtime.NumGoroutine()
+		return got <= want
+	})
+	if !ok {
+		t.Fatalf("goroutines = %d after the job, %d before: the job leaked", got, want)
+	}
+}
+
+// waitFor fails unless cond holds within 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	if !poll(cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+func poll(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestTenantQuotaRejects holds an entry's lease so a tenant's first
