@@ -9,7 +9,6 @@ import (
 	"spblock/internal/cachesim"
 	"spblock/internal/gen"
 	"spblock/internal/nmode"
-	"spblock/internal/tensor"
 )
 
 // The Benchmark* functions below regenerate each table/figure of the
@@ -265,7 +264,7 @@ func BenchmarkCacheSimSPLATT(b *testing.B) {
 		x.Append(int32(rng.Intn(32)), int32(rng.Intn(512)), int32(rng.Intn(32)), 1)
 	}
 	x.Dedup()
-	csf, err := tensor.BuildCSF(x)
+	csf, err := spblock.BuildCSF(x)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,11 +25,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"spblock"
 	"spblock/internal/bench"
+	"spblock/internal/core"
 	"spblock/internal/gen"
 	"spblock/internal/nmode"
 	"spblock/internal/tensor"
@@ -66,15 +68,10 @@ func main() {
 		benchN(nt, *rank, *reps, *workers, *seed, sweep, policy)
 		return
 	}
-	x, err := tensor.FromNMode(nt)
-	if err != nil {
-		fatal(err)
-	}
-	bench3(x, *rank, *reps, *workers, *autotune, *seed, sweep, policy)
+	bench3(nt, *rank, *reps, *workers, *autotune, *seed, sweep, policy)
 }
 
-func bench3(x *tensor.COO, rank, reps, workers int, autotune bool, seed int64, sweep []int, policy spblock.SchedPolicy) {
-	stats := spblock.ComputeStats(x)
+func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64, sweep []int, policy spblock.SchedPolicy) {
 	profile, err := tensor.ProfileTensor(x)
 	if err != nil {
 		fatal(err)
@@ -96,7 +93,7 @@ func bench3(x *tensor.COO, rank, reps, workers int, autotune bool, seed int64, s
 			if p.Method == spblock.MethodCOO || p.Method == spblock.MethodSPLATT {
 				continue
 			}
-			tuned, _, err := spblock.Autotune(x, rank, p.Method, opts)
+			tuned, _, err := core.Autotune(x, rank, p.Method, opts)
 			if err != nil {
 				fatal(err)
 			}
@@ -109,13 +106,14 @@ func bench3(x *tensor.COO, rank, reps, workers int, autotune bool, seed int64, s
 	b := randomMatrix(x.Dims[1], rank, seed+1)
 	c := randomMatrix(x.Dims[2], rank, seed+2)
 	out := spblock.NewMatrix(x.Dims[0], rank)
-	factors := [3]*spblock.Matrix{nil, b, c}
+	factors := []*spblock.Matrix{nil, b, c}
+	stats := profile.Stats
 
 	var baseline float64
 	// run times plan and returns its best seconds, GFLOP/s and kernel
 	// variant.
 	run := func(plan spblock.Plan) (float64, float64, string) {
-		exec, err := spblock.NewMultiExecutor(x, plan, 0)
+		exec, err := core.NewEngine(x, plan, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -308,24 +306,14 @@ func loadTensor(in, dataset string, scale float64, seed int64) (*nmode.Tensor, e
 		if err != nil {
 			return nil, err
 		}
-		var coo *tensor.COO
 		if scale == 1 {
-			coo, err = spec.Generate(seed)
-		} else {
-			d := spec.BenchDims
-			for m := 0; m < 3; m++ {
-				if v := int(float64(d[m]) * scale); v >= 8 {
-					d[m] = v
-				} else {
-					d[m] = 8
-				}
-			}
-			coo, err = spec.GenerateAt(d, int(float64(spec.BenchNNZ)*scale), seed)
+			return spec.Generate(seed)
 		}
-		if err != nil {
-			return nil, err
+		d := slices.Clone(spec.BenchDims)
+		for m := range d {
+			d[m] = max(int(float64(d[m])*scale), 8)
 		}
-		return tensor.ToNMode(coo), nil
+		return spec.GenerateAt(d, int(float64(spec.BenchNNZ)*scale), seed)
 	default:
 		return nil, fmt.Errorf("need -in or -dataset")
 	}
@@ -338,13 +326,6 @@ func randomMatrix(rows, cols int, seed int64) *spblock.Matrix {
 		m.Data[i] = float64(gen.SplitMix64(&state)%1000)/1000 + 0.001
 	}
 	return m
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"spblock"
@@ -39,8 +40,8 @@ func main() {
 		for _, name := range gen.Names() {
 			spec, _ := gen.Lookup(name)
 			fmt.Printf("  %-9s %-7s paper %v nnz=%.3g | bench %v nnz=%d\n",
-				name, spec.Kind, spec.PaperDims, float64(spec.PaperNNZ),
-				spec.BenchDims, spec.BenchNNZ)
+				name, spec.Kind, tensor.FormatDims(spec.PaperDims), float64(spec.PaperNNZ),
+				tensor.FormatDims(spec.BenchDims), spec.BenchNNZ)
 		}
 		return
 	}
@@ -53,11 +54,7 @@ func main() {
 	case *dims != "":
 		t, err = generateCustom(*dims, *nnz, *kind, *seed)
 	case *dataset != "":
-		var coo *tensor.COO
-		coo, err = generateRegistry(*dataset, *scale, *seed)
-		if err == nil {
-			t = tensor.ToNMode(coo)
-		}
+		t, err = generateRegistry(*dataset, *scale, *seed)
 	default:
 		err = fmt.Errorf("need -dataset or -dims (try -list)")
 	}
@@ -83,10 +80,8 @@ func main() {
 // third-order shapes (matching the historical output), a shape/nnz
 // /density line otherwise.
 func describe(t *nmode.Tensor) string {
-	if t.Order() == 3 {
-		if coo, err := tensor.FromNMode(t); err == nil {
-			return spblock.ComputeStats(coo).String()
-		}
+	if s, err := tensor.ComputeStats(t); err == nil {
+		return s.String()
 	}
 	dense := 1.0
 	for _, d := range t.Dims {
@@ -99,7 +94,7 @@ func describe(t *nmode.Tensor) string {
 	return fmt.Sprintf("%v nnz=%d density=%.3g", t.Dims, t.NNZ(), density)
 }
 
-func generateRegistry(name string, scale float64, seed int64) (*tensor.COO, error) {
+func generateRegistry(name string, scale float64, seed int64) (*nmode.Tensor, error) {
 	spec, err := gen.Lookup(name)
 	if err != nil {
 		return nil, err
@@ -107,8 +102,8 @@ func generateRegistry(name string, scale float64, seed int64) (*tensor.COO, erro
 	if scale == 1 {
 		return spec.Generate(seed)
 	}
-	d := spec.BenchDims
-	for m := 0; m < 3; m++ {
+	d := slices.Clone(spec.BenchDims)
+	for m := range d {
 		v := int(float64(d[m]) * scale)
 		if v < 8 {
 			v = 8

@@ -15,6 +15,7 @@ import (
 	"spblock/internal/cachesim"
 	"spblock/internal/gen"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/ppa"
 	"spblock/internal/roofline"
 	"spblock/internal/tensor"
@@ -22,13 +23,9 @@ import (
 
 func main() {
 	// A Poisson3-like cube, small enough to simulate in seconds.
-	xn, err := gen.PoissonN(gen.PoissonNParams{
+	x, err := gen.PoissonN(gen.PoissonNParams{
 		Dims: []int{600, 600, 600}, Events: 400_000, Components: 24, Spread: 0.3,
 	}, 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	x, err := tensor.FromNMode(xn)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +37,7 @@ func main() {
 	fmt.Println(prof)
 
 	const rank = 128
-	csf, err := tensor.BuildCSF(x)
+	csf, err := nmode.Build(x, tensor.SPLATTModeOrder())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"spblock"
 	"spblock/internal/gen"
 	"spblock/internal/la"
-	"spblock/internal/tensor"
 	"spblock/internal/testutil/digest"
 )
 
@@ -41,12 +40,16 @@ func goldenProbe(t *testing.T) *spblock.Tensor {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are recorded for amd64 float64 arithmetic")
 	}
-	x, err := gen.DatasetSpec{Kind: gen.KindPoisson}.GenerateAt(spblock.Dims{60, 50, 40}, 20000, 8)
+	xn, err := gen.DatasetSpec{Kind: gen.KindPoisson}.GenerateAt([]int{60, 50, 40}, 20000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := digest.Tensor(tensor.ToNMode(x)); got != probeTensorDigest {
+	if got := digest.Tensor(xn); got != probeTensorDigest {
 		t.Fatalf("probe tensor digest %s, want %s", got, probeTensorDigest)
+	}
+	x := spblock.NewTensor(spblock.Dims(xn.Dims), xn.NNZ())
+	for p, v := range xn.Val {
+		x.Append(xn.Idx[0][p], xn.Idx[1][p], xn.Idx[2][p], v)
 	}
 	return x
 }

@@ -117,7 +117,10 @@ type Plan = core.Plan
 
 // Tune searches for block sizes for the given method on tensor t at
 // rank R.
-func Tune(t *tensor.COO, rank int, method core.Method, strategy Strategy, opts Options) (Result, error) {
+func Tune(t *nmode.Tensor, rank int, method core.Method, strategy Strategy, opts Options) (Result, error) {
+	if err := tensor.CheckOrder3(t); err != nil {
+		return Result{}, err
+	}
 	if err := t.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -142,40 +145,48 @@ func Tune(t *tensor.COO, rank int, method core.Method, strategy Strategy, opts O
 
 // sample returns t, or a uniformly sampled sub-tensor of about
 // opts.SampleNNZ nonzeros when t is larger.
-func sample(t *tensor.COO, target int, seed int64) *tensor.COO {
+func sample(t *nmode.Tensor, target int, seed int64) *nmode.Tensor {
 	if t.NNZ() <= target {
 		return t
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := tensor.NewCOO(t.Dims, target)
+	out := nmode.NewTensor(t.Dims, target)
+	coord := make([]nmode.Index, t.Order())
 	// Bernoulli sampling with the right expected count keeps the
 	// spatial distribution intact. The draw is capped at target so an
 	// above-expectation run cannot outgrow the pre-sized capacity.
 	p := float64(target) / float64(t.NNZ())
 	for i := 0; i < t.NNZ() && out.NNZ() < target; i++ {
 		if rng.Float64() < p {
-			out.Append(t.I[i], t.J[i], t.K[i], t.Val[i])
+			out.Append(t.Coord(i, coord), t.Val[i])
 		}
 	}
 	// Degenerate draw: keep one real nonzero so downstream builders see a
 	// non-empty tensor with the original Dims.
 	if out.NNZ() == 0 {
-		out.Append(t.I[0], t.J[0], t.K[0], t.Val[0])
+		out.Append(t.Coord(0, coord), t.Val[0])
 	}
 	return out
 }
 
 // ModelCost builds a CostFunc that prices a plan by simulated DRAM
 // traffic converted to seconds with the roofline bound. Exposed so
-// experiments can tune against traffic explicitly.
-func ModelCost(t *tensor.COO, rank int, opts Options) (core.CostFunc, error) {
+// experiments can tune against traffic explicitly. t must be
+// third-order.
+func ModelCost(t *nmode.Tensor, rank int, opts Options) (core.CostFunc, error) {
+	if err := tensor.CheckOrder3(t); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	sub := sample(t, opts.SampleNNZ, opts.Seed)
-	csf, err := tensor.BuildCSF(sub)
+	csf, err := nmode.Build(sub, tensor.SPLATTModeOrder())
 	if err != nil {
 		return nil, err
 	}
-	stats := tensor.ComputeStats(sub)
+	stats, err := tensor.ComputeStats(sub)
+	if err != nil {
+		return nil, err
+	}
 	flops := 2 * float64(rank) * float64(stats.NNZ+stats.Fibers)
 	cpuSec := flops / (opts.Machine.PeakGFLOP * 1e9)
 
@@ -200,7 +211,7 @@ func ModelCost(t *tensor.COO, rank int, opts Options) (core.CostFunc, error) {
 			bt, ok := blockedCache[grid]
 			if !ok {
 				var err error
-				bt, err = tensor.BuildBlocked(sub, grid)
+				bt, err = nmode.BuildBlocked(sub, grid[:], tensor.SPLATTModeOrder())
 				if err != nil {
 					return infinity
 				}
@@ -238,7 +249,7 @@ func ModelCost(t *tensor.COO, rank int, opts Options) (core.CostFunc, error) {
 // working set first fits the cache (e.g. a 2.3 MB factor needs 8
 // blocks before anything changes at a 512 KB L2 — doubling once shows
 // no gain and the impatient rule gives up).
-func tuneWithModel(t *tensor.COO, rank int, method core.Method, opts Options) (Result, error) {
+func tuneWithModel(t *nmode.Tensor, rank int, method core.Method, opts Options) (Result, error) {
 	cost, err := ModelCost(t, rank, opts)
 	if err != nil {
 		return Result{}, err
@@ -265,7 +276,7 @@ func tuneWithModel(t *tensor.COO, rank int, method core.Method, opts Options) (R
 // (multiples of kernel.MinWidth), plus the rank itself — so a
 // rank <= MinWidth search still evaluates the whole-rank strip and the
 // strategies agree on small ranks.
-func greedyModelSearch(dims tensor.Dims, rank int, seed core.Plan, maxGridSteps int, eval func(core.Plan) float64) core.Plan {
+func greedyModelSearch(dims []int, rank int, seed core.Plan, maxGridSteps int, eval func(core.Plan) float64) core.Plan {
 	best := seed
 	bestCost := eval(best)
 	method := seed.Method
@@ -292,7 +303,7 @@ func greedyModelSearch(dims tensor.Dims, rank int, seed core.Plan, maxGridSteps 
 	return best
 }
 
-func tuneExhaustive(t *tensor.COO, rank int, method core.Method, opts Options) (Result, error) {
+func tuneExhaustive(t *nmode.Tensor, rank int, method core.Method, opts Options) (Result, error) {
 	cost, err := ModelCost(t, rank, opts)
 	if err != nil {
 		return Result{}, err
@@ -323,7 +334,7 @@ func tuneExhaustive(t *tensor.COO, rank int, method core.Method, opts Options) (
 
 // enumerateGrids lists power-of-two grids up to 2^steps per mode,
 // bounded by the mode lengths.
-func enumerateGrids(dims tensor.Dims, steps int) [][3]int {
+func enumerateGrids(dims []int, steps int) [][3]int {
 	var axis [3][]int
 	for m := 0; m < 3; m++ {
 		for v := 1; v <= dims[m] && v <= 1<<steps; v *= 2 {

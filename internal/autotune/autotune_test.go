@@ -4,25 +4,22 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spblock/internal/core"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
-func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
-	t := tensor.NewCOO(dims, nnz)
+func randCOO(rng *rand.Rand, dims []int, nnz int) *nmode.Tensor {
+	t := nmode.NewTensor(dims, nnz)
 	for p := 0; p < nnz; p++ {
-		t.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.Float64()+0.1,
-		)
+		t.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.Float64()+0.1)
 	}
-	t.Dedup()
+	tensor.Dedup(t)
 	return t
 }
 
@@ -39,15 +36,15 @@ func TestStrategyString(t *testing.T) {
 
 func TestTuneValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	x := randCOO(rng, tensor.Dims{8, 8, 8}, 50)
+	x := randCOO(rng, []int{8, 8, 8}, 50)
 	if _, err := Tune(x, 0, core.MethodMB, StrategyModel, Options{}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
 	if _, err := Tune(x, 16, core.MethodMB, Strategy(42), Options{}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	bad.Append(9, 0, 0, 1)
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	bad.Append([]nmode.Index{9, 0, 0}, 1)
 	if _, err := Tune(bad, 16, core.MethodMB, StrategyModel, Options{}); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
@@ -55,16 +52,16 @@ func TestTuneValidation(t *testing.T) {
 
 func TestSampleKeepsSmallTensors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	x := randCOO(rng, tensor.Dims{10, 10, 10}, 100)
+	x := randCOO(rng, []int{10, 10, 10}, 100)
 	if got := sample(x, 1000, 1); got != x {
 		t.Fatal("small tensor should not be copied")
 	}
-	big := randCOO(rng, tensor.Dims{50, 50, 50}, 20000)
+	big := randCOO(rng, []int{50, 50, 50}, 20000)
 	sub := sample(big, 2000, 1)
 	if sub.NNZ() == 0 || sub.NNZ() > 4000 {
 		t.Fatalf("sample size %d, want about 2000", sub.NNZ())
 	}
-	if sub.Dims != big.Dims {
+	if !slices.Equal(sub.Dims, big.Dims) {
 		t.Fatal("sample changed dims")
 	}
 	if err := sub.Validate(); err != nil {
@@ -76,7 +73,7 @@ func TestModelCostOrdersKernelsSensibly(t *testing.T) {
 	// On a tensor whose B factor dwarfs the simulated cache, the model
 	// must price a sensible rank-blocked plan below the unblocked one.
 	rng := rand.New(rand.NewSource(3))
-	x := randCOO(rng, tensor.Dims{32, 2048, 32}, 30000)
+	x := randCOO(rng, []int{32, 2048, 32}, 30000)
 	rank := 128
 	cost, err := ModelCost(x, rank, Options{Seed: 1})
 	if err != nil {
@@ -98,7 +95,7 @@ func TestModelCostOrdersKernelsSensibly(t *testing.T) {
 
 func TestModelTuneFindsTrafficReducingPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x := randCOO(rng, tensor.Dims{32, 2048, 32}, 30000)
+	x := randCOO(rng, []int{32, 2048, 32}, 30000)
 	rank := 128
 	res, err := Tune(x, rank, core.MethodMBRankB, StrategyModel, Options{Seed: 2})
 	if err != nil {
@@ -148,7 +145,7 @@ func TestExhaustiveIsTheCeiling(t *testing.T) {
 	// optimum (same cost model, same sample) on a blocking-friendly
 	// tensor — the quality claim behind using the cheap search.
 	rng := rand.New(rand.NewSource(5))
-	x := randCOO(rng, tensor.Dims{32, 1024, 32}, 20000)
+	x := randCOO(rng, []int{32, 1024, 32}, 20000)
 	rank := 64
 	opts := Options{Seed: 3, MaxGridSteps: 3}
 
@@ -185,7 +182,7 @@ func TestModelStripWalkMatchesExhaustive(t *testing.T) {
 	// and one sample, so on a pure rank-blocking search the model's
 	// chosen plan must now price exactly at the exhaustive optimum.
 	rng := rand.New(rand.NewSource(7))
-	x := randCOO(rng, tensor.Dims{32, 1024, 32}, 20000)
+	x := randCOO(rng, []int{32, 1024, 32}, 20000)
 	rank := 64
 	opts := Options{Seed: 4}
 
@@ -223,7 +220,7 @@ func TestModelEvaluatesStripAtSmallRank(t *testing.T) {
 	// search body never ran, so StrategyModel on MethodRankB degenerated
 	// to pricing only the unstripped baseline.
 	rng := rand.New(rand.NewSource(8))
-	x := randCOO(rng, tensor.Dims{32, 256, 32}, 5000)
+	x := randCOO(rng, []int{32, 256, 32}, 5000)
 	rank := core.RegisterBlockWidth
 	res, err := Tune(x, rank, core.MethodRankB, StrategyModel, Options{Seed: 5})
 	if err != nil {
@@ -246,7 +243,7 @@ func TestTuneNormalizesWorkers(t *testing.T) {
 	// GOMAXPROCS — re-running the tuned plan could use a different
 	// parallelism than the one that was actually measured.
 	rng := rand.New(rand.NewSource(9))
-	x := randCOO(rng, tensor.Dims{16, 32, 16}, 800)
+	x := randCOO(rng, []int{16, 32, 16}, 800)
 	want := runtime.GOMAXPROCS(0)
 	for _, s := range []Strategy{StrategyHeuristic, StrategyModel, StrategyExhaustive} {
 		res, err := Tune(x, 32, core.MethodRankB, s, Options{Seed: 1})
@@ -272,13 +269,13 @@ func TestSampleNeverOutgrowsTarget(t *testing.T) {
 	// about half of all seeds used to overflow the pre-sized capacity and
 	// silently reallocate; the draw is now capped at target.
 	rng := rand.New(rand.NewSource(10))
-	big := randCOO(rng, tensor.Dims{50, 50, 50}, 30000)
+	big := randCOO(rng, []int{50, 50, 50}, 30000)
 	for seed := int64(0); seed < 20; seed++ {
 		sub := sample(big, 1000, seed)
 		if sub.NNZ() > 1000 {
 			t.Fatalf("seed %d: sample has %d nonzeros, cap is 1000", seed, sub.NNZ())
 		}
-		if sub.Dims != big.Dims {
+		if !slices.Equal(sub.Dims, big.Dims) {
 			t.Fatalf("seed %d: sample changed dims", seed)
 		}
 		if err := sub.Validate(); err != nil {
@@ -289,7 +286,7 @@ func TestSampleNeverOutgrowsTarget(t *testing.T) {
 
 func TestHeuristicStrategyDelegates(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	x := randCOO(rng, tensor.Dims{16, 32, 16}, 800)
+	x := randCOO(rng, []int{16, 32, 16}, 800)
 	res, err := Tune(x, 32, core.MethodRankB, StrategyHeuristic, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +300,7 @@ func TestHeuristicStrategyDelegates(t *testing.T) {
 }
 
 func TestEnumerateGridsBounds(t *testing.T) {
-	grids := enumerateGrids(tensor.Dims{3, 100, 100}, 3)
+	grids := enumerateGrids([]int{3, 100, 100}, 3)
 	for _, g := range grids {
 		if g[0] > 3 || g[1] > 8 || g[2] > 8 {
 			t.Fatalf("grid %v out of bounds", g)
@@ -331,7 +328,7 @@ func TestHeuristicAndModelWalkSameStripLadder(t *testing.T) {
 		}
 		return 1000 - float64(p.RankBlockCols)
 	}
-	plan, trials, err := core.AutotuneWithCost(tensor.Dims{16, 16, 16}, rank, core.MethodRankB,
+	plan, trials, err := core.AutotuneWithCost([]int{16, 16, 16}, rank, core.MethodRankB,
 		core.Plan{Method: core.MethodRankB}, decreasing, core.AutotuneOptions{Tolerance: 1e-6})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +339,7 @@ func TestHeuristicAndModelWalkSameStripLadder(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	x := randCOO(rng, tensor.Dims{16, 256, 16}, 4000)
+	x := randCOO(rng, []int{16, 256, 16}, 4000)
 	mod, err := Tune(x, rank, core.MethodRankB, StrategyModel, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"spblock/internal/gen"
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 // datasetCache memoises generated tensors so a full experiment run
@@ -14,13 +14,13 @@ import (
 // pays each generation once.
 var (
 	datasetMu    sync.Mutex
-	datasetCache = map[string]*tensor.COO{}
+	datasetCache = map[string]*nmode.Tensor{}
 )
 
 // Dataset returns the named Table II tensor at the configuration's
 // scale. Mode lengths scale with the cube root of Scale and nnz scales
 // linearly, which approximately preserves the registry densities.
-func Dataset(cfg Config, name string) (*tensor.COO, gen.DatasetSpec, error) {
+func Dataset(cfg Config, name string) (*nmode.Tensor, gen.DatasetSpec, error) {
 	cfg = cfg.withDefaults()
 	spec, err := gen.Lookup(name)
 	if err != nil {
@@ -41,13 +41,14 @@ func Dataset(cfg Config, name string) (*tensor.COO, gen.DatasetSpec, error) {
 	return t, spec, nil
 }
 
-func scaledShape(spec gen.DatasetSpec, scale float64) (tensor.Dims, int) {
+func scaledShape(spec gen.DatasetSpec, scale float64) ([]int, int) {
 	if scale == 1 {
 		return spec.BenchDims, spec.BenchNNZ
 	}
 	dimScale := math.Cbrt(scale)
-	var dims tensor.Dims
-	for m := 0; m < 3; m++ {
+	dims := make([]int, len(spec.BenchDims))
+	v := 1.0
+	for m := range dims {
 		d := int(float64(spec.BenchDims[m]) * dimScale)
 		if d < 16 {
 			d = 16
@@ -56,13 +57,14 @@ func scaledShape(spec gen.DatasetSpec, scale float64) (tensor.Dims, int) {
 			d = spec.BenchDims[m]
 		}
 		dims[m] = d
+		v *= float64(d)
 	}
 	nnz := int(float64(spec.BenchNNZ) * scale)
 	if nnz < 2000 {
 		nnz = 2000
 	}
 	// nnz cannot exceed the (scaled) volume.
-	if v := dims.Volume(); float64(nnz) > v/2 {
+	if float64(nnz) > v/2 {
 		nnz = int(v / 2)
 		if nnz < 1 {
 			nnz = 1

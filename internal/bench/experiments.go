@@ -6,6 +6,7 @@ import (
 	"spblock/internal/cachesim"
 	"spblock/internal/gen"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/ppa"
 	"spblock/internal/roofline"
 	"spblock/internal/tensor"
@@ -46,7 +47,7 @@ func Table1(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	csf, err := tensor.BuildCSF(x)
+	csf, err := nmode.Build(x, tensor.SPLATTModeOrder())
 	if err != nil {
 		return nil, err
 	}
@@ -70,14 +71,14 @@ func Table1(cfg Config) (*Table, error) {
 			return nil, err
 		}
 	}
-	simCSF, err := tensor.BuildCSF(simX)
+	simCSF, err := nmode.Build(simX, tensor.SPLATTModeOrder())
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		Title: "Table I: pressure points for SPLATT MTTKRP (Poisson3 shape, rank 128)",
 		Note: fmt.Sprintf("tensor %v nnz=%d; times on this host, traffic simulated on POWER8-like 64KB L1 + 512KB L2",
-			x.Dims, x.NNZ()),
+			tensor.FormatDims(x.Dims), x.NNZ()),
 		Header: []string{"Type", "Exec time (s)", "Relative", "Sim DRAM MB", "Description"},
 	}
 	for _, res := range results {
@@ -112,13 +113,16 @@ func Table2(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats := tensor.ComputeStats(x)
+		stats, err := tensor.ComputeStats(x)
+		if err != nil {
+			return nil, err
+		}
 		t.Add(
 			name,
-			spec.PaperDims.String(),
+			tensor.FormatDims(spec.PaperDims),
 			fmt.Sprintf("%.3g", float64(spec.PaperNNZ)),
 			fmt.Sprintf("%.1e", spec.PaperSparsity()),
-			stats.Dims.String(),
+			tensor.FormatDims(stats.Dims),
 			fmt.Sprintf("%d", stats.NNZ),
 			fmt.Sprintf("%.1e", stats.Density),
 			fmt.Sprintf("%d", stats.Fibers),

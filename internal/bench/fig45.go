@@ -12,12 +12,12 @@ import (
 
 // newProduct builds the mode-0 executor for plan over x: one plan's
 // mode-1 MTTKRP, out = X₍₁₎ · (B ⊙ C).
-func newProduct(x *tensor.COO, plan core.Plan) (*nmode.Executor, error) {
+func newProduct(x *nmode.Tensor, plan core.Plan) (*nmode.Executor, error) {
 	opts, err := plan.Options()
 	if err != nil {
 		return nil, err
 	}
-	return nmode.NewExecutor(tensor.ToNMode(x), 0, opts)
+	return nmode.NewExecutor(x, 0, opts)
 }
 
 // fig4Rank is the rank Figure 4 sweeps at (the paper uses 512).
@@ -38,7 +38,7 @@ func Fig4(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		csf, err := tensor.BuildCSF(x)
+		csf, err := nmode.Build(x, tensor.SPLATTModeOrder())
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func Fig5Traffic(cfg Config, rank int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		csf, err := tensor.BuildCSF(x)
+		csf, err := nmode.Build(x, tensor.SPLATTModeOrder())
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func Fig5Traffic(cfg Config, rank int) (*Table, error) {
 			if !ok {
 				continue
 			}
-			bt, err := tensor.BuildBlocked(x, g)
+			bt, err := nmode.BuildBlocked(x, g[:], tensor.SPLATTModeOrder())
 			if err != nil {
 				return nil, err
 			}
@@ -173,7 +173,10 @@ func Fig5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats := tensor.ComputeStats(x)
+		stats, err := tensor.ComputeStats(x)
+		if err != nil {
+			return nil, err
+		}
 		nnz, fibers := int64(stats.NNZ), int64(stats.Fibers)
 		factors := []*la.Matrix{nil,
 			randomMatrix(x.Dims[1], fig5Rank, cfg.Seed+5),

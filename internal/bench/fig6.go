@@ -82,7 +82,7 @@ func Fig6(cfg Config, ranks []int, datasets []string) (*Table, error) {
 			// rank.
 			rbWidth := combPlan.RankBlockCols
 			if rbWidth <= 0 || rbWidth > rank {
-				rbWidth = minInt(64, rank)
+				rbWidth = min(64, rank)
 			}
 			rbExec, err := newProduct(x, core.Plan{
 				Method: core.MethodRankB, RankBlockCols: rbWidth, Workers: cfg.Workers,
@@ -115,13 +115,6 @@ func Fig6(cfg Config, ranks []int, datasets []string) (*Table, error) {
 	return t, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Fig6Traffic is the cache-simulator companion to Figure 6: simulated
 // DRAM bytes per kernel at one rank, which exposes the blocking benefit
 // independently of the host CPU. It runs at a reduced tensor size
@@ -150,7 +143,10 @@ func Fig6Traffic(cfg Config, rank int, datasets []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats := tensor.ComputeStats(x)
+		stats, err := tensor.ComputeStats(x)
+		if err != nil {
+			return nil, err
+		}
 		flops := 2 * float64(rank) * float64(stats.NNZ+stats.Fibers)
 		modelSec := func(memMB float64) float64 {
 			memSec := memMB * 1e6 / (roofline.POWER8Socket.MemGBs * 1e9)
@@ -180,9 +176,9 @@ func Fig6Traffic(cfg Config, rank int, datasets []string) (*Table, error) {
 // Block sizes come from the model-based autotuner (tuned against the
 // same simulated cache the traffic is measured on — the host machine's
 // own cache sizes are irrelevant to this experiment).
-func simulateKernels(x *tensor.COO, rank int) ([5]float64, error) {
+func simulateKernels(x *nmode.Tensor, rank int) ([5]float64, error) {
 	var out [5]float64
-	csf, err := tensor.BuildCSF(x)
+	csf, err := nmode.Build(x, tensor.SPLATTModeOrder())
 	if err != nil {
 		return out, err
 	}
@@ -199,11 +195,11 @@ func simulateKernels(x *tensor.COO, rank int) ([5]float64, error) {
 	if err != nil {
 		return out, err
 	}
-	bt, err := tensor.BuildBlocked(x, mbRes.Plan.Grid)
+	bt, err := nmode.BuildBlocked(x, mbRes.Plan.Grid[:], tensor.SPLATTModeOrder())
 	if err != nil {
 		return out, err
 	}
-	btComb, err := tensor.BuildBlocked(x, combRes.Plan.Grid)
+	btComb, err := nmode.BuildBlocked(x, combRes.Plan.Grid[:], tensor.SPLATTModeOrder())
 	if err != nil {
 		return out, err
 	}

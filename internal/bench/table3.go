@@ -7,8 +7,8 @@ import (
 	"spblock/internal/dist"
 	"spblock/internal/la"
 	"spblock/internal/mpi"
+	"spblock/internal/nmode"
 	"spblock/internal/partition"
-	"spblock/internal/tensor"
 )
 
 // Table3Nodes are the node counts of Table III (two MPI ranks per node,
@@ -111,10 +111,10 @@ func localBlockedPlan() core.Plan {
 }
 
 // factorB/factorC build deterministic factor matrices per data set.
-func factorB(cfg Config, x *tensor.COO, name string) *la.Matrix {
+func factorB(cfg Config, x *nmode.Tensor, name string) *la.Matrix {
 	return randomMatrix(x.Dims[1], table3Rank, cfg.Seed+int64(len(name)))
 }
 
-func factorC(cfg Config, x *tensor.COO, name string) *la.Matrix {
+func factorC(cfg Config, x *nmode.Tensor, name string) *la.Matrix {
 	return randomMatrix(x.Dims[2], table3Rank, cfg.Seed+int64(len(name))+100)
 }

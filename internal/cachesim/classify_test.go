@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -119,18 +120,13 @@ func TestFALRUBehaviour(t *testing.T) {
 // rearrangement works.
 func TestStripPackingKillsConflictMisses(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	dims := tensor.Dims{32, 512, 32}
-	x := tensor.NewCOO(dims, 20000)
+	dims := []int{32, 512, 32}
+	x := nmode.NewTensor(dims, 20000)
 	for p := 0; p < 20000; p++ {
-		x.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			1,
-		)
+		x.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, 1)
 	}
-	x.Dedup()
-	csf, err := tensor.BuildCSF(x)
+	tensor.Dedup(x)
+	csf, err := nmode.Build(x, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,25 +298,29 @@ func TraceRankB(h Toucher, opt Options, trees ...*nmode.CSF) error {
 // TraceCOO replays the coordinate-format kernel of Sec. III-C1: every
 // nonzero loads its value, three indices, one row of B and C, and
 // loads+stores its row of A. No fiber accumulator exists.
-func TraceCOO(h Toucher, t *tensor.COO, opt Options) error {
+func TraceCOO(h Toucher, t *nmode.Tensor, opt Options) error {
+	if err := tensor.CheckOrder3(t); err != nil {
+		return err
+	}
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return err
 	}
 	r := opt.Rank
 	ib := opt.IndexBytes
+	is, js, ks := t.Idx[0], t.Idx[1], t.Idx[2]
 	for p := 0; p < t.NNZ(); p++ {
 		h.Touch(RegionVal, int64(p)*valueBytes, valueBytes)
 		h.Touch(RegionJIdx, int64(p)*int64(ib)*3, 3*ib) // i,j,k indices
 		if !opt.SkipB {
-			off, n := rowBytes(int(t.J[p]), r, 0, r)
+			off, n := rowBytes(int(js[p]), r, 0, r)
 			h.Touch(RegionB, off, n)
 		}
 		if !opt.SkipC {
-			off, n := rowBytes(int(t.K[p]), r, 0, r)
+			off, n := rowBytes(int(ks[p]), r, 0, r)
 			h.Touch(RegionC, off, n)
 		}
-		aOff, aLen := rowBytes(int(t.I[p]), r, 0, r)
+		aOff, aLen := rowBytes(int(is[p]), r, 0, r)
 		h.Touch(RegionA, aOff, aLen)
 		h.Touch(RegionA, aOff, aLen)
 	}

@@ -8,23 +8,18 @@ import (
 	"spblock/internal/tensor"
 )
 
-func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
-	t := tensor.NewCOO(dims, nnz)
+func randCOO(rng *rand.Rand, dims []int, nnz int) *nmode.Tensor {
+	t := nmode.NewTensor(dims, nnz)
 	for p := 0; p < nnz; p++ {
-		t.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			1,
-		)
+		t.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, 1)
 	}
-	t.Dedup()
+	tensor.Dedup(t)
 	return t
 }
 
-func mustCSF(t *testing.T, c *tensor.COO) *nmode.CSF {
+func mustCSF(t *testing.T, c *nmode.Tensor) *nmode.CSF {
 	t.Helper()
-	csf, err := tensor.BuildCSF(c)
+	csf, err := nmode.Build(c, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +37,7 @@ func hugeConfig() Config {
 
 func TestOptionsValidation(t *testing.T) {
 	h, _ := NewHierarchy(hugeConfig())
-	csf := mustCSF(t, randCOO(rand.New(rand.NewSource(1)), tensor.Dims{4, 4, 4}, 10))
+	csf := mustCSF(t, randCOO(rand.New(rand.NewSource(1)), []int{4, 4, 4}, 10))
 	if err := TraceSPLATT(h, Options{Rank: 0}, csf); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
@@ -60,11 +55,11 @@ func TestOptionsValidation(t *testing.T) {
 func TestTraceSPLATTAccessCounts(t *testing.T) {
 	// One slice, one fiber, three nonzeros at rank 8 (64 B rows = one
 	// line each in a 64 B-line cache).
-	c := tensor.NewCOO(tensor.Dims{4, 8, 4}, 0)
-	c.Append(2, 1, 3, 1)
-	c.Append(2, 4, 3, 1)
-	c.Append(2, 6, 3, 1)
-	bt, err := tensor.BuildBlocked(c, [3]int{1, 2, 1}) // j = 1 | j = 4, 6
+	c := nmode.NewTensor([]int{4, 8, 4}, 0)
+	c.Append([]nmode.Index{2, 1, 3}, 1)
+	c.Append([]nmode.Index{2, 4, 3}, 1)
+	c.Append([]nmode.Index{2, 6, 3}, 1)
+	bt, err := nmode.BuildBlocked(c, []int{1, 2, 1}, tensor.SPLATTModeOrder()) // j = 1 | j = 4, 6
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +114,7 @@ func TestTraceSPLATTAccessCounts(t *testing.T) {
 
 func TestPressurePointsRemoveTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	x := randCOO(rng, tensor.Dims{16, 64, 16}, 400)
+	x := randCOO(rng, []int{16, 64, 16}, 400)
 	csf := mustCSF(t, x)
 
 	measure := func(opt Options) Traffic {
@@ -192,8 +187,8 @@ func TestPressurePointsRemoveTraffic(t *testing.T) {
 }
 
 // csfDistinctJ returns the distinct j values (test helper).
-func csfDistinctJ(c *nmode.CSF) map[tensor.Index]bool {
-	m := map[tensor.Index]bool{}
+func csfDistinctJ(c *nmode.CSF) map[nmode.Index]bool {
+	m := map[nmode.Index]bool{}
 	for _, j := range c.ID[2] {
 		m[j] = true
 	}
@@ -205,8 +200,8 @@ func csfDistinctJ(c *nmode.CSF) map[tensor.Index]bool {
 // register block either way.
 func TestTraceRankBEliminatesAccumulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x := randCOO(rng, tensor.Dims{16, 32, 16}, 300)
-	bt, err := tensor.BuildBlocked(x, [3]int{2, 3, 2})
+	x := randCOO(rng, []int{16, 32, 16}, 300)
+	bt, err := nmode.BuildBlocked(x, []int{2, 3, 2}, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,19 +237,19 @@ func TestTraceRankBEliminatesAccumulator(t *testing.T) {
 // another level order, trees of two shapes, or no tree at all.
 func TestTraceRejectsNonSPLATTTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	x := randCOO(rng, tensor.Dims{6, 5, 4}, 40)
+	x := randCOO(rng, []int{6, 5, 4}, 40)
 	order4 := nmode.NewTensor([]int{3, 3, 3, 3}, 1)
 	order4.Append([]nmode.Index{1, 2, 0, 1}, 1)
 	tree4, err := nmode.Build(order4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ijk, err := nmode.Build(tensor.ToNMode(x), []int{0, 1, 2})
+	ijk, err := nmode.Build(x, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	splatt := mustCSF(t, x)
-	other := mustCSF(t, randCOO(rng, tensor.Dims{6, 5, 5}, 40))
+	other := mustCSF(t, randCOO(rng, []int{6, 5, 5}, 40))
 	for _, tc := range []struct {
 		name  string
 		trees []*nmode.CSF
@@ -280,8 +275,8 @@ func TestTraceRejectsNonSPLATTTrees(t *testing.T) {
 // the tensor is streamed exactly once across the blocks.
 func TestTraceMBConservesTensorStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x := randCOO(rng, tensor.Dims{12, 12, 12}, 200)
-	bt, err := tensor.BuildBlocked(x, [3]int{2, 3, 2})
+	x := randCOO(rng, []int{12, 12, 12}, 200)
+	bt, err := nmode.BuildBlocked(x, []int{2, 3, 2}, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +296,7 @@ func TestTraceMBConservesTensorStream(t *testing.T) {
 
 func TestTraceCOOCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	x := randCOO(rng, tensor.Dims{8, 8, 8}, 100)
+	x := randCOO(rng, []int{8, 8, 8}, 100)
 	h, _ := NewHierarchy(hugeConfig())
 	if err := TraceCOO(h, x, Options{Rank: 8}); err != nil {
 		t.Fatal(err)
@@ -331,7 +326,7 @@ func TestTraceCOOCounts(t *testing.T) {
 func TestBlockingReducesBTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	// J = 4096 rows x rank 64 x 8 B = 2 MB of B; L2 is 512 KB.
-	dims := tensor.Dims{64, 4096, 64}
+	dims := []int{64, 4096, 64}
 	x := randCOO(rng, dims, 40000)
 	csf := mustCSF(t, x)
 	rank := 64
@@ -343,7 +338,7 @@ func TestBlockingReducesBTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bt, err := tensor.BuildBlocked(x, [3]int{1, 8, 1})
+	bt, err := nmode.BuildBlocked(x, []int{1, 8, 1}, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +366,7 @@ func TestRankBlockingReducesBTrafficAtHighRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Rank 512: B = 512 rows x 512 cols x 8 B = 2 MB >> L2. Per strip
 	// of 64 cols, the strip working set is 256 KB < L2.
-	dims := tensor.Dims{32, 512, 32}
+	dims := []int{32, 512, 32}
 	x := randCOO(rng, dims, 20000)
 	csf := mustCSF(t, x)
 	rank := 512
@@ -400,7 +395,7 @@ func TestMeasureTrafficPropagatesErrors(t *testing.T) {
 	if _, err := MeasureTraffic(Config{}, func(h *Hierarchy) error { return nil }); err == nil {
 		t.Fatal("bad config accepted")
 	}
-	csf := mustCSF(t, randCOO(rand.New(rand.NewSource(8)), tensor.Dims{4, 4, 4}, 10))
+	csf := mustCSF(t, randCOO(rand.New(rand.NewSource(8)), []int{4, 4, 4}, 10))
 	if _, err := MeasureTraffic(POWER8(), func(h *Hierarchy) error {
 		return TraceSPLATT(h, Options{Rank: 0}, csf)
 	}); err == nil {
@@ -413,7 +408,7 @@ func TestMeasureTrafficPropagatesErrors(t *testing.T) {
 // conflict-miss; packing restores the blocking benefit.
 func TestStripPackingAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	dims := tensor.Dims{32, 512, 32}
+	dims := []int{32, 512, 32}
 	x := randCOO(rng, dims, 20000)
 	csf := mustCSF(t, x)
 	rank := 512

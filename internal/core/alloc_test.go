@@ -7,8 +7,8 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/sched"
-	"spblock/internal/tensor"
 	"spblock/internal/testutil/raceflag"
 )
 
@@ -24,7 +24,7 @@ func TestRunSteadyStateAllocations(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	rng := rand.New(rand.NewSource(1))
-	dims := tensor.Dims{32, 48, 24}
+	dims := []int{32, 48, 24}
 	x := core.RandCOO(rng, dims, 4000)
 	const rank = 48
 	factors, outs := make([]*la.Matrix, 3), make([]*la.Matrix, 3)
@@ -122,7 +122,7 @@ func TestPromotedAdaptiveAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	rng := rand.New(rand.NewSource(3))
-	dims := tensor.Dims{32, 48, 24}
+	dims := []int{32, 48, 24}
 	x := core.RandCOO(rng, dims, 4000)
 	const rank = 32
 	f := []*la.Matrix{nil, core.RandMatrix(rng, dims[1], rank), core.RandMatrix(rng, dims[2], rank)}
@@ -159,7 +159,7 @@ func TestPromotedAdaptiveAllocationFree(t *testing.T) {
 // allocation-free again — and stay correct at both ranks.
 func TestRankChangeResizesWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	dims := tensor.Dims{16, 20, 12}
+	dims := []int{16, 20, 12}
 	x := core.RandCOO(rng, dims, 800)
 	e, err := core.NewEngine(x, core.Plan{Method: core.MethodRankB, RankBlockCols: 16, Workers: 2}, 0)
 	if err != nil {
@@ -187,8 +187,8 @@ func TestRankChangeResizesWorkspace(t *testing.T) {
 // TestNegativeWorkersRejected covers the Plan.Workers validation: a
 // negative degree is a caller bug, not a request for GOMAXPROCS.
 func TestNegativeWorkersRejected(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{4, 4, 4}, 0)
-	x.Append(1, 1, 1, 1)
+	x := nmode.NewTensor([]int{4, 4, 4}, 0)
+	x.Append([]nmode.Index{1, 1, 1}, 1)
 	b := la.NewMatrix(4, 2)
 	c := la.NewMatrix(4, 2)
 	out := la.NewMatrix(4, 2)

@@ -10,13 +10,12 @@ import (
 	"spblock/internal/gen"
 	"spblock/internal/la"
 	"spblock/internal/nmode"
-	"spblock/internal/tensor"
 )
 
 // poisson3 generates the bench-scale Poisson3 tensor once per test
 // binary: the testing package calls a benchmark function again for
 // every -count and b.N round.
-var poisson3 = sync.OnceValues(func() (*tensor.COO, error) {
+var poisson3 = sync.OnceValues(func() (*nmode.Tensor, error) {
 	spec, err := gen.Lookup("Poisson3")
 	if err != nil {
 		return nil, err
@@ -26,12 +25,12 @@ var poisson3 = sync.OnceValues(func() (*tensor.COO, error) {
 
 // poisson1Small generates Poisson1 at scale 0.2 (51^3), once per test
 // binary.
-var poisson1Small = sync.OnceValues(func() (*tensor.COO, error) {
+var poisson1Small = sync.OnceValues(func() (*nmode.Tensor, error) {
 	spec, err := gen.Lookup("Poisson1")
 	if err != nil {
 		return nil, err
 	}
-	return spec.GenerateAt(tensor.Dims{51, 51, 51}, spec.BenchNNZ/5, 42)
+	return spec.GenerateAt([]int{51, 51, 51}, spec.BenchNNZ/5, 42)
 })
 
 // alternate builds one engine per plan on x and runs a warm-up sweep
@@ -39,7 +38,7 @@ var poisson1Small = sync.OnceValues(func() (*tensor.COO, error) {
 // workspaces. It then times b.N rounds in which every plan runs one
 // sweep in turn, so host drift hits all plans alike, and returns each
 // plan's total sweep time and engine construction time.
-func alternate(b *testing.B, x *tensor.COO, rank int, plans []core.Plan) (spent, build []time.Duration) {
+func alternate(b *testing.B, x *nmode.Tensor, rank int, plans []core.Plan) (spent, build []time.Duration) {
 	rng := rand.New(rand.NewSource(1))
 	factors, outs := make([]*la.Matrix, 3), make([]*la.Matrix, 3)
 	for m := range factors {

@@ -18,7 +18,6 @@ import (
 	"spblock/internal/kernel"
 	"spblock/internal/nmode"
 	"spblock/internal/sched"
-	"spblock/internal/tensor"
 )
 
 // Method selects an MTTKRP kernel.
@@ -166,17 +165,18 @@ func (p Plan) Options() (nmode.Options, error) {
 	return o, nil
 }
 
-// NewEngine builds the executors of the requested modes (default: all
-// three) of t under plan — the one place an order-3 plan turns into
-// executors; the grid is clamped to the mode lengths. MethodCOO
-// executors alias t's storage, so values rewritten in place between
-// runs are seen by the next run.
-func NewEngine(t *tensor.COO, plan Plan, modes ...int) (*nmode.Engine, error) {
+// NewEngine builds the executors of the requested modes (default: all)
+// of t under plan — the one place a plan turns into executors; the
+// grid is clamped to the mode lengths. A plan's grid has three
+// entries, so MB plans need a third-order t; the other methods run at
+// any order. MethodCOO executors alias t's storage, so values
+// rewritten in place between runs are seen by the next run.
+func NewEngine(t *nmode.Tensor, plan Plan, modes ...int) (*nmode.Engine, error) {
 	opts, err := plan.Options()
 	if err != nil {
 		return nil, err
 	}
-	return nmode.NewEngine(tensor.ToNMode(t), opts, modes...)
+	return nmode.NewEngine(t, opts, modes...)
 }
 
 // PlanKernel predicts the rank-strip kernel variant an executor built

@@ -20,17 +20,12 @@ func randMatrix(rng *rand.Rand, rows, cols int) *la.Matrix {
 	return m
 }
 
-func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
-	t := tensor.NewCOO(dims, nnz)
+func randCOO(rng *rand.Rand, dims []int, nnz int) *nmode.Tensor {
+	t := nmode.NewTensor(dims, nnz)
 	for p := 0; p < nnz; p++ {
-		t.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.NormFloat64(),
-		)
+		t.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.NormFloat64())
 	}
-	t.Dedup()
+	tensor.Dedup(t)
 	return t
 }
 
@@ -57,8 +52,8 @@ func TestMethodAndPlanStrings(t *testing.T) {
 // the same invariants the old in-package sliceShares guaranteed.
 func TestSliceShares(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x := randCOO(rng, tensor.Dims{50, 20, 20}, 2000)
-	csf, err := tensor.BuildCSF(x)
+	x := randCOO(rng, []int{50, 20, 20}, 2000)
+	csf, err := nmode.Build(x, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,20 +84,20 @@ func TestSliceShares(t *testing.T) {
 		}
 	}
 	// Empty tensor: no shares.
-	emptyCSF, _ := tensor.BuildCSF(tensor.NewCOO(tensor.Dims{3, 3, 3}, 0))
+	emptyCSF, _ := nmode.Build(nmode.NewTensor([]int{3, 3, 3}, 0), tensor.SPLATTModeOrder())
 	if s := sched.Shares(emptyCSF.NumNodes(0), 4, cumOf(emptyCSF)); s != nil {
 		t.Fatalf("empty tensor shares = %v", s)
 	}
 }
 
 // The MB layout the plans run and the cache simulator traces is
-// tensor.BuildBlocked's nmode blocked tree: its flat block ids nest
+// nmode.BuildBlocked's tree in SPLATT order: its flat block ids nest
 // (bi, bj, bk) row-major, and each block is a SPLATT tree.
 func TestBuildBlockedStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	dims := tensor.Dims{12, 9, 15}
+	dims := []int{12, 9, 15}
 	x := randCOO(rng, dims, 300)
-	bt, err := tensor.BuildBlocked(x, [3]int{3, 3, 5})
+	bt, err := nmode.BuildBlocked(x, []int{3, 3, 5}, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +123,15 @@ func TestBuildBlockedStructure(t *testing.T) {
 				if err := tensor.CheckSPLATT(blk); err != nil {
 					t.Fatalf("block (%d,%d,%d): %v", bi, bj, bk, err)
 				}
-				back, err := tensor.FromNMode(blk.ToTensor())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !back.IsFiberSorted() {
+				back := blk.ToTensor()
+				if perm, err := back.SortPerm(tensor.SPLATTModeOrder()); err != nil || perm != nil {
 					t.Fatalf("block (%d,%d,%d) not in fiber order", bi, bj, bk)
 				}
 				total += back.NNZ()
 				for p := 0; p < back.NNZ(); p++ {
-					if int(back.I[p])/4 != bi || int(back.J[p])/3 != bj || int(back.K[p])/3 != bk {
+					if int(back.Idx[0][p])/4 != bi || int(back.Idx[1][p])/3 != bj || int(back.Idx[2][p])/3 != bk {
 						t.Fatalf("entry (%d,%d,%d) in wrong block (%d,%d,%d)",
-							back.I[p], back.J[p], back.K[p], bi, bj, bk)
+							back.Idx[0][p], back.Idx[1][p], back.Idx[2][p], bi, bj, bk)
 					}
 				}
 			}
@@ -151,21 +143,21 @@ func TestBuildBlockedStructure(t *testing.T) {
 }
 
 // Each block is the SPLATT tree of exactly its own nonzeros — the same
-// structure tensor.BuildCSF gives the block's sub-tensor — with every
+// structure nmode.Build gives the block's sub-tensor — with every
 // array exactly sized.
 func TestBuildBlockedBlocksAreExactCSFs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	x := randCOO(rng, tensor.Dims{13, 10, 11}, 900)
-	bt, err := tensor.BuildBlocked(x, [3]int{3, 2, 4})
+	x := randCOO(rng, []int{13, 10, 11}, 900)
+	bt, err := nmode.BuildBlocked(x, []int{3, 2, 4}, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id, blk := range bt.Blocks {
-		sub := tensor.NewCOO(x.Dims, 0)
+		sub := nmode.NewTensor(x.Dims, 0)
 		for p := 0; p < x.NNZ(); p++ {
-			bi, bj, bk := int(x.I[p])/bt.BlockDims[0], int(x.J[p])/bt.BlockDims[1], int(x.K[p])/bt.BlockDims[2]
+			bi, bj, bk := int(x.Idx[0][p])/bt.BlockDims[0], int(x.Idx[1][p])/bt.BlockDims[1], int(x.Idx[2][p])/bt.BlockDims[2]
 			if (bi*bt.Grid[1]+bj)*bt.Grid[2]+bk == id {
-				sub.Append(x.I[p], x.J[p], x.K[p], x.Val[p])
+				sub.Append([]nmode.Index{x.Idx[0][p], x.Idx[1][p], x.Idx[2][p]}, x.Val[p])
 			}
 		}
 		if blk == nil {
@@ -174,7 +166,7 @@ func TestBuildBlockedBlocksAreExactCSFs(t *testing.T) {
 			}
 			continue
 		}
-		want, err := tensor.BuildCSF(sub)
+		want, err := nmode.Build(sub, tensor.SPLATTModeOrder())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,12 +189,12 @@ func TestBuildBlockedBlocksAreExactCSFs(t *testing.T) {
 
 func TestBuildBlockedOverheadGrowsWithGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	x := randCOO(rng, tensor.Dims{40, 40, 40}, 4000)
-	flat, err := tensor.BuildBlocked(x, [3]int{1, 1, 1})
+	x := randCOO(rng, []int{40, 40, 40}, 4000)
+	flat, err := nmode.BuildBlocked(x, []int{1, 1, 1}, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := tensor.BuildBlocked(x, [3]int{8, 8, 8})
+	fine, err := nmode.BuildBlocked(x, []int{8, 8, 8}, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,20 +217,20 @@ func TestBuildBlockedOverheadGrowsWithGrid(t *testing.T) {
 }
 
 func TestBuildBlockedDoesNotMutateInput(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{4, 4, 4}, 0)
-	x.Append(3, 3, 3, 1)
-	x.Append(0, 0, 0, 2) // unsorted
-	if _, err := tensor.BuildBlocked(x, [3]int{2, 2, 2}); err != nil {
+	x := nmode.NewTensor([]int{4, 4, 4}, 0)
+	x.Append([]nmode.Index{3, 3, 3}, 1)
+	x.Append([]nmode.Index{0, 0, 0}, 2) // unsorted
+	if _, err := nmode.BuildBlocked(x, []int{2, 2, 2}, tensor.SPLATTModeOrder()); err != nil {
 		t.Fatal(err)
 	}
-	if x.I[0] != 3 {
+	if x.Idx[0][0] != 3 {
 		t.Fatal("BuildBlocked reordered the caller's tensor")
 	}
 }
 
 func TestReferenceRefusesHugeShapes(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{2, 100000, 100000}, 0)
-	x.Append(0, 0, 0, 1)
+	x := nmode.NewTensor([]int{2, 100000, 100000}, 0)
+	x.Append([]nmode.Index{0, 0, 0}, 1)
 	b := la.NewMatrix(100000, 64)
 	c := la.NewMatrix(100000, 64)
 	out := la.NewMatrix(2, 64)

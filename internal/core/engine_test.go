@@ -8,7 +8,6 @@ import (
 	"spblock/internal/la"
 	"spblock/internal/nmode"
 	"spblock/internal/sched"
-	"spblock/internal/tensor"
 )
 
 // enginePlans enumerates every Method through NewEngine, at 1 and 2
@@ -37,10 +36,10 @@ func enginePlans() []core.Plan {
 // modeRef is the dense oracle's view of mode n's product: the mode-1
 // product of the tensor permuted so mode n leads, with the remaining
 // modes' factors as B and C in ascending mode order.
-func modeRef(t *testing.T, x *tensor.COO, n int, factors []*la.Matrix) *la.Matrix {
+func modeRef(t *testing.T, x *nmode.Tensor, n int, factors []*la.Matrix) *la.Matrix {
 	t.Helper()
 	rest := [3][2]int{{1, 2}, {0, 2}, {0, 1}}[n]
-	pt, err := x.PermuteModes([3]int{n, rest[0], rest[1]})
+	pt, err := x.Permute([]int{n, rest[0], rest[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func modeRef(t *testing.T, x *tensor.COO, n int, factors []*la.Matrix) *la.Matri
 // the tensor.
 func TestCrossModeEquivalenceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	dims := tensor.Dims{13, 11, 9}
+	dims := []int{13, 11, 9}
 	x := core.RandCOO(rng, dims, 300)
 	const rank = 33 // off the register-block width to hit tail paths
 	factors := []*la.Matrix{
@@ -97,9 +96,9 @@ func TestCrossModeEquivalenceMatrix(t *testing.T) {
 // same order, so it must not move a bit either.
 func TestEngineOrder3BitIdenticalToCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	dims := tensor.Dims{13, 11, 9}
+	dims := []int{13, 11, 9}
 	x := core.RandCOO(rng, dims, 300)
-	nt := tensor.ToNMode(x)
+	nt := x
 	methods := []struct {
 		method core.Method
 		grid   []int
@@ -151,7 +150,7 @@ func TestEngineOrder3BitIdenticalToCore(t *testing.T) {
 
 func TestModeSubsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	x := core.RandCOO(rng, tensor.Dims{6, 5, 4}, 50)
+	x := core.RandCOO(rng, []int{6, 5, 4}, 50)
 	eng, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -178,20 +177,20 @@ func TestModeSubsets(t *testing.T) {
 }
 
 func TestNewEngineErrors(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
+	x := nmode.NewTensor([]int{2, 2, 2}, 0)
 	if _, err := core.NewEngine(x, core.Plan{}, 3); err == nil {
 		t.Fatal("expected error for mode 3")
 	}
 	if _, err := core.NewEngine(x, core.Plan{Workers: -1}); err == nil {
 		t.Fatal("expected error for negative workers")
 	}
-	bad := &tensor.COO{Dims: tensor.Dims{0, 1, 1}}
+	bad := nmode.NewTensor([]int{0, 1, 1}, 0)
 	if _, err := core.NewEngine(bad, core.Plan{}); err == nil {
 		t.Fatal("expected error for invalid tensor")
 	}
-	ragged := tensor.NewCOO(tensor.Dims{2, 2, 2}, 1)
-	ragged.Append(1, 1, 1, 1)
-	ragged.K = ragged.K[:0]
+	ragged := nmode.NewTensor([]int{2, 2, 2}, 1)
+	ragged.Append([]nmode.Index{1, 1, 1}, 1)
+	ragged.Idx[2] = ragged.Idx[2][:0]
 	if _, err := core.NewEngine(ragged, core.Plan{}); err == nil {
 		t.Fatal("expected error for ragged coordinates")
 	}
@@ -203,7 +202,7 @@ func TestNewEngineErrors(t *testing.T) {
 // the value array.
 func TestSharedValueStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	dims := tensor.Dims{5, 4, 3}
+	dims := []int{5, 4, 3}
 	x := core.RandCOO(rng, dims, 30)
 	eng, err := core.NewEngine(x, core.Plan{Method: core.MethodCOO})
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/kernel"
 	"spblock/internal/la"
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 // These tests run core.Plan's kernels through NewEngine, which builds
@@ -17,7 +17,7 @@ import (
 
 // mttkrp is the one-shot mode-1 product out = X₍₁₎ · (B ⊙ C) under
 // plan.
-func mttkrp(x *tensor.COO, b, c, out *la.Matrix, plan core.Plan) error {
+func mttkrp(x *nmode.Tensor, b, c, out *la.Matrix, plan core.Plan) error {
 	e, err := core.NewEngine(x, plan, 0)
 	if err != nil {
 		return err
@@ -27,7 +27,7 @@ func mttkrp(x *tensor.COO, b, c, out *la.Matrix, plan core.Plan) error {
 
 // allPlans enumerates every kernel configuration worth testing against
 // the oracle for a given tensor shape.
-func allPlans(dims tensor.Dims) []core.Plan {
+func allPlans(dims []int) []core.Plan {
 	plans := []core.Plan{
 		{Method: core.MethodCOO},
 		{Method: core.MethodSPLATT, Workers: 1},
@@ -57,7 +57,7 @@ func allPlans(dims tensor.Dims) []core.Plan {
 
 func TestAllKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
-	dims := tensor.Dims{13, 11, 9}
+	dims := []int{13, 11, 9}
 	x := core.RandCOO(rng, dims, 250)
 	// The paper's analysis spans ranks 16..2048; we cover the odd and
 	// sub-register-width cases that stress the tail paths too.
@@ -82,14 +82,14 @@ func TestAllKernelsMatchOracle(t *testing.T) {
 
 func TestKernelsOnPaperExample(t *testing.T) {
 	// Figure 1a tensor with hand-computed MTTKRP at rank 2.
-	x := tensor.NewCOO(tensor.Dims{3, 3, 3}, 7)
-	x.Append(0, 0, 0, 5)
-	x.Append(0, 1, 1, 3)
-	x.Append(0, 1, 2, 1)
-	x.Append(1, 0, 2, 2)
-	x.Append(1, 1, 1, 9)
-	x.Append(1, 2, 2, 7)
-	x.Append(2, 0, 0, 9)
+	x := nmode.NewTensor([]int{3, 3, 3}, 7)
+	x.Append([]nmode.Index{0, 0, 0}, 5)
+	x.Append([]nmode.Index{0, 1, 1}, 3)
+	x.Append([]nmode.Index{0, 1, 2}, 1)
+	x.Append([]nmode.Index{1, 0, 2}, 2)
+	x.Append([]nmode.Index{1, 1, 1}, 9)
+	x.Append([]nmode.Index{1, 2, 2}, 7)
+	x.Append([]nmode.Index{2, 0, 0}, 9)
 	b := la.NewMatrix(3, 2)
 	c := la.NewMatrix(3, 2)
 	b.FillFunc(func(i, j int) float64 { return float64(i + 1) })        // rows: 1,2,3
@@ -114,7 +114,7 @@ func TestKernelsOnPaperExample(t *testing.T) {
 }
 
 func TestEmptyTensor(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{4, 4, 4}, 0)
+	x := nmode.NewTensor([]int{4, 4, 4}, 0)
 	b := la.NewMatrix(4, 8)
 	c := la.NewMatrix(4, 8)
 	for _, plan := range allPlans(x.Dims) {
@@ -131,7 +131,7 @@ func TestEmptyTensor(t *testing.T) {
 
 func TestOperandValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	x := core.RandCOO(rng, tensor.Dims{4, 5, 6}, 10)
+	x := core.RandCOO(rng, []int{4, 5, 6}, 10)
 	ok := func() (b, c, out *la.Matrix) {
 		return la.NewMatrix(5, 8), la.NewMatrix(6, 8), la.NewMatrix(4, 8)
 	}
@@ -171,7 +171,7 @@ func TestOperandValidation(t *testing.T) {
 // clamping is refused by the block builder.
 func TestNewExecutorErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	x := core.RandCOO(rng, tensor.Dims{4, 4, 4}, 10)
+	x := core.RandCOO(rng, []int{4, 4, 4}, 10)
 	if _, err := core.NewEngine(x, core.Plan{Method: core.Method(99)}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
@@ -182,16 +182,16 @@ func TestNewExecutorErrors(t *testing.T) {
 	}
 	// A grid within every mode length can still ask for millions of
 	// blocks; the builder caps the count instead of allocating them.
-	wide := tensor.NewCOO(tensor.Dims{4096, 2048, 1}, 1)
-	wide.Append(0, 0, 0, 1)
+	wide := nmode.NewTensor([]int{4096, 2048, 1}, 1)
+	wide.Append([]nmode.Index{0, 0, 0}, 1)
 	if _, err := core.NewEngine(wide, core.Plan{Method: core.MethodMB, Grid: [3]int{4096, 2048, 1}}, 0); err == nil {
 		t.Fatal("8M-block grid accepted")
 	}
 	if _, err := core.NewEngine(x, core.Plan{Method: core.MethodRankB, RankBlockCols: -1}); err == nil {
 		t.Fatal("negative rank block accepted")
 	}
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	bad.Append(7, 0, 0, 1)
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	bad.Append([]nmode.Index{7, 0, 0}, 1)
 	if _, err := core.NewEngine(bad, core.Plan{Method: core.MethodSPLATT}); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
@@ -201,7 +201,7 @@ func TestRunIsRepeatable(t *testing.T) {
 	// An executor is meant to be reused across ALS iterations: Run must
 	// zero the output and produce identical results every call.
 	rng := rand.New(rand.NewSource(3))
-	x := core.RandCOO(rng, tensor.Dims{10, 10, 10}, 100)
+	x := core.RandCOO(rng, []int{10, 10, 10}, 100)
 	for _, plan := range []core.Plan{
 		{Method: core.MethodCOO, Workers: 3},
 		{Method: core.MethodSPLATT},
@@ -235,16 +235,16 @@ func TestMTTKRPModeEquivalence(t *testing.T) {
 	// B_out[j] = Σ_{i,k} X[i,j,k] · A[i] .* C[k]: every mode runs on the
 	// same kernel family, rooted at its own mode.
 	rng := rand.New(rand.NewSource(7))
-	dims := tensor.Dims{6, 7, 8}
+	dims := []int{6, 7, 8}
 	x := core.RandCOO(rng, dims, 120)
 	r := 16
 	a := core.RandMatrix(rng, dims[0], r)
 	c := core.RandMatrix(rng, dims[2], r)
 	want := la.NewMatrix(dims[1], r)
 	for p := 0; p < x.NNZ(); p++ {
-		arow := a.Row(int(x.I[p]))
-		crow := c.Row(int(x.K[p]))
-		orow := want.Row(int(x.J[p]))
+		arow := a.Row(int(x.Idx[0][p]))
+		crow := c.Row(int(x.Idx[2][p]))
+		orow := want.Row(int(x.Idx[1][p]))
 		for q := 0; q < r; q++ {
 			orow[q] += x.Val[p] * arow[q] * crow[q]
 		}
@@ -268,7 +268,7 @@ func TestMTTKRPModeEquivalence(t *testing.T) {
 func TestQuickBlockedMatchesSPLATT(t *testing.T) {
 	f := func(seed int64, g0, g1, g2 uint8, r uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		dims := tensor.Dims{8, 8, 8}
+		dims := []int{8, 8, 8}
 		x := core.RandCOO(rng, dims, 150)
 		rank := int(r%24) + 1
 		b := core.RandMatrix(rng, dims[1], rank)
@@ -294,7 +294,7 @@ func TestParallelCOOPrivatization(t *testing.T) {
 	// The privatised parallel COO kernel must agree with the sequential
 	// one even when ranges split mid-row (output rows are shared).
 	rng := rand.New(rand.NewSource(30))
-	dims := tensor.Dims{4, 50, 50} // few rows: heavy write sharing
+	dims := []int{4, 50, 50} // few rows: heavy write sharing
 	x := core.RandCOO(rng, dims, 2000)
 	b := core.RandMatrix(rng, dims[1], 24)
 	c := core.RandMatrix(rng, dims[2], 24)
@@ -319,7 +319,7 @@ func TestAutotuneEndToEnd(t *testing.T) {
 	// computes correct results (timing noise makes the chosen sizes
 	// machine-dependent by design).
 	rng := rand.New(rand.NewSource(8))
-	x := core.RandCOO(rng, tensor.Dims{32, 48, 24}, 2000)
+	x := core.RandCOO(rng, []int{32, 48, 24}, 2000)
 	rank := 32
 	for _, method := range []core.Method{core.MethodRankB, core.MethodMB, core.MethodMBRankB} {
 		plan, trials, err := core.Autotune(x, rank, method, core.AutotuneOptions{Trials: 1, Seed: 1})

@@ -8,6 +8,7 @@ import (
 
 	"spblock/internal/kernel"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -80,15 +81,15 @@ func searchRankB(base Plan, rank int, cost CostFunc, tol float64, trials *[]Tria
 	return best
 }
 
-// MBModeOrder exposes the heuristic's mode traversal order for other
-// tuning strategies (internal/autotune).
-func MBModeOrder(dims tensor.Dims) [3]int { return mbModeOrder(dims) }
+// MBModeOrder exposes the heuristic's mode traversal order over a
+// third-order shape for other tuning strategies (internal/autotune).
+func MBModeOrder(dims []int) [3]int { return mbModeOrder(dims) }
 
 // mbModeOrder returns the mode indices in the order the heuristic
 // blocks them: descending mode length, ties broken by access volume —
 // mode-2 (j) first, then mode-3 (k), then mode-1 (i) — because the PPA
 // showed the mode-2 factor is the most expensive to access (Sec. V-C).
-func mbModeOrder(dims tensor.Dims) [3]int {
+func mbModeOrder(dims []int) [3]int {
 	priority := map[int]int{1: 0, 2: 1, 0: 2}
 	order := []int{0, 1, 2}
 	sort.Slice(order, func(a, b int) bool {
@@ -105,7 +106,7 @@ func mbModeOrder(dims tensor.Dims) [3]int {
 // mbModeOrder, doubling the block count along the current mode while
 // performance keeps improving, then freeze it and move on. Not blocking
 // a mode at all (count 1) remains the default when doubling never wins.
-func searchMB(base Plan, dims tensor.Dims, cost CostFunc, tol float64, trials *[]Trial) Plan {
+func searchMB(base Plan, dims []int, cost CostFunc, tol float64, trials *[]Trial) Plan {
 	measure := func(p Plan) float64 {
 		c := cost(p)
 		*trials = append(*trials, Trial{Plan: p, Cost: c})
@@ -142,7 +143,10 @@ func searchMB(base Plan, dims tensor.Dims, cost CostFunc, tol float64, trials *[
 // warm-up (sizing the executor's pooled workspace) before the timed
 // trials, so the timed runs are allocation-free and the measurements
 // carry no allocator or GC noise.
-func Autotune(t *tensor.COO, rank int, method Method, opts AutotuneOptions) (Plan, []Trial, error) {
+func Autotune(t *nmode.Tensor, rank int, method Method, opts AutotuneOptions) (Plan, []Trial, error) {
+	if err := tensor.CheckOrder3(t); err != nil {
+		return Plan{}, nil, err
+	}
 	if err := t.Validate(); err != nil {
 		return Plan{}, nil, err
 	}
@@ -193,7 +197,11 @@ func Autotune(t *tensor.COO, rank int, method Method, opts AutotuneOptions) (Pla
 // model. The autotune package uses it to tune against simulated cache
 // traffic instead of wall-clock time, and tests use it with analytic
 // costs to verify the search deterministically.
-func AutotuneWithCost(dims tensor.Dims, rank int, method Method, base Plan, cost CostFunc, opts AutotuneOptions) (Plan, []Trial, error) {
+func AutotuneWithCost(dims []int, rank int, method Method, base Plan, cost CostFunc, opts AutotuneOptions) (Plan, []Trial, error) {
+	if len(dims) != 3 {
+		return Plan{}, nil, fmt.Errorf("%w: order-%d shape where third order is required",
+			nmode.ErrBadTensor, len(dims))
+	}
 	opts = opts.withDefaults()
 	var trials []Trial
 	switch method {

@@ -5,22 +5,22 @@ import (
 	"math/rand"
 	"testing"
 
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 func TestMBModeOrder(t *testing.T) {
 	cases := []struct {
-		dims tensor.Dims
+		dims []int
 		want [3]int
 	}{
 		// Longest first: Poisson2-like shape blocks mode-2 (j) first.
-		{tensor.Dims{2000, 16000, 2000}, [3]int{1, 2, 0}},
+		{[]int{2000, 16000, 2000}, [3]int{1, 2, 0}},
 		// All equal: access-volume order mode-2, mode-3, mode-1.
-		{tensor.Dims{100, 100, 100}, [3]int{1, 2, 0}},
+		{[]int{100, 100, 100}, [3]int{1, 2, 0}},
 		// Netflix-like: huge mode-1 first, then mode-2, then tiny mode-3.
-		{tensor.Dims{480000, 18000, 80}, [3]int{0, 1, 2}},
+		{[]int{480000, 18000, 80}, [3]int{0, 1, 2}},
 		// Mode-3 longest (NELL2-like).
-		{tensor.Dims{12000, 9000, 29000}, [3]int{2, 0, 1}},
+		{[]int{12000, 9000, 29000}, [3]int{2, 0, 1}},
 	}
 	for _, tc := range cases {
 		if got := mbModeOrder(tc.dims); got != tc.want {
@@ -92,7 +92,7 @@ func TestSearchRankBKeepsBaselineWhenBlockingHurts(t *testing.T) {
 
 func TestSearchMBFollowsModeOrder(t *testing.T) {
 	// Cost optimal at grid {1, 8, 2} for a mode-2-dominant shape.
-	dims := tensor.Dims{100, 1000, 100}
+	dims := []int{100, 1000, 100}
 	opt := [3]int{1, 8, 2}
 	cost := func(p Plan) float64 {
 		var d float64
@@ -110,7 +110,7 @@ func TestSearchMBFollowsModeOrder(t *testing.T) {
 }
 
 func TestSearchMBStaysUnblockedWhenBlockingHurts(t *testing.T) {
-	dims := tensor.Dims{64, 64, 64}
+	dims := []int{64, 64, 64}
 	cost := func(p Plan) float64 {
 		return float64(p.Grid[0] * p.Grid[1] * p.Grid[2]) // any blocking hurts
 	}
@@ -124,7 +124,7 @@ func TestSearchMBStaysUnblockedWhenBlockingHurts(t *testing.T) {
 func TestSearchMBRespectsModeLengths(t *testing.T) {
 	// A mode of length 3 can never get more than 3 blocks (doubling
 	// stops at the mode length).
-	dims := tensor.Dims{3, 3, 3}
+	dims := []int{3, 3, 3}
 	cost := func(p Plan) float64 {
 		return 1 / float64(p.Grid[0]*p.Grid[1]*p.Grid[2]) // more blocks always better
 	}
@@ -142,7 +142,7 @@ func TestSearchMBRespectsModeLengths(t *testing.T) {
 
 func TestAutotuneWithCostCombined(t *testing.T) {
 	// MB+RankB: grid tuned first, then rank strips on the frozen grid.
-	dims := tensor.Dims{64, 512, 64}
+	dims := []int{64, 512, 64}
 	optGrid := [3]int{1, 4, 1}
 	optBS := 32
 	cost := func(p Plan) float64 {
@@ -178,7 +178,7 @@ func TestAutotuneWithCostCombined(t *testing.T) {
 
 func TestAutotuneTrivialMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	x := randCOO(rng, tensor.Dims{8, 8, 8}, 50)
+	x := randCOO(rng, []int{8, 8, 8}, 50)
 	for _, m := range []Method{MethodCOO, MethodSPLATT} {
 		plan, trials, err := Autotune(x, 16, m, AutotuneOptions{})
 		if err != nil {
@@ -195,12 +195,12 @@ func TestAutotuneTrivialMethods(t *testing.T) {
 
 func TestAutotuneErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	x := randCOO(rng, tensor.Dims{8, 8, 8}, 50)
+	x := randCOO(rng, []int{8, 8, 8}, 50)
 	if _, _, err := Autotune(x, 0, MethodMB, AutotuneOptions{}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	bad.Append(5, 0, 0, 1)
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	bad.Append([]nmode.Index{5, 0, 0}, 1)
 	if _, _, err := Autotune(bad, 16, MethodMB, AutotuneOptions{}); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}

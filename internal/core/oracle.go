@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -14,7 +15,10 @@ import (
 // correctness oracle for the real kernels; the paper notes this is
 // "prohibitively expensive" at scale, so it refuses shapes where the
 // product would exceed ~64 M entries.
-func Reference(t *tensor.COO, b, c, out *la.Matrix) error {
+func Reference(t *nmode.Tensor, b, c, out *la.Matrix) error {
+	if err := tensor.CheckOrder3(t); err != nil {
+		return err
+	}
 	if err := t.Validate(); err != nil {
 		return err
 	}
@@ -30,8 +34,8 @@ func Reference(t *tensor.COO, b, c, out *la.Matrix) error {
 	kDim := c.Rows
 	for p := 0; p < t.NNZ(); p++ {
 		v := t.Val[p]
-		krRow := kr.Row(int(t.J[p])*kDim + int(t.K[p]))
-		orow := out.Row(int(t.I[p]))
+		krRow := kr.Row(int(t.Idx[1][p])*kDim + int(t.Idx[2][p]))
+		orow := out.Row(int(t.Idx[0][p]))
 		for q := range orow {
 			orow[q] += v * krRow[q]
 		}
@@ -42,7 +46,7 @@ func Reference(t *tensor.COO, b, c, out *la.Matrix) error {
 // validateOperands checks the factor shapes against the tensor dims.
 //
 //spblock:coldpath
-func validateOperands(dims tensor.Dims, b, c, out *la.Matrix) error {
+func validateOperands(dims []int, b, c, out *la.Matrix) error {
 	if b.Cols != c.Cols || b.Cols != out.Cols {
 		return fmt.Errorf("core: rank mismatch: B has %d cols, C %d, out %d",
 			b.Cols, c.Cols, out.Cols)

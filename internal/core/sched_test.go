@@ -11,13 +11,12 @@ import (
 	"spblock/internal/metrics"
 	"spblock/internal/nmode"
 	"spblock/internal/sched"
-	"spblock/internal/tensor"
 )
 
 // schedTestTensors returns the equivalence corpus: a mostly-uniform
 // Poisson tensor and a clustered tensor whose dense sub-boxes skew the
 // per-slice nonzero counts — the case work stealing exists for.
-func schedTestTensors(t *testing.T) map[string]*tensor.COO {
+func schedTestTensors(t *testing.T) map[string]*nmode.Tensor {
 	t.Helper()
 	pois, err := gen.PoissonN(gen.PoissonNParams{Dims: []int{40, 30, 25}, Events: 6000}, 11)
 	if err != nil {
@@ -29,13 +28,7 @@ func schedTestTensors(t *testing.T) map[string]*tensor.COO {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := map[string]*tensor.COO{}
-	for name, x := range map[string]*nmode.Tensor{"poisson": pois, "clustered": clus} {
-		if corpus[name], err = tensor.FromNMode(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return corpus
+	return map[string]*nmode.Tensor{"poisson": pois, "clustered": clus}
 }
 
 func bitIdentical(a, b *la.Matrix) bool {
@@ -355,8 +348,8 @@ func TestCOONeverSteals(t *testing.T) {
 
 // TestInvalidSchedRejected: an out-of-range policy is a caller bug.
 func TestInvalidSchedRejected(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{4, 4, 4}, 0)
-	x.Append(1, 1, 1, 1)
+	x := nmode.NewTensor([]int{4, 4, 4}, 0)
+	x.Append([]nmode.Index{1, 1, 1}, 1)
 	if _, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Sched: sched.Policy(9)}); err == nil {
 		t.Fatal("NewEngine accepted an unknown sched policy")
 	}

@@ -77,11 +77,14 @@ func (r *Result) FinalKL() float64 {
 	return r.KL[len(r.KL)-1]
 }
 
-// Decompose fits a rank-R nonnegative model to the count tensor t.
-// All values must be nonnegative.
-func Decompose(t *tensor.COO, opts Options) (*Result, error) {
+// Decompose fits a rank-R nonnegative model to the third-order count
+// tensor t. All values must be nonnegative.
+func Decompose(t *nmode.Tensor, opts Options) (*Result, error) {
 	if opts.Rank <= 0 {
 		return nil, fmt.Errorf("cpapr: rank must be positive, got %d", opts.Rank)
+	}
+	if err := tensor.CheckOrder3(t); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -126,7 +129,7 @@ func Decompose(t *tensor.COO, opts Options) (*Result, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	rt := &tensor.COO{Dims: t.Dims, I: t.I, J: t.J, K: t.K, Val: make([]float64, t.NNZ())}
+	rt := &nmode.Tensor{Dims: t.Dims, Idx: t.Idx, Val: make([]float64, t.NNZ())}
 	eng, err := core.NewEngine(rt, core.Plan{Method: core.MethodCOO, Workers: workers})
 	if err != nil {
 		return nil, err
@@ -169,13 +172,14 @@ func Decompose(t *tensor.COO, opts Options) (*Result, error) {
 // the numerator Φ = (X ⊘ M)₍mode₎ · Π as mode `mode`'s MTTKRP through
 // the engine, then scales the factor by Φ over the column-sum
 // denominator.
-func updateMode(t, rt *tensor.COO, eng *nmode.Engine, factors []*la.Matrix, phi *la.Matrix, mode int, minVal float64) error {
+func updateMode(t, rt *nmode.Tensor, eng *nmode.Engine, factors []*la.Matrix, phi *la.Matrix, mode int, minVal float64) error {
 	r := phi.Cols
 	a, b, c := factors[0], factors[1], factors[2]
+	is, js, ks := t.Idx[0], t.Idx[1], t.Idx[2]
 	for p := 0; p < t.NNZ(); p++ {
-		arow := a.Row(int(t.I[p]))
-		brow := b.Row(int(t.J[p]))
-		crow := c.Row(int(t.K[p]))
+		arow := a.Row(int(is[p]))
+		brow := b.Row(int(js[p]))
+		crow := c.Row(int(ks[p]))
 		var m float64
 		for q := 0; q < r; q++ {
 			m += arow[q] * brow[q] * crow[q]
@@ -234,8 +238,9 @@ func columnSums(m *la.Matrix) []float64 {
 
 // Objective evaluates Σ m_full − Σ_nnz x·log m: the Poisson deviance up
 // to the x-only constant Σ (x·log x − x). Lower is better. The dense
-// Σ m_full term collapses to Σ_r Π_n (column sum of factor n).
-func Objective(t *tensor.COO, factors [3]*la.Matrix) float64 {
+// Σ m_full term collapses to Σ_r Π_n (column sum of factor n). t must
+// be third-order.
+func Objective(t *nmode.Tensor, factors [3]*la.Matrix) float64 {
 	r := factors[0].Cols
 	var total float64
 	sums := [3][]float64{}
@@ -246,13 +251,14 @@ func Objective(t *tensor.COO, factors [3]*la.Matrix) float64 {
 		total += sums[0][q] * sums[1][q] * sums[2][q]
 	}
 	a, b, c := factors[0], factors[1], factors[2]
+	is, js, ks := t.Idx[0], t.Idx[1], t.Idx[2]
 	for p := 0; p < t.NNZ(); p++ {
 		if t.Val[p] == 0 {
 			continue
 		}
-		arow := a.Row(int(t.I[p]))
-		brow := b.Row(int(t.J[p]))
-		crow := c.Row(int(t.K[p]))
+		arow := a.Row(int(is[p]))
+		brow := b.Row(int(js[p]))
+		crow := c.Row(int(ks[p]))
 		var m float64
 		for q := 0; q < r; q++ {
 			m += arow[q] * brow[q] * crow[q]

@@ -7,12 +7,12 @@ import (
 
 	"spblock/internal/gen"
 	"spblock/internal/la"
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 // plantedCounts builds a small dense count tensor from a nonnegative
 // rank-r Kruskal model, rounding model values to integers.
-func plantedCounts(seed int64, dims tensor.Dims, r int) *tensor.COO {
+func plantedCounts(seed int64, dims []int, r int) *nmode.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	var f [3]*la.Matrix
 	for n := 0; n < 3; n++ {
@@ -21,7 +21,7 @@ func plantedCounts(seed int64, dims tensor.Dims, r int) *tensor.COO {
 			f[n].Data[i] = 2 * rng.Float64()
 		}
 	}
-	t := tensor.NewCOO(dims, 0)
+	t := nmode.NewTensor(dims, 0)
 	for i := 0; i < dims[0]; i++ {
 		for j := 0; j < dims[1]; j++ {
 			for k := 0; k < dims[2]; k++ {
@@ -31,7 +31,7 @@ func plantedCounts(seed int64, dims tensor.Dims, r int) *tensor.COO {
 				}
 				v := math.Round(m)
 				if v > 0 {
-					t.Append(tensor.Index(i), tensor.Index(j), tensor.Index(k), v)
+					t.Append([]nmode.Index{nmode.Index(i), nmode.Index(j), nmode.Index(k)}, v)
 				}
 			}
 		}
@@ -40,17 +40,17 @@ func plantedCounts(seed int64, dims tensor.Dims, r int) *tensor.COO {
 }
 
 func TestValidation(t *testing.T) {
-	x := plantedCounts(1, tensor.Dims{4, 4, 4}, 2)
+	x := plantedCounts(1, []int{4, 4, 4}, 2)
 	if _, err := Decompose(x, Options{Rank: 0}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	neg := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	neg.Append(0, 0, 0, -1)
+	neg := nmode.NewTensor([]int{2, 2, 2}, 0)
+	neg.Append([]nmode.Index{0, 0, 0}, -1)
 	if _, err := Decompose(neg, Options{Rank: 2}); err == nil {
 		t.Fatal("negative values accepted")
 	}
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	bad.Append(5, 0, 0, 1)
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	bad.Append([]nmode.Index{5, 0, 0}, 1)
 	if _, err := Decompose(bad, Options{Rank: 2}); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
@@ -59,7 +59,7 @@ func TestValidation(t *testing.T) {
 func TestKLDecreasesMonotonically(t *testing.T) {
 	// Multiplicative updates for KL are provably monotone; the
 	// objective must never increase beyond numerical noise.
-	x := plantedCounts(2, tensor.Dims{10, 9, 8}, 3)
+	x := plantedCounts(2, []int{10, 9, 8}, 3)
 	res, err := Decompose(x, Options{Rank: 3, MaxIters: 40, Tol: 1e-15, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestKLDecreasesMonotonically(t *testing.T) {
 }
 
 func TestFactorsStayNonnegative(t *testing.T) {
-	x := plantedCounts(4, tensor.Dims{8, 8, 8}, 2)
+	x := plantedCounts(4, []int{8, 8, 8}, 2)
 	res, err := Decompose(x, Options{Rank: 4, MaxIters: 20, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestFactorsStayNonnegative(t *testing.T) {
 }
 
 func TestRecoversPlantedModel(t *testing.T) {
-	dims := tensor.Dims{9, 8, 7}
+	dims := []int{9, 8, 7}
 	x := plantedCounts(6, dims, 2)
 	res, err := Decompose(x, Options{Rank: 2, MaxIters: 300, Tol: 1e-12, Seed: 7})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestRecoversPlantedModel(t *testing.T) {
 	// rounding).
 	var errSum, n float64
 	for p := 0; p < x.NNZ(); p++ {
-		m := res.ModelValue(int(x.I[p]), int(x.J[p]), int(x.K[p]))
+		m := res.ModelValue(int(x.Idx[0][p]), int(x.Idx[1][p]), int(x.Idx[2][p]))
 		errSum += math.Abs(m - x.Val[p])
 		n++
 	}
@@ -111,7 +111,7 @@ func TestRecoversPlantedModel(t *testing.T) {
 }
 
 func TestConvergenceFlag(t *testing.T) {
-	x := plantedCounts(8, tensor.Dims{6, 6, 6}, 1)
+	x := plantedCounts(8, []int{6, 6, 6}, 1)
 	res, err := Decompose(x, Options{Rank: 1, MaxIters: 500, Tol: 1e-8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +128,9 @@ func TestOnGeneratedPoissonData(t *testing.T) {
 	// End-to-end with the paper's data generator: decompose a Poisson
 	// count tensor sampled from a 4-component mixture; KL must improve
 	// substantially over the initial guess.
-	xn, err := gen.PoissonN(gen.PoissonNParams{
+	x, err := gen.PoissonN(gen.PoissonNParams{
 		Dims: []int{40, 40, 40}, Events: 8000, Components: 4, Spread: 0.3,
 	}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := tensor.FromNMode(xn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +153,7 @@ func TestOnGeneratedPoissonData(t *testing.T) {
 func TestObjectiveMatchesBruteForce(t *testing.T) {
 	// The collapsed Σ m_full term must equal the dense enumeration.
 	rng := rand.New(rand.NewSource(14))
-	dims := tensor.Dims{5, 4, 3}
+	dims := []int{5, 4, 3}
 	var f [3]*la.Matrix
 	for n := 0; n < 3; n++ {
 		f[n] = la.NewMatrix(dims[n], 2)
@@ -165,9 +161,9 @@ func TestObjectiveMatchesBruteForce(t *testing.T) {
 			f[n].Data[i] = rng.Float64() + 0.1
 		}
 	}
-	x := tensor.NewCOO(dims, 0)
-	x.Append(1, 2, 0, 3)
-	x.Append(4, 0, 2, 1)
+	x := nmode.NewTensor(dims, 0)
+	x.Append([]nmode.Index{1, 2, 0}, 3)
+	x.Append([]nmode.Index{4, 0, 2}, 1)
 
 	got := Objective(x, f)
 	var want float64
@@ -185,7 +181,7 @@ func TestObjectiveMatchesBruteForce(t *testing.T) {
 	for p := 0; p < x.NNZ(); p++ {
 		var m float64
 		for q := 0; q < 2; q++ {
-			m += f[0].At(int(x.I[p]), q) * f[1].At(int(x.J[p]), q) * f[2].At(int(x.K[p]), q)
+			m += f[0].At(int(x.Idx[0][p]), q) * f[1].At(int(x.Idx[1][p]), q) * f[2].At(int(x.Idx[2][p]), q)
 		}
 		want -= x.Val[p] * math.Log(m)
 	}

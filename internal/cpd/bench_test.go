@@ -26,17 +26,17 @@ func BenchmarkCPALSSweepMemoized(b *testing.B) {
 func benchCPALSSweeps(b *testing.B, memoize bool) {
 	const sweeps = 3
 	rng := rand.New(rand.NewSource(31))
-	dims := tensor.Dims{64, 64, 512}
-	x := tensor.NewCOO(dims, 100_000)
+	dims := []int{64, 64, 512}
+	x := nmode.NewTensor(dims, 100_000)
 	for p := 0; p < 100_000; p++ {
 		// Long mode-3 fibers: many nonzeros per (i,j) pair, the regime
 		// memoization targets.
-		x.Append(tensor.Index(rng.Intn(dims[0])), tensor.Index(rng.Intn(dims[1])), tensor.Index(rng.Intn(dims[2])), 1)
+		x.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, 1)
 	}
-	x.Dedup()
+	tensor.Dedup(x)
 	opts := Options{Rank: 32, MaxIters: sweeps, Tol: 1e-15, Seed: 1, Memoize: memoize,
 		Kernel: nmode.Options{Algorithm: nmode.AlgCOO, Workers: 1}}
-	k, err := newKernel(tensor.ToNMode(x), opts)
+	k, err := newKernel(x, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

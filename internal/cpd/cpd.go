@@ -144,7 +144,7 @@ func CPALS(t *nmode.Tensor, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decompose(k, opts.sweeps(normSq(t)))
+	return decompose(k, opts.sweeps(t.NormSquared()))
 }
 
 // newKernel builds the kernel CPALS runs: the engine for opts.Kernel,
@@ -160,15 +160,14 @@ func newKernel(t *nmode.Tensor, opts Options) (als.Kernel, error) {
 		}
 		return &nKernel{eng}, nil
 	}
-	coo, err := tensor.FromNMode(t)
-	if err != nil {
+	if err := tensor.CheckOrder3(t); err != nil {
 		return nil, fmt.Errorf("cpd: Memoize: %w", err)
 	}
 	eng, err := nmode.NewEngine(t, opts.Kernel, 2)
 	if err != nil {
 		return nil, err
 	}
-	m, err := memo.NewEngine(coo)
+	m, err := memo.NewEngine(t)
 	if err != nil {
 		return nil, err
 	}
@@ -203,23 +202,17 @@ func CPALSEngine(t *nmode.Tensor, eng *nmode.Engine, opts Options) (*Result, err
 			return nil, fmt.Errorf("cpd: %w", err)
 		}
 	}
-	return decompose(&nKernel{eng}, opts.sweeps(normSq(t)))
-}
-
-// normSq returns Σ v² over t's values, in storage order.
-func normSq(t *nmode.Tensor) float64 {
-	var s float64
-	for _, v := range t.Val {
-		s += v * v
-	}
-	return s
+	return decompose(&nKernel{eng}, opts.sweeps(t.NormSquared()))
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a
 // flat I*J*K slice (row-major i, j, k) — a test and example helper for
 // small shapes only.
-func ReconstructDense(res *Result, dims tensor.Dims) ([]float64, error) {
-	if dims.Volume() > 16e6 {
+func ReconstructDense(res *Result, dims []int) ([]float64, error) {
+	if len(dims) != 3 {
+		return nil, fmt.Errorf("cpd: ReconstructDense needs 3 dims, got %v", dims)
+	}
+	if float64(dims[0])*float64(dims[1])*float64(dims[2]) > 16e6 {
 		return nil, fmt.Errorf("cpd: ReconstructDense refuses %v (too large)", dims)
 	}
 	if len(res.Factors) != 3 {

@@ -93,7 +93,7 @@ func TestEntryPointValidation(t *testing.T) {
 }
 
 func TestCPALSRecoversPlantedStructure(t *testing.T) {
-	dims := tensor.Dims{8, 9, 10}
+	dims := []int{8, 9, 10}
 	x := plantedTensorN(2, dims[:], 3)
 	// ALS converges slowly near the optimum (the well-known "swamp"
 	// behaviour), so give it plenty of sweeps.
@@ -188,18 +188,13 @@ func TestCPALSOnSparseTensor(t *testing.T) {
 	// A genuinely sparse random tensor won't fit perfectly, but ALS
 	// must run, improve, and stay finite.
 	rng := rand.New(rand.NewSource(6))
-	dims := tensor.Dims{30, 25, 20}
-	x := tensor.NewCOO(dims, 500)
+	dims := []int{30, 25, 20}
+	x := nmode.NewTensor(dims, 500)
 	for p := 0; p < 500; p++ {
-		x.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.Float64()+0.5,
-		)
+		x.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.Float64()+0.5)
 	}
-	x.Dedup()
-	res, err := CPALS(tensor.ToNMode(x), Options{Rank: 8, MaxIters: 25, Seed: 13})
+	tensor.Dedup(x)
+	res, err := CPALS(x, Options{Rank: 8, MaxIters: 25, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +235,14 @@ func TestReconstructDenseGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReconstructDense(res, tensor.Dims{4000, 4000, 4000}); err == nil {
+	if _, err := ReconstructDense(res, []int{4000, 4000, 4000}); err == nil {
 		t.Fatal("huge reconstruction accepted")
 	}
-	if _, err := ReconstructDense(res, tensor.Dims{5, 4, 4}); err == nil {
+	if _, err := ReconstructDense(res, []int{5, 4, 4}); err == nil {
 		t.Fatal("mismatched dims accepted")
 	}
 	twoWay := &Result{Lambda: res.Lambda, Factors: res.Factors[:2]}
-	if _, err := ReconstructDense(twoWay, tensor.Dims{4, 4, 4}); err == nil {
+	if _, err := ReconstructDense(twoWay, []int{4, 4, 4}); err == nil {
 		t.Fatal("two-factor result accepted")
 	}
 }
@@ -298,18 +293,13 @@ func TestMemoizedCPALSMatchesPlain(t *testing.T) {
 
 func TestMemoizedCPALSOnSparseTensor(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	dims := tensor.Dims{25, 20, 30}
-	x := tensor.NewCOO(dims, 600)
+	dims := []int{25, 20, 30}
+	x := nmode.NewTensor(dims, 600)
 	for p := 0; p < 600; p++ {
-		x.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.Float64()+0.2,
-		)
+		x.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.Float64()+0.2)
 	}
-	x.Dedup()
-	res, err := CPALS(tensor.ToNMode(x), Options{Rank: 6, MaxIters: 15, Seed: 23, Memoize: true})
+	tensor.Dedup(x)
+	res, err := CPALS(x, Options{Rank: 6, MaxIters: 15, Seed: 23, Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

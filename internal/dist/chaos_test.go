@@ -9,7 +9,7 @@ import (
 
 	"spblock/internal/core"
 	"spblock/internal/mpi"
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 func chaosConfig(faults *mpi.FaultPlan) Config {
@@ -25,7 +25,7 @@ func TestDistCPALSUnarmedPlanIdenticalTrajectory(t *testing.T) {
 	// An unarmed fault plan must be invisible: the decomposition
 	// trajectory is bit-identical to a run without the fault layer and
 	// all telemetry stays zero.
-	x := plantedTensor(8, tensor.Dims{10, 9, 8}, 3)
+	x := plantedTensor(8, []int{10, 9, 8}, 3)
 	opts := CPOptions{Rank: 4, MaxIters: 6, Tol: 1e-14, Seed: 5}
 	clean, err := CPALS(x, chaosConfig(nil), opts)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestDistCPALSCompletesUnderLinkFaults(t *testing.T) {
 	// the retry budget. The decomposition must finish with the exact
 	// fault-free trajectory (the protocol re-delivers identical bytes),
 	// reporting the effort in CPResult.Comm.
-	x := plantedTensor(8, tensor.Dims{10, 9, 8}, 3)
+	x := plantedTensor(8, []int{10, 9, 8}, 3)
 	opts := CPOptions{Rank: 4, MaxIters: 4, Tol: 1e-14, Seed: 5}
 	clean, err := CPALS(x, chaosConfig(nil), opts)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestDistCPALSDegradesAfterCrash(t *testing.T) {
 	// Rank 3 dies a few operations into the first distributed MTTKRP.
 	// The driver must re-partition over the three survivors and finish
 	// the decomposition degraded — no panic, no hang, full telemetry.
-	x := plantedTensor(8, tensor.Dims{10, 9, 8}, 3)
+	x := plantedTensor(8, []int{10, 9, 8}, 3)
 	plan := mpi.NewFaultPlan(3)
 	plan.CrashRank = 3
 	plan.CrashAfterOps = 5
@@ -132,7 +132,7 @@ func TestDistCPALSDegradesAfterCrash(t *testing.T) {
 func TestDistCPALSUnrecoverableFaultsError(t *testing.T) {
 	// Total packet loss exhausts every retry and every sweep restart;
 	// the decomposition must surface an error — never hang.
-	x := plantedTensor(8, tensor.Dims{8, 8, 8}, 2)
+	x := plantedTensor(8, []int{8, 8, 8}, 2)
 	plan := mpi.NewFaultPlan(9)
 	plan.DropProb = 1.0
 	plan.MaxRetries = 1
@@ -159,10 +159,10 @@ func TestDistCPALSUnrecoverableFaultsError(t *testing.T) {
 func TestRecoverSweepRepartitionsOnCrash(t *testing.T) {
 	// Unit test of the degradation decision: a transient error retries
 	// in place; a crash shrinks the world and rebuilds the engines.
-	x := plantedTensor(8, tensor.Dims{10, 9, 8}, 3)
+	x := plantedTensor(8, []int{10, 9, 8}, 3)
 	cfg := chaosConfig(mpi.NewFaultPlan(1))
 	res := &CPResult{SurvivingRanks: cfg.Ranks}
-	var pts [3]*tensor.COO
+	var pts [3]*nmode.Tensor
 	var engines [3]*Engine
 	for n := 0; n < 3; n++ {
 		pt := x // orientation does not matter for this test

@@ -8,6 +8,7 @@ import (
 	"spblock/internal/la"
 	"spblock/internal/metrics"
 	"spblock/internal/mpi"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -70,21 +71,7 @@ func (r *CPResult) Fit() float64 {
 // partitioner distributes: modePerms[n] permutes the tensor so mode n
 // leads and the remaining modes keep ascending order, and those two
 // modes' factors act as that product's B and C.
-var modePerms = [3][3]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
-
-// permuteView returns a mode-permuted view of t that shares t's
-// coordinate and value storage: new mode m holds what old mode perm[m]
-// held, and no nonzero is copied. perm must be one of modePerms.
-func permuteView(t *tensor.COO, perm [3]int) *tensor.COO {
-	coords := [3][]tensor.Index{t.I, t.J, t.K}
-	return &tensor.COO{
-		Dims: tensor.Dims{t.Dims[perm[0]], t.Dims[perm[1]], t.Dims[perm[2]]},
-		I:    coords[perm[0]],
-		J:    coords[perm[1]],
-		K:    coords[perm[2]],
-		Val:  t.Val,
-	}
-}
+var modePerms = [3][]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
 
 // distKernel adapts the distributed runtime to the shared ALS core:
 // each mode product runs on its partitioned engine, the result is
@@ -98,8 +85,8 @@ func permuteView(t *tensor.COO, perm [3]int) *tensor.COO {
 // lets the decomposition continue degraded.
 type distKernel struct {
 	dims    []int
-	pts     [3]*tensor.COO // permuted views, kept for re-partitioning
-	cfg     Config         // current (possibly shrunken) configuration
+	pts     [3]*nmode.Tensor // permuted views, kept for re-partitioning
+	cfg     Config           // current (possibly shrunken) configuration
 	rank    int
 	engines [3]*Engine
 	res     *CPResult
@@ -181,9 +168,12 @@ func (k *distKernel) RecoverSweep(sweep, mode, attempt int, err error) bool {
 // follows (it measures MTTKRP time). The sweep loop is the shared
 // internal/als core, so the trajectory matches cpd.CPALS bit for bit
 // when the kernels agree numerically.
-func CPALS(t *tensor.COO, cfg Config, opts CPOptions) (*CPResult, error) {
+func CPALS(t *nmode.Tensor, cfg Config, opts CPOptions) (*CPResult, error) {
 	if opts.Rank <= 0 {
 		return nil, fmt.Errorf("dist: rank must be positive, got %d", opts.Rank)
+	}
+	if err := tensor.CheckOrder3(t); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -200,13 +190,16 @@ func CPALS(t *tensor.COO, cfg Config, opts CPOptions) (*CPResult, error) {
 	}
 
 	// One engine per mode, partitioned once per decomposition. The
-	// permuted inputs are zero-copy views (permuteView); the
+	// permuted inputs are zero-copy views (Tensor.Permute); the
 	// partitioner and block builder only read them — and the recovery
 	// path re-partitions the same views after a crash.
-	var pts [3]*tensor.COO
+	var pts [3]*nmode.Tensor
 	var engines [3]*Engine
 	for n := 0; n < 3; n++ {
-		pt := permuteView(t, modePerms[n])
+		pt, err := t.Permute(modePerms[n])
+		if err != nil {
+			return nil, err
+		}
 		pts[n] = pt
 		eng, err := NewEngine(pt, r, cfg)
 		if err != nil {
@@ -217,7 +210,7 @@ func CPALS(t *tensor.COO, cfg Config, opts CPOptions) (*CPResult, error) {
 
 	res := &CPResult{SurvivingRanks: cfg.Ranks}
 	kernel := &distKernel{
-		dims:       t.Dims[:],
+		dims:       t.Dims,
 		pts:        pts,
 		cfg:        cfg,
 		rank:       r,

@@ -10,11 +10,10 @@ import (
 	"spblock/internal/la"
 	"spblock/internal/mpi"
 	"spblock/internal/nmode"
-	"spblock/internal/tensor"
 )
 
 // plantedTensor builds a dense exactly-rank-r tensor.
-func plantedTensor(seed int64, dims tensor.Dims, r int) *tensor.COO {
+func plantedTensor(seed int64, dims []int, r int) *nmode.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	var f [3]*la.Matrix
 	for n := 0; n < 3; n++ {
@@ -23,7 +22,7 @@ func plantedTensor(seed int64, dims tensor.Dims, r int) *tensor.COO {
 			f[n].Data[i] = rng.Float64() + 0.1
 		}
 	}
-	t := tensor.NewCOO(dims, dims[0]*dims[1]*dims[2])
+	t := nmode.NewTensor(dims, dims[0]*dims[1]*dims[2])
 	for i := 0; i < dims[0]; i++ {
 		for j := 0; j < dims[1]; j++ {
 			for k := 0; k < dims[2]; k++ {
@@ -31,7 +30,7 @@ func plantedTensor(seed int64, dims tensor.Dims, r int) *tensor.COO {
 				for q := 0; q < r; q++ {
 					s += f[0].At(i, q) * f[1].At(j, q) * f[2].At(k, q)
 				}
-				t.Append(tensor.Index(i), tensor.Index(j), tensor.Index(k), s)
+				t.Append([]nmode.Index{nmode.Index(i), nmode.Index(j), nmode.Index(k)}, s)
 			}
 		}
 	}
@@ -39,13 +38,13 @@ func plantedTensor(seed int64, dims tensor.Dims, r int) *tensor.COO {
 }
 
 func TestDistCPALSValidation(t *testing.T) {
-	x := plantedTensor(1, tensor.Dims{4, 4, 4}, 1)
+	x := plantedTensor(1, []int{4, 4, 4}, 1)
 	cfg := Config{Ranks: 2, Model: mpi.Zero(), Plan: core.Plan{Method: core.MethodSPLATT, Workers: 1}}
 	if _, err := CPALS(x, cfg, CPOptions{Rank: 0}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	bad.Append(5, 0, 0, 1)
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	bad.Append([]nmode.Index{5, 0, 0}, 1)
 	if _, err := CPALS(bad, cfg, CPOptions{Rank: 2}); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
@@ -63,11 +62,11 @@ func TestDistCPALSMatchesSharedMemoryTrajectory(t *testing.T) {
 	// the shared-memory decomposition's fit trajectory (the MTTKRP
 	// results agree to float round-off, and everything downstream is
 	// identical arithmetic).
-	x := plantedTensor(2, tensor.Dims{10, 9, 8}, 3)
+	x := plantedTensor(2, []int{10, 9, 8}, 3)
 	const rank = 4
 	const iters = 8
 
-	shared, err := cpd.CPALS(tensor.ToNMode(x), cpd.Options{Rank: rank, MaxIters: iters, Tol: 1e-14, Seed: 6,
+	shared, err := cpd.CPALS(x, cpd.Options{Rank: rank, MaxIters: iters, Tol: 1e-14, Seed: 6,
 		Kernel: nmode.Options{Algorithm: nmode.AlgCOO}})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func TestDistCPALSMatchesSharedMemoryTrajectory(t *testing.T) {
 }
 
 func TestDistCPALSAccountsCosts(t *testing.T) {
-	x := plantedTensor(3, tensor.Dims{8, 8, 8}, 2)
+	x := plantedTensor(3, []int{8, 8, 8}, 2)
 	cfg := Config{Ranks: 4, Model: mpi.DefaultCluster(), Plan: core.Plan{Method: core.MethodSPLATT, Workers: 1}}
 	res, err := CPALS(x, cfg, CPOptions{Rank: 2, MaxIters: 4, Tol: 1e-14, Seed: 1})
 	if err != nil {
@@ -114,7 +113,7 @@ func TestDistCPALSAccountsCosts(t *testing.T) {
 }
 
 func TestDistCPALSConverges(t *testing.T) {
-	x := plantedTensor(4, tensor.Dims{6, 6, 6}, 2)
+	x := plantedTensor(4, []int{6, 6, 6}, 2)
 	cfg := Config{Ranks: 2, Model: mpi.Zero(), Plan: core.Plan{Method: core.MethodSPLATT, Workers: 1}}
 	res, err := CPALS(x, cfg, CPOptions{Rank: 2, MaxIters: 400, Tol: 1e-7, Seed: 11})
 	if err != nil {
@@ -131,7 +130,7 @@ func TestDistCPALSConverges(t *testing.T) {
 func TestEngineReuse(t *testing.T) {
 	// Run must be repeatable and rank-checked.
 	rng := rand.New(rand.NewSource(5))
-	x := randCOO(rng, tensor.Dims{12, 12, 12}, 300)
+	x := randCOO(rng, []int{12, 12, 12}, 300)
 	eng, err := NewEngine(x, 8, Config{Ranks: 4, Model: mpi.Zero(),
 		Plan: core.Plan{Method: core.MethodSPLATT, Workers: 1}})
 	if err != nil {
@@ -165,17 +164,20 @@ func TestEngineReuse(t *testing.T) {
 // mode and shares the tensor's coordinate and value storage.
 func TestPermuteViewIsZeroCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x := randCOO(rng, tensor.Dims{5, 6, 7}, 40)
-	coords := [3][]tensor.Index{x.I, x.J, x.K}
+	x := randCOO(rng, []int{5, 6, 7}, 40)
+	coords := [3][]nmode.Index{x.Idx[0], x.Idx[1], x.Idx[2]}
 	for n, perm := range modePerms {
-		v := permuteView(x, perm)
+		v, err := x.Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := v.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		if perm[0] != n || perm[1] >= perm[2] {
 			t.Fatalf("mode %d: permutation %v does not lead with the mode", n, perm)
 		}
-		for m, c := range [3][]tensor.Index{v.I, v.J, v.K} {
+		for m, c := range [3][]nmode.Index{v.Idx[0], v.Idx[1], v.Idx[2]} {
 			if v.Dims[m] != x.Dims[perm[m]] || &c[0] != &coords[perm[m]][0] {
 				t.Fatalf("mode %d: view mode %d does not alias tensor mode %d", n, m, perm[m])
 			}

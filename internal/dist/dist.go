@@ -63,7 +63,7 @@ type Result struct {
 
 // block is one rank's tensor portion with localised coordinates.
 type block struct {
-	coo           *tensor.COO
+	coo           *nmode.Tensor
 	xlo, ylo, zlo int
 	xhi, yhi, zhi int
 }
@@ -84,7 +84,7 @@ type blockRunner interface {
 // against the current factor matrices.
 type Engine struct {
 	cfg    Config
-	dims   tensor.Dims
+	dims   []int
 	rank   int
 	grid   partition.Grid4
 	strips []int
@@ -96,8 +96,12 @@ type Engine struct {
 	maxNNZ, minNNZ int
 }
 
-// NewEngine partitions t for rank-R factors under cfg.
-func NewEngine(t *tensor.COO, rank int, cfg Config) (*Engine, error) {
+// NewEngine partitions the third-order tensor t for rank-R factors
+// under cfg.
+func NewEngine(t *nmode.Tensor, rank int, cfg Config) (*Engine, error) {
+	if err := tensor.CheckOrder3(t); err != nil {
+		return nil, err
+	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -166,7 +170,7 @@ func NewEngine(t *tensor.COO, rank int, cfg Config) (*Engine, error) {
 		if nnz == 0 {
 			continue
 		}
-		exec, err := nmode.NewExecutor(tensor.ToNMode(blk.coo), 0, opts)
+		exec, err := nmode.NewExecutor(blk.coo, 0, opts)
 		if err != nil {
 			return nil, fmt.Errorf("dist: block %d: %w", idx, err)
 		}
@@ -178,7 +182,7 @@ func NewEngine(t *tensor.COO, rank int, cfg Config) (*Engine, error) {
 // MTTKRP partitions t and runs one distributed mode-1 MTTKRP
 // A = X₍₁₎(B ⊙ C). Repeated products over the same tensor should build
 // a NewEngine and call Run.
-func MTTKRP(t *tensor.COO, b, c *la.Matrix, cfg Config) (*Result, error) {
+func MTTKRP(t *nmode.Tensor, b, c *la.Matrix, cfg Config) (*Result, error) {
 	if b.Cols != c.Cols {
 		return nil, fmt.Errorf("dist: rank mismatch: B has %d cols, C %d", b.Cols, c.Cols)
 	}
@@ -264,7 +268,7 @@ func (eng *Engine) Run(b, c *la.Matrix) (*Result, error) {
 		// failing block executor surfaces as this rank's error from Run —
 		// never a panic.
 		xRows := bounds[0][x+1] - bounds[0][x]
-		partial := la.NewMatrix(maxInt(xRows, 1), w)
+		partial := la.NewMatrix(max(xRows, 1), w)
 		if execs[inner] != nil {
 			e := execs[inner]
 			if err := comm.TimeCompute(func() error {
@@ -353,7 +357,7 @@ func subCommColors(g, x, y, z, inner, p, tParts int) (bColor, cColor, aColor, gC
 
 // buildBlocks partitions t into the q×r×s blocks of one rank group,
 // localising coordinates so each block's factors are compact chunks.
-func buildBlocks(t *tensor.COO, bounds [3][]int) ([]*block, error) {
+func buildBlocks(t *nmode.Tensor, bounds [3][]int) ([]*block, error) {
 	q := len(bounds[0]) - 1
 	r := len(bounds[1]) - 1
 	s := len(bounds[2]) - 1
@@ -374,25 +378,27 @@ func buildBlocks(t *tensor.COO, bounds [3][]int) ([]*block, error) {
 		// Find the chunk containing v: the last boundary <= v.
 		return sort.Search(len(bs)-1, func(i int) bool { return bs[i+1] > v })
 	}
+	is, js, ks := t.Idx[0], t.Idx[1], t.Idx[2]
+	var local [3]nmode.Index
 	for pnt := 0; pnt < t.NNZ(); pnt++ {
-		x := locate(bounds[0], int(t.I[pnt]))
-		y := locate(bounds[1], int(t.J[pnt]))
-		z := locate(bounds[2], int(t.K[pnt]))
+		x := locate(bounds[0], int(is[pnt]))
+		y := locate(bounds[1], int(js[pnt]))
+		z := locate(bounds[2], int(ks[pnt]))
 		blk := blocks[(x*r+y)*s+z]
 		if blk.coo == nil {
-			dims := tensor.Dims{
-				maxInt(blk.xhi-blk.xlo, 1),
-				maxInt(blk.yhi-blk.ylo, 1),
-				maxInt(blk.zhi-blk.zlo, 1),
+			dims := []int{
+				max(blk.xhi-blk.xlo, 1),
+				max(blk.yhi-blk.ylo, 1),
+				max(blk.zhi-blk.zlo, 1),
 			}
-			blk.coo = tensor.NewCOO(dims, 16)
+			blk.coo = nmode.NewTensor(dims, 16)
 		}
-		blk.coo.Append(
-			t.I[pnt]-tensor.Index(blk.xlo),
-			t.J[pnt]-tensor.Index(blk.ylo),
-			t.K[pnt]-tensor.Index(blk.zlo),
-			t.Val[pnt],
-		)
+		local = [3]nmode.Index{
+			is[pnt] - nmode.Index(blk.xlo),
+			js[pnt] - nmode.Index(blk.ylo),
+			ks[pnt] - nmode.Index(blk.zlo),
+		}
+		blk.coo.Append(local[:], t.Val[pnt])
 	}
 	return blocks, nil
 }
@@ -414,10 +420,10 @@ func gatherChunk(comm *mpi.Comm, m *la.Matrix, rowLo, rowHi, colLo, colHi int) (
 	if err != nil {
 		return nil, err
 	}
-	chunk := la.NewMatrix(maxInt(rows, 1), w)
+	chunk := la.NewMatrix(max(rows, 1), w)
 	row := 0
 	for _, part := range parts {
-		n := len(part) / maxInt(w, 1)
+		n := len(part) / max(w, 1)
 		for pr := 0; pr < n; pr++ {
 			copy(chunk.Row(row), part[pr*w:(pr+1)*w])
 			row++
@@ -453,11 +459,4 @@ func flattenRows(m *la.Matrix, rows int) []float64 {
 		copy(out[i*m.Cols:(i+1)*m.Cols], m.Row(i))
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

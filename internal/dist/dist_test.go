@@ -7,20 +7,16 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/la"
 	"spblock/internal/mpi"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
-func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
-	t := tensor.NewCOO(dims, nnz)
+func randCOO(rng *rand.Rand, dims []int, nnz int) *nmode.Tensor {
+	t := nmode.NewTensor(dims, nnz)
 	for p := 0; p < nnz; p++ {
-		t.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.NormFloat64(),
-		)
+		t.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.NormFloat64())
 	}
-	t.Dedup()
+	tensor.Dedup(t)
 	return t
 }
 
@@ -32,7 +28,7 @@ func randMatrix(rng *rand.Rand, rows, cols int) *la.Matrix {
 	return m
 }
 
-func sharedMemoryReference(t *testing.T, x *tensor.COO, b, c *la.Matrix) *la.Matrix {
+func sharedMemoryReference(t *testing.T, x *nmode.Tensor, b, c *la.Matrix) *la.Matrix {
 	t.Helper()
 	e, err := core.NewEngine(x, core.Plan{Method: core.MethodSPLATT, Workers: 1}, 0)
 	if err != nil {
@@ -47,7 +43,7 @@ func sharedMemoryReference(t *testing.T, x *tensor.COO, b, c *la.Matrix) *la.Mat
 
 func TestDistributedMatchesSharedMemory3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	dims := tensor.Dims{40, 30, 20}
+	dims := []int{40, 30, 20}
 	x := randCOO(rng, dims, 1500)
 	rank := 16
 	b := randMatrix(rng, dims[1], rank)
@@ -74,7 +70,7 @@ func TestDistributedMatchesSharedMemory3D(t *testing.T) {
 
 func TestDistributedMatchesSharedMemory4D(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	dims := tensor.Dims{24, 32, 16}
+	dims := []int{24, 32, 16}
 	x := randCOO(rng, dims, 1200)
 	rank := 32
 	b := randMatrix(rng, dims[1], rank)
@@ -102,7 +98,7 @@ func TestDistributedMatchesSharedMemory4D(t *testing.T) {
 
 func TestDistributedWithBlockedLocalKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	dims := tensor.Dims{30, 40, 30}
+	dims := []int{30, 40, 30}
 	x := randCOO(rng, dims, 2000)
 	rank := 32
 	b := randMatrix(rng, dims[1], rank)
@@ -128,7 +124,7 @@ func TestDistributedWithBlockedLocalKernel(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	dims := tensor.Dims{8, 8, 8}
+	dims := []int{8, 8, 8}
 	x := randCOO(rng, dims, 50)
 	b := randMatrix(rng, 8, 16)
 	c := randMatrix(rng, 8, 16)
@@ -144,8 +140,8 @@ func TestValidation(t *testing.T) {
 	if _, err := MTTKRP(x, b, c, Config{Ranks: 4, RankParts: 3}); err == nil {
 		t.Fatal("rank not divisible by t accepted")
 	}
-	bad := tensor.NewCOO(dims, 0)
-	bad.Append(20, 0, 0, 1)
+	bad := nmode.NewTensor(dims, 0)
+	bad.Append([]nmode.Index{20, 0, 0}, 1)
 	if _, err := MTTKRP(bad, b, c, Config{Ranks: 2}); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
@@ -153,7 +149,7 @@ func TestValidation(t *testing.T) {
 
 func TestLoadBalanceReported(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	x := randCOO(rng, tensor.Dims{64, 64, 64}, 4000)
+	x := randCOO(rng, []int{64, 64, 64}, 4000)
 	b := randMatrix(rng, 64, 16)
 	c := randMatrix(rng, 64, 16)
 	res, err := MTTKRP(x, b, c, Config{Ranks: 8, Model: mpi.Zero(),
@@ -176,7 +172,7 @@ func TestFourDReducesCommBytes(t *testing.T) {
 	// per-iteration communication volume drops relative to 3D at the
 	// same total rank count (at the cost of replicating the tensor).
 	rng := rand.New(rand.NewSource(6))
-	dims := tensor.Dims{64, 512, 64}
+	dims := []int{64, 512, 64}
 	x := randCOO(rng, dims, 3000)
 	rank := 64
 	b := randMatrix(rng, dims[1], rank)
@@ -202,12 +198,12 @@ func TestFourDReducesCommBytes(t *testing.T) {
 func TestEmptyBlocksSurvive(t *testing.T) {
 	// A tensor whose nonzeros all sit in one corner leaves most blocks
 	// empty; the exchange must still complete and verify.
-	x := tensor.NewCOO(tensor.Dims{32, 32, 32}, 0)
+	x := nmode.NewTensor([]int{32, 32, 32}, 0)
 	rng := rand.New(rand.NewSource(7))
 	for p := 0; p < 100; p++ {
-		x.Append(tensor.Index(rng.Intn(4)), tensor.Index(rng.Intn(4)), tensor.Index(rng.Intn(4)), 1)
+		x.Append([]nmode.Index{nmode.Index(rng.Intn(4)), nmode.Index(rng.Intn(4)), nmode.Index(rng.Intn(4))}, 1)
 	}
-	x.Dedup()
+	tensor.Dedup(x)
 	b := randMatrix(rng, 32, 16)
 	c := randMatrix(rng, 32, 16)
 	want := sharedMemoryReference(t, x, b, c)

@@ -10,7 +10,6 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/la"
 	"spblock/internal/mpi"
-	"spblock/internal/tensor"
 )
 
 // TestSubCommColorsDisjoint enumerates every rank of tall and wide 3D/4D
@@ -137,7 +136,7 @@ func (poisonedRunner) Run([]*la.Matrix, *la.Matrix) error {
 
 func TestPoisonedExecutorSurfacesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	x := randCOO(rng, tensor.Dims{16, 16, 16}, 400)
+	x := randCOO(rng, []int{16, 16, 16}, 400)
 	rank := 8
 	b := randMatrix(rng, 16, rank)
 	c := randMatrix(rng, 16, rank)
@@ -166,7 +165,7 @@ func TestPoisonedExecutorSurfacesError(t *testing.T) {
 
 func TestMTTKRPValidatesFactorShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	x := randCOO(rng, tensor.Dims{8, 8, 8}, 50)
+	x := randCOO(rng, []int{8, 8, 8}, 50)
 	cfg := Config{Ranks: 2, Plan: core.Plan{Method: core.MethodSPLATT, Workers: 1}}
 	cases := []struct {
 		name    string
@@ -197,7 +196,7 @@ func TestMTTKRPCorrectUnderLinkFaults(t *testing.T) {
 	// perfect one: the distributed result stays bit-identical to the
 	// clean run, with the loss visible only in the telemetry.
 	rng := rand.New(rand.NewSource(23))
-	x := randCOO(rng, tensor.Dims{24, 24, 24}, 800)
+	x := randCOO(rng, []int{24, 24, 24}, 800)
 	rank := 16
 	b := randMatrix(rng, 24, rank)
 	c := randMatrix(rng, 24, rank)

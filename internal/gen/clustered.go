@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"spblock/internal/nmode"
+	"spblock/internal/tensor"
 )
 
 // ClusteredNParams configures the generator that stands in for the
@@ -116,7 +117,7 @@ func ClusteredN(p ClusteredNParams, seed int64) (*nmode.Tensor, error) {
 		}
 		t.Append(coords, 1)
 	}
-	if err := dedup(t); err != nil {
+	if _, err := tensor.Dedup(t); err != nil {
 		return nil, err
 	}
 	trimToN(t, p.NNZ, draw)

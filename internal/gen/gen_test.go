@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,7 +175,7 @@ func TestPoissonBasic(t *testing.T) {
 	if got.NNZ() == 0 || got.NNZ() > 5000 {
 		t.Fatalf("nnz = %d", got.NNZ())
 	}
-	if !got.IsFiberSorted() {
+	if !fiberSorted(got) {
 		t.Fatal("Poisson output not sorted")
 	}
 	// Count data: all values are positive integers.
@@ -189,7 +190,7 @@ func TestPoissonBasic(t *testing.T) {
 		t.Fatal("Poisson not deterministic")
 	}
 	for p2 := 0; p2 < got.NNZ(); p2++ {
-		if got.I[p2] != again.I[p2] || got.Val[p2] != again.Val[p2] {
+		if got.Idx[0][p2] != again.Idx[0][p2] || got.Val[p2] != again.Val[p2] {
 			t.Fatal("Poisson not deterministic")
 		}
 	}
@@ -198,7 +199,7 @@ func TestPoissonBasic(t *testing.T) {
 	if other.NNZ() == got.NNZ() {
 		identical := true
 		for p2 := 0; p2 < got.NNZ(); p2++ {
-			if got.I[p2] != other.I[p2] || got.J[p2] != other.J[p2] {
+			if got.Idx[0][p2] != other.Idx[0][p2] || got.Idx[1][p2] != other.Idx[1][p2] {
 				identical = false
 				break
 			}
@@ -223,8 +224,8 @@ func TestPoissonSpreadLimitsSupport(t *testing.T) {
 	// small fraction of each mode.
 	p := PoissonNParams{Dims: []int{200, 200, 200}, Events: 4000, Components: 1, Spread: 0.05}
 	got := order3(t)(PoissonN(p, 3))
-	distinct := map[tensor.Index]bool{}
-	for _, i := range got.I {
+	distinct := map[nmode.Index]bool{}
+	for _, i := range got.Idx[0] {
 		distinct[i] = true
 	}
 	if len(distinct) > 20 {
@@ -241,7 +242,7 @@ func TestClusteredBasic(t *testing.T) {
 	if got.NNZ() > 8000 || got.NNZ() < 7000 {
 		t.Fatalf("nnz = %d, want close to 8000", got.NNZ())
 	}
-	if !got.IsFiberSorted() {
+	if !fiberSorted(got) {
 		t.Fatal("Clustered output not sorted")
 	}
 	// Determinism.
@@ -265,12 +266,18 @@ func TestClusteredHasDenseSubstructure(t *testing.T) {
 	// fibers (more nonzeros per (i,k) pair) than an unclustered
 	// power-law tensor of the same shape and nnz, because cluster
 	// boxes repeatedly hit the same (i,k) pairs.
-	dims := tensor.Dims{400, 300, 400}
+	dims := []int{400, 300, 400}
 	nnz := 20000
 	cl := order3(t)(ClusteredN(ClusteredNParams{Dims: dims[:], NNZ: nnz, ClusterFrac: 0.9, ClusterSide: 0.02}, 31))
 	bg := order3(t)(ClusteredN(ClusteredNParams{Dims: dims[:], NNZ: nnz, ClusterFrac: 1e-9}, 31))
-	clStats := tensor.ComputeStats(cl)
-	bgStats := tensor.ComputeStats(bg)
+	clStats, err := tensor.ComputeStats(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgStats, err := tensor.ComputeStats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if clStats.AvgFiberLength <= bgStats.AvgFiberLength {
 		t.Fatalf("clustered avg fiber %.3f not longer than background %.3f",
 			clStats.AvgFiberLength, bgStats.AvgFiberLength)
@@ -293,7 +300,7 @@ func TestRegistryComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.PaperDims.Valid() || !d.BenchDims.Valid() {
+		if len(d.PaperDims) != 3 || len(d.BenchDims) != 3 || slices.Min(d.PaperDims) <= 0 || slices.Min(d.BenchDims) <= 0 {
 			t.Fatalf("%s: invalid dims", n)
 		}
 		if d.PaperNNZ <= 0 || d.BenchNNZ <= 0 {
@@ -330,7 +337,7 @@ func TestRegistryGenerateSmall(t *testing.T) {
 	// GenerateAt lets tests run the registry generators at tiny scale.
 	for _, name := range Names() {
 		d, _ := Lookup(name)
-		small, err := d.GenerateAt(tensor.Dims{64, 64, 64}, 2000, 77)
+		small, err := d.GenerateAt([]int{64, 64, 64}, 2000, 77)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -352,19 +359,23 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// order3 returns a function that views a third-order generator result
-// as the fiber-sorted tensor.COO the order-3 code consumes, failing t
-// on an error.
-func order3(t *testing.T) func(*nmode.Tensor, error) *tensor.COO {
-	return func(x *nmode.Tensor, err error) *tensor.COO {
+// order3 returns a function that checks a generator result is a
+// third-order tensor, failing t on an error.
+func order3(t *testing.T) func(*nmode.Tensor, error) *nmode.Tensor {
+	return func(x *nmode.Tensor, err error) *nmode.Tensor {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := tensor.FromNMode(x)
-		if err != nil {
+		if err := tensor.CheckOrder3(x); err != nil {
 			t.Fatal(err)
 		}
-		return c
+		return x
 	}
+}
+
+// fiberSorted reports whether x is in fiber order (i, k, j).
+func fiberSorted(x *nmode.Tensor) bool {
+	perm, err := x.SortPerm(tensor.SPLATTModeOrder())
+	return err == nil && perm == nil
 }

@@ -82,7 +82,7 @@ func PoissonN(p PoissonNParams, seed int64) (*nmode.Tensor, error) {
 		}
 		t.Append(coords, 1)
 	}
-	if err := dedup(t); err != nil {
+	if _, err := tensor.Dedup(t); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -106,18 +106,6 @@ func componentModeDist(rng *rand.Rand, n int, spread float64) *Categorical {
 		w[perm[s]] = rng.ExpFloat64() + 1e-3
 	}
 	return NewCategorical(w)
-}
-
-// dedup merges the generated events' collisions into counts. Order-3
-// tensors come out in the fiber order (0, 2, 1) tensor.COO keeps, every
-// other order in the natural mode order.
-func dedup(t *nmode.Tensor) error {
-	var order []int
-	if t.Order() == 3 {
-		order = tensor.SPLATTModeOrder()
-	}
-	_, err := t.Dedup(order...)
-	return err
 }
 
 func validateDimsN(dims []int) error {

@@ -2,10 +2,10 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"spblock/internal/nmode"
-	"spblock/internal/tensor"
 )
 
 // Kind identifies a dataset family.
@@ -38,13 +38,13 @@ type DatasetSpec struct {
 	Kind Kind
 
 	// PaperDims and PaperNNZ are the shapes reported in Table II.
-	PaperDims tensor.Dims
+	PaperDims []int
 	PaperNNZ  int64
 
 	// BenchDims and BenchNNZ are the scaled shapes generated for the
 	// single-core reproduction (chosen so each tensor builds and runs
 	// in seconds while keeping the mode-length *ratios* of the paper).
-	BenchDims tensor.Dims
+	BenchDims []int
 	BenchNNZ  int
 
 	// Generator knobs.
@@ -58,27 +58,26 @@ type DatasetSpec struct {
 
 // PaperSparsity returns nnz / volume for the paper-scale shape.
 func (d DatasetSpec) PaperSparsity() float64 {
-	return float64(d.PaperNNZ) / d.PaperDims.Volume()
+	vol := 1.0
+	for _, n := range d.PaperDims {
+		vol *= float64(n)
+	}
+	return float64(d.PaperNNZ) / vol
 }
 
 // Generate builds the bench-scale tensor deterministically from seed.
-func (d DatasetSpec) Generate(seed int64) (*tensor.COO, error) {
-	dims := d.BenchDims[:]
-	var (
-		t   *nmode.Tensor
-		err error
-	)
+func (d DatasetSpec) Generate(seed int64) (*nmode.Tensor, error) {
 	switch d.Kind {
 	case KindPoisson:
-		t, err = PoissonN(PoissonNParams{
-			Dims:       dims,
+		return PoissonN(PoissonNParams{
+			Dims:       d.BenchDims,
 			Events:     d.BenchNNZ + d.BenchNNZ/8,
 			Components: d.Components,
 			Spread:     d.Spread,
 		}, seed)
 	case KindClustered:
-		t, err = ClusteredN(ClusteredNParams{
-			Dims:        dims,
+		return ClusteredN(ClusteredNParams{
+			Dims:        d.BenchDims,
 			NNZ:         d.BenchNNZ,
 			Clusters:    d.Clusters,
 			ClusterFrac: d.ClusterFrac,
@@ -88,15 +87,12 @@ func (d DatasetSpec) Generate(seed int64) (*tensor.COO, error) {
 	default:
 		return nil, fmt.Errorf("gen: unknown dataset kind %v", d.Kind)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return tensor.FromNMode(t)
 }
 
-// GenerateAt builds the tensor at an arbitrary shape using the spec's
-// generator knobs — used by experiments that sweep sizes.
-func (d DatasetSpec) GenerateAt(dims tensor.Dims, nnz int, seed int64) (*tensor.COO, error) {
+// GenerateAt builds the tensor at an arbitrary shape, of any order,
+// using the spec's generator knobs — used by experiments that sweep
+// sizes.
+func (d DatasetSpec) GenerateAt(dims []int, nnz int, seed int64) (*nmode.Tensor, error) {
 	s := d
 	s.BenchDims = dims
 	s.BenchNNZ = nnz
@@ -110,44 +106,44 @@ func (d DatasetSpec) GenerateAt(dims tensor.Dims, nnz int, seed int64) (*tensor.
 var Registry = map[string]DatasetSpec{
 	"Poisson1": {
 		Name: "Poisson1", Kind: KindPoisson,
-		PaperDims: tensor.Dims{256, 256, 256}, PaperNNZ: 1_500_000,
-		BenchDims: tensor.Dims{256, 256, 256}, BenchNNZ: 1_500_000,
+		PaperDims: []int{256, 256, 256}, PaperNNZ: 1_500_000,
+		BenchDims: []int{256, 256, 256}, BenchNNZ: 1_500_000,
 		Components: 16, Spread: 0.5,
 	},
 	"Poisson2": {
 		Name: "Poisson2", Kind: KindPoisson,
-		PaperDims: tensor.Dims{2_000, 16_000, 2_000}, PaperNNZ: 121_000_000,
-		BenchDims: tensor.Dims{250, 2_000, 250}, BenchNNZ: 1_900_000,
+		PaperDims: []int{2_000, 16_000, 2_000}, PaperNNZ: 121_000_000,
+		BenchDims: []int{250, 2_000, 250}, BenchNNZ: 1_900_000,
 		Components: 16, Spread: 0.35,
 	},
 	"Poisson3": {
 		Name: "Poisson3", Kind: KindPoisson,
-		PaperDims: tensor.Dims{30_000, 30_000, 30_000}, PaperNNZ: 135_000_000,
-		BenchDims: tensor.Dims{3_750, 3_750, 3_750}, BenchNNZ: 2_100_000,
+		PaperDims: []int{30_000, 30_000, 30_000}, PaperNNZ: 135_000_000,
+		BenchDims: []int{3_750, 3_750, 3_750}, BenchNNZ: 2_100_000,
 		Components: 24, Spread: 0.3,
 	},
 	"NELL2": {
 		Name: "NELL2", Kind: KindClustered,
-		PaperDims: tensor.Dims{12_000, 9_000, 29_000}, PaperNNZ: 77_000_000,
-		BenchDims: tensor.Dims{1_500, 1_125, 3_625}, BenchNNZ: 1_200_000,
+		PaperDims: []int{12_000, 9_000, 29_000}, PaperNNZ: 77_000_000,
+		BenchDims: []int{1_500, 1_125, 3_625}, BenchNNZ: 1_200_000,
 		Clusters: 48, ClusterFrac: 0.65, ClusterSide: 0.03, ZipfS: 1.05,
 	},
 	"Netflix": {
 		Name: "Netflix", Kind: KindClustered,
-		PaperDims: tensor.Dims{480_000, 18_000, 80}, PaperNNZ: 80_000_000,
-		BenchDims: tensor.Dims{60_000, 2_250, 80}, BenchNNZ: 1_250_000,
+		PaperDims: []int{480_000, 18_000, 80}, PaperNNZ: 80_000_000,
+		BenchDims: []int{60_000, 2_250, 80}, BenchNNZ: 1_250_000,
 		Clusters: 64, ClusterFrac: 0.6, ClusterSide: 0.02, ZipfS: 1.1,
 	},
 	"Reddit": {
 		Name: "Reddit", Kind: KindClustered,
-		PaperDims: tensor.Dims{1_200_000, 23_000, 1_300_000}, PaperNNZ: 924_000_000,
-		BenchDims: tensor.Dims{75_000, 1_450, 81_250}, BenchNNZ: 1_800_000,
+		PaperDims: []int{1_200_000, 23_000, 1_300_000}, PaperNNZ: 924_000_000,
+		BenchDims: []int{75_000, 1_450, 81_250}, BenchNNZ: 1_800_000,
 		Clusters: 96, ClusterFrac: 0.55, ClusterSide: 0.012, ZipfS: 1.15,
 	},
 	"Amazon": {
 		Name: "Amazon", Kind: KindClustered,
-		PaperDims: tensor.Dims{4_800_000, 1_800_000, 1_800_000}, PaperNNZ: 1_700_000_000,
-		BenchDims: tensor.Dims{150_000, 56_250, 56_250}, BenchNNZ: 1_700_000,
+		PaperDims: []int{4_800_000, 1_800_000, 1_800_000}, PaperNNZ: 1_700_000_000,
+		BenchDims: []int{150_000, 56_250, 56_250}, BenchNNZ: 1_700_000,
 		Clusters: 128, ClusterFrac: 0.7, ClusterSide: 0.008, ZipfS: 1.1,
 	},
 }
@@ -166,11 +162,13 @@ func Names() []string {
 	return names
 }
 
-// Lookup fetches a spec by name.
+// Lookup fetches a spec by name. Its shapes are copies, so a caller
+// may rescale them in place.
 func Lookup(name string) (DatasetSpec, error) {
 	d, ok := Registry[name]
 	if !ok {
 		return DatasetSpec{}, fmt.Errorf("gen: unknown dataset %q (have %v)", name, Names())
 	}
+	d.PaperDims, d.BenchDims = slices.Clone(d.PaperDims), slices.Clone(d.BenchDims)
 	return d, nil
 }

@@ -35,9 +35,13 @@ type Engine struct {
 	s *la.Matrix
 }
 
-// NewEngine builds the pair structure from t. The input is unchanged.
-func NewEngine(t *tensor.COO) (*Engine, error) {
-	c, err := nmode.Build(tensor.ToNMode(t), []int{0, 1, 2})
+// NewEngine builds the pair structure from the third-order tensor t.
+// The input is unchanged.
+func NewEngine(t *nmode.Tensor) (*Engine, error) {
+	if err := tensor.CheckOrder3(t); err != nil {
+		return nil, err
+	}
+	c, err := nmode.Build(t, []int{0, 1, 2})
 	if err != nil {
 		return nil, err
 	}

@@ -8,20 +8,16 @@ import (
 
 	"spblock/internal/core"
 	"spblock/internal/la"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
-func randCOO(rng *rand.Rand, dims tensor.Dims, nnz int) *tensor.COO {
-	t := tensor.NewCOO(dims, nnz)
+func randCOO(rng *rand.Rand, dims []int, nnz int) *nmode.Tensor {
+	t := nmode.NewTensor(dims, nnz)
 	for p := 0; p < nnz; p++ {
-		t.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.NormFloat64(),
-		)
+		t.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.NormFloat64())
 	}
-	t.Dedup()
+	tensor.Dedup(t)
 	return t
 }
 
@@ -34,19 +30,19 @@ func randMatrix(rng *rand.Rand, rows, cols int) *la.Matrix {
 }
 
 func TestNewEngineValidation(t *testing.T) {
-	bad := tensor.NewCOO(tensor.Dims{2, 2, 2}, 0)
-	bad.Append(5, 0, 0, 1)
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	bad.Append([]nmode.Index{5, 0, 0}, 1)
 	if _, err := NewEngine(bad); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
 }
 
 func TestPairStructure(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{3, 3, 4}, 0)
-	x.Append(2, 0, 2, 4)
-	x.Append(0, 0, 3, 2) // same pair (0,0) as the last entry
-	x.Append(0, 1, 0, 3)
-	x.Append(0, 0, 1, 1)
+	x := nmode.NewTensor([]int{3, 3, 4}, 0)
+	x.Append([]nmode.Index{2, 0, 2}, 4)
+	x.Append([]nmode.Index{0, 0, 3}, 2) // same pair (0,0) as the last entry
+	x.Append([]nmode.Index{0, 1, 0}, 3)
+	x.Append([]nmode.Index{0, 0, 1}, 1)
 	e, err := NewEngine(x)
 	if err != nil {
 		t.Fatal(err)
@@ -60,18 +56,18 @@ func TestPairStructure(t *testing.T) {
 		name      string
 		got, want any
 	}{
-		{"i", e.pairs.ID[0], []tensor.Index{0, 2}},
+		{"i", e.pairs.ID[0], []nmode.Index{0, 2}},
 		{"i pointers", e.pairs.Ptr[0], []int32{0, 2, 3}},
-		{"j", e.pairs.ID[1], []tensor.Index{0, 1, 0}},
+		{"j", e.pairs.ID[1], []nmode.Index{0, 1, 0}},
 		{"pair pointers", e.pairs.Ptr[1], []int32{0, 2, 3, 4}},
-		{"k", e.pairs.ID[2], []tensor.Index{1, 3, 0, 2}},
+		{"k", e.pairs.ID[2], []nmode.Index{1, 3, 0, 2}},
 		{"values", e.pairs.Val, []float64{1, 2, 3, 4}},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Fatalf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
-	if x.I[0] != 2 {
+	if x.Idx[0][0] != 2 {
 		t.Fatal("NewEngine reordered the caller's tensor")
 	}
 	if e.MemoBytes(16) != 3*16*8 {
@@ -81,7 +77,7 @@ func TestPairStructure(t *testing.T) {
 
 func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	dims := tensor.Dims{12, 14, 10}
+	dims := []int{12, 14, 10}
 	x := randCOO(rng, dims, 400)
 	e, err := NewEngine(x)
 	if err != nil {
@@ -130,7 +126,7 @@ func TestFoldsMatchPlainMTTKRP(t *testing.T) {
 
 func TestFoldValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	dims := tensor.Dims{4, 5, 6}
+	dims := []int{4, 5, 6}
 	x := randCOO(rng, dims, 30)
 	e, err := NewEngine(x)
 	if err != nil {
@@ -163,7 +159,7 @@ func TestFoldValidation(t *testing.T) {
 
 func TestComputeSRankChangeReallocates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x := randCOO(rng, tensor.Dims{6, 6, 6}, 50)
+	x := randCOO(rng, []int{6, 6, 6}, 50)
 	e, err := NewEngine(x)
 	if err != nil {
 		t.Fatal(err)
@@ -184,15 +180,15 @@ func TestFlopAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	// Long fibers in k: many nonzeros share (i,j) pairs, so P << nnz
 	// and memoization pays off.
-	x := tensor.NewCOO(tensor.Dims{10, 10, 200}, 0)
+	x := nmode.NewTensor([]int{10, 10, 200}, 0)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
 			for k := 0; k < 50; k++ {
-				x.Append(tensor.Index(i), tensor.Index(j), tensor.Index(rng.Intn(200)), 1)
+				x.Append([]nmode.Index{nmode.Index(i), nmode.Index(j), nmode.Index(rng.Intn(200))}, 1)
 			}
 		}
 	}
-	x.Dedup()
+	tensor.Dedup(x)
 	e, err := NewEngine(x)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +212,7 @@ func TestFlopAccounting(t *testing.T) {
 func TestQuickMemoFolds(t *testing.T) {
 	f := func(seed int64, r uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		dims := tensor.Dims{6, 7, 5}
+		dims := []int{6, 7, 5}
 		x := randCOO(rng, dims, 100)
 		rank := int(r%20) + 1
 		a := randMatrix(rng, dims[0], rank)
@@ -232,11 +228,11 @@ func TestQuickMemoFolds(t *testing.T) {
 		want1 := la.NewMatrix(dims[0], rank)
 		want2 := la.NewMatrix(dims[1], rank)
 		for p := 0; p < x.NNZ(); p++ {
-			arow := a.Row(int(x.I[p]))
-			brow := b.Row(int(x.J[p]))
-			crow := c.Row(int(x.K[p]))
-			o1 := want1.Row(int(x.I[p]))
-			o2 := want2.Row(int(x.J[p]))
+			arow := a.Row(int(x.Idx[0][p]))
+			brow := b.Row(int(x.Idx[1][p]))
+			crow := c.Row(int(x.Idx[2][p]))
+			o1 := want1.Row(int(x.Idx[0][p]))
+			o2 := want2.Row(int(x.Idx[1][p]))
 			for q := 0; q < rank; q++ {
 				o1[q] += x.Val[p] * brow[q] * crow[q]
 				o2[q] += x.Val[p] * arow[q] * crow[q]
@@ -261,7 +257,7 @@ func TestQuickMemoFolds(t *testing.T) {
 // the high-water mark allocates a fresh buffer.
 func TestComputeSRankChangeReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	dims := tensor.Dims{9, 8, 7}
+	dims := []int{9, 8, 7}
 	x := randCOO(rng, dims, 160)
 	e, err := NewEngine(x)
 	if err != nil {

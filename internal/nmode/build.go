@@ -19,7 +19,7 @@ type Span struct {
 // Builder is the one CSF construction routine. Every tree in the
 // module comes from Builder.Tree: Build over a whole tensor (the memo
 // pair tree included), each BuildBlocked block, each out-of-core slot,
-// and the SPLATT trees of tensor.BuildCSF. A Builder owns the sort
+// and the SPLATT trees (tensor.SPLATTModeOrder). A Builder owns the sort
 // scratch, so successive trees reuse it.
 type Builder struct {
 	perm, tmp []int32   // positions in mode order; the sort's double buffer, then the boundary levels

@@ -323,7 +323,7 @@ func normalizeGrid(grid, dims []int) ([]int, bool, error) {
 		return nil, false, nil
 	}
 	if len(grid) != len(dims) {
-		return nil, false, fmt.Errorf("nmode: grid %v for order-%d tensor", grid, len(dims))
+		return nil, false, fmt.Errorf("%w: grid %v for order-%d tensor", ErrBadTensor, grid, len(dims))
 	}
 	out := make([]int, len(grid))
 	blocked := false

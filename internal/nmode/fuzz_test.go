@@ -2,14 +2,18 @@ package nmode
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzReadTNS drives the order-N text parser with arbitrary inputs: it
-// must never panic, and whatever it accepts must validate and
-// round-trip, mirroring the order-3 parser's fuzz contract in
-// internal/tensor.
+// must never panic, whatever it accepts must validate and round-trip,
+// and Dedup must merge its duplicates exactly as the input-order map
+// oracle, in the natural mode order and in the fiber order
+// (0, N−1, …, 1), which at order 3 is the SPLATT order (0, 2, 1).
 func FuzzReadTNS(f *testing.F) {
 	seeds := []string{
 		"1 1 1 5.0\n",
@@ -43,11 +47,72 @@ func FuzzReadTNS(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip of accepted tensor failed: %v", err)
 		}
-		if back.NNZ() != c.NNZ() || back.Order() != c.Order() {
+		if back.NNZ() != c.NNZ() || !slices.Equal(back.Dims, c.Dims) {
 			t.Fatalf("round trip changed shape: %v/%d vs %v/%d",
 				back.Dims, back.NNZ(), c.Dims, c.NNZ())
 		}
+		want := dedupOracle(c)
+		fiber := []int{0}
+		for m := c.Order() - 1; m > 0; m-- {
+			fiber = append(fiber, m)
+		}
+		for _, order := range [][]int{nil, fiber} {
+			d := c.Clone()
+			if _, err := d.Dedup(order...); err != nil {
+				t.Fatalf("Dedup(%v): %v", order, err)
+			}
+			if err := checkDedup(d, order, want); err != nil {
+				t.Fatalf("Dedup(%v): %v", order, err)
+			}
+		}
 	})
+}
+
+// dedupOracle sums each coordinate's values left to right in input
+// order, the order Dedup must merge duplicates in.
+func dedupOracle(t *Tensor) map[string]float64 {
+	sums := make(map[string]float64, t.NNZ())
+	for p := 0; p < t.NNZ(); p++ {
+		key := fmt.Sprint(t.Coord(p, nil))
+		if s, ok := sums[key]; ok {
+			sums[key] = s + t.Val[p]
+		} else {
+			sums[key] = t.Val[p]
+		}
+	}
+	return sums
+}
+
+// checkDedup reports whether t holds exactly want's coordinates in
+// strictly increasing order by the mode order (nil: natural), each
+// with want's value bits.
+func checkDedup(t *Tensor, order []int, want map[string]float64) error {
+	if t.NNZ() != len(want) {
+		return fmt.Errorf("nnz = %d, want %d distinct coordinates", t.NNZ(), len(want))
+	}
+	if order == nil {
+		order = make([]int, t.Order())
+		for m := range order {
+			order[m] = m
+		}
+	}
+	ordered := func(p int) []Index {
+		key := make([]Index, len(order))
+		for d, m := range order {
+			key[d] = t.Idx[m][p]
+		}
+		return key
+	}
+	for p := 0; p < t.NNZ(); p++ {
+		if p > 0 && slices.Compare(ordered(p-1), ordered(p)) >= 0 {
+			return fmt.Errorf("entries %d and %d out of order %v: %v, %v", p-1, p, order, ordered(p-1), ordered(p))
+		}
+		key := fmt.Sprint(t.Coord(p, nil))
+		if got := t.Val[p]; math.Float64bits(got) != math.Float64bits(want[key]) {
+			return fmt.Errorf("entry %s = %v, want the input-order sum %v", key, got, want[key])
+		}
+	}
+	return nil
 }
 
 // FuzzCSFBuild decodes an arbitrary byte string into a small sparse
@@ -55,9 +120,8 @@ func FuzzReadTNS(f *testing.F) {
 // layout from them, and checks the results: the spblockcheck structure
 // oracle, the tree against the sort.SliceStable oracle, and every block
 // against Build over that block's nonzeros. Every build path in the
-// module (Build, BuildBlocked, out-of-core slots, and through them
-// tensor.BuildCSF, tensor.BuildBlocked and memo) goes through the one
-// Builder this exercises.
+// module (Build, BuildBlocked, out-of-core slots and memo) goes
+// through the one Builder this exercises.
 func FuzzCSFBuild(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 6, 0, 1, 2, 7, 3, 3, 3, 1, 1, 1}, []byte{1, 2, 3})
 	f.Add([]byte{2, 1, 1, 0, 0}, []byte{})

@@ -12,7 +12,7 @@ import (
 
 // ErrNoData reports an input with neither data lines nor a dims
 // comment, so the order is unknowable. Adapters with a fixed order
-// (tensor.ReadTNS) match it to substitute an empty tensor.
+// (the facade's order-3 ReadTNS) match it to substitute an empty tensor.
 var ErrNoData = errors.New("nmode: empty input with no dims comment")
 
 // lineReader yields '\n'-terminated lines of unbounded length from a

@@ -104,18 +104,72 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
+// NormSquared returns Σ v² over the values, in storage order.
+func (t *Tensor) NormSquared() float64 {
+	var s float64
+	for _, v := range t.Val {
+		s += v * v
+	}
+	return s
+}
+
+// Permute returns a view of t whose mode m is t's mode perm[m]: the
+// dims and coordinate slices are reordered, the storage is shared.
+// MTTKRP for mode n of t equals MTTKRP for mode 0 of the view with
+// perm[0] = n (Sec. III-B).
+func (t *Tensor) Permute(perm []int) (*Tensor, error) {
+	if err := checkModeOrder(perm, t.Order()); err != nil {
+		return nil, err
+	}
+	v := &Tensor{Dims: make([]int, len(perm)), Idx: make([][]Index, len(perm)), Val: t.Val}
+	for m, p := range perm {
+		v.Dims[m], v.Idx[m] = t.Dims[p], t.Idx[p]
+	}
+	return v, nil
+}
+
 // SortByModes sorts entries lexicographically by the given mode order
-// (order[0] most significant) with the Builder's stable LSD counting
-// sort, one linear pass per mode, so equal coordinates keep their input
-// order. Each mode is keyed over the span its coordinates cover, so
-// coordinates outside Dims sort too, as long as no mode's span is wider
-// than both the longest mode and the nonzero count.
+// (order[0] most significant; nil: the natural order 0..N-1) with the
+// Builder's stable LSD counting sort, one linear pass per mode, so
+// equal coordinates keep their input order. Each mode is keyed over the
+// span its coordinates cover, so coordinates outside Dims sort too, as
+// long as no mode's span is wider than both the longest mode and the
+// nonzero count.
 func (t *Tensor) SortByModes(order []int) error {
+	perm, err := t.SortPerm(order)
+	if perm == nil {
+		return err
+	}
+	for m := range t.Idx {
+		applied := make([]Index, len(perm))
+		for i, p := range perm {
+			applied[i] = t.Idx[m][p]
+		}
+		t.Idx[m] = applied
+	}
+	vals := make([]float64, len(perm))
+	for i, p := range perm {
+		vals[i] = t.Val[p]
+	}
+	t.Val = vals
+	return nil
+}
+
+// SortPerm is SortByModes without the reordering: it leaves t as it is
+// and returns the permutation that sorts it, perm[i] being the position
+// of the i-th entry in order, or nil when t is already in order.
+func (t *Tensor) SortPerm(order []int) ([]int32, error) {
 	if t.Order() < 1 {
-		return fmt.Errorf("%w: zero-order tensor", ErrBadTensor)
+		return nil, fmt.Errorf("%w: zero-order tensor", ErrBadTensor)
+	}
+	if order == nil {
+		order = make([]int, t.Order())
+		for m := range order {
+			order[m] = m
+		}
 	}
 	if err := checkModeOrder(order, t.Order()); err != nil {
-		return err
+		return nil, err
 	}
 	n := t.NNZ()
 	base := make([]Index, t.Order())
@@ -123,7 +177,7 @@ func (t *Tensor) SortByModes(order []int) error {
 	limit := max(slices.Max(t.Dims), n)
 	for m, idx := range t.Idx {
 		if len(idx) != n {
-			return fmt.Errorf("%w: mode %d has %d coords for %d values", ErrBadTensor, m, len(idx), n)
+			return nil, fmt.Errorf("%w: mode %d has %d coords for %d values", ErrBadTensor, m, len(idx), n)
 		}
 		if n == 0 {
 			continue
@@ -134,40 +188,19 @@ func (t *Tensor) SortByModes(order []int) error {
 		}
 		base[m], ext[m] = lo, int(hi)-int(lo)+1
 		if ext[m] > limit {
-			return fmt.Errorf("%w: mode %d coordinates span [%d,%d], wider than %d",
+			return nil, fmt.Errorf("%w: mode %d coordinates span [%d,%d], wider than %d",
 				ErrBadTensor, m, lo, hi, limit)
 		}
 	}
 	b := NewBuilder(t.Order(), n, slices.Max(ext))
 	perm, _ := b.sortPerm(&Span{Idx: t.Idx, Val: t.Val, Base: base, Ext: ext}, order)
-	if perm == nil {
-		return nil // already in order
-	}
-	for m := range t.Idx {
-		applied := make([]Index, n)
-		for i, p := range perm {
-			applied[i] = t.Idx[m][p]
-		}
-		t.Idx[m] = applied
-	}
-	vals := make([]float64, n)
-	for i, p := range perm {
-		vals[i] = t.Val[p]
-	}
-	t.Val = vals
-	return nil
+	return perm, nil
 }
 
 // Dedup sorts by the given mode order (default: the natural order
 // 0..N-1) and merges duplicate coordinates, summing their values in
 // input order. Returns the number of merged entries.
 func (t *Tensor) Dedup(order ...int) (int, error) {
-	if order == nil {
-		order = make([]int, t.Order())
-		for m := range order {
-			order[m] = m
-		}
-	}
 	if err := t.SortByModes(order); err != nil || t.NNZ() == 0 {
 		return 0, err
 	}

@@ -7,9 +7,10 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 // Chunk partitions indices [0, n) (n = len(weights)) into at most
@@ -49,21 +50,12 @@ func Chunk(weights []int64, parts int) ([]int, error) {
 }
 
 // SliceWeights counts nonzeros per index of the given mode.
-func SliceWeights(t *tensor.COO, mode int) ([]int64, error) {
-	if mode < 0 || mode > 2 {
+func SliceWeights(t *nmode.Tensor, mode int) ([]int64, error) {
+	if mode < 0 || mode >= t.Order() {
 		return nil, fmt.Errorf("partition: mode %d out of range", mode)
 	}
 	w := make([]int64, t.Dims[mode])
-	var coords []tensor.Index
-	switch mode {
-	case 0:
-		coords = t.I
-	case 1:
-		coords = t.J
-	default:
-		coords = t.K
-	}
-	for _, c := range coords {
+	for _, c := range t.Idx[mode] {
 		w[c]++
 	}
 	return w, nil
@@ -74,11 +66,11 @@ func SliceWeights(t *tensor.COO, mode int) ([]int64, error) {
 // is Σ_m dims[m]/g[m]·R words per rank, which is minimised when g is
 // proportional to the mode lengths (subject to q·r·s = p and
 // g[m] <= dims[m]).
-func Grid3(p int, dims tensor.Dims) ([3]int, error) {
+func Grid3(p int, dims []int) ([3]int, error) {
 	if p <= 0 {
 		return [3]int{}, fmt.Errorf("partition: p must be positive, got %d", p)
 	}
-	if !dims.Valid() {
+	if len(dims) != 3 || slices.Min(dims) <= 0 {
 		return [3]int{}, fmt.Errorf("partition: invalid dims %v", dims)
 	}
 	best := [3]int{}
@@ -156,7 +148,7 @@ func (g Grid4) String() string {
 // NewGrid4 builds the 4D grid for p processors with t rank parts:
 // p must be divisible by t, and the rank R must split into t
 // register-width-friendly parts.
-func NewGrid4(p, t, rank int, dims tensor.Dims) (Grid4, error) {
+func NewGrid4(p, t, rank int, dims []int) (Grid4, error) {
 	if t <= 0 || p%t != 0 {
 		return Grid4{}, fmt.Errorf("partition: rank parts %d must divide p=%d", t, p)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 func TestChunkValidation(t *testing.T) {
@@ -123,10 +123,10 @@ func TestQuickChunkInvariants(t *testing.T) {
 }
 
 func TestSliceWeights(t *testing.T) {
-	x := tensor.NewCOO(tensor.Dims{3, 4, 5}, 0)
-	x.Append(0, 1, 2, 1)
-	x.Append(0, 3, 2, 1)
-	x.Append(2, 1, 4, 1)
+	x := nmode.NewTensor([]int{3, 4, 5}, 0)
+	x.Append([]nmode.Index{0, 1, 2}, 1)
+	x.Append([]nmode.Index{0, 3, 2}, 1)
+	x.Append([]nmode.Index{2, 1, 4}, 1)
 	w0, err := SliceWeights(x, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestSliceWeights(t *testing.T) {
 
 func TestGrid3Shapes(t *testing.T) {
 	// Netflix-like: nearly all parts go to the huge mode-1.
-	g, err := Grid3(64, tensor.Dims{480000, 18000, 80})
+	g, err := Grid3(64, []int{480000, 18000, 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGrid3Shapes(t *testing.T) {
 	}
 
 	// Cubic tensor: balanced grid.
-	g2, err := Grid3(64, tensor.Dims{30000, 30000, 30000})
+	g2, err := Grid3(64, []int{30000, 30000, 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGrid3Shapes(t *testing.T) {
 
 func TestGrid3RespectsModeLengths(t *testing.T) {
 	// p exceeds one mode: that mode cannot take more parts than length.
-	g, err := Grid3(16, tensor.Dims{2, 100, 100})
+	g, err := Grid3(16, []int{2, 100, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +186,16 @@ func TestGrid3RespectsModeLengths(t *testing.T) {
 		t.Fatalf("grid %v wrong product", g)
 	}
 	// Impossible: p larger than volume.
-	if _, err := Grid3(1000, tensor.Dims{2, 2, 2}); err == nil {
+	if _, err := Grid3(1000, []int{2, 2, 2}); err == nil {
 		t.Fatal("impossible grid accepted")
 	}
-	if _, err := Grid3(0, tensor.Dims{2, 2, 2}); err == nil {
+	if _, err := Grid3(0, []int{2, 2, 2}); err == nil {
 		t.Fatal("p=0 accepted")
 	}
 }
 
 func TestGrid3PrimeP(t *testing.T) {
-	g, err := Grid3(7, tensor.Dims{100, 50, 10})
+	g, err := Grid3(7, []int{100, 50, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDivisors(t *testing.T) {
 }
 
 func TestNewGrid4(t *testing.T) {
-	g, err := NewGrid4(32, 4, 64, tensor.Dims{1000, 1000, 1000})
+	g, err := NewGrid4(32, 4, 64, []int{1000, 1000, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +234,10 @@ func TestNewGrid4(t *testing.T) {
 	if g.String() != "2x2x2x4" {
 		t.Fatalf("String = %q", g.String())
 	}
-	if _, err := NewGrid4(32, 5, 64, tensor.Dims{10, 10, 10}); err == nil {
+	if _, err := NewGrid4(32, 5, 64, []int{10, 10, 10}); err == nil {
 		t.Fatal("t not dividing p accepted")
 	}
-	if _, err := NewGrid4(32, 4, 66, tensor.Dims{10, 10, 10}); err == nil {
+	if _, err := NewGrid4(32, 4, 66, []int{10, 10, 10}); err == nil {
 		t.Fatal("rank not divisible by t accepted")
 	}
 }

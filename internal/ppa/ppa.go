@@ -85,8 +85,9 @@ func (v Variant) TraceOptions(rank int) cachesim.Options {
 }
 
 // Run executes the variant kernel once over the SPLATT tree t (built by
-// tensor.BuildCSF) at the rank implied by out.Cols, accumulating into
-// out (whose contents are meaningful only for Type6Unchanged), and
+// nmode.Build in tensor.SPLATTModeOrder) at the rank implied by
+// out.Cols, accumulating into out (whose contents are meaningful only
+// for Type6Unchanged), and
 // returns a checksum that the caller should consume to keep the
 // compiler honest.
 func Run(v Variant, t *nmode.CSF, b, c, out *la.Matrix, accum []float64) float64 {

@@ -10,20 +10,15 @@ import (
 	"spblock/internal/tensor"
 )
 
-func testTensor(t *testing.T, seed int64, dims tensor.Dims, nnz int) *nmode.CSF {
+func testTensor(t *testing.T, seed int64, dims []int, nnz int) *nmode.CSF {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	c := tensor.NewCOO(dims, nnz)
+	c := nmode.NewTensor(dims, nnz)
 	for p := 0; p < nnz; p++ {
-		c.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.Float64()+0.1,
-		)
+		c.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.Float64()+0.1)
 	}
-	c.Dedup()
-	csf, err := tensor.BuildCSF(c)
+	tensor.Dedup(c)
+	csf, err := nmode.Build(c, tensor.SPLATTModeOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +45,7 @@ func TestVariantsCompleteAndDescribed(t *testing.T) {
 func TestBaselineMatchesSPLATTSemantics(t *testing.T) {
 	// Type 6 must compute a real MTTKRP (it is the reference all other
 	// pressure points are compared against).
-	csf := testTensor(t, 1, tensor.Dims{8, 8, 8}, 100)
+	csf := testTensor(t, 1, []int{8, 8, 8}, 100)
 	rank := 16
 	rng := rand.New(rand.NewSource(2))
 	b := la.NewMatrix(8, rank)
@@ -89,7 +84,7 @@ func TestBaselineMatchesSPLATTSemantics(t *testing.T) {
 }
 
 func TestAllVariantsRunWithoutPanic(t *testing.T) {
-	csf := testTensor(t, 3, tensor.Dims{10, 12, 9}, 200)
+	csf := testTensor(t, 3, []int{10, 12, 9}, 200)
 	for _, rank := range []int{8, 16, 24, 33} { // includes non-multiple-of-16 tails
 		b := la.NewMatrix(12, rank)
 		c := la.NewMatrix(9, rank)
@@ -108,12 +103,12 @@ func TestRunPanicsOnUnknownVariant(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	csf := testTensor(t, 4, tensor.Dims{4, 4, 4}, 10)
+	csf := testTensor(t, 4, []int{4, 4, 4}, 10)
 	Run(Variant(0), csf, la.NewMatrix(4, 8), la.NewMatrix(4, 8), la.NewMatrix(4, 8), make([]float64, 8))
 }
 
 func TestMeasureValidation(t *testing.T) {
-	csf := testTensor(t, 5, tensor.Dims{4, 4, 4}, 10)
+	csf := testTensor(t, 5, []int{4, 4, 4}, 10)
 	if _, err := Measure(csf, la.NewMatrix(4, 8), la.NewMatrix(4, 4), 8, 1); err == nil {
 		t.Fatal("mismatched ranks accepted")
 	}
@@ -140,7 +135,7 @@ func TestMeasureValidation(t *testing.T) {
 }
 
 func TestMeasureProducesOrderedResults(t *testing.T) {
-	csf := testTensor(t, 6, tensor.Dims{16, 64, 16}, 2000)
+	csf := testTensor(t, 6, []int{16, 64, 16}, 2000)
 	rank := 32
 	rng := rand.New(rand.NewSource(7))
 	b := la.NewMatrix(64, rank)
@@ -180,7 +175,7 @@ func TestMeasureProducesOrderedResults(t *testing.T) {
 func TestTrafficOrderingMatchesTableI(t *testing.T) {
 	// A tensor whose B footprint dwarfs the cache: J = 8192, rank 128
 	// -> 8 MB.
-	csf := testTensor(t, 8, tensor.Dims{64, 8192, 64}, 60000)
+	csf := testTensor(t, 8, []int{64, 8192, 64}, 60000)
 	rank := 128
 	mem := func(v Variant) int64 {
 		tr, err := cachesim.MeasureTraffic(cachesim.POWER8(), func(h *cachesim.Hierarchy) error {

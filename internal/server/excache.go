@@ -9,7 +9,6 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/metrics"
 	"spblock/internal/nmode"
-	"spblock/internal/tensor"
 )
 
 // Entry is one cached tensor plus its lazily built multi-mode executor
@@ -20,7 +19,7 @@ import (
 // stack mid-Run.
 type Entry struct {
 	fp string
-	t  *tensor.COO
+	t  *nmode.Tensor
 
 	// lease is the exclusivity token: buffered capacity 1, full while
 	// a job owns the entry. Acquisition is context-cancellable.
@@ -49,14 +48,14 @@ type Entry struct {
 	// would orphan the caller's reference, and a later Executor build
 	// on the orphan would charge bytes the cache can never reclaim.
 	pending int
-	snaps   [3]metrics.Snapshot
+	snaps   []metrics.Snapshot
 }
 
 // Fingerprint returns the entry's cache key.
 func (e *Entry) Fingerprint() string { return e.fp }
 
 // Tensor returns the cached tensor. It is immutable once cached.
-func (e *Entry) Tensor() *tensor.COO { return e.t }
+func (e *Entry) Tensor() *nmode.Tensor { return e.t }
 
 // Acquire takes the entry's exclusive lease, waiting until the current
 // holder releases it or ctx is done. Either way the Get pin is
@@ -115,9 +114,10 @@ func (e *Entry) Release() { <-e.lease }
 // the lease holder, after the job's last Run — the snapshot is taken
 // here, under exclusivity, precisely so the scrape path never has to.
 func (e *Entry) publish() {
-	var snaps [3]metrics.Snapshot
+	var snaps []metrics.Snapshot
 	if e.eng != nil {
-		for mode := 0; mode < 3; mode++ {
+		snaps = make([]metrics.Snapshot, e.eng.Order())
+		for mode := range snaps {
 			if met, err := e.eng.Metrics(mode); err == nil {
 				snaps[mode] = met.Snapshot()
 			}
@@ -134,13 +134,13 @@ func (e *Entry) publish() {
 // EntryStats is the scrape-side copy of an entry's published state.
 type EntryStats struct {
 	Fingerprint string
-	Dims        tensor.Dims
+	Dims        []int
 	NNZ         int
 	Bytes       int64
 	Jobs        int64
 	Leases      int64
 	Built       bool
-	Snaps       [3]metrics.Snapshot
+	Snaps       []metrics.Snapshot
 }
 
 // Stats copies the published statistics out under mu.
@@ -208,21 +208,25 @@ func NewCache(cfg CacheConfig) *Cache {
 	return &Cache{cfg: cfg, entries: make(map[string]*Entry)}
 }
 
-// tensorBytes estimates a COO tensor's resident footprint.
-func tensorBytes(t *tensor.COO) int64 {
-	return int64(t.NNZ()) * (3*4 + 8)
+// tensorBytes estimates a coordinate tensor's resident footprint: one
+// 4-byte index per mode and an 8-byte value per nonzero.
+func tensorBytes(t *nmode.Tensor) int64 {
+	return int64(t.NNZ()) * int64(4*t.Order()+8)
 }
 
 // Put inserts t under its fingerprint, or returns the existing entry
 // when the same logical tensor is already cached (the upload-side
 // dedup). The caller must have Validated and Deduped t.
-func (c *Cache) Put(t *tensor.COO) (e *Entry, existed bool) {
-	fp := Fingerprint(t)
+func (c *Cache) Put(t *nmode.Tensor) (e *Entry, existed bool, err error) {
+	fp, err := Fingerprint(t)
+	if err != nil {
+		return nil, false, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[fp]; ok {
 		c.touchLocked(e)
-		return e, true
+		return e, true, nil
 	}
 	e = &Entry{fp: fp, t: t, lease: make(chan struct{}, 1), plan: c.cfg.Plan, workers: c.cfg.Plan.Workers}
 	e.bytes = tensorBytes(t)
@@ -230,7 +234,7 @@ func (c *Cache) Put(t *tensor.COO) (e *Entry, existed bool) {
 	c.total += e.bytes
 	c.touchLocked(e)
 	c.evictLocked(e)
-	return e, false
+	return e, false, nil
 }
 
 // Get looks a fingerprint up, counting the job-side hit or miss. The
@@ -313,7 +317,9 @@ func (e *Entry) applyWorkers(requested int) error {
 func (e *Entry) planString() string {
 	p := e.plan
 	for m, g := range p.Grid {
-		p.Grid[m] = min(max(g, 1), e.t.Dims[m])
+		if m < e.t.Order() {
+			p.Grid[m] = min(max(g, 1), e.t.Dims[m])
+		}
 	}
 	return p.String()
 }

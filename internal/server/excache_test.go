@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"spblock/internal/core"
-	"spblock/internal/tensor"
 )
 
 // entryBytesSum adds up the resident entries' published byte counts —
@@ -40,14 +39,14 @@ func resident(c *Cache, fp string) bool {
 // The handout here goes through Put's return value, which carries no
 // eviction pin — exactly the lease-free window the race needs.
 func TestExecutorBuildOnOrphanedEntryNotCharged(t *testing.T) {
-	a := randCOO(1, tensor.Dims{12, 10, 8}, 200)
+	a := randCOO(1, []int{12, 10, 8}, 200)
 	budget := tensorBytes(a) + tensorBytes(a)/8
 	c := NewCache(CacheConfig{MaxBytes: budget, Plan: core.Plan{Method: core.MethodSPLATT}})
 
-	ea, _ := c.Put(a)
+	ea, _, _ := c.Put(a)
 	// A second insert pushes over budget and evicts the unleased,
 	// unpinned entry: ea is now orphaned but the job still holds it.
-	c.Put(randCOO(2, tensor.Dims{12, 10, 8}, 200))
+	c.Put(randCOO(2, []int{12, 10, 8}, 200))
 	if resident(c, ea.Fingerprint()) {
 		t.Fatal("orphan setup failed: first entry was not evicted")
 	}
@@ -76,11 +75,11 @@ func TestExecutorBuildOnOrphanedEntryNotCharged(t *testing.T) {
 // holder's Acquire resolves, so the Get→Acquire window can never
 // orphan a job's entry.
 func TestGetPinsEntryAgainstEviction(t *testing.T) {
-	a := randCOO(3, tensor.Dims{12, 10, 8}, 200)
+	a := randCOO(3, []int{12, 10, 8}, 200)
 	budget := tensorBytes(a) + tensorBytes(a)/8
 	c := NewCache(CacheConfig{MaxBytes: budget, Plan: core.Plan{Method: core.MethodSPLATT}})
 
-	ea, _ := c.Put(a)
+	ea, _, _ := c.Put(a)
 	fp := ea.Fingerprint()
 	got, ok := c.Get(fp)
 	if !ok {
@@ -89,7 +88,7 @@ func TestGetPinsEntryAgainstEviction(t *testing.T) {
 
 	// Eviction pressure during the handout window: the pinned entry
 	// must be passed over even though it is least recently used.
-	c.Put(randCOO(4, tensor.Dims{12, 10, 8}, 200))
+	c.Put(randCOO(4, []int{12, 10, 8}, 200))
 	if !resident(c, fp) {
 		t.Fatal("pinned entry was evicted during the Get→Acquire window")
 	}
@@ -106,7 +105,7 @@ func TestGetPinsEntryAgainstEviction(t *testing.T) {
 		t.Fatalf("cache says %d bytes, resident entries hold %d", bytes, want)
 	}
 
-	c.Put(randCOO(5, tensor.Dims{12, 10, 8}, 200))
+	c.Put(randCOO(5, []int{12, 10, 8}, 200))
 	if resident(c, fp) {
 		t.Fatal("released entry survived eviction pressure after its pin was consumed")
 	}
@@ -119,11 +118,11 @@ func TestGetPinsEntryAgainstEviction(t *testing.T) {
 // gives up waiting for the lease must not leave its Get pin behind, or
 // the entry would be unevictable forever.
 func TestAcquireCancelConsumesPin(t *testing.T) {
-	a := randCOO(6, tensor.Dims{12, 10, 8}, 200)
+	a := randCOO(6, []int{12, 10, 8}, 200)
 	budget := tensorBytes(a) + tensorBytes(a)/8
 	c := NewCache(CacheConfig{MaxBytes: budget, Plan: core.Plan{Method: core.MethodSPLATT}})
 
-	ea, _ := c.Put(a)
+	ea, _, _ := c.Put(a)
 	if err := ea.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestAcquireCancelConsumesPin(t *testing.T) {
 	ea.Release()
 
 	// The canceled caller is gone; the entry must be evictable again.
-	c.Put(randCOO(7, tensor.Dims{12, 10, 8}, 200))
+	c.Put(randCOO(7, []int{12, 10, 8}, 200))
 	if resident(c, ea.Fingerprint()) {
 		t.Fatal("canceled Acquire leaked its pin: entry is unevictable")
 	}

@@ -22,48 +22,44 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
 
-	"spblock/internal/tensor"
+	"spblock/internal/nmode"
 )
 
 // Fingerprint returns a content hash identifying t up to nonzero
-// storage order: the sha256 of the dims and the (i, j, k, value)
-// stream in canonical coordinate order. Two uploads of the same
-// logical tensor — however their lines were ordered — map to the same
-// cache entry, while any changed value, coordinate or mode length maps
-// elsewhere. The tensor is not mutated (the canonical order is
-// realised through an index permutation, not a sort of t itself);
-// callers should Dedup first so duplicate coordinates cannot make the
-// canonical order ambiguous.
-func Fingerprint(t *tensor.COO) string {
-	n := t.NNZ()
-	perm := make([]int, n)
-	for p := range perm {
-		perm[p] = p
+// storage order: the sha256 of the dims and of each nonzero's
+// coordinates and value, in canonical coordinate order (0, 1, …, N−1).
+// Two uploads of the same logical tensor — however their lines were
+// ordered — map to the same cache entry, while any changed value,
+// coordinate or mode length maps elsewhere. t is not mutated: the
+// canonical order comes from nmode's stable counting sort as a
+// permutation. Callers should Dedup first so duplicate coordinates
+// cannot make the canonical order ambiguous. A tensor the sort rejects
+// (ragged, or coordinates spanning more than its longest mode and its
+// nonzero count) has no fingerprint.
+func Fingerprint(t *nmode.Tensor) (string, error) {
+	perm, err := t.SortPerm(nil)
+	if err != nil {
+		return "", err
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		pa, pb := perm[a], perm[b]
-		if t.I[pa] != t.I[pb] {
-			return t.I[pa] < t.I[pb]
-		}
-		if t.J[pa] != t.J[pb] {
-			return t.J[pa] < t.J[pb]
-		}
-		return t.K[pa] < t.K[pb]
-	})
+	n := t.Order()
+	rec := 4*n + 8
+	buf := make([]byte, max(8*n, rec))
 	h := sha256.New()
-	var buf [24]byte
-	for m := 0; m < 3; m++ {
-		binary.LittleEndian.PutUint64(buf[m*8:], uint64(t.Dims[m]))
+	for m, d := range t.Dims {
+		binary.LittleEndian.PutUint64(buf[m*8:], uint64(d))
 	}
-	h.Write(buf[:24])
-	for _, p := range perm {
-		binary.LittleEndian.PutUint32(buf[0:], uint32(t.I[p]))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(t.J[p]))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(t.K[p]))
-		binary.LittleEndian.PutUint64(buf[12:], math.Float64bits(t.Val[p]))
-		h.Write(buf[:20])
+	h.Write(buf[:8*n])
+	for q := range t.NNZ() {
+		p := q
+		if perm != nil {
+			p = int(perm[q])
+		}
+		for m, idx := range t.Idx {
+			binary.LittleEndian.PutUint32(buf[4*m:], uint32(idx[p]))
+		}
+		binary.LittleEndian.PutUint64(buf[rec-8:], math.Float64bits(t.Val[p]))
+		h.Write(buf[:rec])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"spblock/internal/core"
-	"spblock/internal/tensor"
 	"spblock/internal/testutil/digest"
 )
 
@@ -27,8 +26,8 @@ func TestGoldenCPALSReply(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	// tensorgen's poisson kind draws nnz + nnz/8 events.
-	x := poisson3(t, []int{30, 24, 20}, 1200+1200/8, 7)
-	if got, want := digest.Tensor(tensor.ToNMode(x)), "000bdcdb4ac344e58ecba875d958479bcd1792902d4146f4801aab59d1d8108c"; got != want {
+	x := poisson(t, []int{30, 24, 20}, 1200+1200/8, 7)
+	if got, want := digest.Tensor(x), "000bdcdb4ac344e58ecba875d958479bcd1792902d4146f4801aab59d1d8108c"; got != want {
 		t.Fatalf("input digest %s, want tensorgen's %s", got, want)
 	}
 	fp := upload(t, ts.URL, x)

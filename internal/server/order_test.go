@@ -1,0 +1,104 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"testing"
+
+	"spblock/internal/nmode"
+)
+
+// uploadBody posts x as a .tns body and decodes the reply.
+func uploadBody(t *testing.T, url string, x *nmode.Tensor) uploadResponse {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := nmode.WriteTNS(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/tensors", "text/plain", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var up uploadResponse
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	return up
+}
+
+// TestOrder4Upload: the service takes an upload of any order. An
+// order-4 tensor runs cpals and mttkrp jobs through its cached engine;
+// CP-APR, defined here for third-order tensors only, refuses it with a
+// 4xx; and an order-3 body re-uploaded in another storage order still
+// hits the cache.
+func TestOrder4Upload(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	x4 := poisson(t, []int{12, 10, 8, 6}, 2000, 3)
+	up := uploadBody(t, ts.URL, x4)
+	if !slices.Equal(up.Dims, x4.Dims) || up.NNZ != x4.NNZ() || up.Cached {
+		t.Fatalf("order-4 upload reply %+v, want dims %v nnz %d uncached", up, x4.Dims, x4.NNZ())
+	}
+	code, jr, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: up.Fingerprint, Kind: "cpals", Rank: 4, MaxIters: 5})
+	if code != http.StatusOK || jr.Iters == 0 || !(jr.Fit > 0) {
+		t.Fatalf("order-4 cpals job: %d %s", code, raw)
+	}
+	code, jr, raw = postJob(t, ts.URL, "", jobRequest{Fingerprint: up.Fingerprint, Kind: "mttkrp", Rank: 4, Reps: 2})
+	if code != http.StatusOK || len(jr.ModeSnap) != 4 || jr.ModeSnap[3].Runs < 2 {
+		t.Fatalf("order-4 mttkrp job: %d %s", code, raw)
+	}
+	code, _, raw = postJob(t, ts.URL, "", jobRequest{Fingerprint: up.Fingerprint, Kind: "cpapr", Rank: 4, MaxIters: 2})
+	if code < 400 || code >= 500 {
+		t.Fatalf("order-4 cpapr job: status %d, want 4xx: %s", code, raw)
+	}
+
+	x3 := poisson(t, []int{15, 12, 10}, 600, 4)
+	first := uploadBody(t, ts.URL, x3)
+	again := uploadBody(t, ts.URL, shuffled(x3, 5))
+	if first.Cached || !again.Cached || again.Fingerprint != first.Fingerprint {
+		t.Fatalf("order-3 re-upload: first %+v, shuffled %+v; want the second cached under the same fingerprint", first, again)
+	}
+	if got := s.cache.Stats().Entries; got != 2 {
+		t.Errorf("entries = %d, want 2", got)
+	}
+}
+
+// TestHugeRankRejected: a rank whose factor matrices would overflow,
+// or exceed maxFactorElems, is refused with 400 before any job runs,
+// for every job kind, and the served-job counters stay unchanged.
+func TestHugeRankRejected(t *testing.T) {
+	_, ts, fp := newTestServer(t, Options{})
+	outcomes := []string{"done", "failed", "canceled", "rejected"}
+	served := func() (n int64) {
+		m := scrape(t, ts.URL)
+		for _, o := range outcomes {
+			n += metricValue(t, m, `spblockd_jobs_total{outcome="`+o+`"}`)
+		}
+		return n
+	}
+	before := served()
+	over := maxFactorElems/(30+24+20) + 1
+	for _, kind := range []string{"mttkrp", "cpals", "cpapr"} {
+		for _, rank := range []int{1 << 62, over} {
+			code, _, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: kind, Rank: rank, MaxIters: 1})
+			if code != http.StatusBadRequest {
+				t.Errorf("%s job at rank %d: status %d, want 400: %s", kind, rank, code, raw)
+			}
+		}
+	}
+	if got := served(); got != before {
+		t.Errorf("served jobs %d after the rejected ranks, want %d", got, before)
+	}
+	if code, _, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "mttkrp", Rank: 4}); code != http.StatusOK {
+		t.Fatalf("mttkrp job after the rejections: %d %s", code, raw)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"spblock/internal/cpd"
 	"spblock/internal/la"
 	"spblock/internal/metrics"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
@@ -103,29 +104,33 @@ func writeJSON(w http.ResponseWriter, v any) {
 // uploadResponse is the body of a successful POST /tensors.
 type uploadResponse struct {
 	Fingerprint string `json:"fingerprint"`
-	Dims        [3]int `json:"dims"`
+	Dims        []int  `json:"dims"`
 	NNZ         int    `json:"nnz"`
 	Cached      bool   `json:"cached"`
 }
 
-// handleUpload ingests a FROSTT .tns body, dedups it and registers it
-// in the executor cache under its content fingerprint.
+// handleUpload ingests a FROSTT .tns body of any order, dedups it and
+// registers it in the executor cache under its content fingerprint.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a .tns body to /tensors")
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-	t, err := tensor.ReadTNS(body)
+	t, err := nmode.ReadTNS(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "parsing tensor: %v", err)
 		return
 	}
-	if _, err := t.Dedup(); err != nil {
+	if _, err := tensor.Dedup(t); err != nil {
 		httpError(w, http.StatusBadRequest, "merging duplicate entries: %v", err)
 		return
 	}
-	e, existed := s.cache.Put(t)
+	e, existed, err := s.cache.Put(t)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "fingerprinting tensor: %v", err)
+		return
+	}
 	writeJSON(w, uploadResponse{
 		Fingerprint: e.Fingerprint(),
 		Dims:        e.Tensor().Dims,
@@ -275,6 +280,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no tensor with fingerprint %q (upload it to /tensors first)", req.Fingerprint)
 		return
 	}
+	if err := checkRank(req.Rank, entry.Tensor().Dims); err != nil {
+		entry.unpin()
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if err := entry.Acquire(ctx); err != nil {
 		s.countOutcome(err)
 		httpError(w, statusFor(err), "canceled while waiting for the tensor's executor lease: %v", err)
@@ -297,11 +307,33 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxFactorElems bounds a job's factor matrices: rank × Σ dims
+// elements, 2 GiB of float64s. Every job kind allocates at least that
+// much before its first product, so a larger rank is refused up front
+// instead of failing the allocation.
+const maxFactorElems = 1 << 28
+
+// checkRank rejects a rank whose factor matrices over dims would hold
+// more than maxFactorElems elements, overflow included.
+func checkRank(rank int, dims []int) error {
+	rows := 0
+	for _, d := range dims {
+		rows += d
+	}
+	if rank > maxFactorElems/rows {
+		return fmt.Errorf("rank %d needs more than %d factor elements over dims %v", rank, maxFactorElems, dims)
+	}
+	return nil
+}
+
 // statusFor maps job errors onto HTTP statuses: deadline → 504,
 // client cancel → 499 (nginx's convention; Go has no named constant),
-// anything else → 500.
+// a tensor the job kind cannot run on (CP-APR on an order-4 upload,
+// say) → 422, anything else → 500.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, nmode.ErrBadTensor):
+		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -324,7 +356,7 @@ func (s *Server) runJob(ctx context.Context, entry *Entry, req jobRequest) (*job
 		if err := entry.applyWorkers(req.Workers); err != nil {
 			return nil, err
 		}
-		res, err := cpd.CPALSEngine(tensor.ToNMode(entry.Tensor()), eng, cpd.Options{
+		res, err := cpd.CPALSEngine(entry.Tensor(), eng, cpd.Options{
 			Rank:     req.Rank,
 			MaxIters: req.MaxIters,
 			Tol:      req.Tol,

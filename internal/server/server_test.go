@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,72 +17,84 @@ import (
 
 	"spblock/internal/core"
 	"spblock/internal/gen"
+	"spblock/internal/nmode"
 	"spblock/internal/tensor"
 )
 
-func randCOO(seed int64, dims tensor.Dims, nnz int) *tensor.COO {
+func randCOO(seed int64, dims []int, nnz int) *nmode.Tensor {
 	rng := rand.New(rand.NewSource(seed))
-	t := tensor.NewCOO(dims, nnz)
+	t := nmode.NewTensor(dims, nnz)
 	for p := 0; p < nnz; p++ {
-		t.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.NormFloat64(),
-		)
+		t.Append([]nmode.Index{nmode.Index(rng.Intn(dims[0])), nmode.Index(rng.Intn(dims[1])), nmode.Index(rng.Intn(dims[2]))}, rng.NormFloat64())
 	}
-	t.Dedup()
+	tensor.Dedup(t)
 	return t
 }
 
 // shuffled returns a copy of t with its nonzeros in a different
 // storage order — the same logical tensor.
-func shuffled(t *tensor.COO, seed int64) *tensor.COO {
+func shuffled(t *nmode.Tensor, seed int64) *nmode.Tensor {
 	c := t.Clone()
 	rng := rand.New(rand.NewSource(seed))
 	for p := len(c.Val) - 1; p > 0; p-- {
 		q := rng.Intn(p + 1)
-		c.I[p], c.I[q] = c.I[q], c.I[p]
-		c.J[p], c.J[q] = c.J[q], c.J[p]
-		c.K[p], c.K[q] = c.K[q], c.K[p]
+		for _, idx := range c.Idx {
+			idx[p], idx[q] = idx[q], idx[p]
+		}
 		c.Val[p], c.Val[q] = c.Val[q], c.Val[p]
 	}
 	return c
 }
 
 func TestFingerprintCollisionResistance(t *testing.T) {
-	x := randCOO(1, tensor.Dims{20, 18, 16}, 300)
-	fp := Fingerprint(x)
-	if got := Fingerprint(shuffled(x, 2)); got != fp {
+	fingerprint := func(x *nmode.Tensor) string {
+		t.Helper()
+		fp, err := Fingerprint(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	x := randCOO(1, []int{20, 18, 16}, 300)
+	fp := fingerprint(x)
+	if got := fingerprint(shuffled(x, 2)); got != fp {
 		t.Errorf("permuted nonzero order changed the fingerprint")
 	}
-	if got := Fingerprint(x.Clone()); got != fp {
+	if got := fingerprint(x.Clone()); got != fp {
 		t.Errorf("clone changed the fingerprint")
 	}
 
 	val := x.Clone()
 	val.Val[17] += 1e-12
-	if Fingerprint(val) == fp {
+	if fingerprint(val) == fp {
 		t.Errorf("changed value kept the fingerprint")
 	}
 	coord := x.Clone()
-	coord.I[17] = (coord.I[17] + 1) % tensor.Index(coord.Dims[0])
-	if Fingerprint(coord) == fp {
+	coord.Idx[0][17] = (coord.Idx[0][17] + 1) % nmode.Index(coord.Dims[0])
+	if fingerprint(coord) == fp {
 		t.Errorf("changed coordinate kept the fingerprint")
 	}
 	wide := x.Clone()
 	wide.Dims[2]++
-	if Fingerprint(wide) == fp {
+	if fingerprint(wide) == fp {
 		t.Errorf("changed dims kept the fingerprint")
+	}
+	sh := shuffled(x, 3)
+	keep := sh.Clone()
+	fingerprint(sh)
+	for m := range sh.Idx {
+		if !slices.Equal(sh.Idx[m], keep.Idx[m]) || !slices.Equal(sh.Val, keep.Val) {
+			t.Fatal("Fingerprint reordered its input")
+		}
 	}
 }
 
 func TestCacheEvictionUnderByteBudget(t *testing.T) {
-	t1 := randCOO(1, tensor.Dims{12, 10, 8}, 200)
+	t1 := randCOO(1, []int{12, 10, 8}, 200)
 	budget := 2*tensorBytes(t1) + tensorBytes(t1)/2
 	c := NewCache(CacheConfig{MaxBytes: budget})
-	e1, _ := c.Put(t1)
-	e2, _ := c.Put(randCOO(2, tensor.Dims{12, 10, 8}, 200))
+	e1, _, _ := c.Put(t1)
+	e2, _, _ := c.Put(randCOO(2, []int{12, 10, 8}, 200))
 	if got := c.Stats().Entries; got != 2 {
 		t.Fatalf("entries = %d, want 2", got)
 	}
@@ -89,7 +102,7 @@ func TestCacheEvictionUnderByteBudget(t *testing.T) {
 	if _, ok := c.Get(e2.Fingerprint()); !ok {
 		t.Fatal("e2 lookup missed")
 	}
-	e3, _ := c.Put(randCOO(3, tensor.Dims{12, 10, 8}, 200))
+	e3, _, _ := c.Put(randCOO(3, []int{12, 10, 8}, 200))
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("evictions=%d entries=%d, want 1 and 2", st.Evictions, st.Entries)
@@ -108,7 +121,7 @@ func TestCacheEvictionUnderByteBudget(t *testing.T) {
 	if _, ok := c.Get(e3.Fingerprint()); !ok { // make e2 the LRU
 		t.Fatal("e3 lookup missed")
 	}
-	c.Put(randCOO(4, tensor.Dims{12, 10, 8}, 200))
+	c.Put(randCOO(4, []int{12, 10, 8}, 200))
 	if _, ok := c.entries[e2.Fingerprint()]; !ok {
 		t.Fatal("leased entry was evicted")
 	}
@@ -120,7 +133,7 @@ func TestCacheEvictionUnderByteBudget(t *testing.T) {
 // data race unless it does — run under -race).
 func TestLeaseExclusion(t *testing.T) {
 	c := NewCache(CacheConfig{Plan: core.Plan{Method: core.MethodSPLATT}})
-	e, _ := c.Put(randCOO(1, tensor.Dims{12, 10, 8}, 200))
+	e, _, _ := c.Put(randCOO(1, []int{12, 10, 8}, 200))
 	var unguarded int
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -153,7 +166,7 @@ func TestLeaseExclusion(t *testing.T) {
 
 func TestLeaseAcquireHonorsContext(t *testing.T) {
 	c := NewCache(CacheConfig{})
-	e, _ := c.Put(randCOO(1, tensor.Dims{8, 8, 8}, 100))
+	e, _, _ := c.Put(randCOO(1, []int{8, 8, 8}, 100))
 	if err := e.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -172,27 +185,23 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, strin
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts, upload(t, ts.URL, poisson3(t, []int{30, 24, 20}, 1500, 5))
+	return s, ts, upload(t, ts.URL, poisson(t, []int{30, 24, 20}, 1500, 5))
 }
 
-// poisson3 generates an order-3 Poisson count tensor.
-func poisson3(t *testing.T, dims []int, events int, seed int64) *tensor.COO {
+// poisson generates a Poisson count tensor of the order of dims.
+func poisson(t *testing.T, dims []int, events int, seed int64) *nmode.Tensor {
 	t.Helper()
 	x, err := gen.PoissonN(gen.PoissonNParams{Dims: dims, Events: events}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tensor.FromNMode(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return x
 }
 
-func upload(t *testing.T, url string, x *tensor.COO) string {
+func upload(t *testing.T, url string, x *nmode.Tensor) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tensor.WriteTNS(&buf, x); err != nil {
+	if err := nmode.WriteTNS(&buf, x); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(url+"/tensors", "text/plain", &buf)
@@ -338,7 +347,7 @@ func TestJobTimeoutCancelsMidSweep(t *testing.T) {
 	// A tensor and rank big enough that reaching an exact ALS fixed
 	// point (the only way a Tol this small converges) takes far longer
 	// than the timeout, so the deadline provably lands mid-run.
-	fp := upload(t, ts.URL, poisson3(t, []int{60, 50, 40}, 40000, 6))
+	fp := upload(t, ts.URL, poisson(t, []int{60, 50, 40}, 40000, 6))
 	before := idleGoroutines()
 	start := time.Now()
 	code, _, raw := postJob(t, ts.URL, "", jobRequest{
@@ -372,7 +381,7 @@ func TestJobTimeoutCancelsMidSweep(t *testing.T) {
 // the goroutine count settle back to its pre-job value.
 func TestClientCancelLeaksNoGoroutines(t *testing.T) {
 	s, ts, _ := newTestServer(t, Options{})
-	fp := upload(t, ts.URL, poisson3(t, []int{60, 50, 40}, 40000, 6))
+	fp := upload(t, ts.URL, poisson(t, []int{60, 50, 40}, 40000, 6))
 	before := idleGoroutines()
 	body, err := json.Marshal(jobRequest{Fingerprint: fp, Kind: "cpals", Rank: 48, MaxIters: 1_000_000, Tol: 1e-300})
 	if err != nil {
@@ -558,7 +567,7 @@ func TestCPALSReplyPlanIsClamped(t *testing.T) {
 	s := New(Options{Cache: CacheConfig{Plan: core.Plan{Method: core.MethodMBRankB, Grid: [3]int{4, 1, 1}, RankBlockCols: 8}}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	fp := upload(t, ts.URL, randCOO(13, tensor.Dims{3, 8, 6}, 60))
+	fp := upload(t, ts.URL, randCOO(13, []int{3, 8, 6}, 60))
 	code, jr, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "cpals", Rank: 2, MaxIters: 2})
 	if code != http.StatusOK {
 		t.Fatalf("cpals job: %d %s", code, raw)
@@ -574,11 +583,11 @@ func TestUploadDedup(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	x := randCOO(3, tensor.Dims{15, 12, 10}, 250)
+	x := randCOO(3, []int{15, 12, 10}, 250)
 	var fps [2]string
-	for trial, v := range []*tensor.COO{x, shuffled(x, 4)} {
+	for trial, v := range []*nmode.Tensor{x, shuffled(x, 4)} {
 		var buf bytes.Buffer
-		if err := tensor.WriteTNS(&buf, v); err != nil {
+		if err := nmode.WriteTNS(&buf, v); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := http.Post(ts.URL+"/tensors", "text/plain", &buf)

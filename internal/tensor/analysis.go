@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"spblock/internal/nmode"
 )
 
 // ModeProfile summarises the nonzero distribution along one mode — the
@@ -30,25 +32,20 @@ type ModeProfile struct {
 	TopShare [2]float64
 }
 
-// ProfileMode computes the ModeProfile for one mode.
-func ProfileMode(t *COO, mode int) (ModeProfile, error) {
+// ProfileMode computes the ModeProfile for one mode of a third-order
+// tensor.
+func ProfileMode(t *nmode.Tensor, mode int) (ModeProfile, error) {
+	if err := CheckOrder3(t); err != nil {
+		return ModeProfile{}, err
+	}
 	if mode < 0 || mode > 2 {
 		return ModeProfile{}, fmt.Errorf("tensor: mode %d out of range", mode)
 	}
 	if err := t.Validate(); err != nil {
 		return ModeProfile{}, err
 	}
-	var coords []Index
-	switch mode {
-	case 0:
-		coords = t.I
-	case 1:
-		coords = t.J
-	default:
-		coords = t.K
-	}
 	counts := make([]int64, t.Dims[mode])
-	for _, c := range coords {
+	for _, c := range t.Idx[mode] {
 		counts[c]++
 	}
 	p := ModeProfile{Mode: mode, Length: t.Dims[mode]}
@@ -104,9 +101,13 @@ type Profile struct {
 	MaxFiberLen int
 }
 
-// ProfileTensor computes the full profile.
-func ProfileTensor(t *COO) (Profile, error) {
-	p := Profile{Stats: ComputeStats(t)}
+// ProfileTensor computes the full profile of a third-order tensor.
+func ProfileTensor(t *nmode.Tensor) (Profile, error) {
+	stats, err := ComputeStats(t)
+	if err != nil {
+		return Profile{}, err
+	}
+	p := Profile{Stats: stats}
 	for m := 0; m < 3; m++ {
 		mp, err := ProfileMode(t, m)
 		if err != nil {
@@ -115,7 +116,7 @@ func ProfileTensor(t *COO) (Profile, error) {
 		p.Modes[m] = mp
 	}
 	if t.NNZ() > 0 {
-		csf, err := BuildCSF(t)
+		csf, err := nmode.Build(t, SPLATTModeOrder())
 		if err != nil {
 			return Profile{}, err
 		}
@@ -137,15 +138,8 @@ func (p Profile) String() string {
 		mp := p.Modes[m]
 		fmt.Fprintf(&b, "  mode-%d: len=%d nonEmpty=%d (%.0f%%) max=%d gini=%.2f top10%%=%.0f%% top1%%=%.0f%%\n",
 			m+1, mp.Length, mp.NonEmpty,
-			100*float64(mp.NonEmpty)/float64(maxIntT(mp.Length, 1)),
+			100*float64(mp.NonEmpty)/float64(max(mp.Length, 1)),
 			mp.MaxCount, mp.Gini, 100*mp.TopShare[0], 100*mp.TopShare[1])
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-func maxIntT(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

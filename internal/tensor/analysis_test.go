@@ -5,13 +5,15 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"spblock/internal/nmode"
 )
 
 func TestProfileModeUniform(t *testing.T) {
 	// One nonzero per index: Gini 0, everything non-empty.
-	c := NewCOO(Dims{10, 10, 10}, 0)
+	c := nmode.NewTensor([]int{10, 10, 10}, 0)
 	for i := 0; i < 10; i++ {
-		c.Append(Index(i), Index(i), Index(i), 1)
+		add(c, nmode.Index(i), nmode.Index(i), nmode.Index(i), 1)
 	}
 	p, err := ProfileMode(c, 0)
 	if err != nil {
@@ -34,10 +36,10 @@ func TestProfileModeUniform(t *testing.T) {
 
 func TestProfileModeSkewed(t *testing.T) {
 	// All nonzeros on a single index: Gini near 1, top shares 100%.
-	c := NewCOO(Dims{100, 4, 4}, 0)
+	c := nmode.NewTensor([]int{100, 4, 4}, 0)
 	for k := 0; k < 4; k++ {
 		for j := 0; j < 4; j++ {
-			c.Append(7, Index(j), Index(k), 1)
+			add(c, 7, nmode.Index(j), nmode.Index(k), 1)
 		}
 	}
 	p, err := ProfileMode(c, 0)
@@ -56,19 +58,19 @@ func TestProfileModeSkewed(t *testing.T) {
 }
 
 func TestProfileModeValidation(t *testing.T) {
-	c := NewCOO(Dims{2, 2, 2}, 0)
+	c := nmode.NewTensor([]int{2, 2, 2}, 0)
 	if _, err := ProfileMode(c, 3); err == nil {
 		t.Fatal("mode 3 accepted")
 	}
-	bad := NewCOO(Dims{2, 2, 2}, 0)
-	bad.Append(5, 0, 0, 1)
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	add(bad, 5, 0, 0, 1)
 	if _, err := ProfileMode(bad, 0); err == nil {
 		t.Fatal("invalid tensor accepted")
 	}
 }
 
 func TestProfileModeEmpty(t *testing.T) {
-	c := NewCOO(Dims{5, 5, 5}, 0)
+	c := nmode.NewTensor([]int{5, 5, 5}, 0)
 	p, err := ProfileMode(c, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +82,8 @@ func TestProfileModeEmpty(t *testing.T) {
 
 func TestProfileTensor(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := randomCOO(rng, Dims{20, 30, 25}, 500)
-	c.Dedup()
+	c := randomCOO(rng, []int{20, 30, 25}, 500)
+	Dedup(c)
 	p, err := ProfileTensor(c)
 	if err != nil {
 		t.Fatal(err)
@@ -103,12 +105,12 @@ func TestProfileTensor(t *testing.T) {
 func TestProfileDistinguishesClusteredFromUniform(t *testing.T) {
 	// A Zipf-ish mode should profile as more skewed than a uniform one.
 	rng := rand.New(rand.NewSource(2))
-	uniform := randomCOO(rng, Dims{200, 50, 50}, 3000)
-	skewed := NewCOO(Dims{200, 50, 50}, 3000)
+	uniform := randomCOO(rng, []int{200, 50, 50}, 3000)
+	skewed := nmode.NewTensor([]int{200, 50, 50}, 3000)
 	for p := 0; p < 3000; p++ {
 		// Quadratic skew toward low indices.
 		u := rng.Float64()
-		skewed.Append(Index(float64(199)*u*u), Index(rng.Intn(50)), Index(rng.Intn(50)), 1)
+		add(skewed, nmode.Index(float64(199)*u*u), nmode.Index(rng.Intn(50)), nmode.Index(rng.Intn(50)), 1)
 	}
 	pu, err := ProfileMode(uniform, 0)
 	if err != nil {

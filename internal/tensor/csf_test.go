@@ -9,20 +9,12 @@ import (
 	"spblock/internal/nmode"
 )
 
-// toCOO expands a SPLATT tree back to coordinate form, in tree (fiber)
-// order.
-func toCOO(t *testing.T, c *nmode.CSF) *COO {
-	t.Helper()
-	back, err := FromNMode(c.ToTensor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return back
-}
+// buildCSF builds the SPLATT tree of x (Figure 1b).
+func buildCSF(x *nmode.Tensor) (*nmode.CSF, error) { return nmode.Build(x, SPLATTModeOrder()) }
 
 func TestBuildCSFEmpty(t *testing.T) {
-	c := NewCOO(Dims{4, 4, 4}, 0)
-	csf, err := BuildCSF(c)
+	c := nmode.NewTensor([]int{4, 4, 4}, 0)
+	csf, err := buildCSF(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,32 +24,32 @@ func TestBuildCSFEmpty(t *testing.T) {
 	if err := csf.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	back := toCOO(t, csf)
+	back := csf.ToTensor()
 	if back.NNZ() != 0 {
 		t.Fatal("empty round trip failed")
 	}
 }
 
 func TestBuildCSFRejectsInvalid(t *testing.T) {
-	bad := NewCOO(Dims{2, 2, 2}, 0)
-	bad.Append(5, 0, 0, 1)
-	if _, err := BuildCSF(bad); err == nil {
+	bad := nmode.NewTensor([]int{2, 2, 2}, 0)
+	add(bad, 5, 0, 0, 1)
+	if _, err := buildCSF(bad); err == nil {
 		t.Fatal("BuildCSF accepted out-of-range tensor")
 	}
 }
 
 func TestBuildCSFDoesNotMutateInput(t *testing.T) {
-	c := NewCOO(Dims{3, 3, 3}, 0)
-	c.Append(2, 2, 2, 1)
-	c.Append(0, 0, 0, 2) // unsorted on purpose
-	wasSorted := c.IsFiberSorted()
+	c := nmode.NewTensor([]int{3, 3, 3}, 0)
+	add(c, 2, 2, 2, 1)
+	add(c, 0, 0, 0, 2) // unsorted on purpose
+	wasSorted := fiberSorted(c)
 	if wasSorted {
 		t.Fatal("test setup: input should be unsorted")
 	}
-	if _, err := BuildCSF(c); err != nil {
+	if _, err := buildCSF(c); err != nil {
 		t.Fatal(err)
 	}
-	if c.IsFiberSorted() {
+	if fiberSorted(c) {
 		t.Fatal("BuildCSF sorted the caller's tensor in place")
 	}
 }
@@ -65,20 +57,20 @@ func TestBuildCSFDoesNotMutateInput(t *testing.T) {
 func TestCSFRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, nnz := range []int{1, 2, 17, 300} {
-		c := randomCOO(rng, Dims{7, 8, 9}, nnz)
-		c.Dedup()
-		csf, err := BuildCSF(c)
+		c := randomCOO(rng, []int{7, 8, 9}, nnz)
+		Dedup(c)
+		csf, err := buildCSF(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := csf.Validate(); err != nil {
 			t.Fatalf("nnz=%d: %v", nnz, err)
 		}
-		back := toCOO(t, csf)
+		back := csf.ToTensor()
 		if !sameMultiset(entryMultiset(c), entryMultiset(back)) {
 			t.Fatalf("nnz=%d: round trip changed entries", nnz)
 		}
-		if !back.IsFiberSorted() {
+		if !fiberSorted(back) {
 			t.Fatal("ToTensor output not fiber sorted")
 		}
 	}
@@ -86,21 +78,21 @@ func TestCSFRoundTrip(t *testing.T) {
 
 func TestCSFCountsMatchCOO(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := randomCOO(rng, Dims{10, 10, 10}, 400)
-	c.Dedup()
-	csf, err := BuildCSF(c)
+	c := randomCOO(rng, []int{10, 10, 10}, 400)
+	Dedup(c)
+	csf, err := buildCSF(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if csf.NNZ() != c.NNZ() {
 		t.Fatalf("nnz %d != %d", csf.NNZ(), c.NNZ())
 	}
-	if csf.NumNodes(1) != c.CountFibers() {
-		t.Fatalf("fibers %d != %d", csf.NumNodes(1), c.CountFibers())
+	if csf.NumNodes(1) != stats(t, c).Fibers {
+		t.Fatalf("fibers %d != %d", csf.NumNodes(1), stats(t, c).Fibers)
 	}
 	// Slice count equals distinct i values.
-	seen := map[Index]bool{}
-	for _, i := range c.I {
+	seen := map[nmode.Index]bool{}
+	for _, i := range c.Idx[0] {
 		seen[i] = true
 	}
 	if csf.NumNodes(0) != len(seen) {
@@ -109,20 +101,20 @@ func TestCSFCountsMatchCOO(t *testing.T) {
 }
 
 func TestCSFMemoryModels(t *testing.T) {
-	c := NewCOO(Dims{3, 3, 3}, 7)
-	c.Append(0, 0, 0, 5)
-	c.Append(0, 1, 1, 3)
-	c.Append(0, 1, 2, 1)
-	c.Append(1, 0, 2, 2)
-	c.Append(1, 1, 1, 9)
-	c.Append(1, 2, 2, 7)
-	c.Append(2, 0, 0, 9)
-	csf, err := BuildCSF(c)
+	c := nmode.NewTensor([]int{3, 3, 3}, 7)
+	add(c, 0, 0, 0, 5)
+	add(c, 0, 1, 1, 3)
+	add(c, 0, 1, 2, 1)
+	add(c, 1, 0, 2, 2)
+	add(c, 1, 1, 1, 9)
+	add(c, 1, 2, 2, 7)
+	add(c, 2, 0, 0, 9)
+	csf, err := buildCSF(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Paper model: 16 + 8*3 + 16*6 + 16*7 = 248.
-	if got := ComputeStats(c).SPLATTBytes; got != 248 {
+	if got := stats(t, c).SPLATTBytes; got != 248 {
 		t.Fatalf("SPLATTBytes = %d, want 248", got)
 	}
 	// Actual: 4*(3 slices + 4 sliceptr + 6 fiberK + 7 fiberptr + 7 nzJ) + 8*7 = 4*27+56 = 164.
@@ -130,7 +122,7 @@ func TestCSFMemoryModels(t *testing.T) {
 		t.Fatalf("MemoryBytes = %d, want 164", got)
 	}
 	// COO paper model for comparison: 32*7 = 224 > SPLATT in fiber-rich data.
-	if ComputeStats(c).COOBytes != 224 {
+	if stats(t, c).COOBytes != 224 {
 		t.Fatal("COO byte model wrong")
 	}
 }
@@ -141,9 +133,9 @@ func TestCSFMemoryModels(t *testing.T) {
 func TestCSFValidateCatchesCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	fresh := func() *nmode.CSF {
-		c := randomCOO(rng, Dims{5, 5, 5}, 60)
-		c.Dedup()
-		csf, err := BuildCSF(c)
+		c := randomCOO(rng, []int{5, 5, 5}, 60)
+		Dedup(c)
+		csf, err := buildCSF(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,17 +178,17 @@ func TestCSFValidateCatchesCorruption(t *testing.T) {
 // The average fiber length, nnz / fibers, controls how much work the
 // SPLATT format saves over COO (Sec. III-C).
 func TestAvgFiberLength(t *testing.T) {
-	c := NewCOO(Dims{2, 4, 2}, 0)
+	c := nmode.NewTensor([]int{2, 4, 2}, 0)
 	// One fiber with 4 nonzeros, one with 2.
 	for j := 0; j < 4; j++ {
-		c.Append(0, Index(j), 0, 1)
+		add(c, 0, nmode.Index(j), 0, 1)
 	}
-	c.Append(1, 0, 1, 1)
-	c.Append(1, 1, 1, 1)
-	if got := ComputeStats(c).AvgFiberLength; got != 3 {
+	add(c, 1, 0, 1, 1)
+	add(c, 1, 1, 1, 1)
+	if got := stats(t, c).AvgFiberLength; got != 3 {
 		t.Fatalf("AvgFiberLength = %v, want 3", got)
 	}
-	if got := ComputeStats(NewCOO(Dims{1, 1, 1}, 0)).AvgFiberLength; got != 0 {
+	if got := stats(t, nmode.NewTensor([]int{1, 1, 1}, 0)).AvgFiberLength; got != 0 {
 		t.Fatalf("empty AvgFiberLength = %v, want 0", got)
 	}
 }
@@ -206,20 +198,20 @@ func TestAvgFiberLength(t *testing.T) {
 func TestQuickCSFRoundTrip(t *testing.T) {
 	f := func(seed int64, di, dj, dk uint8, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		dims := Dims{int(di%9) + 1, int(dj%9) + 1, int(dk%9) + 1}
+		dims := []int{int(di%9) + 1, int(dj%9) + 1, int(dk%9) + 1}
 		c := randomCOO(rng, dims, int(n%400))
-		c.Dedup()
-		csf, err := BuildCSF(c)
+		Dedup(c)
+		csf, err := buildCSF(c)
 		if err != nil {
 			return false
 		}
 		if csf.Validate() != nil {
 			return false
 		}
-		if csf.NumNodes(1) != c.CountFibers() || csf.NNZ() != c.NNZ() {
+		if csf.NumNodes(1) != stats(t, c).Fibers || csf.NNZ() != c.NNZ() {
 			return false
 		}
-		return sameMultiset(entryMultiset(c), entryMultiset(toCOO(t, csf)))
+		return sameMultiset(entryMultiset(c), entryMultiset(csf.ToTensor()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -228,29 +220,28 @@ func TestQuickCSFRoundTrip(t *testing.T) {
 
 // BuildCSF is the SPLATT-ordered nmode tree: on a shuffled deduplicated
 // tensor it must list the entries in exactly the fiber order
-// SortFiberOrder produces, with every array exactly sized, whether or
+// sortFiberOrder produces, with every array exactly sized, whether or
 // not the input arrives already sorted.
 func TestBuildCSFFiberOrderExactlySized(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, nnz := range []int{0, 1, 40, 6000} {
-		sorted := randomCOO(rng, Dims{20, 30, 25}, nnz)
-		sorted.Dedup()
+		sorted := randomCOO(rng, []int{20, 30, 25}, nnz)
+		Dedup(sorted)
 		shuffled := sorted.Clone()
 		rng.Shuffle(shuffled.NNZ(), func(a, b int) {
-			shuffled.I[a], shuffled.I[b] = shuffled.I[b], shuffled.I[a]
-			shuffled.J[a], shuffled.J[b] = shuffled.J[b], shuffled.J[a]
-			shuffled.K[a], shuffled.K[b] = shuffled.K[b], shuffled.K[a]
+			for _, idx := range shuffled.Idx {
+				idx[a], idx[b] = idx[b], idx[a]
+			}
 			shuffled.Val[a], shuffled.Val[b] = shuffled.Val[b], shuffled.Val[a]
 		})
-		for _, in := range []*COO{sorted, shuffled} {
-			csf, err := BuildCSF(in)
+		for _, in := range []*nmode.Tensor{sorted, shuffled} {
+			csf, err := buildCSF(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			back := toCOO(t, csf)
+			back := csf.ToTensor()
 			for p := 0; p < sorted.NNZ(); p++ {
-				if back.I[p] != sorted.I[p] || back.J[p] != sorted.J[p] ||
-					back.K[p] != sorted.K[p] || back.Val[p] != sorted.Val[p] {
+				if entryAt(back, p) != entryAt(sorted, p) {
 					t.Fatalf("nnz %d: entry %d out of fiber order", nnz, p)
 				}
 			}

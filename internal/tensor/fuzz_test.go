@@ -2,13 +2,16 @@ package tensor
 
 import (
 	"bytes"
-	"strings"
+	"slices"
 	"testing"
+
+	"spblock/internal/nmode"
 )
 
-// FuzzReadTNS drives the text parser with arbitrary inputs: it must
-// never panic, whatever it accepts must validate and round-trip, and
-// Dedup must merge its duplicates exactly as the input-order oracle.
+// FuzzReadTNS drives the .tns parser with arbitrary third-order bodies:
+// it must never panic, whatever it accepts must validate and
+// round-trip, and this package's Dedup must merge its duplicates
+// exactly as the input-order oracle and leave them in fiber order.
 func FuzzReadTNS(f *testing.F) {
 	seeds := []string{
 		"1 1 1 5.0\n",
@@ -26,7 +29,7 @@ func FuzzReadTNS(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		c, err := ReadTNS(strings.NewReader(input))
+		c, err := readTNS(input)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -34,19 +37,21 @@ func FuzzReadTNS(f *testing.F) {
 			t.Fatalf("accepted tensor fails validation: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := WriteTNS(&buf, c); err != nil {
+		if err := nmode.WriteTNS(&buf, c); err != nil {
 			t.Fatalf("cannot re-serialise accepted tensor: %v", err)
 		}
-		back, err := ReadTNS(&buf)
+		back, err := readTNS(buf.String())
 		if err != nil {
 			t.Fatalf("round trip of accepted tensor failed: %v", err)
 		}
-		if back.NNZ() != c.NNZ() || back.Dims != c.Dims {
+		if back.NNZ() != c.NNZ() || !slices.Equal(back.Dims, c.Dims) {
 			t.Fatalf("round trip changed shape: %v/%d vs %v/%d",
 				back.Dims, back.NNZ(), c.Dims, c.NNZ())
 		}
 		want := dedupOracle(c)
-		c.Dedup()
+		if _, err := Dedup(c); err != nil {
+			t.Fatalf("Dedup: %v", err)
+		}
 		if err := checkDedup(c, want); err != nil {
 			t.Fatalf("Dedup: %v", err)
 		}

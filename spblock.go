@@ -16,15 +16,18 @@
 //	out := spblock.NewMatrix(x.Dims[0], 64)
 //	_ = me.Run(0, [3]*spblock.Matrix{nil, b, c}, out) // out = X(1) · (B ⊙ C)
 //
-// The facade re-exports the library's primary types. The one type it
-// defines itself is MultiExecutor, a MultiExecutorN with an order-3
-// Run, kept for the spbench benchmark. The analysis tooling (roofline
-// model, cache simulator, pressure point analysis, experiment harness)
-// lives in the internal packages and is exposed through the
-// cmd/spblock-exp command.
+// The facade re-exports the library's primary types. The types it
+// defines itself are kept for the spbench benchmark: Tensor and Dims,
+// the order-3 view of TensorN whose functions convert to a TensorN
+// sharing its storage; DatasetSpec, the generator registry entry with
+// order-3 shapes; and MultiExecutor, a MultiExecutorN with an order-3
+// Run. The analysis tooling (roofline model, cache simulator, pressure
+// point analysis, experiment harness) lives in the internal packages
+// and is exposed through the cmd/spblock-exp command.
 package spblock
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -45,10 +48,6 @@ import (
 
 // Core data types.
 type (
-	// Tensor is a third-order sparse tensor in coordinate form.
-	Tensor = tensor.COO
-	// Dims holds the three mode lengths.
-	Dims = tensor.Dims
 	// Stats summarises a tensor's shape (Table II vocabulary).
 	Stats = tensor.Stats
 	// Matrix is a dense row-major factor matrix.
@@ -116,9 +115,6 @@ type (
 	// CommStats carries the fault-tolerance telemetry of a distributed
 	// decomposition (DistCPResult.Comm).
 	CommStats = metrics.CommStats
-
-	// DatasetSpec describes a Table II data set generator.
-	DatasetSpec = gen.DatasetSpec
 
 	// TensorN is an order-N sparse tensor in coordinate form.
 	TensorN = nmode.Tensor
@@ -201,30 +197,117 @@ func KernelWidths() []int { return kernel.Widths() }
 // resolved via MultiExecutor.Kernel after the first Run.
 func PlanKernel(plan Plan, rank int) KernelVariant { return core.PlanKernel(plan, rank) }
 
+// Tensor is a third-order sparse tensor in coordinate form (Figure 1a):
+// parallel slices of mode indices plus values, the order-3 view of a
+// TensorN.
+type Tensor struct {
+	Dims Dims
+	I    []int32
+	J    []int32
+	K    []int32
+	Val  []float64
+}
+
+// Dims holds the three mode lengths.
+type Dims [3]int
+
+// Volume returns the product of the mode lengths as a float64 (the
+// integer product overflows for paper-scale shapes).
+func (d Dims) Volume() float64 { return float64(d[0]) * float64(d[1]) * float64(d[2]) }
+
+func (d Dims) String() string { return tensor.FormatDims(d[:]) }
+
 // NewTensor allocates an empty tensor with the given mode lengths.
-func NewTensor(dims Dims, capacity int) *Tensor { return tensor.NewCOO(dims, capacity) }
+func NewTensor(dims Dims, capacity int) *Tensor {
+	return &Tensor{
+		Dims: dims,
+		I:    make([]int32, 0, capacity),
+		J:    make([]int32, 0, capacity),
+		K:    make([]int32, 0, capacity),
+		Val:  make([]float64, 0, capacity),
+	}
+}
+
+// nmode returns the order-N view of t, sharing its storage.
+func (t *Tensor) nmode() *TensorN {
+	return &TensorN{Dims: t.Dims[:], Idx: [][]int32{t.I, t.J, t.K}, Val: t.Val}
+}
+
+// order3 returns the order-3 view of x, sharing its storage. Input
+// without data and without a dims comment (nmode.ErrNoData) yields an
+// empty 1x1x1 tensor.
+func order3(x *TensorN, err error) (*Tensor, error) {
+	if errors.Is(err, nmode.ErrNoData) {
+		return NewTensor(Dims{1, 1, 1}, 0), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := tensor.CheckOrder3(x); err != nil {
+		return nil, err
+	}
+	return &Tensor{Dims: Dims(x.Dims), I: x.Idx[0], J: x.Idx[1], K: x.Idx[2], Val: x.Val}, nil
+}
+
+// NNZ returns the number of stored entries.
+//
+//spblock:hotpath
+func (t *Tensor) NNZ() int { return len(t.Val) }
+
+// Append adds a nonzero. It does not check bounds; call Validate before
+// handing user-supplied data to kernels.
+func (t *Tensor) Append(i, j, k int32, v float64) {
+	t.I = append(t.I, i)
+	t.J = append(t.J, j)
+	t.K = append(t.K, k)
+	t.Val = append(t.Val, v)
+}
+
+// Validate checks positive dims, equal slice lengths and in-range
+// coordinates.
+func (t *Tensor) Validate() error { return t.nmode().Validate() }
+
+// NormSquared returns Σ v².
+func (t *Tensor) NormSquared() float64 { return t.nmode().NormSquared() }
+
+// Dedup merges duplicate coordinates by summing their values in input
+// order and leaves the tensor in fiber order (i, k, j). Returns the
+// number of merged entries.
+func (t *Tensor) Dedup() (int, error) {
+	x := t.nmode()
+	merged, err := tensor.Dedup(x)
+	t.I, t.J, t.K, t.Val = x.Idx[0], x.Idx[1], x.Idx[2], x.Val
+	return merged, err
+}
 
 // NewMatrix allocates a zeroed rows × cols factor matrix.
 func NewMatrix(rows, cols int) *Matrix { return la.NewMatrix(rows, cols) }
 
-// LoadTNS reads a FROSTT-style text tensor from a file.
-func LoadTNS(path string) (*Tensor, error) { return tensor.LoadTNSFile(path) }
+// LoadTNS reads a third-order FROSTT-style text tensor from a file.
+func LoadTNS(path string) (*Tensor, error) { return order3(nmode.LoadTNSFile(path)) }
 
 // SaveTNS writes a tensor to a file in FROSTT text form.
-func SaveTNS(path string, t *Tensor) error { return tensor.SaveTNSFile(path, t) }
+func SaveTNS(path string, t *Tensor) error { return nmode.SaveTNSFile(path, t.nmode()) }
 
-// ReadTNS parses a FROSTT-style text tensor from a reader.
-func ReadTNS(r io.Reader) (*Tensor, error) { return tensor.ReadTNS(r) }
+// ReadTNS parses a third-order FROSTT-style text tensor from a reader:
+// one nonzero per line as "i j k value" with 1-based coordinates. Input
+// without data and without a dims comment yields an empty 1x1x1
+// tensor.
+func ReadTNS(r io.Reader) (*Tensor, error) { return order3(nmode.ReadTNS(r)) }
 
 // WriteTNS writes a tensor in FROSTT text form.
-func WriteTNS(w io.Writer, t *Tensor) error { return tensor.WriteTNS(w, t) }
+func WriteTNS(w io.Writer, t *Tensor) error { return nmode.WriteTNS(w, t.nmode()) }
 
 // BuildCSF converts a tensor to the SPLATT storage format (Figure 1b of
 // the paper): the CSF tree with mode order (0, 2, 1).
-func BuildCSF(t *Tensor) (*CSFN, error) { return tensor.BuildCSF(t) }
+func BuildCSF(t *Tensor) (*CSFN, error) { return nmode.Build(t.nmode(), tensor.SPLATTModeOrder()) }
 
-// ComputeStats gathers shape statistics for a tensor.
-func ComputeStats(t *Tensor) Stats { return tensor.ComputeStats(t) }
+// ComputeStats gathers shape statistics for a tensor (zero Stats for
+// one whose coordinate slices differ in length).
+func ComputeStats(t *Tensor) Stats {
+	s, _ := tensor.ComputeStats(t.nmode())
+	return s
+}
 
 // NewMultiExecutor preprocesses t once per requested mode (default:
 // all three) so one setup serves every mode product of a decomposition
@@ -238,7 +321,7 @@ func ComputeStats(t *Tensor) Stats { return tensor.ComputeStats(t) }
 //
 // Pass mode 0 alone when only the mode-1 product is needed.
 func NewMultiExecutor(t *Tensor, plan Plan, modes ...int) (*MultiExecutor, error) {
-	eng, err := core.NewEngine(t, plan, modes...)
+	eng, err := core.NewEngine(t.nmode(), plan, modes...)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +359,7 @@ func (m *MultiExecutor) Run(n int, factors [3]*Matrix, out *Matrix) error {
 // Repeated products over the same tensor should build a
 // NewMultiExecutor instead.
 func MTTKRP(t *Tensor, b, c, out *Matrix, plan Plan) error {
-	eng, err := core.NewEngine(t, plan, 0)
+	eng, err := core.NewEngine(t.nmode(), plan, 0)
 	if err != nil {
 		return err
 	}
@@ -285,41 +368,41 @@ func MTTKRP(t *Tensor, b, c, out *Matrix, plan Plan) error {
 
 // BuildBlocked reorganises t into the grid blocks of MB blocking.
 func BuildBlocked(t *Tensor, grid [3]int) (*BlockedTensor, error) {
-	return tensor.BuildBlocked(t, grid)
+	return nmode.BuildBlocked(t.nmode(), grid[:], tensor.SPLATTModeOrder())
 }
 
 // Autotune runs the Sec. V-C heuristic and returns a tuned plan.
 func Autotune(t *Tensor, rank int, method Method, opts AutotuneOptions) (Plan, []Trial, error) {
-	return core.Autotune(t, rank, method, opts)
+	return core.Autotune(t.nmode(), rank, method, opts)
 }
 
 // CPALS decomposes t into a rank-R Kruskal tensor with alternating
 // least squares, running opts.Kernel's MTTKRP for all three modes.
 func CPALS(t *Tensor, opts CPOptions) (*CPResult, error) {
-	return cpd.CPALS(tensor.ToNMode(t), opts)
+	return cpd.CPALS(t.nmode(), opts)
 }
 
 // CPAPR fits a nonnegative rank-R model to a count tensor by
 // minimising the KL divergence (Poisson likelihood) with multiplicative
 // updates — the model family the paper's Poisson data sets come from.
-func CPAPR(t *Tensor, opts APROptions) (*APRResult, error) { return cpapr.Decompose(t, opts) }
+func CPAPR(t *Tensor, opts APROptions) (*APRResult, error) { return cpapr.Decompose(t.nmode(), opts) }
 
 // DistMTTKRP runs the distributed mode-1 MTTKRP (medium-grained 3D, or
 // the paper's 4D when cfg.RankParts > 1) on the in-process MPI runtime.
 func DistMTTKRP(t *Tensor, b, c *Matrix, cfg DistConfig) (*DistResult, error) {
-	return dist.MTTKRP(t, b, c, cfg)
+	return dist.MTTKRP(t.nmode(), b, c, cfg)
 }
 
 // NewDistEngine partitions t once for repeated distributed MTTKRP runs
 // at the given rank.
 func NewDistEngine(t *Tensor, rank int, cfg DistConfig) (*DistEngine, error) {
-	return dist.NewEngine(t, rank, cfg)
+	return dist.NewEngine(t.nmode(), rank, cfg)
 }
 
 // DistCPALS runs a full CP-ALS decomposition with every MTTKRP executed
 // on the distributed runtime.
 func DistCPALS(t *Tensor, cfg DistConfig, opts DistCPOptions) (*DistCPResult, error) {
-	return dist.CPALS(t, cfg, opts)
+	return dist.CPALS(t.nmode(), cfg, opts)
 }
 
 // DefaultCluster is the distributed runtime's default network model.
@@ -374,21 +457,54 @@ func CPALSN(t *TensorN, opts CPNOptions) (*CPNResult, error) { return cpd.CPALS(
 // Datasets returns the Table II data-set registry names.
 func Datasets() []string { return gen.Names() }
 
+// DatasetSpec describes a Table II data set generator with its
+// order-3 shapes.
+type DatasetSpec struct {
+	Name string
+	// PaperDims and PaperNNZ are the shapes reported in Table II.
+	PaperDims Dims
+	PaperNNZ  int64
+	// BenchDims and BenchNNZ are the scaled shapes the offline
+	// benchmarks generate.
+	BenchDims Dims
+	BenchNNZ  int
+
+	spec gen.DatasetSpec
+}
+
+// GenerateAt builds the data set at an arbitrary shape using the
+// spec's generator knobs.
+func (d DatasetSpec) GenerateAt(dims Dims, nnz int, seed int64) (*Tensor, error) {
+	return order3(d.spec.GenerateAt(dims[:], nnz, seed))
+}
+
 // LookupDataset fetches a Table II data-set spec by name.
-func LookupDataset(name string) (DatasetSpec, error) { return gen.Lookup(name) }
+func LookupDataset(name string) (DatasetSpec, error) {
+	s, err := gen.Lookup(name)
+	if err != nil {
+		return DatasetSpec{}, err
+	}
+	return DatasetSpec{Name: s.Name, PaperDims: Dims(s.PaperDims), PaperNNZ: s.PaperNNZ,
+		BenchDims: Dims(s.BenchDims), BenchNNZ: s.BenchNNZ, spec: s}, nil
+}
 
 // Fingerprint returns the content hash identifying t up to nonzero
 // storage order — the executor-cache key of the spblockd service (see
 // internal/server): two uploads of the same logical tensor share one
-// cached executor stack.
-func Fingerprint(t *Tensor) string { return server.Fingerprint(t) }
+// cached executor stack. A tensor whose coordinate slices differ in
+// length, or whose coordinates span more than its longest mode and its
+// nonzero count, has none (the empty string).
+func Fingerprint(t *Tensor) string {
+	fp, _ := server.Fingerprint(t.nmode())
+	return fp
+}
 
 // CPALSEngine decomposes t through a caller-supplied multi-mode
 // engine, reusing its preprocessed per-mode executors instead of
 // building fresh ones — the serving-cache path of spblockd.
 func CPALSEngine(t *Tensor, eng *MultiExecutor, opts CPOptions) (*CPResult, error) {
 	if eng == nil {
-		return cpd.CPALSEngine(tensor.ToNMode(t), nil, opts)
+		return cpd.CPALSEngine(t.nmode(), nil, opts)
 	}
-	return cpd.CPALSEngine(tensor.ToNMode(t), eng.Engine, opts)
+	return cpd.CPALSEngine(t.nmode(), eng.Engine, opts)
 }

@@ -289,10 +289,10 @@ func TestFacadeMultiExecutor(t *testing.T) {
 	perms := [3][3]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
 	operands := [3][2]int{{1, 2}, {0, 2}, {0, 1}}
 	for n := 0; n < 3; n++ {
-		pt, err := x.PermuteModes(perms[n])
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := perms[n]
+		src := [3][]int32{x.I, x.J, x.K}
+		pt := &spblock.Tensor{Dims: spblock.Dims{dims[p[0]], dims[p[1]], dims[p[2]]},
+			I: src[p[0]], J: src[p[1]], K: src[p[2]], Val: x.Val}
 		want := spblock.NewMatrix(dims[n], rank)
 		if err := spblock.MTTKRP(pt, factors[operands[n][0]], factors[operands[n][1]], want,
 			spblock.Plan{Method: spblock.MethodCOO}); err != nil {
