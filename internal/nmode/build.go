@@ -30,14 +30,17 @@ type Builder struct {
 }
 
 // NewBuilder sizes a Builder for order-`order` trees of up to maxNNZ
-// nonzeros whose sort keys lie below maxExt.
+// nonzeros whose sort keys lie below maxExt. The counting sort's
+// buckets cover keys below min(maxExt, max(maxNNZ, 2^16)); a mode whose
+// span is wider sorts in two 16-bit digits instead, so a tree of a few
+// nonzeros 2^31 apart costs 2^16 buckets, not 2^31.
 //
 //spblock:coldpath
 func NewBuilder(order, maxNNZ, maxExt int) *Builder {
 	return &Builder{
 		perm:   make([]int32, maxNNZ),
 		tmp:    make([]int32, maxNNZ),
-		counts: make([]int32, maxExt+1),
+		counts: make([]int32, min(maxExt, max(maxNNZ, radixBuckets))+1),
 		keys:   make([][]Index, order),
 		levels: make([]int, order),
 		fill:   make([]int, order),
@@ -152,24 +155,43 @@ func (b *Builder) sortPerm(s *Span, mo []int) (perm []int32, bounded bool) {
 		if s.Base != nil {
 			lo = s.Base[m]
 		}
-		ext := s.Ext[m]
-		counts := b.counts[:ext+1]
-		clear(counts)
-		for _, x := range perm {
-			counts[key[x]-lo+1]++
+		if ext := s.Ext[m]; ext < len(b.counts) {
+			countPass(perm, other, key, lo, 0, ^uint32(0), b.counts[:ext+1])
+			perm, other = other, perm
+			continue
 		}
-		for k := 0; k < ext; k++ {
-			counts[k+1] += counts[k]
+		// The span outgrows the buckets: two stable passes, the low
+		// 16 bits of the key and then the high 16.
+		for _, shift := range [...]uint{0, 16} {
+			countPass(perm, other, key, lo, shift, radixBuckets-1, b.counts[:radixBuckets+1])
+			perm, other = other, perm
 		}
-		for _, x := range perm {
-			k := key[x] - lo
-			other[counts[k]] = x
-			counts[k]++
-		}
-		perm, other = other, perm
 	}
 	b.perm, b.tmp = perm[:cap(perm)], other[:cap(other)]
 	return perm, false
+}
+
+// radixBuckets is the bucket count of one 16-bit digit pass.
+const radixBuckets = 1 << 16
+
+// countPass is one stable counting-sort pass: it moves the positions
+// in src to dst in order of their digit (key[x]-lo)>>shift&mask, which
+// must lie below len(counts)-1.
+//
+//spblock:hotpath
+func countPass(src, dst []int32, key []Index, lo Index, shift uint, mask uint32, counts []int32) {
+	clear(counts)
+	for _, x := range src {
+		counts[uint32(key[x]-lo)>>shift&mask+1]++
+	}
+	for k := 1; k < len(counts); k++ {
+		counts[k] += counts[k-1]
+	}
+	for _, x := range src {
+		k := uint32(key[x]-lo) >> shift & mask
+		dst[counts[k]] = x
+		counts[k]++
+	}
 }
 
 // boundaries fills b.tmp and b.levels for the n nonzeros at positions

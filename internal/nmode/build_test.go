@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -179,6 +180,47 @@ func TestBuildMatchesOracle(t *testing.T) {
 				t.Fatalf("dims %v order %v, sorted input: %v", tc.dims, mo, err)
 			}
 		}
+	}
+}
+
+// TestWideSpanSortMatchesOracle builds trees over modes whose spans
+// outgrow the counting sort's buckets (wider than both 2^16 and the
+// nonzero count), which sort in two 16-bit digits, and checks them
+// against the stable-sort oracle. Dedup of nonzeros 2^24 apart must
+// stay within a few MiB: the one-pass sort allocated 64 MiB of buckets
+// there, and 8 GiB at a 2^31 span. The spans stay at 2^24 so that a
+// regression to the one-pass sort fails here without exhausting memory.
+func TestWideSpanSortMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, dims := range [][]int{{1<<24 + 3, 70000, 5}, {3, 1 << 20, 1<<24 + 5, 2}} {
+		x := dupTensor(rng, dims, 400)
+		for _, mo := range modeOrders(rng, dims) {
+			got, err := Build(x, mo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameTree(got, oracleTree(x, mo)); err != nil {
+				t.Fatalf("dims %v order %v: %v", dims, mo, err)
+			}
+		}
+	}
+
+	x := NewTensor([]int{1<<24 + 1, 2}, 0)
+	x.Append([]Index{1 << 24, 1}, 1)
+	x.Append([]Index{0, 0}, 2)
+	x.Append([]Index{1 << 24, 1}, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	merged, err := x.Dedup()
+	runtime.ReadMemStats(&after)
+	if err != nil || merged != 1 {
+		t.Fatalf("Dedup: merged %d, %v; want 1", merged, err)
+	}
+	if !slices.Equal(x.Idx[0], []Index{0, 1 << 24}) || !slices.Equal(x.Val, []float64{2, 4}) {
+		t.Fatalf("Dedup: idx %v val %v", x.Idx, x.Val)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 4<<20 {
+		t.Errorf("Dedup of 3 nonzeros spanning 2^24 allocated %d bytes", b)
 	}
 }
 

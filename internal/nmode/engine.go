@@ -2,6 +2,10 @@ package nmode
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"spblock/internal/kernel"
 	"spblock/internal/la"
@@ -22,7 +26,11 @@ type Engine struct {
 
 // NewEngine builds executors for the requested modes (default: all)
 // of t under opts. t and opts are validated once, here; the per-mode
-// builds do not re-check them. An AlgCOO engine aliases t's storage,
+// builds do not re-check them. The distinct modes are built
+// concurrently by min(opts.Workers, #modes) goroutines (Workers 0:
+// GOMAXPROCS), each mode by one of them, so the engine is the one a
+// sequential build makes; on failure the error is that of the first
+// failing mode in request order. An AlgCOO engine aliases t's storage,
 // so values rewritten in place between runs are seen by the next run.
 func NewEngine(t *Tensor, opts Options, modes ...int) (*Engine, error) {
 	if err := t.Validate(); err != nil {
@@ -47,15 +55,39 @@ func NewEngine(t *Tensor, opts Options, modes ...int) (*Engine, error) {
 		}
 	}
 	e := &Engine{dims: append([]int(nil), t.Dims...), execs: make([]*Executor, n)}
+	todo := make([]int, 0, len(modes))
 	for _, m := range modes {
-		if e.execs[m] != nil {
-			continue
+		if !slices.Contains(todo, m) {
+			todo = append(todo, m)
 		}
-		ex, err := buildExecutor(t, m, opts)
+	}
+	errs := make([]error, len(todo))
+	workers := opts.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Each builder claims the next unbuilt mode; every mode is built by
+	// exactly one of them from the read-only t, so the result does not
+	// depend on the worker count.
+	var next atomic.Int64
+	build := func() {
+		for i := int(next.Add(1) - 1); i < len(todo); i = int(next.Add(1) - 1) {
+			e.execs[todo[i]], errs[i] = buildExecutor(t, todo[i], opts)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(todo)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		e.execs[m] = ex
 	}
 	return e, nil
 }

@@ -1,7 +1,10 @@
 package nmode
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spblock/internal/la"
@@ -153,4 +156,99 @@ func TestEngineSchedPropagation(t *testing.T) {
 			t.Errorf("order-%d engine accepted an invalid sched policy", nt.Order())
 		}
 	}
+}
+
+// TestEngineConcurrentBuildIdentical pins the concurrent per-mode
+// build to the sequential one: at 2, 3 and 8 builders, for SPLATT, an
+// MB grid, rank strips and COO at orders 3 and 4, over all modes, a
+// subset and a repeated mode, the engine holds the same trees, reports
+// the same MemoryBytes, and every built mode's MTTKRP has the same
+// bits as the 1-worker build's, both run at one worker. A grid of the
+// wrong length fails with the sequential build's error.
+func TestEngineConcurrentBuildIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const rank = 19
+	for _, x := range []*Tensor{
+		randTensorN(rng, []int{40, 30, 20}, 3000),
+		randTensorN(rng, []int{14, 12, 10, 8}, 3000),
+	} {
+		n := x.Order()
+		grid := make([]int, n)
+		for m := range grid {
+			grid[m] = 2 + m%2
+		}
+		factors := make([]*la.Matrix, n)
+		for m := range factors {
+			factors[m] = randMatrix(rng, x.Dims[m], rank)
+		}
+		plans := map[string]Options{
+			"splatt": {},
+			"mb":     {Grid: grid},
+			"rankb":  {RankBlockCols: 16},
+			"coo":    {Algorithm: AlgCOO},
+		}
+		for name, opts := range plans {
+			for _, modes := range [][]int{nil, {n - 1, 0}, {1, 1, 0}} {
+				opts.Workers = 1
+				want, err := NewEngine(x, opts, modes...)
+				if err != nil {
+					t.Fatalf("order %d %s modes %v: %v", n, name, modes, err)
+				}
+				for _, workers := range []int{2, 3, 8} {
+					opts.Workers = workers
+					got, err := NewEngine(x, opts, modes...)
+					if err != nil {
+						t.Fatalf("order %d %s modes %v workers %d: %v", n, name, modes, workers, err)
+					}
+					if err := got.SetWorkers(1); err != nil {
+						t.Fatal(err)
+					}
+					if err := sameEngine(got, want, factors, rank); err != nil {
+						t.Fatalf("order %d %s modes %v: %d-worker build: %v", n, name, modes, workers, err)
+					}
+				}
+			}
+		}
+		short := Options{Grid: grid[:n-1], Workers: 1}
+		_, want := NewEngine(x, short)
+		for _, workers := range []int{2, 3, 8} {
+			short.Workers = workers
+			if _, err := NewEngine(x, short); err == nil || want == nil || err.Error() != want.Error() {
+				t.Fatalf("order %d short grid at %d workers: error %v, sequential build %v", n, workers, err, want)
+			}
+		}
+	}
+}
+
+// sameEngine reports how got differs from want: the modes built, the
+// trees, MemoryBytes, or the bits of any built mode's MTTKRP.
+func sameEngine(got, want *Engine, factors []*la.Matrix, rank int) error {
+	if g, w := got.MemoryBytes(), want.MemoryBytes(); g != w {
+		return fmt.Errorf("MemoryBytes %d, want %d", g, w)
+	}
+	for m, wx := range want.execs {
+		gx := got.execs[m]
+		if (gx == nil) != (wx == nil) {
+			return fmt.Errorf("mode %d built %v, want %v", m, gx != nil, wx != nil)
+		}
+		if wx == nil {
+			continue
+		}
+		if !reflect.DeepEqual(gx.csf, wx.csf) || !reflect.DeepEqual(gx.blocked, wx.blocked) || gx.coo != wx.coo {
+			return fmt.Errorf("mode %d: built structures differ", m)
+		}
+		g, w := la.NewMatrix(want.dims[m], rank), la.NewMatrix(want.dims[m], rank)
+		if err := got.Run(m, factors, g); err != nil {
+			return err
+		}
+		if err := want.Run(m, factors, w); err != nil {
+			return err
+		}
+		for i, v := range w.Data {
+			if math.Float64bits(g.Data[i]) != math.Float64bits(v) {
+				return fmt.Errorf("mode %d MTTKRP entry %d = %v, want %v", m, i, g.Data[i], v)
+			}
+		}
+	}
+	return nil
 }

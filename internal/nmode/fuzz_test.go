@@ -10,10 +10,13 @@ import (
 )
 
 // FuzzReadTNS drives the order-N text parser with arbitrary inputs: it
-// must never panic, whatever it accepts must validate and round-trip,
-// and Dedup must merge its duplicates exactly as the input-order map
-// oracle, in the natural mode order and in the fiber order
-// (0, N−1, …, 1), which at order 3 is the SPLATT order (0, 2, 1).
+// must never panic and must agree with referenceReadTNS, the
+// strings.Fields/strconv parser it replaced, on the accept/reject
+// decision, the error text, the dims and every coordinate and value
+// bit; whatever it accepts must validate and round-trip through
+// WriteTNS, and Dedup must merge its duplicates exactly as the
+// input-order map oracle, in the natural mode order and in the fiber
+// order (0, N−1, …, 1), which at order 3 is the SPLATT order (0, 2, 1).
 func FuzzReadTNS(f *testing.F) {
 	seeds := []string{
 		"1 1 1 5.0\n",
@@ -27,12 +30,53 @@ func FuzzReadTNS(f *testing.F) {
 		"a b c d\n",
 		"# dims: 0 0\n",
 		"1 1 1e309\n",
+		// Separators: tabs, \v, \f, CRLF line ends, a lone \r.
+		"1\t2\t3\t0.5\r\n2\v1\f1 -2\r\n",
+		"  1 1 1 1  \r\n\r\n\t# note\r\n3 3 3 3\r",
+		"1 1\r1 1\n",
+		// Unicode separators (U+00A0, U+2000, U+0085) and non-space
+		// UTF-8 or invalid bytes inside a field.
+		"1\u00a02\u00a03\u00a04\n",
+		"1\u20002 3\u2000\u20004.5\n\u0085# c\n",
+		"1 1 1 4\u00e9\n",
+		"1 1 \u00e91 4\n",
+		"1 1 1 \xff\n",
+		"\xc2 1 1 1\n",
+		"# dims:\u00a02 2 2\n1 1 1 1\n",
+		// Coordinates strconv parses but the digit path does not, and
+		// the int32 boundary at 10 and 11 digits.
+		"+1 1 1 1\n0001 2 1 1\n",
+		"-1 1 1 1\n",
+		"2147483647 1 1 1\n",
+		"2147483648 1 1 1\n",
+		"1 1 1 1\n2147483647 1 1 2\n1 1 1 3\n",
+		"9999999999 1 1 1\n",
+		"10000000000 1 1 1\n",
+		"99999999999999999999 1 1 1\n",
+		"0 1 1 1\n",
+		"1_0 1 1 1\n",
+		// Values off the digit path: underscores, hex floats, signed
+		// zero, infinities, and integers around 2^53 at 15-17 digits.
+		"1 1 1 1_0\n",
+		"1 1 1 0x1p-2\n",
+		"1 1 1 -0\n2 2 2 +0\n",
+		"1 1 1 inf\n2 2 2 -Inf\n3 3 3 NaN\n",
+		"1 1 1 999999999999999\n2 2 2 1000000000000000\n",
+		"1 1 1 9007199254740991\n2 2 2 9007199254740993\n",
+		"1 1 1 90071992547409935\n2 2 2 18014398509481985\n",
+		"1 1 1 000000000000000000001\n2 2 2 0\n",
+		"1 1 1 1e\n",
+		"1 1 1 .5\n2 2 2 5.\n3 3 3 1e-400\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		c, err := ReadTNS(strings.NewReader(input))
+		ref, rerr := referenceReadTNS(strings.NewReader(input))
+		if err := sameParse(c, err, ref, rerr); err != nil {
+			t.Fatalf("ReadTNS differs from the reference parser: %v", err)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

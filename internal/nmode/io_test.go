@@ -2,10 +2,16 @@ package nmode
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"spblock/internal/testutil/raceflag"
 )
 
 func TestReadTNSNOrder4(t *testing.T) {
@@ -180,5 +186,177 @@ func TestFileRoundTripN(t *testing.T) {
 	}
 	if _, err := LoadTNSFile(filepath.Join(dir, "missing.tns")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// tnsLines returns an order-`order` .tns body of `lines` data lines
+// whose values cycle through the tokenizer's paths: digit runs, and
+// decimals, exponents and signs that go to strconv.
+func tnsLines(lines, order int) []byte {
+	rng := rand.New(rand.NewSource(int64(lines)))
+	vals := []string{"1", "37", "0.25", "-1.5e-3", "2.718281828459045", "1e300"}
+	var b bytes.Buffer
+	b.WriteString("# an allocation probe\n")
+	for i := 0; i < lines; i++ {
+		for m := 0; m < order; m++ {
+			fmt.Fprintf(&b, "%d ", 1+rng.Intn(5000))
+		}
+		b.WriteString(vals[i%len(vals)])
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// TestReadTNSAllocs pins the parser's allocations: ReadTNS of a
+// 200k-line order-4 body allocates only the stream, its column chunks
+// and the exact-length result, a count that does not grow with the
+// line count, and TNSStream.Next, the out-of-core stager's loop,
+// allocates nothing per data line once the order is fixed.
+func TestReadTNSAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	const lines, order = 200_000, 4
+	in := tnsLines(lines, order)
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := ReadTNS(bytes.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Chunks of 1Ki, 2Ki, ..., 64Ki and then 64Ki nonzeros hold 200k
+	// nonzeros in 9 chunks of two slices each; the rest (about 25) is
+	// the stream and its buffers, the comment line, the chunk list's
+	// growth and the exact-length result. A per-line allocation would
+	// add 200k.
+	if got > 48 {
+		t.Errorf("ReadTNS of %d lines: %v allocations, want at most 48", lines, got)
+	}
+
+	s := NewTNSStream(bytes.NewReader(in))
+	for i := 0; i < 10; i++ {
+		if _, _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(10_000, func() {
+		if _, _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("TNSStream.Next: %v allocations per data line, want 0", got)
+	}
+}
+
+// tnsGen streams n order-2 data lines, line k being
+// "k%7+1 k%11+1 k%13", without holding the body in memory.
+type tnsGen struct {
+	k, n int
+	line []byte
+	rest []byte
+}
+
+func (g *tnsGen) Read(p []byte) (int, error) {
+	w := 0
+	for w < len(p) {
+		if len(g.rest) == 0 {
+			if g.k == g.n {
+				break
+			}
+			l := strconv.AppendInt(g.line[:0], int64(g.k%7+1), 10)
+			l = append(l, ' ')
+			l = strconv.AppendInt(l, int64(g.k%11+1), 10)
+			l = append(l, ' ')
+			l = strconv.AppendInt(l, int64(g.k%13), 10)
+			g.line = append(l, '\n')
+			g.rest = g.line
+			g.k++
+		}
+		c := copy(p[w:], g.rest)
+		g.rest, w = g.rest[c:], w+c
+	}
+	if w == 0 {
+		return 0, io.EOF
+	}
+	return w, nil
+}
+
+// TestReadTNSManyChunks reads more nonzeros than 53 full 64Ki column
+// chunks hold (3,144,704 after the doubling ones), past where a chunk
+// size computed by shifting by the chunk count overflows, and checks
+// every nonzero lands in place.
+func TestReadTNSManyChunks(t *testing.T) {
+	if testing.Short() || raceflag.Enabled {
+		t.Skip("parses 3.3M lines into about 100 MB")
+	}
+	const n = 3_300_000
+	x, err := ReadTNS(&tnsGen{n: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.NNZ() != n || x.Dims[0] != 7 || x.Dims[1] != 11 {
+		t.Fatalf("got dims %v nnz %d, want [7 11] nnz %d", x.Dims, x.NNZ(), n)
+	}
+	for k := 0; k < n; k++ {
+		if x.Idx[0][k] != Index(k%7) || x.Idx[1][k] != Index(k%11) || x.Val[k] != float64(k%13) {
+			t.Fatalf("nonzero %d: (%d, %d) %v", k, x.Idx[0][k], x.Idx[1][k], x.Val[k])
+		}
+	}
+}
+
+// fmtWriteTNS is the fmt-based writer WriteTNS replaced, kept as its
+// byte-for-byte reference.
+func fmtWriteTNS(w io.Writer, t *Tensor) {
+	fmt.Fprint(w, "# dims:")
+	for _, d := range t.Dims {
+		fmt.Fprintf(w, " %d", d)
+	}
+	fmt.Fprintln(w)
+	for p := 0; p < t.NNZ(); p++ {
+		for m := range t.Dims {
+			fmt.Fprintf(w, "%d ", t.Idx[m][p]+1)
+		}
+		fmt.Fprintln(w, strconv.FormatFloat(t.Val[p], 'g', -1, 64))
+	}
+}
+
+// TestWriteTNSMatchesFmt checks WriteTNS byte for byte against the fmt
+// reference on random order-2 to order-5 tensors whose values include
+// NaN, ±Inf, −0 and subnormals, and that ReadTNS reads back the bits.
+func TestWriteTNSMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		5e-324, -2.5e-310, math.MaxFloat64, 1e21, 123456789, 0.1}
+	for order := 2; order <= 5; order++ {
+		dims := make([]int, order)
+		for m := range dims {
+			dims[m] = 1 + rng.Intn(1000)
+		}
+		x := NewTensor(dims, 0)
+		coords := make([]Index, order)
+		for p := 0; p < 500; p++ {
+			for m := range coords {
+				coords[m] = Index(rng.Intn(dims[m]))
+			}
+			v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			if p%3 == 0 {
+				v = special[rng.Intn(len(special))]
+			}
+			x.Append(coords, v)
+		}
+		var got, want bytes.Buffer
+		if err := WriteTNS(&got, x); err != nil {
+			t.Fatal(err)
+		}
+		fmtWriteTNS(&want, x)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("order %d: WriteTNS output differs from the fmt reference", order)
+		}
+		back, err := ReadTNS(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameParse(back, nil, x, nil); err != nil {
+			t.Fatalf("order %d: read back: %v", order, err)
+		}
 	}
 }
