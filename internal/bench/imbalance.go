@@ -12,8 +12,8 @@ import (
 
 // imbalanceRank is the decomposition rank the scheduler comparison runs
 // at; imbalanceStrip is the rank-blocking strip width. Strips multiply
-// the per-fiber epilogue cost (one epilogue per strip per fiber), which
-// is what makes fiber-density skew visible as time skew.
+// the per-fiber cost (every strip walks every fiber again), which is
+// what makes fiber-density skew visible as time skew.
 const (
 	imbalanceRank  = 32
 	imbalanceStrip = 8
@@ -27,13 +27,16 @@ const (
 const imbalanceWarmRuns = 8
 
 // skewedTensorN builds a deterministically skewed order-4 tensor: the
-// low half of mode 0 carries clustered, dense-fibered nonzeros (many
-// leaves per fiber, so the per-nonzero cost is dominated by the strip
-// walk), the high half carries a near-uniform scatter whose fibers are
-// almost all singletons (every nonzero pays a full fiber epilogue per
-// rank strip). Both halves hold the same nonzero count, so the static
+// low half of mode 0 carries clustered, dense-fibered nonzeros (about
+// 20k fibers of 6 leaves, so the per-nonzero cost is dominated by the
+// strip walk), the high half carries a near-uniform scatter of about
+// 114k fibers, 95% of them singletons. A singleton skips the register
+// kernel (nmode's short-fiber path) but still loads a scale row of its
+// own for its one nonzero and is walked as a fiber of its own per rank
+// strip, so on one worker the scatter half takes about twice the dense
+// half's time. Both halves hold the same nonzero count, so the static
 // scheduler's nnz-balanced shares put the cheap half on one worker and
-// the expensive half on another — a guaranteed time imbalance that no
+// the expensive half on another — a time imbalance that no
 // cluster-placement seed can average away, which is the regime the
 // work-stealing and adaptive schedulers exist for.
 func skewedTensorN(cfg Config) (*nmode.Tensor, error) {

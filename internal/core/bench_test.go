@@ -85,8 +85,11 @@ func alternate(b *testing.B, x *nmode.Tensor, rank int, plans []core.Plan) (spen
 // row. The plans' sweeps alternate, so the reported time ratios cancel
 // host drift: mbrankb/splatt bounds the blocked register walk against
 // the accumulator walk, and splatt/coo the accumulator walk against the
-// coordinate kernel. CI gates both ratios. *-ms are the per-sweep
-// times, *-build-s the executor construction times.
+// coordinate kernel. 87% of the blocked trees' fibers hold one nonzero,
+// and the register walk adds those without its register kernel while
+// SPLATT keeps Algorithm 1's body, so mbrankb/splatt measures that
+// short-fiber path as well as blocking. CI gates both ratios. *-ms are
+// the per-sweep times, *-build-s the executor construction times.
 func BenchmarkMBRankBOverSPLATT(b *testing.B) {
 	x, err := poisson3()
 	if err != nil {
@@ -106,11 +109,12 @@ func BenchmarkMBRankBOverSPLATT(b *testing.B) {
 	b.ReportMetric(build[1].Seconds(), "mbrankb-build-s")
 }
 
-// BenchmarkRegisterWalkInCache times the three MTTKRP bodies where the
-// register walk's fast path shows: Poisson1 at scale 0.2 (51^3, 62k nonzeros,
+// BenchmarkRegisterWalkInCache times the three MTTKRP bodies where
+// register blocking shows: Poisson1 at scale 0.2 (51^3, 62k nonzeros,
 // fibers of 24 nonzeros on average) at rank 32, whose 13 KB factors
-// stay in cache, on one worker. Poisson3's fibers average 1.3
-// nonzeros, too short for register blocking to show there. RankB with
+// stay in cache, on one worker. Poisson3's fibers average 1.16
+// nonzeros and 87% hold one, which the register walk adds without its
+// register kernel, so register blocking cannot show there. RankB with
 // 32-column strips runs the register walk, SPLATT the accumulator walk
 // and COO the coordinate kernel, one sweep each in turn. CI gates
 // rankb/splatt, which a register walk fallen back to scalar tails

@@ -15,7 +15,8 @@
 // the dst and scale rows) rather than a tensor type: dst is an output
 // row or a mid-level accumulator of the walk. The package also holds
 // the whole-rank helpers of Algorithm 1 (Axpy, ScaleAdd), the COO
-// kernel (KRPAxpy) and the privatised-output reduction (Add).
+// kernel, which is also the walk's one-nonzero fiber (KRPAxpy), and
+// the privatised-output reduction (Add).
 package kernel
 
 import (
@@ -48,7 +49,9 @@ const (
 // over p in [pLo, pHi). vals/ids are the fiber's nonzero values and
 // leaf-mode coordinates; dst is the row the fiber's parent accumulates
 // into (an output row, or a walker's accumulator) and scale is the
-// fiber's own factor row.
+// fiber's own factor row. The walker calls it only for fibers of two
+// or more nonzeros; a one-nonzero fiber goes through KRPAxpy instead,
+// bit-identical because dst is never −0 (nmode.Walker.Walk).
 type FiberKernel func(vals []float64, ids []int32, b *la.Matrix, dst, scale []float64, pLo, pHi, r0 int)
 
 // FiberTailKernel is FiberKernel for a partial block spanning columns
@@ -184,9 +187,11 @@ func ScaleAdd(out, acc, scale []float64) {
 	}
 }
 
-// KRPAxpy accumulates out[q] += v * brow[q] * crow[q] over len(out)
+// KRPAxpy accumulates out[q] += (v * brow[q]) * crow[q] over len(out)
 // columns — the on-the-fly Khatri-Rao product of the COO baseline
-// (Sec. III-C1).
+// (Sec. III-C1), and the register walk's one-nonzero fiber, whose sum
+// v·b is scaled by its fiber row crow. A caller that passes crow cut
+// to len(out) gets the loop without a bounds check once inlined.
 //
 //spblock:hotpath
 func KRPAxpy(out []float64, v float64, brow, crow []float64) {

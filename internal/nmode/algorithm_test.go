@@ -1,6 +1,8 @@
 package nmode
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -42,6 +44,183 @@ func TestAccumulatorBodyBitIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestShortFiberBitIdentical pins the register walk's short-fiber path
+// to Algorithm 1's accumulator body bit for bit, on mode trees made of
+// one-nonzero fibers, two-nonzero fibers, and a mix of 1, 2, 3 and
+// long ones, at orders 2-5. The values and factors carry -0 entries,
+// and one non-output factor has a +Inf, a -Inf and a NaN entry, so the
+// signed-zero argument on Walker.Walk is exercised where it matters. The exported
+// Walker, walked over the same tree or the same blocks in block order
+// (the out-of-core path), must match the in-memory executor too.
+func TestShortFiberBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	shapes := []struct {
+		name string
+		lens []int
+	}{
+		{"singletons", []int{1}},
+		{"pairs", []int{2}},
+		{"mix", []int{1, 1, 1, 2, 2, 3, 0}}, // 0: a long fiber
+	}
+	for _, dims := range [][]int{{40, 36}, {20, 18, 16}, {12, 10, 18, 16}, {6, 7, 16, 5, 18}} {
+		grid := make([]int, len(dims))
+		for m := range grid {
+			grid[m] = 2
+		}
+		for _, shape := range shapes {
+			for mode := range dims {
+				mo := DefaultModeOrder(dims, mode)
+				x := shortFiberTensor(rng, dims, mo, shape.lens)
+				for _, rank := range []int{1, 7, 8, 31, 32, 33, 64} {
+					factors := make([]*la.Matrix, len(dims))
+					for m := range factors {
+						factors[m] = specialMatrix(rng, dims[m], rank, m == (mode+1)%len(dims))
+					}
+					for _, opts := range []Options{
+						{Workers: 1},
+						{Workers: 2, Sched: sched.PolicySteal},
+						{Grid: grid, Workers: 1},
+						{Grid: grid, Workers: 2},
+						{RankBlockCols: 8, Workers: 1},
+						{RankBlockCols: 16, Workers: 2},
+						{Grid: grid, RankBlockCols: 24, Workers: 2},
+					} {
+						want := runOpts(t, x, mode, opts, factors)
+						where := func(what string) string {
+							return fmt.Sprintf("%s order %d mode %d rank %d %+v: %s",
+								shape.name, len(dims), mode, rank, opts, what)
+						}
+						acc := opts
+						acc.Algorithm = AlgAccumulator
+						assertSameBits(t, where("accumulator body"), runOpts(t, x, mode, acc, factors), want)
+						if opts.RankBlockCols != 0 {
+							continue
+						}
+						assertSameBits(t, where("Walker"), walkTrees(t, x, mo, opts.Grid, factors, rank), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// shortFiberTensor builds a tensor whose tree under mode order mo has
+// fibers of the lengths in lens, drawn in turn (0 means a long fiber
+// of 4 up to the leaf extent): each fiber is a distinct coordinate
+// prefix over the non-leaf modes with a run of consecutive leaf
+// coordinates, so a grid cuts few of them. About a tenth of the values
+// are -0.
+func shortFiberTensor(rng *rand.Rand, dims, mo []int, lens []int) *Tensor {
+	n := len(dims)
+	leaf := mo[n-1]
+	prefixes := 1
+	for _, m := range mo[:n-1] {
+		prefixes *= dims[m]
+	}
+	fibers := min(150, prefixes/2)
+	x := NewTensor(dims, 0)
+	coords := make([]Index, n)
+	used := make(map[int]bool, fibers)
+	for f := 0; f < fibers; f++ {
+		key := 0
+		for {
+			key = 0
+			for _, m := range mo[:n-1] {
+				coords[m] = Index(rng.Intn(dims[m]))
+				key = key*dims[m] + int(coords[m])
+			}
+			if !used[key] {
+				break
+			}
+		}
+		used[key] = true
+		k := lens[f%len(lens)]
+		if k == 0 {
+			k = 4 + rng.Intn(dims[leaf]-3)
+		}
+		start := rng.Intn(dims[leaf] - k + 1)
+		for j := 0; j < k; j++ {
+			coords[leaf] = Index(start + j)
+			v := rng.NormFloat64()
+			if rng.Intn(10) == 0 {
+				v = math.Copysign(0, -1)
+			}
+			x.Append(coords, v)
+		}
+	}
+	return x
+}
+
+// specialMatrix is randMatrix with about a tenth of its entries -0.
+// A nonfinite one also gets one +Inf, one -Inf and one NaN entry in
+// distinct rows, so some output elements go non-finite while most stay
+// finite.
+func specialMatrix(rng *rand.Rand, rows, cols int, nonfinite bool) *la.Matrix {
+	m := randMatrix(rng, rows, cols)
+	for i := range m.Data {
+		if rng.Intn(10) == 0 {
+			m.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	if nonfinite {
+		for k, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			m.Set((k*rows)/3, rng.Intn(cols), v)
+		}
+	}
+	return m
+}
+
+// walkTrees runs the exported Walker over x's tree under mode order
+// mo, or over its grid blocks in block order, as the out-of-core
+// engine walks its staged blocks.
+func walkTrees(t *testing.T, x *Tensor, mo, grid []int, factors []*la.Matrix, rank int) *la.Matrix {
+	t.Helper()
+	trees := []*CSF{}
+	if grid == nil {
+		c, err := Build(x, mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, c)
+	} else {
+		bt, err := BuildBlocked(x, grid, mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range bt.Blocks {
+			if c != nil {
+				trees = append(trees, c)
+			}
+		}
+	}
+	out := la.NewMatrix(x.Dims[mo[0]], rank)
+	wk := NewWalker(x.Order(), rank)
+	for _, c := range trees {
+		wk.Walk(c, factors, out)
+	}
+	return out
+}
+
+// assertSameBits fails unless got and want hold the same float64 bit
+// patterns, -0 included, and NaN in the same elements. NaN payloads are
+// not compared: when both operands of an add are NaN, x86 returns the
+// first operand's payload, and the compiler orders a commutative add's
+// operands as it likes, so the register and accumulator bodies already
+// disagree on which NaN survives.
+func assertSameBits(t *testing.T, what string, got, want *la.Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		g, w := got.Data[i], want.Data[i]
+		if math.IsNaN(g) && math.IsNaN(w) {
+			continue
+		}
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d is %v (%#x), want %v (%#x)",
+				what, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }

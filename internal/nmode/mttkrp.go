@@ -46,7 +46,9 @@ const (
 	// accumulator array — clear, one kernel.Axpy per nonzero, then
 	// kernel.ScaleAdd — as the paper's baseline Algorithm 1 does. Each
 	// output element sees the same operations in the same order as
-	// under AlgRegister, so the two are bit-identical; only the memory
+	// under AlgRegister, except that AlgRegister adds a one-nonzero
+	// fiber's v·b without the leading 0 +, which changes no bit (see
+	// Walker.Walk); so the two are bit-identical and only the memory
 	// traffic differs.
 	AlgAccumulator
 	// AlgCOO skips the tree and runs the coordinate kernel over nonzero
@@ -112,6 +114,19 @@ func (wk *Walker) Kernel() string { return wk.w.kern.Name }
 
 // Walk accumulates c's MTTKRP contribution into out (not zeroed here:
 // the caller owns the block loop and zeroes once per product).
+//
+// Precondition: no element of out is −0. The walk's short-fiber path
+// (walker.fibers) adds a fiber's sum straight into its destination, as
+// (v·b)·s, where a register or accumulator sum adds (0 + v·b)·s. 0 + x
+// differs from x only when x is −0, so the two products differ at most
+// in the sign of a zero; an invalid operation such as 0·Inf yields the
+// hardware default NaN whatever its operands' signs. Adding +0 or −0
+// to a value that is not −0 gives the same bits. Every destination the
+// walk writes starts at +0 (out.Zero() in the executors and the
+// out-of-core engine, a rank strip's Zero, a mid-level clear) and only
+// ever has values added to it, and a round-to-nearest sum is −0 only
+// when both addends are, so it is never −0 and the short-fiber path is
+// bit-identical to AlgAccumulator.
 //
 //spblock:hotpath
 func (wk *Walker) Walk(c *CSF, factors []*la.Matrix, out *la.Matrix) {
@@ -224,8 +239,12 @@ func (w *walker) node(d int, nd int32, dst []float64) {
 // The register body sweeps a fiber once per register block of the
 // resolved width-specialized kernel; kernel.Resolve guarantees every
 // tail is narrower than kernel.MaxWidth (it trails an unrolled block,
-// or the whole strip is below kernel.MinWidth). A walker with an
-// accumulator array runs accFibers instead.
+// or the whole strip is below kernel.MinWidth). A fiber with one
+// nonzero, most fibers of sparse data (87% of Poisson3's), skips the
+// width kernel: oneNonzero adds (v·b)·s over the whole strip in one
+// loop, with no indirect call and no register block to spill. It is
+// bit-identical to the register sum under Walk's precondition. A
+// walker with an accumulator array runs accFibers instead.
 //
 //spblock:hotpath
 func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
@@ -244,6 +263,10 @@ func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
 			scale = mid.Row(int(fid[f]))
 		}
 		pLo, pHi := int(ptr[f]), int(ptr[f+1])
+		if pHi-pLo == 1 {
+			oneNonzero(dst, vals[pLo], leaf.Row(int(ids[pLo])), scale)
+			continue
+		}
 		r0 := 0
 		if kw := kern.Width; kw > 0 {
 			for ; r0+kw <= width; r0 += kw {
@@ -256,10 +279,22 @@ func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
 	}
 }
 
+// oneNonzero adds a one-nonzero fiber, dst += (v·b)·s, through
+// kernel.KRPAxpy. s is cut to len(dst) so the loop runs without a
+// bounds check, which the COO kernel, sharing KRPAxpy, keeps. It stays
+// out of line: inlined into fibers, the loop spills its counter.
+//
+//go:noinline
+//spblock:hotpath
+func oneNonzero(dst []float64, v float64, b, s []float64) {
+	kernel.KRPAxpy(dst, v, b, s[:len(dst)])
+}
+
 // accFibers is fibers with Algorithm 1's body: each fiber is summed
 // over the whole width into the accumulator array (clear, one Axpy per
 // nonzero), then added into dst scaled by its row of mid. Every
-// element sees the register body's operations in the same order.
+// element sees the register body's operations in the same order, bar
+// the short-fiber path's dropped 0 + (see Walker.Walk).
 //
 //spblock:hotpath
 func (w *walker) accFibers(lo, hi int32, dst []float64, mid *la.Matrix) {
