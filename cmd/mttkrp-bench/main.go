@@ -13,10 +13,6 @@
 //	mttkrp-bench -dataset Poisson4 -rank 64
 //	mttkrp-bench -in tensor.tns -rank 64 -autotune -reps 5
 //
-// -sched runs every parallel plan under the named work-distribution
-// policy (static shares, chunked work stealing, or the adaptive
-// controller — see internal/sched).
-//
 // The command reports; it gates nothing. CI's perf gates compare
 // kernels timed in the same process instead (DESIGN.md §8.3).
 package main
@@ -39,16 +35,15 @@ import (
 
 func main() {
 	var (
-		in        = flag.String("in", "", "input .tns file (any order >= 2)")
-		dataset   = flag.String("dataset", "", "Table II data set name, or Poisson4, instead of -in")
-		scale     = flag.Float64("scale", 1.0, "scale for -dataset")
-		rank      = flag.Int("rank", 64, "decomposition rank R")
-		reps      = flag.Int("reps", 3, "timed repetitions (best kept)")
-		workers   = flag.Int("workers", 0, "kernel parallelism (0 = GOMAXPROCS)")
-		autotune  = flag.Bool("autotune", true, "tune MB/RankB block sizes (Sec. V-C heuristic)")
-		seed      = flag.Int64("seed", 42, "generator/factor seed")
-		widths    = flag.String("widths", "", `sweep rank-strip widths as extra RankB plans: comma-separated list, or "all" for every registered kernel width`)
-		schedFlag = flag.String("sched", "static", "work-distribution policy for parallel plans: static|steal|adaptive")
+		in       = flag.String("in", "", "input .tns file (any order >= 2)")
+		dataset  = flag.String("dataset", "", "Table II data set name, or Poisson4, instead of -in")
+		scale    = flag.Float64("scale", 1.0, "scale for -dataset")
+		rank     = flag.Int("rank", 64, "decomposition rank R")
+		reps     = flag.Int("reps", 3, "timed repetitions (best kept)")
+		workers  = flag.Int("workers", 0, "kernel parallelism (0 = GOMAXPROCS)")
+		autotune = flag.Bool("autotune", true, "tune MB/RankB block sizes (Sec. V-C heuristic)")
+		seed     = flag.Int64("seed", 42, "generator/factor seed")
+		widths   = flag.String("widths", "", `sweep rank-strip widths as extra RankB plans: comma-separated list, or "all" for every registered kernel width`)
 	)
 	flag.Parse()
 
@@ -60,18 +55,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := spblock.ParseSchedPolicy(*schedFlag)
-	if err != nil {
-		fatal(err)
-	}
 	if nt.Order() != 3 {
-		benchN(nt, *rank, *reps, *workers, *seed, sweep, policy)
+		benchN(nt, *rank, *reps, *workers, *seed, sweep)
 		return
 	}
-	bench3(nt, *rank, *reps, *workers, *autotune, *seed, sweep, policy)
+	bench3(nt, *rank, *reps, *workers, *autotune, *seed, sweep)
 }
 
-func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64, sweep []int, policy spblock.SchedPolicy) {
+func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64, sweep []int) {
 	profile, err := tensor.ProfileTensor(x)
 	if err != nil {
 		fatal(err)
@@ -82,10 +73,10 @@ func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64,
 
 	plans := []spblock.Plan{
 		{Method: spblock.MethodCOO},
-		{Method: spblock.MethodSPLATT, Workers: workers, Sched: policy},
-		{Method: spblock.MethodMB, Grid: [3]int{1, 2, 1}, Workers: workers, Sched: policy},
-		{Method: spblock.MethodRankB, RankBlockCols: min(64, rank), Workers: workers, Sched: policy},
-		{Method: spblock.MethodMBRankB, Grid: [3]int{1, 2, 1}, RankBlockCols: min(64, rank), Workers: workers, Sched: policy},
+		{Method: spblock.MethodSPLATT, Workers: workers},
+		{Method: spblock.MethodMB, Grid: [3]int{1, 2, 1}, Workers: workers},
+		{Method: spblock.MethodRankB, RankBlockCols: min(64, rank), Workers: workers},
+		{Method: spblock.MethodMBRankB, Grid: [3]int{1, 2, 1}, RankBlockCols: min(64, rank), Workers: workers},
 	}
 	if autotune {
 		opts := spblock.AutotuneOptions{Trials: 1, Seed: seed, Workers: workers}
@@ -99,7 +90,6 @@ func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64,
 			}
 			plans[i] = tuned
 			plans[i].Workers = workers
-			plans[i].Sched = policy
 		}
 	}
 
@@ -144,7 +134,7 @@ func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64,
 		fmt.Printf("\nrank-strip width sweep (rankb):\n")
 		fmt.Printf("%-10s %-8s %14s %9s\n", "width", "kernel", "ns/run", "GFLOP/s")
 		for _, w := range sweep {
-			sec, gf, kernel := run(spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: w, Workers: workers, Sched: policy})
+			sec, gf, kernel := run(spblock.Plan{Method: spblock.MethodRankB, RankBlockCols: w, Workers: workers})
 			fmt.Printf("%-10d %-8s %14d %9.2f\n", w, kernelLabel(kernel), int64(sec*1e9), gf)
 		}
 	}
@@ -205,7 +195,7 @@ func parseWidths(s string, rank int) ([]int, error) {
 // benchN times the unified order-N engine's configuration ladder on a
 // higher-order tensor: plain CSF, rank strips, a multi-dimensional
 // block grid, and the combination — each a pooled mode-0 executor.
-func benchN(t *nmode.Tensor, rank, reps, workers int, seed int64, sweep []int, policy spblock.SchedPolicy) {
+func benchN(t *nmode.Tensor, rank, reps, workers int, seed int64, sweep []int) {
 	n := t.Order()
 	fmt.Printf("tensor: %v nnz=%d (order %d)\n", t.Dims, t.NNZ(), n)
 	fmt.Printf("rank:   %d\n\n", rank)
@@ -228,23 +218,16 @@ func benchN(t *nmode.Tensor, rank, reps, workers int, seed int64, sweep []int, p
 		name string
 		opts spblock.OptionsN
 	}{
-		{"csf-n", spblock.OptionsN{Workers: workers, Sched: policy}},
-		{"csf-n+rankb", spblock.OptionsN{RankBlockCols: min(64, rank), Workers: workers, Sched: policy}},
-		{"csf-n+mb", spblock.OptionsN{Grid: grid, Workers: workers, Sched: policy}},
-		{"csf-n+mb+rankb", spblock.OptionsN{Grid: grid, RankBlockCols: min(64, rank), Workers: workers, Sched: policy}},
+		{"csf-n", spblock.OptionsN{Workers: workers}},
+		{"csf-n+rankb", spblock.OptionsN{RankBlockCols: min(64, rank), Workers: workers}},
+		{"csf-n+mb", spblock.OptionsN{Grid: grid, Workers: workers}},
+		{"csf-n+mb+rankb", spblock.OptionsN{Grid: grid, RankBlockCols: min(64, rank), Workers: workers}},
 	}
 	for _, w := range sweep {
 		rows = append(rows, struct {
 			name string
 			opts spblock.OptionsN
-		}{fmt.Sprintf("csf-n+rankb[bs=%d]", w), spblock.OptionsN{RankBlockCols: w, Workers: workers, Sched: policy}})
-	}
-	// Like Plan.String, keep the unqualified names for the static policy
-	// and qualify the rest.
-	if policy != spblock.SchedStatic {
-		for i := range rows {
-			rows[i].name += " sched=" + policy.String()
-		}
+		}{fmt.Sprintf("csf-n+rankb[bs=%d]", w), spblock.OptionsN{RankBlockCols: w, Workers: workers}})
 	}
 
 	factors := make([]*spblock.Matrix, n)

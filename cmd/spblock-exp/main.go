@@ -15,7 +15,7 @@
 //	spblock-exp -exp fig6traffic          # simulated DRAM traffic view
 //	spblock-exp -exp table3               # distributed 3D vs 4D
 //	spblock-exp -exp chaos                # CP-ALS under injected faults
-//	spblock-exp -exp imbalance            # static vs stealing vs adaptive scheduling
+//	spblock-exp -exp imbalance            # work stealing against one worker on skewed data
 //	spblock-exp -exp ooc                  # out-of-core CP-ALS working-set sweep
 //	spblock-exp -exp all                  # everything
 //

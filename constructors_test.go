@@ -116,8 +116,7 @@ func TestFacadeConstructorValidation(t *testing.T) {
 		}, false},
 		{"one-shot negative workers", oneShot(spblock.OptionsN{Workers: -1}), true},
 		{"one-shot negative rank block", oneShot(spblock.OptionsN{RankBlockCols: -4}), true},
-		{"one-shot unknown sched", oneShot(spblock.OptionsN{Sched: 9}), true},
-		{"one-shot valid", oneShot(spblock.OptionsN{RankBlockCols: 2, Workers: 2, Sched: spblock.SchedSteal}), false},
+		{"one-shot valid", oneShot(spblock.OptionsN{RankBlockCols: 2, Workers: 2}), false},
 	}
 	for _, tc := range cases {
 		err := tc.build()

@@ -266,7 +266,7 @@ func tuneWithModel(t *nmode.Tensor, rank int, method core.Method, opts Options) 
 }
 
 // greedyModelSearch is the model strategy's patient greedy walk:
-// starting from seed (whose Method, Workers and Sched pass through
+// starting from seed (whose Method and Workers pass through
 // unchanged), along each mode (in the paper's traversal order) it
 // evaluates every power-of-two block count up to
 // 2^maxGridSteps and keeps the best, then walks the kernel registry's

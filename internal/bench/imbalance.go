@@ -7,7 +7,6 @@ import (
 	"spblock/internal/gen"
 	"spblock/internal/la"
 	"spblock/internal/nmode"
-	"spblock/internal/sched"
 )
 
 // imbalanceRank is the decomposition rank the scheduler comparison runs
@@ -19,13 +18,6 @@ const (
 	imbalanceStrip = 8
 )
 
-// imbalanceWarmRuns is how many untimed runs each executor gets before
-// the timed window. The adaptive controller needs DefaultPatience
-// consecutive observations above DefaultPromoteAbove before it promotes
-// to the stealing layout, so the warm-up must cover comfortably more
-// than patience runs for the timed window to see the promoted executor.
-const imbalanceWarmRuns = 8
-
 // skewedTensorN builds a deterministically skewed order-4 tensor: the
 // low half of mode 0 carries clustered, dense-fibered nonzeros (about
 // 20k fibers of 6 leaves, so the per-nonzero cost is dominated by the
@@ -34,11 +26,11 @@ const imbalanceWarmRuns = 8
 // kernel (nmode's short-fiber path) but still loads a scale row of its
 // own for its one nonzero and is walked as a fiber of its own per rank
 // strip, so on one worker the scatter half takes about twice the dense
-// half's time. Both halves hold the same nonzero count, so the static
-// scheduler's nnz-balanced shares put the cheap half on one worker and
-// the expensive half on another — a time imbalance that no
-// cluster-placement seed can average away, which is the regime the
-// work-stealing and adaptive schedulers exist for.
+// half's time. Both halves hold the same nonzero count, so nnz-balanced
+// contiguous shares, the paper's static split, put the cheap half on
+// one worker and the expensive half on another — a time imbalance that no
+// cluster-placement seed can average away, which is the regime work
+// stealing exists for.
 func skewedTensorN(cfg Config) (*nmode.Tensor, error) {
 	// The dense half lives on deliberately compact dims: the cluster
 	// boxes must hold far more nonzeros than they have (i,j,k) fiber
@@ -111,13 +103,13 @@ func skewedTensorN(cfg Config) (*nmode.Tensor, error) {
 	return merged, nil
 }
 
-// Imbalance compares the static, work-stealing and adaptive schedulers
-// (internal/sched) on the skewed clustered tensor above, where
-// nnz-balanced static shares are strongly time-imbalanced. Each row is
-// one rank-blocked mode-0 executor: the scheduler it resolved to after
-// warm-up (the adaptive row reports whether the controller promoted),
-// its ns/run over the timed window, the measured max/mean worker busy
-// time, the stolen-chunk count, and the speedup over the static row.
+// Imbalance measures the work-stealing scheduler (internal/sched) on
+// the skewed tensor above, where nnz-balanced contiguous shares are
+// strongly time-imbalanced. Each row is one rank-blocked mode-0
+// executor: a 1-worker reference, then the stealing run on the
+// configured workers, with its ns/run over the timed window, the
+// measured max/mean worker busy time, the stolen-chunk count, and the
+// speedup over the 1-worker row.
 func Imbalance(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	workers := cfg.Workers
@@ -125,7 +117,7 @@ func Imbalance(cfg Config) (*Table, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// One worker has nothing to balance; the comparison needs at least
-	// two shares even in the quick configuration.
+	// two even in the quick configuration.
 	if workers < 2 {
 		workers = 2
 	}
@@ -141,25 +133,19 @@ func Imbalance(cfg Config) (*Table, error) {
 	out := la.NewMatrix(x.Dims[0], imbalanceRank)
 
 	t := &Table{
-		Title: "Scheduler comparison: static vs stealing vs adaptive on a skewed clustered tensor",
-		Note: fmt.Sprintf("tensor %v nnz=%d (dense-fiber low half, singleton high half), rank %d strip %d, %d workers, gomaxprocs %d; imbalance = max/mean worker busy time over the timed window",
-			x.Dims, x.NNZ(), imbalanceRank, imbalanceStrip, workers, runtime.GOMAXPROCS(0)),
-		Header: []string{"policy", "resolved", "ns/run", "imbalance", "steals", "speedup"},
+		Title: "Work stealing on a skewed clustered tensor, against one worker",
+		Note: fmt.Sprintf("tensor %v nnz=%d (dense-fiber low half, singleton high half), rank %d strip %d, gomaxprocs %d; imbalance = max/mean worker busy time over the timed window",
+			x.Dims, x.NNZ(), imbalanceRank, imbalanceStrip, runtime.GOMAXPROCS(0)),
+		Header: []string{"sched", "workers", "ns/run", "imbalance", "steals", "speedup"},
 	}
-	var staticNS int64
-	for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicySteal, sched.PolicyAdaptive} {
-		exec, err := nmode.NewExecutor(x, 0, nmode.Options{
-			RankBlockCols: imbalanceStrip,
-			Workers:       workers,
-			Sched:         pol,
-		})
+	var refNS int64
+	for _, w := range []int{1, workers} {
+		exec, err := nmode.NewExecutor(x, 0, nmode.Options{RankBlockCols: imbalanceStrip, Workers: w})
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < imbalanceWarmRuns; i++ {
-			if err := exec.Run(factors, out); err != nil {
-				return nil, err
-			}
+		if err := exec.Run(factors, out); err != nil { // warm-up
+			return nil, err
 		}
 		exec.Metrics().Reset() // counters cover exactly the timed window
 		var runErr error
@@ -172,17 +158,16 @@ func Imbalance(cfg Config) (*Table, error) {
 			return nil, runErr
 		}
 		ns := int64(sec * 1e9)
-		if pol == sched.PolicyStatic {
-			staticNS = ns
-		}
-		speedup := "-"
-		if pol != sched.PolicyStatic && ns > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(staticNS)/float64(ns))
+		name, speedup := "steal", "-"
+		if w == 1 {
+			name, refNS = "sequential", ns
+		} else if ns > 0 {
+			speedup = fmt.Sprintf("%.2fx", float64(refNS)/float64(ns))
 		}
 		snap := exec.Metrics().Snapshot()
 		t.Add(
-			policyName(pol),
-			exec.Sched(),
+			name,
+			fmt.Sprintf("%d", w),
 			fmt.Sprintf("%d", ns),
 			fmt.Sprintf("%.3f", snap.Imbalance()),
 			fmt.Sprintf("%d", snap.Steals()),
@@ -190,17 +175,4 @@ func Imbalance(cfg Config) (*Table, error) {
 		)
 	}
 	return t, nil
-}
-
-// policyName renders the requested (pre-resolution) policy for the
-// table's first column.
-func policyName(p sched.Policy) string {
-	switch p {
-	case sched.PolicySteal:
-		return sched.StealName
-	case sched.PolicyAdaptive:
-		return sched.AdaptiveName
-	default:
-		return sched.StaticName
-	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"spblock/internal/kernel"
 	"spblock/internal/nmode"
-	"spblock/internal/sched"
 )
 
 // Method selects an MTTKRP kernel.
@@ -114,15 +113,6 @@ type Plan struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS. Negative
 	// values are rejected when an executor is built.
 	Workers int
-	// Sched selects the work-distribution policy (internal/sched): the
-	// zero value is the static layout-driven split the paper assumes,
-	// PolicySteal carves chunked work-stealing deques, PolicyAdaptive
-	// starts static and promotes to stealing when the measured worker
-	// imbalance holds above the controller threshold. MethodCOO always
-	// runs static: its privatised outputs are reduced in worker order,
-	// so a dynamic chunk→worker assignment would perturb the
-	// floating-point reduction order.
-	Sched sched.Policy
 }
 
 func (p Plan) String() string {
@@ -133,12 +123,6 @@ func (p Plan) String() string {
 	if p.Method == MethodRankB || p.Method == MethodMBRankB {
 		s += fmt.Sprintf(" bs=%d", p.RankBlockCols)
 	}
-	// Static is the default and stays unspelled: spblockd's cpals reply
-	// and mttkrp-bench's plan column spell this string, so a static plan
-	// reads the same as before the scheduler option existed.
-	if p.Sched != sched.PolicyStatic {
-		s += " sched=" + p.Sched.String()
-	}
 	return s
 }
 
@@ -148,7 +132,7 @@ func (p Plan) String() string {
 // RankB and MB+RankB the register-blocked walk with rank strips; only
 // MB methods take the grid, and only RankB methods the strip width.
 func (p Plan) Options() (nmode.Options, error) {
-	o := nmode.Options{Workers: p.Workers, Sched: p.Sched}
+	o := nmode.Options{Workers: p.Workers}
 	switch p.Method {
 	case MethodCOO:
 		o.Algorithm = nmode.AlgCOO

@@ -7,11 +7,10 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/la"
 	"spblock/internal/nmode"
-	"spblock/internal/sched"
 )
 
 // enginePlans enumerates every Method through NewEngine, at 1 and 2
-// workers under the static and stealing schedulers; the grid is
+// workers; the grid is
 // deliberately asymmetric so every mode's product sees a different
 // block shape.
 func enginePlans() []core.Plan {
@@ -24,10 +23,8 @@ func enginePlans() []core.Plan {
 		{Method: core.MethodMBRankB, Grid: [3]int{2, 3, 2}, RankBlockCols: 16},
 	} {
 		for _, workers := range []int{1, 2} {
-			for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicySteal} {
-				p.Workers, p.Sched = workers, pol
-				plans = append(plans, p)
-			}
+			p.Workers = workers
+			plans = append(plans, p)
 		}
 	}
 	return plans
@@ -51,7 +48,7 @@ func modeRef(t *testing.T, x *nmode.Tensor, n int, factors []*la.Matrix) *la.Mat
 }
 
 // TestCrossModeEquivalenceMatrix checks every Method × {1,2} workers ×
-// {static, steal} × every mode: the engine's mode-n product must agree
+// every mode: the engine's mode-n product must agree
 // with the dense reference oracle run on an explicitly permuted copy of
 // the tensor.
 func TestCrossModeEquivalenceMatrix(t *testing.T) {
@@ -116,31 +113,29 @@ func TestEngineOrder3BitIdenticalToCore(t *testing.T) {
 		}
 		for _, mt := range methods {
 			for _, workers := range []int{1, 2} {
-				for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicySteal} {
-					plan := core.Plan{Method: mt.method, Grid: [3]int{1, 1, 1}, RankBlockCols: mt.bs, Workers: workers, Sched: pol}
-					if mt.grid != nil {
-						plan.Grid = [3]int{mt.grid[0], mt.grid[1], mt.grid[2]}
+				plan := core.Plan{Method: mt.method, Grid: [3]int{1, 1, 1}, RankBlockCols: mt.bs, Workers: workers}
+				if mt.grid != nil {
+					plan.Grid = [3]int{mt.grid[0], mt.grid[1], mt.grid[2]}
+				}
+				ref, err := core.NewEngine(x, plan)
+				if err != nil {
+					t.Fatalf("%v: %v", plan, err)
+				}
+				eng, err := nmode.NewEngine(nt, nmode.Options{Grid: mt.grid, RankBlockCols: mt.bs, Workers: workers})
+				if err != nil {
+					t.Fatalf("%v: %v", plan, err)
+				}
+				for n := 0; n < 3; n++ {
+					want := la.NewMatrix(dims[n], rank)
+					got := la.NewMatrix(dims[n], rank)
+					if err := ref.Run(n, factors, want); err != nil {
+						t.Fatal(err)
 					}
-					ref, err := core.NewEngine(x, plan)
-					if err != nil {
-						t.Fatalf("%v: %v", plan, err)
+					if err := eng.Run(n, factors, got); err != nil {
+						t.Fatal(err)
 					}
-					eng, err := nmode.NewEngine(nt, nmode.Options{Grid: mt.grid, RankBlockCols: mt.bs, Workers: workers, Sched: pol})
-					if err != nil {
-						t.Fatalf("%v: %v", plan, err)
-					}
-					for n := 0; n < 3; n++ {
-						want := la.NewMatrix(dims[n], rank)
-						got := la.NewMatrix(dims[n], rank)
-						if err := ref.Run(n, factors, want); err != nil {
-							t.Fatal(err)
-						}
-						if err := eng.Run(n, factors, got); err != nil {
-							t.Fatal(err)
-						}
-						if d := got.MaxAbsDiff(want); d != 0 {
-							t.Errorf("%v rank %d mode %d: plan differs from the register walk by %v", plan, rank, n, d)
-						}
+					if d := got.MaxAbsDiff(want); d != 0 {
+						t.Errorf("%v rank %d mode %d: plan differs from the register walk by %v", plan, rank, n, d)
 					}
 				}
 			}

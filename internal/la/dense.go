@@ -92,7 +92,7 @@ func NewDense(workers int) *Dense {
 	if workers > 1 {
 		// One work unit per worker: unit u runs part u of the current
 		// product's split.
-		d.pool.Build(&d.met, workers, sched.PolicyStatic, sched.SplitOrdered, workers, nil, d.unit)
+		d.pool.Build(&d.met, workers, sched.SplitOrdered, workers, nil, d.unit)
 	}
 	return d //spblock:allow constructor hands a fresh workspace to its owning decomposition
 }

@@ -33,11 +33,7 @@
 // placement).
 package metrics
 
-import (
-	"time"
-
-	"spblock/internal/roofline"
-)
+import "time"
 
 // PerRun holds the structure-derived counter deltas one executor Run
 // contributes. It is precomputed on the cold (workspace-resize) path so
@@ -95,7 +91,6 @@ func EqBytes(nnz, fibers int64, rank, strips int) int64 {
 type Collector struct {
 	perRun PerRun
 	kernel string
-	sched  string
 
 	runs       int64
 	totals     PerRun
@@ -119,7 +114,7 @@ func (c *Collector) SizeWorkers(n int) {
 }
 
 // Workers returns the number of per-worker buckets (1 for sequential
-// executors) — the length a WindowImbalance baseline must have.
+// executors).
 func (c *Collector) Workers() int { return len(c.workerNS) }
 
 // SetPerRun installs the precomputed per-Run counter deltas. Called on
@@ -131,19 +126,6 @@ func (c *Collector) SetPerRun(p PerRun) { c.perRun = p }
 // Called on the same amortised resize path as SetPerRun; empty means
 // the executor's method dispatches no rank-strip kernel.
 func (c *Collector) SetKernel(name string) { c.kernel = name }
-
-// SetSched records the executor's resolved scheduler identity (the
-// internal/sched name constants, e.g. "static", "steal",
-// "adaptive:static"). The adaptive executor calls it again at
-// promotion time with a preallocated constant, so the call is legal on
-// the hot path; empty means the executor runs sequentially and
-// schedules nothing.
-//
-//spblock:hotpath
-func (c *Collector) SetSched(name string) { c.sched = name }
-
-// Sched returns the recorded scheduler identity.
-func (c *Collector) Sched() string { return c.sched }
 
 // EndRun closes out one executor Run that started at `start`: it adds
 // the precomputed counter deltas and the wall time. On the sequential
@@ -221,36 +203,6 @@ func (c *Collector) AddPrefetch(w int, dt time.Duration) {
 	c.prefetchNS[w] += dt.Nanoseconds()
 }
 
-// WindowImbalance returns the max/mean load-imbalance factor of the
-// worker busy time accumulated since the previous call — the adaptive
-// controller's per-run observation. prev is the caller-owned window
-// baseline, pre-sized to the worker count on the cold path; the call
-// updates it in place, so it is allocation-free and legal after EndRun
-// on the hot path (the workers are quiescent there — same single-Run
-// rule as Snapshot). Returns 1 (balanced) for sequential executors, a
-// mis-sized baseline, or an empty window.
-//
-//spblock:hotpath
-func (c *Collector) WindowImbalance(prev []int64) float64 {
-	n := len(c.workerNS)
-	if n <= 1 || len(prev) != n {
-		return 1
-	}
-	var sum, maxNS int64
-	for i, ns := range c.workerNS {
-		d := ns - prev[i]
-		prev[i] = ns
-		sum += d
-		if d > maxNS {
-			maxNS = d
-		}
-	}
-	if sum <= 0 {
-		return 1
-	}
-	return float64(maxNS) * float64(n) / float64(sum)
-}
-
 // Reset zeroes the accumulated totals and time buckets, keeping the
 // bucket sizing and the per-Run deltas. Benchmarks call it after
 // warm-up so a report covers exactly the timed window.
@@ -297,10 +249,6 @@ type Snapshot struct {
 	// dispatched through ("w8"/"w16"/"w24"/"w32"/"scalar"; see
 	// internal/kernel). Empty for methods without a rank-strip kernel.
 	Kernel string `json:"kernel,omitempty"`
-	// Sched names the resolved scheduler (internal/sched: "static",
-	// "steal", "adaptive:static", "adaptive:steal"). Empty for
-	// sequential executors.
-	Sched string `json:"sched,omitempty"`
 	// WorkerSteals holds each worker's stolen-chunk count; omitted when
 	// no chunk was ever stolen.
 	WorkerSteals []int64 `json:"worker_steals,omitempty"`
@@ -326,7 +274,6 @@ func (c *Collector) Snapshot() Snapshot {
 		WallNS:   c.runNS,
 		WorkerNS: append([]int64(nil), c.workerNS...),
 		Kernel:   c.kernel,
-		Sched:    c.sched,
 		IOWaitNS: c.ioWaitNS,
 	}
 	for _, v := range c.steals {
@@ -437,16 +384,6 @@ func (s Snapshot) AchievedGBs() float64 {
 		return 0
 	}
 	return float64(s.BytesEst) / float64(s.WallNS)
-}
-
-// RooflineFraction places the achieved throughput against machine m's
-// memory bandwidth: 1.0 means the kernel saturates the roofline's
-// memory roof under the alpha = 0 traffic model.
-func (s Snapshot) RooflineFraction(m roofline.Machine) float64 {
-	if m.MemGBs <= 0 {
-		return 0
-	}
-	return s.AchievedGBs() / m.MemGBs
 }
 
 // PhaseTimes buckets a decomposition's wall time by phase: the MTTKRP

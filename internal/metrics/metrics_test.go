@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"spblock/internal/roofline"
 )
 
 func TestEqBytes(t *testing.T) {
@@ -104,29 +102,15 @@ func TestSnapshotDerivedEdgeCases(t *testing.T) {
 	if g := s.AchievedGBs(); g != 2 {
 		t.Fatalf("achieved GB/s = %v, want 2", g)
 	}
-	m := roofline.Machine{MemGBs: 200}
-	if f := s.RooflineFraction(m); f != 0.01 {
-		t.Fatalf("roofline fraction = %v, want 0.01", f)
-	}
-	if s.RooflineFraction(roofline.Machine{}) != 0 {
-		t.Fatal("zero machine must derive 0")
-	}
 }
 
-func TestCollectorSchedAndSteals(t *testing.T) {
+func TestCollectorSteals(t *testing.T) {
 	var c Collector
 	c.SizeWorkers(3)
-	c.SetSched("steal")
-	if c.Sched() != "steal" {
-		t.Fatalf("Sched() = %q", c.Sched())
-	}
 
 	// No steals yet: the snapshot omits the buckets entirely so
-	// static-scheduled JSON snapshots stay free of dead fields.
+	// steal-free JSON snapshots stay free of dead fields.
 	s := c.Snapshot()
-	if s.Sched != "steal" {
-		t.Fatalf("snapshot sched = %q", s.Sched)
-	}
 	if s.WorkerSteals != nil || s.Steals() != 0 {
 		t.Fatalf("steal-free snapshot carries buckets: %v", s.WorkerSteals)
 	}
@@ -142,46 +126,11 @@ func TestCollectorSchedAndSteals(t *testing.T) {
 		t.Fatalf("Steals() = %d, want 3", s.Steals())
 	}
 
-	// Reset zeroes the buckets but keeps the scheduler identity (it is
-	// resize-path state, like the kernel name).
+	// Reset zeroes the buckets.
 	c.Reset()
 	s = c.Snapshot()
-	if s.WorkerSteals != nil || s.Sched != "steal" {
+	if s.WorkerSteals != nil {
 		t.Fatalf("reset: %+v", s)
-	}
-}
-
-func TestWindowImbalance(t *testing.T) {
-	var c Collector
-	c.SizeWorkers(2)
-	prev := make([]int64, 2)
-
-	c.AddWorkerTime(0, 3*time.Millisecond)
-	c.AddWorkerTime(1, 1*time.Millisecond)
-	// Window 1: max 3ms over mean 2ms.
-	if im := c.WindowImbalance(prev); im != 1.5 {
-		t.Fatalf("window 1 imbalance = %v, want 1.5", im)
-	}
-
-	// Window 2 sees only the delta since window 1 — the cumulative
-	// buckets grew, but the window is balanced.
-	c.AddWorkerTime(0, 2*time.Millisecond)
-	c.AddWorkerTime(1, 2*time.Millisecond)
-	if im := c.WindowImbalance(prev); im != 1 {
-		t.Fatalf("window 2 imbalance = %v, want 1", im)
-	}
-
-	// Empty window and mis-sized baselines report balanced.
-	if im := c.WindowImbalance(prev); im != 1 {
-		t.Fatalf("empty window imbalance = %v, want 1", im)
-	}
-	if im := c.WindowImbalance(make([]int64, 5)); im != 1 {
-		t.Fatalf("mis-sized baseline imbalance = %v, want 1", im)
-	}
-	var seq Collector
-	seq.SizeWorkers(1)
-	if im := seq.WindowImbalance(make([]int64, 1)); im != 1 {
-		t.Fatalf("sequential window imbalance = %v, want 1", im)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spblock/internal/la"
-	"spblock/internal/sched"
 )
 
 // TestAccumulatorBodyBitIdentical pins Algorithm 1's accumulator array
@@ -31,7 +30,7 @@ func TestAccumulatorBodyBitIdentical(t *testing.T) {
 			for mode := range dims {
 				for _, opts := range []Options{
 					{Workers: 1},
-					{Workers: 2, Sched: sched.PolicySteal},
+					{Workers: 2},
 					{Grid: grid, Workers: 2},
 					{RankBlockCols: 16, Workers: 1},
 					{Grid: grid, RankBlockCols: 8, Workers: 2},
@@ -82,7 +81,7 @@ func TestShortFiberBitIdentical(t *testing.T) {
 					}
 					for _, opts := range []Options{
 						{Workers: 1},
-						{Workers: 2, Sched: sched.PolicySteal},
+						{Workers: 2},
 						{Grid: grid, Workers: 1},
 						{Grid: grid, Workers: 2},
 						{RankBlockCols: 8, Workers: 1},
@@ -241,12 +240,9 @@ func TestCOOMatchesOracle(t *testing.T) {
 		for mode := range dims {
 			want := denseMTTKRP(x, factors, mode, rank)
 			for _, workers := range []int{1, 2, 3, 8} {
-				e, err := NewExecutor(x, mode, Options{Algorithm: AlgCOO, Workers: workers, Sched: sched.PolicySteal})
+				e, err := NewExecutor(x, mode, Options{Algorithm: AlgCOO, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if workers > 1 && e.Sched() != sched.StaticName {
-					t.Fatalf("COO resolved sched %q, want static", e.Sched())
 				}
 				first := la.NewMatrix(dims[mode], rank)
 				if err := e.Run(factors, first); err != nil {

@@ -29,22 +29,17 @@ func allocCases() []Options {
 		{Grid: []int{2, 2, 1, 2}, Workers: 4},
 		{Grid: []int{2, 2, 1, 2}, RankBlockCols: 16, Workers: 1},
 		{Grid: []int{2, 2, 1, 2}, RankBlockCols: 16, Workers: 4},
-		// Stealing and adaptive scheduling over both the root-range and
-		// the block-layer work units hold the same zero-alloc and
-		// bit-identity contracts as static (see internal/sched).
-		{Workers: 4, Sched: sched.PolicySteal},
-		{Workers: 4, Sched: sched.PolicyAdaptive},
-		{RankBlockCols: 16, Workers: 4, Sched: sched.PolicySteal},
-		{Grid: []int{2, 2, 1, 2}, Workers: 4, Sched: sched.PolicySteal},
-		{Grid: []int{2, 2, 1, 2}, RankBlockCols: 16, Workers: 4, Sched: sched.PolicyAdaptive},
+		// The stealing root-range queue, with and without rank strips.
+		{Workers: 4},
+		{RankBlockCols: 16, Workers: 4},
 		// Algorithm 1's accumulator body and the coordinate kernel hold
 		// the same contracts on every walk shape and worker count.
 		{Algorithm: AlgAccumulator, Workers: 1},
-		{Algorithm: AlgAccumulator, Workers: 4, Sched: sched.PolicySteal},
+		{Algorithm: AlgAccumulator, Workers: 4},
 		{Algorithm: AlgAccumulator, Grid: []int{2, 2, 1, 2}, Workers: 4},
 		{Algorithm: AlgCOO, Workers: 1},
 		{Algorithm: AlgCOO, Workers: 4},
-		{Algorithm: AlgCOO, Workers: 3, Sched: sched.PolicyAdaptive},
+		{Algorithm: AlgCOO, Workers: 3},
 	}
 }
 

@@ -138,21 +138,9 @@ func (e *Engine) Kernel(mode int) (kernel.Variant, error) {
 	return ex.Kernel(), nil
 }
 
-// Sched reports the resolved scheduler identity of mode `mode`'s
-// executor (the internal/sched name constants; empty for sequential
-// executors). Adaptive executors report their current layout, so a
-// decomposition driver can watch a mode get promoted between sweeps.
-func (e *Engine) Sched(mode int) (string, error) {
-	ex, err := e.executor(mode)
-	if err != nil {
-		return "", err
-	}
-	return ex.Sched(), nil
-}
-
-// SetWorkers re-sizes every built mode executor's parallelism mid-life:
-// sched.Pool's Resize keeps an adaptive executor's promotion. Must not
-// be called while any mode is mid-Run.
+// SetWorkers re-sizes every built mode executor's parallelism mid-life
+// (see Executor.SetWorkers). Must not be called while any mode is
+// mid-Run.
 func (e *Engine) SetWorkers(n int) error {
 	for _, ex := range e.execs {
 		if ex == nil {

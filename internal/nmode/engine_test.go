@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"spblock/internal/la"
-	"spblock/internal/sched"
 )
 
 // nOptionRows enumerates the N-mode configuration lattice: unblocked,
@@ -117,43 +116,30 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEngineSchedPropagation pins Options.Sched through the engine at
-// orders 3 and 4: the engine reports the resolved scheduler identity
-// per mode.
+// TestEngineSchedPropagation pins Options.Workers through the engine
+// to every mode's scheduler at orders 3 and 4: each mode's executor
+// runs a 4-worker pool, with one metrics bucket per worker, and the
+// engine rejects an out-of-range mode.
 func TestEngineSchedPropagation(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	nt3 := randTensorN(rng, []int{24, 20, 16}, 1500)
 	nt4 := randTensorN(rng, []int{12, 10, 8, 6}, 1200)
 	for _, nt := range []*Tensor{nt3, nt4} {
-		eng, err := NewEngine(nt, Options{Workers: 4, Sched: sched.PolicySteal})
+		eng, err := NewEngine(nt, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for mode := 0; mode < nt.Order(); mode++ {
-			got, err := eng.Sched(mode)
+			met, err := eng.Metrics(mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != sched.StealName {
-				t.Errorf("order-%d mode %d: sched %q, want %q", nt.Order(), mode, got, sched.StealName)
+			if met.Workers() != 4 {
+				t.Errorf("order-%d mode %d: %d worker buckets, want 4", nt.Order(), mode, met.Workers())
 			}
 		}
-		if _, err := eng.Sched(nt.Order()); err == nil {
+		if _, err := eng.Metrics(nt.Order()); err == nil {
 			t.Error("out-of-range mode accepted")
-		}
-	}
-	// An adaptive engine starts on the static layout.
-	eng, err := NewEngine(nt3, Options{Workers: 4, Sched: sched.PolicyAdaptive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := eng.Sched(0); got != sched.AdaptiveStaticName {
-		t.Errorf("adaptive engine reports %q, want %q", got, sched.AdaptiveStaticName)
-	}
-	// An invalid policy is rejected at construction at every order.
-	for _, nt := range []*Tensor{nt3, nt4} {
-		if _, err := NewEngine(nt, Options{Sched: sched.Policy(9)}); err == nil {
-			t.Errorf("order-%d engine accepted an invalid sched policy", nt.Order())
 		}
 	}
 }

@@ -88,9 +88,6 @@ func (o Options) validate() error {
 	if o.RankBlockCols < 0 {
 		return fmt.Errorf("nmode: negative RankBlockCols %d", o.RankBlockCols)
 	}
-	if !o.Sched.Valid() {
-		return fmt.Errorf("nmode: unknown sched policy %d", o.Sched)
-	}
 	if o.Algorithm > AlgCOO {
 		return fmt.Errorf("nmode: unknown algorithm %d", o.Algorithm)
 	}
@@ -130,9 +127,9 @@ func newExecutor(dims []int, mode int, opts Options, csf *CSF, bt *BlockedTensor
 
 // SetWorkers re-sizes the executor's parallelism mid-life to n workers
 // (0 = GOMAXPROCS): the worker pool rebuilds its runners, queue
-// layouts and metrics buckets (see sched.Pool.Resize) while the
+// layout and metrics buckets (see sched.Pool.Resize) while the
 // preprocessed tree structures are kept. Never call it concurrently
-// with Run; an adaptive executor keeps its promotion state.
+// with Run.
 //
 //spblock:coldpath
 func (e *Executor) SetWorkers(n int) error {
@@ -171,11 +168,6 @@ func (e *Executor) Kernel() kernel.Variant { return e.ws.kern.Variant }
 // counters and per-worker time buckets, always collecting. Snapshot it
 // between Runs, never mid-Run.
 func (e *Executor) Metrics() *metrics.Collector { return &e.met }
-
-// Sched reports the resolved scheduler identity (the internal/sched
-// name constants); adaptive executors report their current layout.
-// Empty for sequential executors.
-func (e *Executor) Sched() string { return e.met.Sched() }
 
 // Dims returns the tensor shape.
 func (e *Executor) Dims() []int { return e.dims }
@@ -232,13 +224,13 @@ func (e *Executor) Run(factors []*la.Matrix, out *la.Matrix) error {
 	start := time.Now()
 	out.Zero()
 	if e.NNZ() == 0 {
-		e.ws.pool.EndRun(start)
+		e.met.EndRun(start)
 		return nil
 	}
 	bs := e.opts.RankBlockCols
 	if bs <= 0 || bs >= r {
 		e.runAll(factors, out)
-		e.ws.pool.EndRun(start)
+		e.met.EndRun(start)
 		return nil
 	}
 	// Rank strips (Sec. V-B): pack each operand strip into the pooled
@@ -262,7 +254,7 @@ func (e *Executor) Run(factors []*la.Matrix, out *la.Matrix) error {
 		e.runAll(ws.pf, po)
 		la.UnpackStrip(out, po, rr)
 	}
-	e.ws.pool.EndRun(start)
+	e.met.EndRun(start)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"spblock/internal/kernel"
 	"spblock/internal/la"
-	"spblock/internal/sched"
 )
 
 // Options configures the N-mode MTTKRP.
@@ -22,13 +21,6 @@ type Options struct {
 	// [1, dim]. Only Executor and Engine honour it — the one-shot
 	// products below run over an already-built tree or blocked layout.
 	Grid []int
-	// Sched selects the work-distribution policy (internal/sched),
-	// mirroring core.Plan.Sched: zero value static, PolicySteal chunked
-	// work-stealing over root ranges or block layers, PolicyAdaptive
-	// static with metrics-driven promotion. Every product honours it,
-	// one-shot included, although a one-shot run ends before an
-	// adaptive executor could promote. AlgCOO always runs static.
-	Sched sched.Policy
 	// Algorithm selects the product's body. The zero value is the
 	// register-blocked tree walk; see Algorithm.
 	Algorithm Algorithm
@@ -55,8 +47,8 @@ const (
 	// ranges of the caller's tensor (Sec. III-C1), which the executor
 	// keeps aliased: rewriting t.Val in place between runs is seen by
 	// the next run. Parallel workers accumulate into private outputs,
-	// reduced in worker order, so the layout always runs static. Grid
-	// and RankBlockCols are ignored.
+	// reduced in worker order, so each worker keeps one fixed range and
+	// never steals. Grid and RankBlockCols are ignored.
 	AlgCOO
 )
 

@@ -71,6 +71,26 @@ func TestTensorValidate(t *testing.T) {
 	}
 }
 
+// TestTensorValidateReportsFirstBadEntry: with bad coordinates in two
+// modes, the error names the first bad entry in entry-major order (entry
+// 1 mode 2), not the first bad mode's (entry 2 mode 0).
+func TestTensorValidateReportsFirstBadEntry(t *testing.T) {
+	x := NewTensor([]int{3, 3, 3}, 0)
+	x.Append([]Index{0, 1, 2}, 1)
+	x.Append([]Index{1, 1, 5}, 1)
+	x.Append([]Index{-1, 0, 0}, 1)
+	err := x.Validate()
+	const want = "nmode: invalid tensor: entry 1 mode 2 coordinate 5 outside [0,3)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Validate() = %v, want %q", err, want)
+	}
+	x.Idx[2][1] = 2
+	const wantNeg = "nmode: invalid tensor: entry 2 mode 0 coordinate -1 outside [0,3)"
+	if err := x.Validate(); err == nil || err.Error() != wantNeg {
+		t.Fatalf("Validate() = %v, want %q", err, wantNeg)
+	}
+}
+
 func TestSortByModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := randTensorN(rng, []int{5, 6, 7, 4}, 150)

@@ -83,11 +83,34 @@ func (t *Tensor) Validate() error {
 				ErrBadTensor, m, len(t.Idx[m]), t.NNZ())
 		}
 	}
+	for m, d := range t.Dims {
+		if !inRange(t.Idx[m], d) {
+			return t.firstBadCoord()
+		}
+	}
+	return nil
+}
+
+// inRange reports whether every coordinate in col lies in [0, d). As
+// uint32, a negative coordinate is at least 2^31, and no valid one is,
+// so one unsigned max against min(d, 2^31) checks both ends.
+func inRange(col []Index, d int) bool {
+	var hi uint32
+	for _, c := range col {
+		hi = max(hi, uint32(c))
+	}
+	return len(col) == 0 || int64(hi) < min(int64(d), 1<<31)
+}
+
+// firstBadCoord reports the first out-of-range coordinate in entry-major
+// order, the error a row-by-row scan gives. Validate calls it only once
+// a column has failed.
+func (t *Tensor) firstBadCoord() error {
 	for p := 0; p < t.NNZ(); p++ {
-		for m := range t.Dims {
-			if c := t.Idx[m][p]; c < 0 || int(c) >= t.Dims[m] {
+		for m, d := range t.Dims {
+			if c := t.Idx[m][p]; c < 0 || int(c) >= d {
 				return fmt.Errorf("%w: entry %d mode %d coordinate %d outside [0,%d)",
-					ErrBadTensor, p, m, c, t.Dims[m])
+					ErrBadTensor, p, m, c, d)
 			}
 		}
 	}

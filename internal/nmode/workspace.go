@@ -165,13 +165,13 @@ func (e *Executor) initPool() {
 	p := &e.ws.pool
 	switch {
 	case e.blocked != nil:
-		p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitLayers, len(e.layers), layerCum(e.layers), e.layerUnit)
+		p.Build(&e.met, e.opts.Workers, sched.SplitLayers, len(e.layers), layerCum(e.layers), e.layerUnit)
 	case e.coo != nil:
-		p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitOrdered, e.coo.NNZ(), nil, e.cooUnit)
+		p.Build(&e.met, e.opts.Workers, sched.SplitOrdered, e.coo.NNZ(), nil, e.cooUnit)
 	default:
 		end := rootLeafEnds(e.csf)
 		cum := func(i int) int64 { return end[i] }
-		p.Build(&e.met, e.opts.Workers, e.opts.Sched, sched.SplitShares, e.csf.NumNodes(0), cum, e.rootUnit)
+		p.Build(&e.met, e.opts.Workers, sched.SplitShares, e.csf.NumNodes(0), cum, e.rootUnit)
 	}
 }
 

@@ -466,3 +466,69 @@ func TestDelayedBlockKeepsBlockOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestReadFailureSettlesGoroutines: a read that fails at block k
+// mid-stream makes MTTKRP return that error, every decoder goroutine
+// the run started exits (runtime.NumGoroutine settles back to its
+// pre-run count), and the next product on the same engine, its source
+// healthy again, is bit-identical to a fresh engine's.
+func TestReadFailureSettlesGoroutines(t *testing.T) {
+	x := randTensor(9, []int{12, 11, 10}, 500)
+	stage, man := stageTensor(t, x, []int{3, 2, 2})
+	const r = 5
+	factors := make([]*la.Matrix, 3)
+	for m, d := range x.Dims {
+		factors[m] = la.NewMatrix(d, r)
+		rng := rand.New(rand.NewSource(int64(m + 1)))
+		for i := range factors[m].Data {
+			factors[m].Data[i] = rng.NormFloat64()
+		}
+	}
+	ref, err := ooc.Open(stage, ooc.Options{Decoders: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want := la.NewMatrix(x.Dims[0], r)
+	if err := ref.MTTKRP(0, factors, want); err != nil {
+		t.Fatal(err)
+	}
+	nb := len(man.Blocks)
+	for _, k := range []int{0, nb / 2, nb - 1} {
+		for _, dec := range []int{1, 3} {
+			src, err := ooc.OpenSource(stage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := man.Blocks[k].ID
+			fs := &faultSource{BlockSource: src, failID: id}
+			e, err := ooc.NewEngine(fs, ooc.Options{Decoders: dec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			out := la.NewMatrix(x.Dims[0], r)
+			err = e.MTTKRP(0, factors, out)
+			if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("injected read failure on block %d", id)) {
+				t.Fatalf("k=%d decoders=%d: err = %v, want the injected failure", k, dec, err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("k=%d decoders=%d: %d goroutines after the failed run, %d before", k, dec, n, before)
+			}
+			fs.failID = -1 // between runs: no decoder is reading it
+			if err := e.MTTKRP(0, factors, out); err != nil {
+				t.Fatalf("k=%d decoders=%d: product after the failure: %v", k, dec, err)
+			}
+			for i, v := range want.Data {
+				if math.Float64bits(v) != math.Float64bits(out.Data[i]) {
+					t.Fatalf("k=%d decoders=%d: element %d after the failure is %v, want %v", k, dec, i, out.Data[i], v)
+				}
+			}
+			e.Close()
+		}
+	}
+}

@@ -1,3 +1,27 @@
+// Package sched owns the work-distribution contract for the blocked
+// MTTKRP executors, the way internal/kernel owns the accumulate
+// contract: how a run's work units — CSF root ranges, multi-block
+// layers, COO nonzero ranges — are carved into chunks and handed to
+// the prebuilt worker goroutines.
+//
+// Three pieces compose:
+//
+//   - Shares / StealChunks / UniformChunks: the weighted and uniform
+//     partition routines.
+//   - Queue: the per-executor distribution state, one precomputed
+//     layout with forward-only atomic cursors, built on the cold path;
+//     the hot Next path is zero-allocation.
+//   - Pool: the one worker pool every executor runs on. It owns the
+//     prebuilt worker goroutine bodies, the Queue and the per-worker
+//     metrics buckets; an executor only supplies its work units and a
+//     body per unit range.
+//
+// The layout is a fixed property of the work's Split, not a policy a
+// caller picks: root ranges always steal, multi-block layers always
+// drain one shared queue, ordered ranges always stay one per worker.
+//
+// The package sits below core/nmode/engine and imports nothing from
+// them, so every executor layer can share it without cycles.
 package sched
 
 import (
@@ -8,23 +32,24 @@ import (
 	"spblock/internal/metrics"
 )
 
-// Split names how a Pool carves an executor's work units into the
-// static layout, and whether a stealing layout may be built on top.
+// Split names how a Pool carves an executor's work units across its
+// workers. Each split has exactly one layout.
 type Split uint8
 
 const (
-	// SplitShares gives each worker one contiguous, weight-balanced
-	// share (CSF slice ranges, fiber-tree root ranges). Non-static
-	// policies also build the finer stealing chunk list.
+	// SplitShares carves weight-balanced chunks (CSF root ranges),
+	// ChunksPerWorker per worker, into one contiguous segment per
+	// worker; a worker that drains its own segment steals from the
+	// others'. Distinct roots own distinct output rows, so which worker
+	// runs a chunk moves no bit of the result.
 	SplitShares Split = iota
 	// SplitLayers lets every worker drain one shared queue of single
-	// units (multi-block layers). Non-static policies also build
-	// weight-balanced groups of adjacent layers for stealing.
+	// units (multi-block layers), one layer per claim.
 	SplitLayers
 	// SplitOrdered gives each worker one uniform ceil(n/workers) range
-	// and stays static under every policy: the COO executor reduces its
-	// privatised outputs in worker order, so the unit→worker assignment
-	// is part of its floating-point result.
+	// and never steals: the COO executor reduces its privatised outputs
+	// in worker order, so the unit→worker assignment is part of its
+	// floating-point result.
 	SplitOrdered
 )
 
@@ -34,18 +59,17 @@ const (
 type Unit func(w, lo, hi int)
 
 // Pool is the one worker pool behind the in-memory executors
-// (internal/nmode). The executor builds its
-// structure, defines its work units (how many, their cumulative
-// weight, and the Unit body that runs a range of them) and publishes
-// its operands before each Run; the Pool owns the rest: the prebuilt per-worker runners and their allocation-free
-// launch/join, the Queue layouts, applying the Policy, the resolved
-// scheduler name in the executor's metrics collector, per-worker busy
-// time and steal accounting, and the adaptive Controller with its
-// window baseline.
+// (internal/nmode) and the dense products (internal/la). The executor
+// builds its structure, defines its work units (how many, their
+// cumulative weight, and the Unit body that runs a range of them) and
+// publishes its operands before each Run; the Pool owns the rest: the
+// prebuilt per-worker runners and their allocation-free launch/join,
+// the Queue layout, and per-worker busy time and steal accounting in
+// the executor's metrics collector.
 //
-// Build and Resize run on the cold path; Run and EndRun are the hot
-// half and allocate nothing. A Pool belongs to one executor and must
-// not Run concurrently with itself.
+// Build and Resize run on the cold path; Run is the hot half and
+// allocates nothing. A Pool belongs to one executor and must not Run
+// concurrently with itself.
 //
 //spblock:workspace
 type Pool struct {
@@ -53,11 +77,10 @@ type Pool struct {
 
 	// What Build was given, kept so Resize can rebuild at a new worker
 	// count without the executor restating it.
-	policy Policy
-	split  Split
-	n      int
-	cum    func(int) int64
-	unit   Unit
+	split Split
+	n     int
+	cum   func(int) int64
+	unit  Unit
 
 	// runners are the prebuilt worker bodies, one per worker; empty
 	// when the work resolves to a sequential run. A `go` statement on a
@@ -66,33 +89,24 @@ type Pool struct {
 	runners []func()
 	wg      sync.WaitGroup
 	q       Queue
-
-	// ctrl is the adaptive promotion loop, nil unless the policy is
-	// adaptive and a stealing layout exists. prevNS is its per-worker
-	// busy-time window baseline, sized with the metrics buckets.
-	ctrl   *Controller
-	prevNS []int64
 }
 
 // Build installs the executor's work description and builds the pool
 // for the given worker count (0 = GOMAXPROCS). n is the number of work
-// units; cum(i) is the total weight of units [0, i] (unused by
-// SplitOrdered); unit runs a range of units. met receives the per-
-// worker time and steal buckets and the resolved scheduler name.
+// units; cum(i) is the total weight of units [0, i] (used only by
+// SplitShares); unit runs a range of units. met receives the per-
+// worker time and steal buckets.
 //
 //spblock:coldpath
-func (p *Pool) Build(met *metrics.Collector, workers int, policy Policy, split Split, n int, cum func(int) int64, unit Unit) {
+func (p *Pool) Build(met *metrics.Collector, workers int, split Split, n int, cum func(int) int64, unit Unit) {
 	p.met = met
-	p.policy, p.split, p.n, p.cum, p.unit = policy, split, n, cum, unit
+	p.split, p.n, p.cum, p.unit = split, n, cum, unit
 	p.Resize(workers)
 }
 
-// Resize rebuilds the runners, queue layouts and metrics buckets for a
-// new worker count (0 = GOMAXPROCS), keeping the work description. An
-// adaptive pool keeps its controller, so a promotion already ratcheted
-// survives, and its window baseline is re-sized with the buckets so
-// the ratchet keeps observing. Must not be called concurrently with
-// Run.
+// Resize rebuilds the runners, queue layout and metrics buckets for a
+// new worker count (0 = GOMAXPROCS), keeping the work description.
+// Must not be called concurrently with Run.
 //
 //spblock:coldpath
 func (p *Pool) Resize(workers int) {
@@ -101,7 +115,7 @@ func (p *Pool) Resize(workers int) {
 	}
 	p.runners = nil
 	p.q = Queue{}
-	nw := p.layouts(workers)
+	nw := p.layout(workers)
 	for w := 0; w < nw; w++ {
 		w := w
 		p.runners = append(p.runners, func() {
@@ -110,76 +124,36 @@ func (p *Pool) Resize(workers int) {
 		})
 	}
 	p.met.SizeWorkers(nw)
-	p.applyPolicy()
 }
 
-// layouts builds the queue layouts for the split and returns the
-// number of workers they support; 0 means run sequentially.
+// layout builds the split's queue layout and returns the number of
+// workers it supports; 0 means run sequentially.
 //
 //spblock:coldpath
-func (p *Pool) layouts(workers int) int {
+func (p *Pool) layout(workers int) int {
 	switch p.split {
 	case SplitOrdered:
 		chunks := UniformChunks(p.n, workers)
 		if chunks == nil {
 			return 0
 		}
-		p.q.InitStatic(chunks)
+		p.q.InitOrdered(chunks)
 		return len(chunks)
 	case SplitLayers:
 		workers = min(workers, p.n)
 		if workers <= 1 {
 			return 0
 		}
-		p.q.InitStaticShared(UnitRanges(p.n))
-		if p.policy != PolicyStatic {
-			p.q.InitStealing(StealChunks(p.n, workers, p.cum), workers)
-		}
+		p.q.InitShared(UnitRanges(p.n))
 		return workers
 	default:
-		shares := Shares(p.n, workers, p.cum)
-		if len(shares) <= 1 {
+		chunks := StealChunks(p.n, workers, p.cum)
+		workers = min(workers, len(chunks))
+		if workers <= 1 {
 			return 0
 		}
-		p.q.InitStatic(shares)
-		if p.policy != PolicyStatic {
-			p.q.InitStealing(StealChunks(p.n, len(shares), p.cum), len(shares))
-		}
-		return len(shares)
-	}
-}
-
-// applyPolicy activates the layout the policy asks for and records the
-// resolved scheduler name. Policies that need a stealing layout fall
-// back to static when none was built (SplitOrdered).
-//
-//spblock:coldpath
-func (p *Pool) applyPolicy() {
-	if len(p.runners) == 0 {
-		// A sequential run schedules nothing.
-		p.ctrl, p.prevNS = nil, nil
-		p.met.SetSched("")
-		return
-	}
-	switch {
-	case p.policy == PolicySteal && p.q.CanSteal():
-		p.q.SetStealing(true)
-		p.met.SetSched(StealName)
-	case p.policy == PolicyAdaptive && p.q.CanSteal():
-		if p.ctrl == nil {
-			p.ctrl = &Controller{}
-		}
-		// SizeWorkers zeroed the buckets, so a zero baseline is exact.
-		p.prevNS = make([]int64, p.met.Workers())
-		if p.ctrl.Promoted() {
-			p.q.SetStealing(true)
-			p.met.SetSched(AdaptiveStealName)
-		} else {
-			p.met.SetSched(AdaptiveStaticName)
-		}
-	default:
-		p.ctrl, p.prevNS = nil, nil
-		p.met.SetSched(StaticName)
+		p.q.InitStealing(chunks, workers)
+		return workers
 	}
 }
 
@@ -188,12 +162,6 @@ func (p *Pool) applyPolicy() {
 //
 //spblock:hotpath
 func (p *Pool) Workers() int { return len(p.runners) }
-
-// Stealing reports whether the stealing layout is active.
-func (p *Pool) Stealing() bool { return p.q.Stealing() }
-
-// CanSteal reports whether a stealing layout was built.
-func (p *Pool) CanSteal() bool { return p.q.CanSteal() }
 
 // Run executes every work unit exactly once with the operands the
 // executor published, and returns when all of them are done. The
@@ -231,20 +199,4 @@ func (p *Pool) work(w int) {
 		p.unit(w, lo, hi)
 	}
 	p.met.AddWorkerTime(w, time.Since(t0))
-}
-
-// EndRun closes one executor Run that started at start: it records
-// the run in the metrics collector and feeds the adaptive controller
-// the run's imbalance window, flipping the queue to the stealing
-// layout when the ratchet fires. The workers are quiescent here, both
-// layouts were prebuilt and the scheduler names are constants, so
-// promotion stays allocation-free.
-//
-//spblock:hotpath
-func (p *Pool) EndRun(start time.Time) {
-	p.met.EndRun(start)
-	if p.ctrl != nil && p.ctrl.Observe(p.met.WindowImbalance(p.prevNS)) {
-		p.q.SetStealing(true)
-		p.met.SetSched(AdaptiveStealName)
-	}
 }

@@ -95,6 +95,11 @@ func TestHugeRankRejected(t *testing.T) {
 			}
 		}
 	}
+	// cpals also holds order+4 rank × rank matrices: at rank 10000 the
+	// 30x24x20 tensor's factors fit the bound but its Grams do not.
+	if code, _, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "cpals", Rank: 10000, MaxIters: 1}); code != http.StatusBadRequest {
+		t.Errorf("cpals job at rank 10000: status %d, want 400: %s", code, raw)
+	}
 	if got := served(); got != before {
 		t.Errorf("served jobs %d after the rejected ranks, want %d", got, before)
 	}

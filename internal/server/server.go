@@ -155,8 +155,8 @@ type jobRequest struct {
 	Reps int `json:"reps,omitempty"`
 	// Workers, when positive, re-sizes the cached stack's parallelism
 	// for this job only; jobs that leave it unset run at the plan's
-	// worker count regardless of what earlier jobs asked for. mttkrp
-	// and cpals only.
+	// worker count regardless of what earlier jobs asked for. At most
+	// maxJobWorkers.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMs bounds the job's wall time; on expiry the job is
 	// canceled between mode products and 504 is returned.
@@ -243,6 +243,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "rank must be positive, got %d", req.Rank)
 		return
 	}
+	if req.Workers > maxJobWorkers {
+		httpError(w, http.StatusBadRequest, "workers %d exceeds the limit of %d", req.Workers, maxJobWorkers)
+		return
+	}
 	switch req.Kind {
 	case "mttkrp", "cpals", "cpapr":
 	default:
@@ -280,7 +284,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no tensor with fingerprint %q (upload it to /tensors first)", req.Fingerprint)
 		return
 	}
-	if err := checkRank(req.Rank, entry.Tensor().Dims); err != nil {
+	if err := checkRank(req.Kind, req.Rank, entry.Tensor().Dims); err != nil {
 		entry.unpin()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -307,21 +311,29 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// maxFactorElems bounds a job's factor matrices: rank × Σ dims
-// elements, 2 GiB of float64s. Every job kind allocates at least that
-// much before its first product, so a larger rank is refused up front
-// instead of failing the allocation.
+// maxFactorElems bounds a job's rank-sized matrices: 2 GiB of
+// float64s. Every job kind allocates factor matrices of rank × Σ dims
+// elements before its first product, and cpals also order+4 rank × rank
+// ones (each mode's Gram, the Hadamard products V and gAll, the
+// Cholesky factor and its transpose), so a larger rank is refused up
+// front instead of failing the allocation.
 const maxFactorElems = 1 << 28
 
-// checkRank rejects a rank whose factor matrices over dims would hold
+// maxJobWorkers bounds a job's workers field. A worker count sizes
+// per-worker state (the dense solve's work split, COO's private
+// outputs), so an unbounded one could ask for any amount of memory.
+const maxJobWorkers = 256
+
+// checkRank rejects a rank whose kind's matrices over dims would hold
 // more than maxFactorElems elements, overflow included.
-func checkRank(rank int, dims []int) error {
+func checkRank(kind string, rank int, dims []int) error {
 	rows := 0
 	for _, d := range dims {
 		rows += d
 	}
-	if rank > maxFactorElems/rows {
-		return fmt.Errorf("rank %d needs more than %d factor elements over dims %v", rank, maxFactorElems, dims)
+	// rank ≤ maxFactorElems/rows keeps (order+4)·rank from overflowing.
+	if rank > maxFactorElems/rows || kind == "cpals" && (len(dims)+4)*rank > maxFactorElems/rank-rows {
+		return fmt.Errorf("a %s job at rank %d needs more than %d matrix elements over dims %v", kind, rank, maxFactorElems, dims)
 	}
 	return nil
 }
@@ -497,9 +509,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			p("spblockd_mode_wall_ns_total{fp=%q,mode=\"%d\"} %d\n", fp, mode, snap.WallNS)
 			p("spblockd_mode_nnz_total{fp=%q,mode=\"%d\"} %d\n", fp, mode, snap.NNZ)
 			p("spblockd_mode_steals_total{fp=%q,mode=\"%d\"} %d\n", fp, mode, snap.Steals())
-			if snap.Sched != "" {
-				p("spblockd_mode_sched{fp=%q,mode=\"%d\",sched=%q} 1\n", fp, mode, snap.Sched)
-			}
 		}
 	}
 }

@@ -547,6 +547,11 @@ func TestJobValidationAndKinds(t *testing.T) {
 	if code, _, _ := postJob(t, ts.URL, "", jobRequest{Fingerprint: "beef", Kind: "cpals", Rank: 2}); code != http.StatusNotFound {
 		t.Errorf("unknown fingerprint: status %d, want 404", code)
 	}
+	for _, kind := range []string{"mttkrp", "cpals", "cpapr"} {
+		if code, _, _ := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: kind, Rank: 2, Workers: maxJobWorkers + 1}); code != http.StatusBadRequest {
+			t.Errorf("%s job with %d workers: status %d, want 400", kind, maxJobWorkers+1, code)
+		}
+	}
 	code, jr, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "mttkrp", Rank: 6, Reps: 3, Workers: 2})
 	if code != http.StatusOK || jr.Reps != 3 || len(jr.ModeSnap) != 3 {
 		t.Fatalf("mttkrp job: %d %s", code, raw)

@@ -41,7 +41,6 @@ import (
 	"spblock/internal/metrics"
 	"spblock/internal/mpi"
 	"spblock/internal/nmode"
-	"spblock/internal/sched"
 	"spblock/internal/server"
 	"spblock/internal/tensor"
 )
@@ -76,12 +75,6 @@ type (
 	// BlockedTensor is the multi-dimensionally blocked representation:
 	// one CSF tree per non-empty grid block.
 	BlockedTensor = nmode.BlockedTensor
-	// SchedPolicy selects the work-distribution policy for a plan's
-	// parallel workers (Plan.Sched, OptionsN.Sched): static shares,
-	// chunked work stealing, or the adaptive controller that promotes
-	// static to stealing when the measured imbalance holds above its
-	// threshold. See internal/sched.
-	SchedPolicy = sched.Policy
 	// AutotuneOptions configures the Sec. V-C block-size heuristic.
 	AutotuneOptions = core.AutotuneOptions
 	// Trial is one measured autotuning candidate.
@@ -152,24 +145,6 @@ const (
 	// MethodMBRankB combines both blockings.
 	MethodMBRankB = core.MethodMBRankB
 )
-
-// Scheduling policies (Plan.Sched / OptionsN.Sched).
-const (
-	// SchedStatic is the zero value: one contiguous weight-balanced
-	// share per worker, computed once at executor build — the paper's
-	// implicit scheduling model, and bit-identical to it.
-	SchedStatic = sched.PolicyStatic
-	// SchedSteal carves the same work into many weight-balanced chunks
-	// and lets idle workers steal from loaded ones.
-	SchedSteal = sched.PolicySteal
-	// SchedAdaptive starts static and promotes to stealing when the
-	// measured worker imbalance stays above the controller threshold.
-	SchedAdaptive = sched.PolicyAdaptive
-)
-
-// ParseSchedPolicy maps the CLI spelling ("static", "steal",
-// "adaptive") to a SchedPolicy, as mttkrp-bench -sched does.
-func ParseSchedPolicy(s string) (SchedPolicy, error) { return sched.ParsePolicy(s) }
 
 // ParseMethod maps the CLI spelling of a kernel method ("coo",
 // "splatt", "mb", "rankb", "mbrankb" or "mb+rankb", any case) to a
