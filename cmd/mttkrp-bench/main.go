@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -71,12 +72,20 @@ func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64,
 	fmt.Printf("rank:   %d   (factor B is %.1f MB)\n\n",
 		rank, float64(x.Dims[1]*rank*8)/1e6)
 
+	// An MB executor hands its workers root layers, Grid[0] of them, so
+	// the untuned MB grids cut mode 0 once per worker, and at least
+	// twice; the row label (the plan) shows the grid.
+	nw := workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	grid := [3]int{max(nw, 2), 2, 1}
 	plans := []spblock.Plan{
 		{Method: spblock.MethodCOO},
 		{Method: spblock.MethodSPLATT, Workers: workers},
-		{Method: spblock.MethodMB, Grid: [3]int{1, 2, 1}, Workers: workers},
+		{Method: spblock.MethodMB, Grid: grid, Workers: workers},
 		{Method: spblock.MethodRankB, RankBlockCols: min(64, rank), Workers: workers},
-		{Method: spblock.MethodMBRankB, Grid: [3]int{1, 2, 1}, RankBlockCols: min(64, rank), Workers: workers},
+		{Method: spblock.MethodMBRankB, Grid: grid, RankBlockCols: min(64, rank), Workers: workers},
 	}
 	if autotune {
 		opts := spblock.AutotuneOptions{Trials: 1, Seed: seed, Workers: workers}

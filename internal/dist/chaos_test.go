@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -82,13 +83,17 @@ func TestDistCPALSCompletesUnderLinkFaults(t *testing.T) {
 func TestDistCPALSDegradesAfterCrash(t *testing.T) {
 	// Rank 3 dies a few operations into the first distributed MTTKRP.
 	// The driver must re-partition over the three survivors and finish
-	// the decomposition degraded — no panic, no hang, full telemetry.
+	// the decomposition degraded — no panic, no hang, full telemetry —
+	// and every goroutine the run started, the dead rank's and the
+	// aborted sweep's included, must exit: runtime.NumGoroutine
+	// settles back to its pre-run count.
 	x := plantedTensor(8, []int{10, 9, 8}, 3)
 	plan := mpi.NewFaultPlan(3)
 	plan.CrashRank = 3
 	plan.CrashAfterOps = 5
 	plan.Timeout = 50 * time.Millisecond
 	plan.MaxRetries = 2
+	before := runtime.NumGoroutine()
 	done := make(chan struct{})
 	var res *CPResult
 	var err error
@@ -126,6 +131,13 @@ func TestDistCPALSDegradesAfterCrash(t *testing.T) {
 		if f != f || f < -1 || f > 1+1e-9 {
 			t.Fatalf("fit %d out of range: %v", i, f)
 		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the degraded run, %d before", n, before)
 	}
 }
 

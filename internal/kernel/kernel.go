@@ -15,8 +15,8 @@
 // the dst and scale rows) rather than a tensor type: dst is an output
 // row or a mid-level accumulator of the walk. The package also holds
 // the whole-rank helpers of Algorithm 1 (Axpy, ScaleAdd), the COO
-// kernel, which is also the walk's one-nonzero fiber (KRPAxpy), and
-// the privatised-output reduction (Add).
+// kernel (KRPAxpy), the walk's runs of one-nonzero fibers
+// (KRPAxpyRun), and the privatised-output reduction (Add).
 package kernel
 
 import (
@@ -49,9 +49,10 @@ const (
 // over p in [pLo, pHi). vals/ids are the fiber's nonzero values and
 // leaf-mode coordinates; dst is the row the fiber's parent accumulates
 // into (an output row, or a walker's accumulator) and scale is the
-// fiber's own factor row. The walker calls it only for fibers of two
-// or more nonzeros; a one-nonzero fiber goes through KRPAxpy instead,
-// bit-identical because dst is never −0 (nmode.Walker.Walk).
+// fiber's own factor row. Above order 2 the walker calls it only for
+// fibers of two or more nonzeros; one-nonzero fibers go through
+// KRPAxpyRun instead, bit-identical because dst is never −0
+// (nmode.Walker.Walk).
 type FiberKernel func(vals []float64, ids []int32, b *la.Matrix, dst, scale []float64, pLo, pHi, r0 int)
 
 // FiberTailKernel is FiberKernel for a partial block spanning columns
@@ -189,14 +190,79 @@ func ScaleAdd(out, acc, scale []float64) {
 
 // KRPAxpy accumulates out[q] += (v * brow[q]) * crow[q] over len(out)
 // columns — the on-the-fly Khatri-Rao product of the COO baseline
-// (Sec. III-C1), and the register walk's one-nonzero fiber, whose sum
-// v·b is scaled by its fiber row crow. A caller that passes crow cut
-// to len(out) gets the loop without a bounds check once inlined.
+// (Sec. III-C1), and the register walk's lone one-nonzero fiber
+// (KRPAxpyRun), whose sum v·b is scaled by its fiber row crow. A
+// caller that passes crow cut to len(out) gets the loop without a
+// bounds check once inlined.
 //
 //spblock:hotpath
 func KRPAxpy(out []float64, v float64, brow, crow []float64) {
 	for q, bq := range brow[:len(out)] {
 		out[q] += v * bq * crow[q]
+	}
+}
+
+// KRPAxpyRun adds a run of one-nonzero fibers under one destination
+// row: fiber i, in order, adds dst[q] += (vals[i]·b[ids[i]][q])·s[sids[i]][q]
+// over len(dst) columns. Four fibers share one pass over dst, keeping
+// dst[q] in a register across their adds (krpAxpy4), then a pair does,
+// and a lone fiber goes through KRPAxpy; so dst is loaded and stored
+// once per group instead of once per fiber. Each element sees exactly
+// the adds of len(vals) successive KRPAxpy calls, in the same order, so
+// the result is bit-identical to them. ids and sids hold at least
+// len(vals) entries; every row of b and s is at least len(dst) long.
+//
+//spblock:hotpath
+func KRPAxpyRun(dst, vals []float64, ids []int32, b *la.Matrix, sids []int32, s *la.Matrix) {
+	n := len(dst)
+	bd, bs, sd, ss := b.Data, b.Stride, s.Data, s.Stride
+	ids, sids = ids[:len(vals)], sids[:len(vals)]
+	i := 0
+	for ; i+4 <= len(vals); i += 4 {
+		krpAxpy4(dst, vals[i], vals[i+1], vals[i+2], vals[i+3],
+			bd[int(ids[i])*bs:][:n], bd[int(ids[i+1])*bs:][:n],
+			bd[int(ids[i+2])*bs:][:n], bd[int(ids[i+3])*bs:][:n],
+			sd[int(sids[i])*ss:][:n], sd[int(sids[i+1])*ss:][:n],
+			sd[int(sids[i+2])*ss:][:n], sd[int(sids[i+3])*ss:][:n])
+	}
+	if i+2 <= len(vals) {
+		krpAxpy2(dst, vals[i], vals[i+1],
+			bd[int(ids[i])*bs:][:n], bd[int(ids[i+1])*bs:][:n],
+			sd[int(sids[i])*ss:][:n], sd[int(sids[i+1])*ss:][:n])
+		i += 2
+	}
+	if i < len(vals) {
+		KRPAxpy(dst, vals[i], bd[int(ids[i])*bs:][:n], sd[int(sids[i])*ss:][:n])
+	}
+}
+
+// krpAxpy4 is four KRPAxpy calls in one pass over dst. It stays out of
+// line so that its loop has the registers to itself: inlined into the
+// run loop, the counter and two row pointers spill.
+//
+//go:noinline
+//spblock:hotpath
+func krpAxpy4(dst []float64, v0, v1, v2, v3 float64, b0, b1, b2, b3, s0, s1, s2, s3 []float64) {
+	b0, b1, b2, b3 = b0[:len(dst)], b1[:len(dst)], b2[:len(dst)], b3[:len(dst)]
+	s0, s1, s2, s3 = s0[:len(dst)], s1[:len(dst)], s2[:len(dst)], s3[:len(dst)]
+	for q, x := range dst {
+		x += v0 * b0[q] * s0[q]
+		x += v1 * b1[q] * s1[q]
+		x += v2 * b2[q] * s2[q]
+		x += v3 * b3[q] * s3[q]
+		dst[q] = x
+	}
+}
+
+// krpAxpy2 is two KRPAxpy calls in one pass over dst.
+//
+//spblock:hotpath
+func krpAxpy2(dst []float64, v0, v1 float64, b0, b1, s0, s1 []float64) {
+	b0, b1, s0, s1 = b0[:len(dst)], b1[:len(dst)], s0[:len(dst)], s1[:len(dst)]
+	for q, x := range dst {
+		x += v0 * b0[q] * s0[q]
+		x += v1 * b1[q] * s1[q]
+		dst[q] = x
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spblock/internal/la"
@@ -49,8 +50,10 @@ func TestAccumulatorBodyBitIdentical(t *testing.T) {
 
 // TestShortFiberBitIdentical pins the register walk's short-fiber path
 // to Algorithm 1's accumulator body bit for bit, on mode trees made of
-// one-nonzero fibers, two-nonzero fibers, and a mix of 1, 2, 3 and
-// long ones, at orders 2-5. The values and factors carry -0 entries,
+// one-nonzero fibers, two-nonzero fibers, a mix of 1, 2, 3 and long
+// ones, and runs of 1 to 9 one-nonzero fibers broken by fibers of 2
+// and 3 nonzeros (kernel.KRPAxpyRun's groups of 4 and 2 and its lone
+// tail), at orders 2-5. The values and factors carry -0 entries,
 // and one non-output factor has a +Inf, a -Inf and a NaN entry, so the
 // signed-zero argument on Walker.Walk is exercised where it matters. The exported
 // Walker, walked over the same tree or the same blocks in block order
@@ -64,6 +67,7 @@ func TestShortFiberBitIdentical(t *testing.T) {
 		{"singletons", []int{1}},
 		{"pairs", []int{2}},
 		{"mix", []int{1, 1, 1, 2, 2, 3, 0}}, // 0: a long fiber
+		{"runs", oneNonzeroRuns()},
 	}
 	for _, dims := range [][]int{{40, 36}, {20, 18, 16}, {12, 10, 18, 16}, {6, 7, 16, 5, 18}} {
 		grid := make([]int, len(dims))
@@ -107,12 +111,27 @@ func TestShortFiberBitIdentical(t *testing.T) {
 	}
 }
 
+// oneNonzeroRuns is a fiber-length pattern of runs of 1 to 9
+// one-nonzero fibers, each broken by a fiber of 2 or 3 nonzeros.
+func oneNonzeroRuns() []int {
+	var lens []int
+	for r := 1; r <= 9; r++ {
+		for range r {
+			lens = append(lens, 1)
+		}
+		lens = append(lens, 2+r%2)
+	}
+	return lens
+}
+
 // shortFiberTensor builds a tensor whose tree under mode order mo has
-// fibers of the lengths in lens, drawn in turn (0 means a long fiber
-// of 4 up to the leaf extent): each fiber is a distinct coordinate
-// prefix over the non-leaf modes with a run of consecutive leaf
-// coordinates, so a grid cuts few of them. About a tenth of the values
-// are -0.
+// fibers of the lengths in lens, in turn in tree order (0 means a long
+// fiber of 4 up to the leaf extent): each fiber is a distinct
+// coordinate prefix over the non-leaf modes, drawn at random but
+// mostly next to the one before, with a run of consecutive leaf
+// coordinates, so a grid cuts few of them.
+// Consecutive fibers under one parent follow the pattern of lens,
+// except where a parent ends. About a tenth of the values are -0.
 func shortFiberTensor(rng *rand.Rand, dims, mo []int, lens []int) *Tensor {
 	n := len(dims)
 	leaf := mo[n-1]
@@ -121,22 +140,30 @@ func shortFiberTensor(rng *rand.Rand, dims, mo []int, lens []int) *Tensor {
 		prefixes *= dims[m]
 	}
 	fibers := min(150, prefixes/2)
+	used := make(map[int]bool, fibers)
+	keys := make([]int, 0, fibers)
+	// key is the prefix in mixed radix over mo[:n-1], so ascending
+	// keys are tree order. Three in four draws take the next prefix,
+	// the same parent's next fiber unless a parent ends there, so runs
+	// of fibers under one parent form at every order.
+	key := -1
+	for len(keys) < fibers {
+		if key++; key >= prefixes || used[key] || rng.Intn(4) == 0 {
+			key = rng.Intn(prefixes)
+		}
+		if !used[key] {
+			used[key] = true
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
 	x := NewTensor(dims, 0)
 	coords := make([]Index, n)
-	used := make(map[int]bool, fibers)
-	for f := 0; f < fibers; f++ {
-		key := 0
-		for {
-			key = 0
-			for _, m := range mo[:n-1] {
-				coords[m] = Index(rng.Intn(dims[m]))
-				key = key*dims[m] + int(coords[m])
-			}
-			if !used[key] {
-				break
-			}
+	for f, key := range keys {
+		for d := n - 2; d >= 0; d-- {
+			coords[mo[d]] = Index(key % dims[mo[d]])
+			key /= dims[mo[d]]
 		}
-		used[key] = true
 		k := lens[f%len(lens)]
 		if k == 0 {
 			k = 4 + rng.Intn(dims[leaf]-3)

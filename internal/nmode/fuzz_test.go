@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+
+	"spblock/internal/la"
 )
 
 // FuzzReadTNS drives the order-N text parser with arbitrary inputs: it
@@ -244,4 +247,124 @@ func decodeTensor(data []byte) *Tensor {
 		data = data[order+1:]
 	}
 	return tsr
+}
+
+// FuzzRegisterWalk pins the register walk's short-fiber runs
+// (kernel.KRPAxpyRun) to the accumulator body and to the exported
+// Walker bit for bit. decodeWalkCase maps the bytes onto a small order-3
+// or order-4 tensor with finite values, ±0 among them, a rank, a rank
+// strip width and a grid; every mode's product must then agree across
+// the register walk and the accumulator walk at 1 and 2 workers and
+// the Walker over the same tree or blocks in block order. The seeds
+// lay runs of 1 to 9 one-nonzero fibers under one parent, broken by
+// fibers of 2 and 3 nonzeros.
+func FuzzRegisterWalk(f *testing.F) {
+	for _, order := range []int{3, 4} {
+		for sel, lens := range [][]int{oneNonzeroRuns(), {1, 1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 3, 1, 1, 2, 1}} {
+			f.Add(runSeed(order, byte(sel*3+order), byte(sel)<<1, lens))
+		}
+	}
+	// A tiny order-3 tree holding −0 and +0 values.
+	f.Add([]byte{0, 2, 5, 1, 3, 0, 0, 0, 0x80, 1, 0, 0, 7, 1, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x, rank, bs, grid := decodeWalkCase(data)
+		if x == nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		factors := make([]*la.Matrix, x.Order())
+		for m := range factors {
+			factors[m] = specialMatrix(rng, x.Dims[m], rank, false)
+		}
+		for mode := range x.Dims {
+			want := walkTrees(t, x, DefaultModeOrder(x.Dims, mode), grid, factors, rank)
+			for _, alg := range []Algorithm{AlgRegister, AlgAccumulator} {
+				for _, workers := range []int{1, 2} {
+					opts := Options{Algorithm: alg, Workers: workers, RankBlockCols: bs, Grid: grid}
+					assertSameBits(t, fmt.Sprintf("order %d dims %v mode %d rank %d %+v against the Walker",
+						x.Order(), x.Dims, mode, rank, opts), runOpts(t, x, mode, opts, factors), want)
+				}
+			}
+		}
+	})
+}
+
+// decodeWalkCase maps a byte string onto a FuzzRegisterWalk case: byte
+// 0 picks the order (3 or 4) and, bit m+1, which modes the grid halves
+// (a mode of extent 1 stays whole);
+// byte 1 the rank (1, 5, 16, 20 or 33) and the strip width (0, 8 or
+// 16); the next `order` bytes the dims (1..12); and each following
+// (order+1)-byte group one nonzero, up to 256 (coordinates folded into
+// range, value from the last byte: 0x80 is −0, any other byte b is
+// int8(b)/4, so 0 is +0). Duplicate coordinates are merged. Returns a
+// nil tensor when the prefix is too short.
+func decodeWalkCase(data []byte) (x *Tensor, rank, bs int, grid []int) {
+	if len(data) < 2 {
+		return nil, 0, 0, nil
+	}
+	head := data[0]
+	order := 3 + int(head)%2
+	rank = []int{1, 5, 16, 20, 33}[data[1]%5]
+	bs = []int{0, 8, 16}[data[1]/5%3]
+	data = data[2:]
+	if len(data) < order {
+		return nil, 0, 0, nil
+	}
+	dims := make([]int, order)
+	for m := range dims {
+		dims[m] = 1 + int(data[m])%12
+	}
+	grid = make([]int, order)
+	for m := range grid {
+		grid[m] = min(dims[m], 1+int(head>>(m+1)&1))
+	}
+	data = data[order:]
+	x = NewTensor(dims, 0)
+	coords := make([]Index, order)
+	for ; len(data) >= order+1 && x.NNZ() < 256; data = data[order+1:] {
+		for m := range coords {
+			coords[m] = Index(int(data[m]) % dims[m])
+		}
+		v := float64(int8(data[order])) / 4
+		if data[order] == 0x80 {
+			v = math.Copysign(0, -1)
+		}
+		x.Append(coords, v)
+	}
+	if _, err := x.Dedup(); err != nil {
+		panic(err)
+	}
+	return x, rank, bs, grid
+}
+
+// runSeed encodes a decodeWalkCase input at dims 12 whose mode-0 tree
+// has consecutive fibers of the lengths in lens, in tree order from
+// the first fiber: fiber f takes the f-th fiber prefix in the mode-0
+// mode order, so runs cross parent boundaries every 12 fibers.
+func runSeed(order int, caseByte, gridBits byte, lens []int) []byte {
+	data := []byte{byte(order-3) | gridBits, caseByte}
+	for range order {
+		data = append(data, 11)
+	}
+	dims := make([]int, order)
+	for m := range dims {
+		dims[m] = 12
+	}
+	mo := DefaultModeOrder(dims, 0)
+	coords := make([]int, order)
+	for f, k := range lens {
+		// The prefix digits of fiber f over mo[:order-1], last fastest.
+		for d, rest := order-2, f; d >= 0; d-- {
+			coords[mo[d]] = rest % 12
+			rest /= 12
+		}
+		for j := range k {
+			coords[mo[order-1]] = (f + 5*j) % 12
+			for _, c := range coords {
+				data = append(data, byte(c))
+			}
+			data = append(data, byte(f*37+j*11+1))
+		}
+	}
+	return data
 }

@@ -231,12 +231,15 @@ func (w *walker) node(d int, nd int32, dst []float64) {
 // The register body sweeps a fiber once per register block of the
 // resolved width-specialized kernel; kernel.Resolve guarantees every
 // tail is narrower than kernel.MaxWidth (it trails an unrolled block,
-// or the whole strip is below kernel.MinWidth). A fiber with one
-// nonzero, most fibers of sparse data (87% of Poisson3's), skips the
-// width kernel: oneNonzero adds (v·b)·s over the whole strip in one
-// loop, with no indirect call and no register block to spill. It is
-// bit-identical to the register sum under Walk's precondition. A
-// walker with an accumulator array runs accFibers instead.
+// or the whole strip is below kernel.MinWidth). Fibers with one
+// nonzero, most fibers of sparse data (87% of Poisson3's), skip the
+// width kernel: a run of them, consecutive fibers whose leaves are
+// therefore contiguous, goes to kernel.KRPAxpyRun in one call, which
+// adds (v·b)·s fiber by fiber with dst held in registers across a
+// group. It is bit-identical to the register sum under Walk's
+// precondition. An order-2 root (mid nil) is a single fiber and keeps
+// the width kernel. A walker with an accumulator array runs accFibers
+// instead.
 //
 //spblock:hotpath
 func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
@@ -250,14 +253,20 @@ func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
 	vals, ids, ptr, fid := c.Val, c.ID[n-1], c.Ptr[n-2], c.ID[n-2]
 	kern, width := &w.kern, w.width
 	for f := lo; f < hi; f++ {
+		pLo, pHi := int(ptr[f]), int(ptr[f+1])
+		if pHi-pLo == 1 && mid != nil {
+			e := f + 1
+			for e < hi && ptr[e+1]-ptr[e] == 1 {
+				e++
+			}
+			k := pLo + int(e-f)
+			kernel.KRPAxpyRun(dst, vals[pLo:k], ids[pLo:k], leaf, fid[f:e], mid)
+			f = e - 1
+			continue
+		}
 		scale := w.ones
 		if mid != nil {
 			scale = mid.Row(int(fid[f]))
-		}
-		pLo, pHi := int(ptr[f]), int(ptr[f+1])
-		if pHi-pLo == 1 {
-			oneNonzero(dst, vals[pLo], leaf.Row(int(ids[pLo])), scale)
-			continue
 		}
 		r0 := 0
 		if kw := kern.Width; kw > 0 {
@@ -269,17 +278,6 @@ func (w *walker) fibers(lo, hi int32, dst []float64, mid *la.Matrix) {
 			kern.FiberTail(vals, ids, leaf, dst, scale, pLo, pHi, r0, width)
 		}
 	}
-}
-
-// oneNonzero adds a one-nonzero fiber, dst += (v·b)·s, through
-// kernel.KRPAxpy. s is cut to len(dst) so the loop runs without a
-// bounds check, which the COO kernel, sharing KRPAxpy, keeps. It stays
-// out of line: inlined into fibers, the loop spills its counter.
-//
-//go:noinline
-//spblock:hotpath
-func oneNonzero(dst []float64, v float64, b, s []float64) {
-	kernel.KRPAxpy(dst, v, b, s[:len(dst)])
 }
 
 // accFibers is fibers with Algorithm 1's body: each fiber is summed

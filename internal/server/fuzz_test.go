@@ -128,7 +128,7 @@ func FuzzJob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req jobRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
-			legal := req.Rank > 0 && checkRank(req.Kind, req.Rank, x.Dims) == nil
+			legal := req.Rank > 0 && checkRank(req.Kind, req.Rank, req.Workers, x.Dims) == nil
 			if legal && req.Rank > fuzzJobMaxRank || req.Workers > fuzzJobMaxWorkers && req.Workers <= maxJobWorkers {
 				t.Skip("legal but costly job")
 			}

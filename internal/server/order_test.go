@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -105,5 +106,34 @@ func TestHugeRankRejected(t *testing.T) {
 	}
 	if code, _, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "mttkrp", Rank: 4}); code != http.StatusOK {
 		t.Fatalf("mttkrp job after the rejections: %d %s", code, raw)
+	}
+}
+
+// TestCPAPRWorkerOutputsBounded: a cpapr job's COO executors keep one
+// private output per worker and mode, workers × rank × Σ dims elements
+// in all, and checkRank counts them. On the 30x24x20 upload at rank
+// 15000 the factors fit maxFactorElems 2 times over but not 257 times,
+// so 256 workers are refused with 400 before the job allocates
+// (2.3 GB of outputs), and 1 worker still runs.
+func TestCPAPRWorkerOutputsBounded(t *testing.T) {
+	_, ts, fp := newTestServer(t, Options{})
+	const rank, rows = 15000, 30 + 24 + 20
+	if 2*rank*rows > maxFactorElems || 257*rank*rows <= maxFactorElems {
+		t.Fatalf("rank %d does not straddle the bound", rank)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	code, _, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "cpapr", Rank: rank, MaxIters: 1, Workers: 256})
+	runtime.ReadMemStats(&ms)
+	if code != http.StatusBadRequest {
+		t.Fatalf("cpapr job on 256 workers: status %d, want 400: %s", code, raw)
+	}
+	// The factors alone would be rank × rows × 8 bytes = 8.9 MB.
+	if grew := ms.TotalAlloc - before; grew > 1<<20 {
+		t.Errorf("refused job allocated %d bytes", grew)
+	}
+	if code, _, raw := postJob(t, ts.URL, "", jobRequest{Fingerprint: fp, Kind: "cpapr", Rank: rank, MaxIters: 1, Workers: 1}); code != http.StatusOK {
+		t.Fatalf("cpapr job on 1 worker: status %d, want 200: %s", code, raw)
 	}
 }

@@ -284,7 +284,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no tensor with fingerprint %q (upload it to /tensors first)", req.Fingerprint)
 		return
 	}
-	if err := checkRank(req.Kind, req.Rank, entry.Tensor().Dims); err != nil {
+	if err := checkRank(req.Kind, req.Rank, req.Workers, entry.Tensor().Dims); err != nil {
 		entry.unpin()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -313,10 +313,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // maxFactorElems bounds a job's rank-sized matrices: 2 GiB of
 // float64s. Every job kind allocates factor matrices of rank × Σ dims
-// elements before its first product, and cpals also order+4 rank × rank
+// elements before its first product, cpals also order+4 rank × rank
 // ones (each mode's Gram, the Hadamard products V and gAll, the
-// Cholesky factor and its transpose), so a larger rank is refused up
-// front instead of failing the allocation.
+// Cholesky factor and its transpose), and cpapr one private
+// dims[mode] × rank output per worker in each mode's COO executor, so
+// workers × rank × Σ dims more. A larger job is refused up front
+// instead of failing the allocation.
 const maxFactorElems = 1 << 28
 
 // maxJobWorkers bounds a job's workers field. A worker count sizes
@@ -324,16 +326,22 @@ const maxFactorElems = 1 << 28
 // outputs), so an unbounded one could ask for any amount of memory.
 const maxJobWorkers = 256
 
-// checkRank rejects a rank whose kind's matrices over dims would hold
-// more than maxFactorElems elements, overflow included.
-func checkRank(kind string, rank int, dims []int) error {
+// checkRank rejects a rank whose kind's matrices over dims, at the
+// job's worker count, would hold more than maxFactorElems elements,
+// overflow included.
+func checkRank(kind string, rank, workers int, dims []int) error {
 	rows := 0
 	for _, d := range dims {
 		rows += d
 	}
-	// rank ≤ maxFactorElems/rows keeps (order+4)·rank from overflowing.
-	if rank > maxFactorElems/rows || kind == "cpals" && (len(dims)+4)*rank > maxFactorElems/rank-rows {
-		return fmt.Errorf("a %s job at rank %d needs more than %d matrix elements over dims %v", kind, rank, maxFactorElems, dims)
+	// rank ≤ maxFactorElems/rows keeps (order+4)·rank from overflowing,
+	// and maxFactorElems/rank/rows ≥ 1 bounds cpapr's 1 + workers
+	// copies of rank × rows without a product.
+	if rank > maxFactorElems/rows ||
+		kind == "cpals" && (len(dims)+4)*rank > maxFactorElems/rank-rows ||
+		kind == "cpapr" && max(workers, 1) >= maxFactorElems/rank/rows {
+		return fmt.Errorf("a %s job at rank %d on %d workers needs more than %d matrix elements over dims %v",
+			kind, rank, max(workers, 1), maxFactorElems, dims)
 	}
 	return nil
 }
