@@ -81,7 +81,7 @@ func bench3(x *nmode.Tensor, rank, reps, workers int, autotune bool, seed int64,
 	}
 	grid := [3]int{max(nw, 2), 2, 1}
 	plans := []spblock.Plan{
-		{Method: spblock.MethodCOO},
+		{Method: spblock.MethodCOO, Workers: workers},
 		{Method: spblock.MethodSPLATT, Workers: workers},
 		{Method: spblock.MethodMB, Grid: grid, Workers: workers},
 		{Method: spblock.MethodRankB, RankBlockCols: min(64, rank), Workers: workers},

@@ -109,6 +109,50 @@ func referenceReadTNS(r io.Reader) (*Tensor, error) {
 	return t, nil
 }
 
+// streamReadTNS is ReadTNS built on TNSStream.Next, on the pipeline at
+// `workers` workers and blocks of blockBytes: it appends each nonzero
+// as Next returns it and applies ReadTNS's end-of-input rules to the
+// stream's DeclaredDims and MaxCoords.
+func streamReadTNS(r io.Reader, workers, blockBytes int) (*Tensor, error) {
+	s := newTNSStream(r, workers, blockBytes)
+	defer s.Close()
+	var t *Tensor
+	for {
+		coords, val, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t == nil {
+			t = NewTensor(make([]int, len(coords)), 0)
+		}
+		t.Append(coords, val)
+	}
+	declared := s.DeclaredDims()
+	if t == nil {
+		if declared == nil {
+			return nil, ErrNoData
+		}
+		t = NewTensor(declared, 0)
+	} else if declared != nil {
+		if len(declared) != t.Order() {
+			return nil, fmt.Errorf("nmode: dims comment has %d modes, data has %d",
+				len(declared), t.Order())
+		}
+		t.Dims = declared
+	} else {
+		for m, mc := range s.MaxCoords() {
+			t.Dims[m] = int(mc)
+		}
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 // sameParse reports how ReadTNS's result (got, gerr) differs from the
 // reference's (want, werr): decision, error text, dims, and every
 // coordinate and value bit.
